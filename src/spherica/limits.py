@@ -27,7 +27,7 @@ from scipy import integrate
 from .errors import DomainError, ShapeError
 from .montecarlo import RngStream, _blocks, mc_spherical
 from .polya import OmegaParam, p_tilde, polya_eval
-from .spherical import DiagonalPoint, _weyl_cmn, spherical_series
+from .spherical import DiagonalPoint, _weyl_cmn, _weyl_density_unnormalized, spherical_series
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,18 @@ def t_n_map(lam, n: int | None = None) -> OmegaParam:
     return OmegaParam([(v / size) ** 2 for v in point.values], 0.0)
 
 
+def _min_size(omega: OmegaParam) -> int:
+    # one entry per atom, plus at least one carrying the Gaussian part
+    return max(len(omega.alpha) + (omega.gamma > 0.0), 1)
+
+
 def lambda_sequence_for(omega: OmegaParam, n: int) -> tuple[float, ...]:
     """A size-n parameter vector whose image under t_n_map converges to
     omega: atoms alpha_j become entries n sqrt(alpha_j), and the Gaussian
     weight gamma is spread uniformly over the remaining n - k entries."""
     n = int(n)
     k = len(omega.alpha)
-    need = k + 1 if omega.gamma > 0.0 else max(k, 1)
+    need = _min_size(omega)
     if n < need:
         raise DomainError(f"need n >= {need} for this omega, got n = {n}")
     entries = [n * math.sqrt(a) for a in omega.alpha]
@@ -121,8 +126,7 @@ def powersum_convergence(
     m = int(m)
     if m < 1:
         raise DomainError("power-sum degree must be >= 1")
-    need = len(omega.alpha) + (1 if omega.gamma > 0.0 else 0)
-    grid = _check_grid(n_values, max(need, 1))
+    grid = _check_grid(n_values, _min_size(omega))
     limit = p_tilde(omega, m)
     values = []
     for n in grid:
@@ -157,8 +161,7 @@ def spherical_convergence(
         raise DomainError("u must be finite")
     if method not in ("series", "mc"):
         raise DomainError(f"unknown method {method!r}")
-    need = len(omega.alpha) + (1 if omega.gamma > 0.0 else 0)
-    grid = _check_grid(n_values, max(need, 1))
+    grid = _check_grid(n_values, _min_size(omega))
     limit = polya_eval(omega, u)
     values: list[float] = []
     std_errors: list[float] = []
@@ -227,8 +230,7 @@ def weyl_concentration_sweep(
         if m == 1:
             c = _weyl_cmn(1, n)
             total, _ = integrate.quad(
-                lambda t: obs(np.array([t]))
-                * abs(math.sin(2.0 * t) * math.sin(t) ** (2 * (n - 2))),
+                lambda t: obs(np.array([t])) * _weyl_density_unnormalized(1, n, [t]),
                 0.0,
                 math.pi,
                 limit=200,

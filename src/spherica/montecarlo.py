@@ -9,10 +9,14 @@ Reproducibility contract
   inverse normal CDF (scipy.special.ndtri).  No ziggurat, no rejection, so
   the stream consumption per sample is fixed and platform independent.
 * Estimators consume samples in fixed-size blocks of 8192; block b draws all
-  of its variates from stream (master_seed, b) in a documented order, and
-  block results are reduced in index order with exact summation (math.fsum).
-  The estimate therefore depends only on (master_seed, n_samples), not on
-  any parallel execution plan.
+  of its variates from stream (master_seed, b) in a documented order.  Each
+  block keeps two scalars per quantity: its sum and its sum of squares
+  centred on its own mean.  The mean is the exact sum (math.fsum, index
+  order) of the block sums over n_samples; the variance adds the centred
+  sums to the between-block spread sum_b take_b (mean_b - mean)^2
+  (Chan-Golub-LeVeque merge), so a spread small against the mean is not
+  lost to cancellation.  The estimate therefore depends only on
+  (master_seed, n_samples), not on any parallel execution plan.
 
 Haar unitaries: complex Ginibre matrix, QR decomposition, then each column of
 Q is multiplied by the phase of the matching diagonal entry of R.  Without
@@ -23,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, RangeError, ShapeError
 from .polya import OmegaParam
-from .spherical import DiagonalPoint
+from .spherical import DiagonalPoint, _point_pair
 
 _BLOCK = 8192
 _MASK64 = (1 << 64) - 1
@@ -85,12 +89,7 @@ def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
     """One n x n Haar-distributed unitary (Ginibre + QR + phase fix)."""
     if n < 1:
         raise DomainError("haar_unitary requires n >= 1")
-    z = stream.complex_ginibre((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    absd = np.abs(d)
-    ph = np.where(absd > 0.0, d / np.where(absd > 0.0, absd, 1.0), 1.0)
-    return q * ph
+    return _haar_isometry_batch(stream, 1, n, n)[0]
 
 
 def _haar_isometry_batch(stream: RngStream, count: int, n: int, m: int) -> np.ndarray:
@@ -113,12 +112,36 @@ def _blocks(n_samples: int):
         done += take
 
 
-def _finalize(sums: list[float], squares: list[float], n: int) -> tuple[float, float]:
-    s1 = math.fsum(sums)
-    s2 = math.fsum(squares)
-    mean = s1 / n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-    return mean, math.sqrt(var / n)
+def _block_estimates(
+    n_samples: int, seed: int, sample: Callable[[RngStream, int], tuple[np.ndarray, ...]]
+) -> list[tuple[float, float]]:
+    """(mean, standard error) of each quantity sampled over the fixed blocks.
+
+    sample(stream, take) draws block b from RngStream(seed, b) and returns one
+    array of take per-sample values per quantity.
+    """
+    blocks = []
+    for b, take in _blocks(n_samples):
+        stats = []
+        for v in sample(RngStream(seed, b), take):
+            s = float(np.sum(v))
+            stats.append((take, s, float(np.sum((v - s / take) ** 2))))
+        blocks.append(stats)
+    estimates = []
+    for quantity in zip(*blocks):
+        mean = math.fsum(s for _, s, _ in quantity) / n_samples
+        m2 = math.fsum(c + take * (s / take - mean) ** 2 for take, s, c in quantity)
+        var = m2 / (n_samples - 1)
+        estimates.append((mean, math.sqrt(var / n_samples)))
+    return estimates
+
+
+def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # per sample: sum_j b_j Re (U diag(a) V*)_{jj}, U slab drawn before V slab
+    n = len(a)
+    u = _haar_isometry_batch(stream, take, n, n)
+    v = _haar_isometry_batch(stream, take, n, n)
+    return np.einsum("bja,a,bja->bj", u, a.astype(complex), v.conj()).real @ b
 
 
 def _check_samples(n_samples: int) -> int:
@@ -135,30 +158,16 @@ def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
 
     Per block and sample the draw order is: U slab, then V slab.
     """
-    x = x if isinstance(x, DiagonalPoint) else DiagonalPoint(x)
-    xi = xi if isinstance(xi, DiagonalPoint) else DiagonalPoint(xi)
-    if x.dimension != xi.dimension:
-        raise ShapeError(f"dimension mismatch: {x.dimension} vs {xi.dimension}")
+    x, xi = _point_pair(x, xi)
     n_samples = _check_samples(n_samples)
-    n = x.dimension
     xv = np.array(x.values)
     xiv = np.array(xi.values)
 
-    sc, sc2, ss, ss2 = [], [], [], []
-    for b, take in _blocks(n_samples):
-        stream = RngStream(seed, b)
-        u = _haar_isometry_batch(stream, take, n, n)
-        v = _haar_isometry_batch(stream, take, n, n)
-        diag = np.einsum("bja,a,bja->bj", u, xv.astype(complex), v.conj())
-        z = diag.real @ xiv
-        c = np.cos(z)
-        s = np.sin(z)
-        sc.append(float(np.sum(c)))
-        sc2.append(float(np.sum(c * c)))
-        ss.append(float(np.sum(s)))
-        ss2.append(float(np.sum(s * s)))
-    mean, se = _finalize(sc, sc2, n_samples)
-    imean, ise = _finalize(ss, ss2, n_samples)
+    def sample(stream, take):
+        z = _pairing(stream, take, xv, xiv)
+        return np.cos(z), np.sin(z)
+
+    (mean, se), (imean, ise) = _block_estimates(n_samples, seed, sample)
     return McEstimate(mean, se, n_samples, int(seed), imean, ise)
 
 
@@ -169,28 +178,17 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
     refuses |lam| * |theta| > 10 (Euclidean norms) where the estimator is
     useless at any affordable sample count.
     """
-    lam = lam if isinstance(lam, DiagonalPoint) else DiagonalPoint(lam)
-    theta = theta if isinstance(theta, DiagonalPoint) else DiagonalPoint(theta)
-    if lam.dimension != theta.dimension:
-        raise ShapeError(f"dimension mismatch: {lam.dimension} vs {theta.dimension}")
+    lam, theta = _point_pair(lam, theta)
     n_samples = _check_samples(n_samples)
     lv = np.array(lam.values)
     tv = np.array(theta.values)
     if float(np.linalg.norm(lv)) * float(np.linalg.norm(tv)) > 10.0:
         raise RangeError("mc_orbital_exp variance guard: |lam|*|theta| > 10")
-    n = lam.dimension
 
-    s1, s2 = [], []
-    for b, take in _blocks(n_samples):
-        stream = RngStream(seed, b)
-        u = _haar_isometry_batch(stream, take, n, n)
-        v = _haar_isometry_batch(stream, take, n, n)
-        diag = np.einsum("bja,a,bja->bj", u, tv.astype(complex), v.conj())
-        z = diag.real @ lv
-        e = np.exp(z)
-        s1.append(float(np.sum(e)))
-        s2.append(float(np.sum(e * e)))
-    mean, se = _finalize(s1, s2, n_samples)
+    def sample(stream, take):
+        return (np.exp(_pairing(stream, take, tv, lv)),)
+
+    [(mean, se)] = _block_estimates(n_samples, seed, sample)
     return McEstimate(mean, se, n_samples, int(seed))
 
 
@@ -228,19 +226,15 @@ def mc_biinvariant_avg(
     yv = np.array(ys.values, dtype=complex)
     idx = np.arange(n)
 
-    s1, s2 = [], []
-    for b, take in _blocks(n_samples):
-        stream = RngStream(seed, b)
+    def sample(stream, take):
         v1 = _haar_isometry_batch(stream, take, n, m)
         v2 = _haar_isometry_batch(stream, take, n, m)
         a = np.zeros((take, n, n), dtype=complex)
         a[:, idx, idx] = xfull
         a += np.einsum("bim,m,bjm->bij", v1, yv, v2.conj())
-        sv = np.linalg.svd(a, compute_uv=False)
-        vals = _phi_omega_singvals(omega, sv)
-        s1.append(float(np.sum(vals)))
-        s2.append(float(np.sum(vals * vals)))
-    mean, se = _finalize(s1, s2, n_samples)
+        return (_phi_omega_singvals(omega, np.linalg.svd(a, compute_uv=False)),)
+
+    [(mean, se)] = _block_estimates(n_samples, seed, sample)
     return McEstimate(mean, se, n_samples, int(seed))
 
 

@@ -27,6 +27,14 @@ from .symfunc import Partition, _jacobi_trudi_det, newton_h_from_p
 _WEIGHT_TOL = 1e-12
 
 
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class OmegaParam:
     """Canonical limit parameter: atoms sorted decreasing, zeros trimmed."""
@@ -70,12 +78,7 @@ class OmegaParam:
 
     @classmethod
     def from_file(cls, path) -> "OmegaParam":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,7 @@ class MixtureParam:
 
     @classmethod
     def from_file(cls, path) -> "MixtureParam":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(_read_json(path))
 
 
 def polya_eval(omega: OmegaParam, u: float) -> float:
@@ -165,9 +163,7 @@ def sigma_moment(omega: OmegaParam, m: int) -> float:
     M_m = p_{m+1}(alpha) for m >= 1."""
     if m < 0:
         raise DomainError("sigma_moment is indexed from m = 0")
-    if m == 0:
-        return omega.gamma + math.fsum(omega.alpha)
-    return math.fsum(a ** (m + 1) for a in omega.alpha)
+    return p_tilde(omega, m + 1)
 
 
 def log_deriv_coeffs(omega: OmegaParam, order: int) -> list[float]:
@@ -178,10 +174,9 @@ def log_deriv_coeffs(omega: OmegaParam, order: int) -> list[float]:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    out = [-(omega.gamma + math.fsum(omega.alpha)) / 2.0]
+    out = [-p_tilde(omega, 1) / 2.0]
     for m in range(2, order + 1):
-        pm = math.fsum(a**m for a in omega.alpha)
-        out.append(((-1.0) ** m) * pm / float(2 ** (2 * m - 1)))
+        out.append(((-1.0) ** m) * p_tilde(omega, m) / float(2 ** (2 * m - 1)))
     return out
 
 

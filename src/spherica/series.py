@@ -48,16 +48,23 @@ _DEFAULT = SeriesOptions()
 
 
 def hyper_f(z: float, opts: SeriesOptions = _DEFAULT) -> float:
-    """Evaluate F(z) = sum_k z^k/(k!)^2.
-
-    Stopping rule: for z < 0 (alternating tail) two consecutive terms below
-    rel_tol * |partial sum| are required; the truncation error is then at most
-    the first omitted term.  For z >= 0 the terms are positive and the tail is
-    bounded by a geometric series once the term ratio falls below one.
+    """Evaluate F(z) = sum_k z^k/(k!)^2; the value of hyper_f_with_error.
 
     Raises DomainError for non-finite input, RangeError if the partial sums
     overflow, and ConvergenceError (carrying the partial sum) if max_terms is
     exhausted first.
+    """
+    return hyper_f_with_error(z, opts)[0]
+
+
+def hyper_f_with_error(z: float, opts: SeriesOptions = _DEFAULT) -> tuple[float, float, int]:
+    """(value, error_estimate, terms_used) for F(z) = sum_k z^k/(k!)^2.
+
+    Stopping rule: for z < 0 (alternating tail) two consecutive terms below
+    rel_tol * |partial sum| are required; the truncation error is then at most
+    the first omitted term.  For z >= 0 the terms are positive and the tail is
+    bounded by a geometric series once the term ratio falls below one.  The
+    estimate is that truncation bound plus a rounding floor.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -67,6 +74,8 @@ def hyper_f(z: float, opts: SeriesOptions = _DEFAULT) -> float:
     comp = 0.0  # Kahan compensation
     term = 1.0
     small_streak = 0
+    rel_tol = opts.rel_tol
+    mag_z = abs(z)
     for k in range(1, opts.max_terms + 1):
         term *= z / (k * k)
         # Kahan update
@@ -77,63 +86,27 @@ def hyper_f(z: float, opts: SeriesOptions = _DEFAULT) -> float:
         if not math.isfinite(total):
             raise RangeError("hyper_f partial sums overflowed double range")
 
-        threshold = opts.rel_tol * abs(total)
-        next_mag = abs(term) * abs(z) / ((k + 1) * (k + 1))
+        threshold = rel_tol * abs(total)
+        mag = abs(term)
+        next_mag = mag * mag_z / ((k + 1) * (k + 1))
         if z >= 0.0:
-            if term <= threshold and next_mag <= abs(term):
-                ratio = abs(z) / ((k + 2) * (k + 2))
+            if term <= threshold and next_mag <= mag:
+                ratio = mag_z / ((k + 2) * (k + 2))
                 if ratio < 1.0:
-                    return total
+                    truncation = next_mag / (1.0 - ratio)
+                    break
         else:
-            small_streak = small_streak + 1 if abs(term) <= threshold else 0
-            if small_streak >= 2 and next_mag <= abs(term):
-                return total
-    raise ConvergenceError(
-        f"hyper_f did not converge within {opts.max_terms} terms",
-        partial=total,
-    )
-
-
-def hyper_f_with_error(z: float, opts: SeriesOptions = _DEFAULT) -> tuple[float, float, int]:
-    """Like hyper_f but also returns (value, error_estimate, terms_used).
-
-    The estimate covers the series truncation (first omitted term, inflated by
-    the geometric tail factor for positive z) plus a rounding floor.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("hyper_f requires finite z")
-
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    small_streak = 0
-    for k in range(1, opts.max_terms + 1):
-        term *= z / (k * k)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if not math.isfinite(total):
-            raise RangeError("hyper_f partial sums overflowed double range")
-
-        threshold = opts.rel_tol * abs(total)
-        next_mag = abs(term) * abs(z) / ((k + 1) * (k + 1))
-        rounding = 2.0 * k * 1.11e-16 * abs(total)
-        if z >= 0.0:
-            if term <= threshold and next_mag <= abs(term):
-                ratio = abs(z) / ((k + 2) * (k + 2))
-                if ratio < 1.0:
-                    est = next_mag / (1.0 - ratio) + rounding
-                    return total, est, k + 1
-        else:
-            small_streak = small_streak + 1 if abs(term) <= threshold else 0
-            if small_streak >= 2 and next_mag <= abs(term):
-                return total, next_mag + rounding, k + 1
-    raise ConvergenceError(
-        f"hyper_f did not converge within {opts.max_terms} terms",
-        partial=total,
-    )
+            small_streak = small_streak + 1 if mag <= threshold else 0
+            if small_streak >= 2 and next_mag <= mag:
+                truncation = next_mag
+                break
+    else:
+        raise ConvergenceError(
+            f"hyper_f did not converge within {opts.max_terms} terms",
+            partial=total,
+        )
+    rounding = 2.0 * k * 1.11e-16 * abs(total)
+    return total, truncation + rounding, k + 1
 
 
 def bessel_j0(x: float, opts: SeriesOptions = _DEFAULT) -> float:
@@ -141,10 +114,7 @@ def bessel_j0(x: float, opts: SeriesOptions = _DEFAULT) -> float:
 
     Works on x*x, so J0(-x) == J0(x) bit for bit.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("bessel_j0 requires finite x")
-    return hyper_f(-(x * x) / 4.0, opts)
+    return bessel_j0_with_error(x, opts)[0]
 
 
 def bessel_i0(x: float, opts: SeriesOptions = _DEFAULT) -> float:
@@ -158,7 +128,7 @@ def bessel_i0(x: float, opts: SeriesOptions = _DEFAULT) -> float:
         raise DomainError("bessel_i0 requires finite x")
     if abs(x) > _I0_ARG_MAX:
         raise RangeError(f"bessel_i0 overflow guard: |x| > {_I0_ARG_MAX:g}")
-    return hyper_f((x * x) / 4.0, opts)
+    return hyper_f_with_error((x * x) / 4.0, opts)[0]
 
 
 def bessel_j0_with_error(x: float, opts: SeriesOptions = _DEFAULT) -> tuple[float, float, int]:

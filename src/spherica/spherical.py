@@ -102,23 +102,48 @@ def _as_point(x) -> DiagonalPoint:
     return x if isinstance(x, DiagonalPoint) else DiagonalPoint(x)
 
 
+def _point_pair(x, xi) -> tuple[DiagonalPoint, DiagonalPoint]:
+    """Canonicalize two arguments of one evaluation: equal, nonzero dimension."""
+    x = _as_point(x)
+    xi = _as_point(xi)
+    if x.dimension != xi.dimension:
+        raise ShapeError(f"dimension mismatch: {x.dimension} vs {xi.dimension}")
+    if x.dimension == 0:
+        raise DomainError("empty diagonal point")
+    return x, xi
+
+
+def _gap_factors(values: Sequence[float]) -> list[float]:
+    # positive for canonical (descending) input with distinct squares
+    out = []
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            out.append(values[i] * values[i] - values[j] * values[j])
+    return out
+
+
 def squared_gap_product(values: Sequence[float]) -> float:
     """D(v) = prod_{i<j} (v_i^2 - v_j^2)."""
-    vals = [float(v) for v in values]
-    acc = 1.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            acc *= vals[i] * vals[i] - vals[j] * vals[j]
-    return acc
+    return math.prod(_gap_factors([float(v) for v in values]), start=1.0)
 
 
 def _is_degenerate(values: Sequence[float], tol: float) -> bool:
-    # canonical order assumed: squares descending, so adjacent gaps are minimal
+    # nonempty canonical input: squares descend, so adjacent gaps are minimal
     sq = [v * v for v in values]
-    if len(sq) < 2:
-        return False
     scale = sq[0]
     return any(sq[i] - sq[i + 1] <= tol * scale for i in range(len(sq) - 1))
+
+
+def _require_separated(x, xi, opts, names=("x", "xi"), hint="; use spherical_series"):
+    for p, name in zip((x, xi), names):
+        if _is_degenerate(p.values, opts.degeneracy_tol):
+            raise DegeneracyError(f"coincident squared entries in {name}{hint}")
+
+
+def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
+    # the kernel determinants are symmetric in their two arguments; one fixed
+    # evaluation order makes that symmetry hold bitwise
+    return (x.values, xi.values) if x.values >= xi.values else (xi.values, x.values)
 
 
 def _lu_full_pivot(a: list[list[float]]) -> tuple[float, list[float]]:
@@ -171,35 +196,29 @@ def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]
 
 
 def _det_ratio(
-    matrix: list[list[float]],
-    extra_num: list[float],
-    extra_den: list[float],
-    extra_sign: float,
+    kernel: Callable[[float], float],
+    a: Sequence[float],
+    b: Sequence[float],
+    num: list[float],
+    den: list[float],
+    sign: float,
 ) -> tuple[float, float]:
-    """(extra_sign * prod(extra_num) / prod(extra_den)) * det(matrix), with a
+    """(sign * prod(num) / prod(den)) * det(kernel(a_i b_j)), with a
     conditioning-based absolute error estimate (Hadamard bound over |det|)."""
+    matrix = [[kernel(ai * bj) for bj in b] for ai in a]
     n = len(matrix)
-    sign, diag = _lu_full_pivot(matrix)
+    lu_sign, diag = _lu_full_pivot(matrix)
     for d in diag:
         if d < 0.0:
-            sign = -sign
+            lu_sign = -lu_sign
     mags = [abs(d) for d in diag]
     value = 0.0
     if all(m > 0.0 for m in mags):
-        value = extra_sign * sign * _balanced_product(mags + extra_num, extra_den)
+        value = sign * lu_sign * _balanced_product(mags + num, den)
     rownorms = [math.sqrt(math.fsum(e * e for e in row)) for row in matrix]
-    hadamard = _balanced_product([max(r, 1e-300) for r in rownorms] + extra_num, extra_den)
+    hadamard = _balanced_product([max(r, 1e-300) for r in rownorms] + num, den)
     abs_error = 8.0 * n * n * _EPS * hadamard + 1e-300
     return value, abs_error
-
-
-def _gap_factors(values: Sequence[float]) -> list[float]:
-    # positive for canonical (descending) input with distinct squares
-    out = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            out.append(values[i] * values[i] - values[j] * values[j])
-    return out
 
 
 def spherical_det(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResult:
@@ -214,25 +233,14 @@ def spherical_det(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResult:
     symmetric under exchanging x and xi, and the implementation evaluates in a
     canonical argument order so the symmetry holds bitwise.
     """
-    x = _as_point(x)
-    xi = _as_point(xi)
-    if x.dimension != xi.dimension:
-        raise ShapeError(f"dimension mismatch: {x.dimension} vs {xi.dimension}")
+    x, xi = _point_pair(x, xi)
+    _require_separated(x, xi, opts)
     n = x.dimension
-    if n == 0:
-        raise DomainError("empty diagonal point")
-    for p, name in ((x, "x"), (xi, "xi")):
-        if _is_degenerate(p.values, opts.degeneracy_tol):
-            raise DegeneracyError(
-                f"coincident squared entries in {name}; use spherical_series"
-            )
-    a, b = (x.values, xi.values) if x.values >= xi.values else (xi.values, x.values)
-
-    matrix = [[bessel_j0(a[j] * b[k]) for k in range(n)] for j in range(n)]
+    a, b = _canonical_order(x, xi)
     num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
     den = _gap_factors(a) + _gap_factors(b)
-    extra_sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    value, abs_error = _det_ratio(matrix, num, den, extra_sign)
+    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
+    value, abs_error = _det_ratio(bessel_j0, a, b, num, den, sign)
     return EvalResult(value, abs_error, n, "determinant")
 
 
@@ -243,19 +251,11 @@ def spherical_det_f_kernel(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResu
     Xi = -xi^2/4 and D here the plain Vandermonde in the squared variables.
     Kept as an independently coded cross-check of the prefactor bookkeeping.
     """
-    x = _as_point(x)
-    xi = _as_point(xi)
-    if x.dimension != xi.dimension:
-        raise ShapeError(f"dimension mismatch: {x.dimension} vs {xi.dimension}")
+    x, xi = _point_pair(x, xi)
+    _require_separated(x, xi, opts)
     n = x.dimension
-    for p, name in ((x, "x"), (xi, "xi")):
-        if _is_degenerate(p.values, opts.degeneracy_tol):
-            raise DegeneracyError(
-                f"coincident squared entries in {name}; use spherical_series"
-            )
     lam = [v * v for v in x.values]
     xis = [-(v * v) / 4.0 for v in xi.values]
-    matrix = [[hyper_f(lam[i] * xis[j]) for j in range(n)] for i in range(n)]
     num = [float(math.factorial(j)) for j in range(n)] * 2
     den = []
     sign = 1.0
@@ -266,7 +266,7 @@ def spherical_det_f_kernel(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResu
                 if g < 0.0:
                     sign = -sign
                 den.append(abs(g))
-    value, abs_error = _det_ratio(matrix, num, den, sign)
+    value, abs_error = _det_ratio(hyper_f, lam, xis, num, den, sign)
     return EvalResult(value, abs_error, n, "determinant")
 
 
@@ -285,13 +285,12 @@ def spherical_eval(
         return spherical_det(x, xi, opts)
     if path == "series":
         return spherical_series(x, xi, opts=opts)
-    xp = _as_point(x)
-    xip = _as_point(xi)
-    if _is_degenerate(xp.values, opts.degeneracy_tol) or _is_degenerate(
-        xip.values, opts.degeneracy_tol
+    x, xi = _point_pair(x, xi)
+    if _is_degenerate(x.values, opts.degeneracy_tol) or _is_degenerate(
+        xi.values, opts.degeneracy_tol
     ):
-        return spherical_series(xp, xip, opts=opts)
-    return spherical_det(xp, xip, opts)
+        return spherical_series(x, xi, opts=opts)
+    return spherical_det(x, xi, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +439,7 @@ def spherical_series(
     opts.rel_tol; failure to certify raises ConvergenceError with the partial
     sum attached.
     """
-    x = _as_point(x)
-    xi = _as_point(xi)
-    if x.dimension != xi.dimension:
-        raise ShapeError(f"dimension mismatch: {x.dimension} vs {xi.dimension}")
-    if x.dimension == 0:
-        raise DomainError("empty diagonal point")
+    x, xi = _point_pair(x, xi)
     w0 = opts.max_weight if max_weight is None else int(max_weight)
     if w0 < 1:
         raise DomainError("max_weight must be positive")
@@ -469,17 +463,11 @@ def orbital_integral(
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
     overflow guard).
     """
-    lam = _as_point(lam)
-    theta = _as_point(theta)
-    if lam.dimension != theta.dimension:
-        raise ShapeError(f"dimension mismatch: {lam.dimension} vs {theta.dimension}")
+    lam, theta = _point_pair(lam, theta)
     n = lam.dimension
-    if n == 0:
-        raise DomainError("empty diagonal point")
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
-    big = max(lam.values[0] * theta.values[0], 0.0)
-    if big > 700.0:
+    if lam.values[0] * theta.values[0] > 700.0:
         raise RangeError("orbital_integral overflow guard: max(lam)*max(theta) > 700")
 
     degenerate = _is_degenerate(lam.values, opts.degeneracy_tol) or _is_degenerate(
@@ -491,15 +479,10 @@ def orbital_integral(
         thq = [v * v / 4.0 for v in theta.values]
         return _schur_fourier_series(lam.values, thq, False, opts.max_weight, opts)
 
-    a, b = (
-        (lam.values, theta.values)
-        if lam.values >= theta.values
-        else (theta.values, lam.values)
-    )
-    matrix = [[bessel_i0(a[i] * b[j]) for j in range(n)] for i in range(n)]
+    a, b = _canonical_order(lam, theta)
     num = [2.0] * (n * (n - 1)) + [float(math.factorial(j)) for j in range(1, n)] * 2
     den = _gap_factors(a) + _gap_factors(b)
-    value, abs_error = _det_ratio(matrix, num, den, 1.0)
+    value, abs_error = _det_ratio(bessel_i0, a, b, num, den, 1.0)
     return EvalResult(value, abs_error, n, "determinant")
 
 
@@ -514,21 +497,12 @@ def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> floa
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError("heat_kernel requires t > 0")
-    lam = _as_point(lam)
-    theta = _as_point(theta)
-    if lam.dimension != theta.dimension:
-        raise ShapeError(f"dimension mismatch: {lam.dimension} vs {theta.dimension}")
+    lam, theta = _point_pair(lam, theta)
+    _require_separated(lam, theta, opts, ("lam", "theta"), "")
     n = lam.dimension
-    for p, name in ((lam, "lam"), (theta, "theta")):
-        if _is_degenerate(p.values, opts.degeneracy_tol):
-            raise DegeneracyError(f"coincident squared entries in {name}")
     norm2 = math.fsum(v * v for v in lam.values) + math.fsum(
         v * v for v in theta.values
     )
-    matrix = [
-        [bessel_i0(lam.values[i] * theta.values[j] / (2.0 * t)) for j in range(n)]
-        for i in range(n)
-    ]
     num = [math.exp(-norm2 / (4.0 * t))]
     den = (
         [float(math.factorial(n))]
@@ -536,7 +510,9 @@ def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> floa
         + _gap_factors(lam.values)
         + _gap_factors(theta.values)
     )
-    value, _ = _det_ratio(matrix, num, den, 1.0)
+    value, _ = _det_ratio(
+        lambda p: bessel_i0(p / (2.0 * t)), lam.values, theta.values, num, den, 1.0
+    )
     return value
 
 

@@ -10,9 +10,6 @@ regardless of capture settings, then asserts.
 
 import json
 import math
-import os
-import shutil
-import subprocess
 import sys
 import time
 
@@ -46,7 +43,6 @@ from spherica import (
     squared_gap_product,
     weyl_c_n,
 )
-from spherica.cli import main as cli_main
 
 
 def _report(capsys, num: int, passed: bool, text: str) -> str:
@@ -316,40 +312,15 @@ def test_criterion_11_multiplicativity(capsys):
     assert ok, line
 
 
-def test_criterion_12_reproducible_validation(capsys):
+def test_criterion_12_reproducible_validation(capsys, cli_subprocess):
     argv = ["validate", "--suite", "all", "--seed", "0"]
-    script = shutil.which("spherica")
-    outputs = []
-    codes = []
-    if script is not None:
-        for threads in ("1", "1", "4"):
-            env = dict(os.environ)
-            for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                env[key] = threads
-            proc = subprocess.run(
-                [script] + argv, capture_output=True, env=env, timeout=600
-            )
-            outputs.append(proc.stdout)
-            codes.append(proc.returncode)
-        identical = outputs[0] == outputs[1] == outputs[2]
-        all_pass = codes == [0, 0, 0]
-        detail = (
-            f"three runs (thread counts 1,1,4) exit 0: {all_pass}, "
-            f"byte-identical reports: {identical}"
-        )
-    else:
-        import io
-        from contextlib import redirect_stdout
-
-        for _ in range(2):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                codes.append(cli_main(argv))
-            outputs.append(buf.getvalue())
-        identical = outputs[0] == outputs[1]
-        all_pass = codes == [0, 0]
-        detail = f"two in-process runs exit 0: {all_pass}, byte-identical: {identical}"
+    runs = [cli_subprocess(argv, threads) for threads in ("1", "1", "4")]
+    identical = runs[0].stdout == runs[1].stdout == runs[2].stdout
+    all_pass = [r.returncode for r in runs] == [0, 0, 0]
+    detail = (
+        f"three runs (thread counts 1,1,4) exit 0: {all_pass}, "
+        f"byte-identical reports: {identical}"
+    )
     ok = identical and all_pass
-    line = _report(
-capsys, 12, ok, f"full validation suite at seed 0: {detail}")
+    line = _report(capsys, 12, ok, f"full validation suite at seed 0: {detail}")
     assert ok, line

@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import shutil
-import subprocess
 
 import pytest
 
@@ -284,16 +281,11 @@ def test_unknown_flag_is_usage_error(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
-@pytest.mark.skipif(shutil.which("spherica") is None, reason="console script not on PATH")
-def test_console_script_thread_count_invariance():
-    argv = ["spherica", "validate", "--suite", "mc", "--samples", "2000", "--seed", "0"]
+def test_console_script_thread_count_invariance(cli_subprocess):
+    argv = ["validate", "--suite", "mc", "--samples", "2000", "--seed", "0"]
     outputs = []
     for threads in ("1", "4"):
-        env = dict(os.environ)
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
-        env["MKL_NUM_THREADS"] = threads
-        proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+        proc = cli_subprocess(argv, threads)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spherica import montecarlo
 from spherica import (
     DomainError,
     OmegaParam,
@@ -112,6 +113,23 @@ def test_standard_error_shrinks_like_root_n():
     half = mc_spherical((1.0, 2.0), (0.5, 1.5), 50_000, seed=3)
     full = mc_spherical((1.0, 2.0), (0.5, 1.5), 100_000, seed=3)
     assert 1.30 <= half.std_error / full.std_error <= 1.53
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-3])
+def test_standard_error_of_a_spread_small_against_the_mean(scale):
+    # n = 1: each sample is exp(scale^2 Re(u conj v)) with unit phases u, v;
+    # expm1 gives the deviations from 1 to full relative precision, so their
+    # sample SD over root n is the reference the estimator must reproduce
+    n_samples = 20_000
+    est = mc_orbital_exp((scale,), (scale,), n_samples, seed=1)
+    dev = []
+    for b, take in montecarlo._blocks(n_samples):
+        stream = RngStream(1, b)
+        u = montecarlo._haar_isometry_batch(stream, take, 1, 1)[:, 0, 0]
+        v = montecarlo._haar_isometry_batch(stream, take, 1, 1)[:, 0, 0]
+        dev.append(np.expm1(scale * scale * (u * v.conj()).real))
+    reference = float(np.std(np.concatenate(dev), ddof=1)) / math.sqrt(n_samples)
+    assert est.std_error == pytest.approx(reference, rel=1e-8, abs=0.0)
 
 
 def test_sample_count_floor():

@@ -16,6 +16,8 @@ from spherica import (
     bessel_j0,
     heat_kernel,
     hyper_f,
+    mc_orbital_exp,
+    mc_spherical,
     orbital_integral,
     radial_laplacian,
     spherical_det,
@@ -124,6 +126,25 @@ def test_dimension_mismatch_rejected():
         spherical_det((1.0, 2.0), (0.5,))
     with pytest.raises(ShapeError):
         spherical_series((1.0, 2.0), (0.5,))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        spherical_det,
+        spherical_det_f_kernel,
+        spherical_eval,
+        spherical_series,
+        orbital_integral,
+        lambda x, xi: heat_kernel(1.0, x, xi),
+        lambda x, xi: mc_spherical(x, xi, 200),
+        lambda x, xi: mc_orbital_exp(x, xi, 200),
+    ],
+    ids=["det", "f_kernel", "eval", "series", "orbital", "heat", "mc_spherical", "mc_orbital"],
+)
+def test_empty_points_rejected(evaluate):
+    with pytest.raises(DomainError, match="empty diagonal point"):
+        evaluate([], [])
 
 
 def test_near_zero_argument_normalizes_to_one():
