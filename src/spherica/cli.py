@@ -5,10 +5,12 @@ laplacian-check, sweep, validate.
 
 Conventions (stable contract):
 * --format json prints one JSON object per run on a single line with sorted
-  keys; --format csv prints the documented columns.  --out writes the same
-  bytes to a file instead of stdout.
+  keys; --format csv prints the documented columns, header first.  Without
+  --format, validate prints its pass/fail table and every other command
+  prints JSON.  --out writes the same bytes to a file instead of stdout.
 * --config FILE supplies defaults from a flat JSON object keyed by flag
-  names (dashes or underscores); explicit flags win.
+  names (dashes or underscores); explicit flags win, and values must be
+  among the flag's choices.
 * --seed defaults to 0; identical argv (plus config) gives byte-identical
   output, independent of thread count.
 * Exit codes: 0 success, 1 usage or schema problem, 2 numeric/domain
@@ -22,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from .errors import (
 from .limits import (
     powersum_convergence,
     spherical_convergence,
-    sweep_to_text,
     weyl_concentration_sweep,
 )
 from .polya import MixtureParam, OmegaParam, mixture_eval, phi_omega, polya_eval
@@ -101,42 +101,44 @@ def _require(value, flag: str):
     return value
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return "" if value is None else str(value)
+
+
+def _emit(args, payload, rows, table: str | None = None) -> None:
+    """Write one result in the requested format: a single sorted-key JSON
+    line, CSV ``rows`` (header first), or ``table`` when the command has one
+    and no --format was given."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [_cell(v) for v in row] for row in rows
+        )
+        text = buf.getvalue()
+    elif args.format is None and table is not None:
+        text = table
+    else:
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _render_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
-
-
-def _render_kv_csv(pairs) -> str:
-    lines = ["key,value"]
-    lines.extend(f"{k},{v!r}" if isinstance(v, float) else f"{k},{v}" for k, v in pairs)
-    return "\n".join(lines) + "\n"
-
-
-def _eval_result_text(result, fmt: str) -> str:
-    if fmt == "csv":
-        return (
-            "value,abs_error,terms_used,path\n"
-            f"{result.value!r},{result.abs_error!r},{result.terms_used},"
-            f"{result.path}\n"
-        )
-    return _render_json(
-        {
-            "value": result.value,
-            "abs_error": result.abs_error,
-            "terms_used": result.terms_used,
-            "path": result.path,
-        }
-    )
+# allowed values by option; the config file is held to them as well
+_CHOICES = {
+    "format": ["json", "csv"],
+    "path": ["auto", "det", "series"],
+    "kind": ["spherical", "powersum", "weyl"],
+    "method": ["series", "mc"],
+    "suite": ["special", "symfunc", "spherical", "polya", "mc", "limits", "all"],
+}
 
 
 def _add_common(sp, samples_default=None):
-    sp.add_argument("--format", choices=["json", "csv"], default=None)
+    sp.add_argument("--format", choices=_CHOICES["format"], default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
     sp.add_argument("--seed", type=int, default=None)
@@ -155,7 +157,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval-spherical", help="spherical function at (x, xi)")
     sp.add_argument("--x", default=None)
     sp.add_argument("--xi", default=None)
-    sp.add_argument("--path", choices=["auto", "det", "series"], default=None)
+    sp.add_argument("--path", choices=_CHOICES["path"], default=None)
     _add_common(sp)
 
     sp = sub.add_parser("eval-polya", help="pointwise values and product")
@@ -171,7 +173,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("orbital", help="exponential orbital integral")
     sp.add_argument("--lam", default=None)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--path", choices=["auto", "det", "series"], default=None)
+    sp.add_argument("--path", choices=_CHOICES["path"], default=None)
     _add_common(sp)
 
     sp = sub.add_parser("heat-kernel", help="radial heat kernel value")
@@ -191,20 +193,16 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("sweep", help="finite-size to limit comparison")
-    sp.add_argument("--kind", choices=["spherical", "powersum", "weyl"], default=None)
+    sp.add_argument("--kind", choices=_CHOICES["kind"], default=None)
     sp.add_argument("--omega", default=None)
     sp.add_argument("--xi", default=None)
     sp.add_argument("--m", default=None)
     sp.add_argument("--n-list", dest="n_list", default=None)
-    sp.add_argument("--method", choices=["series", "mc"], default=None)
+    sp.add_argument("--method", choices=_CHOICES["method"], default=None)
     _add_common(sp, samples_default=100_000)
 
     sp = sub.add_parser("validate", help="built-in consistency suite")
-    sp.add_argument(
-        "--suite",
-        choices=["special", "symfunc", "spherical", "polya", "mc", "limits", "all"],
-        default=None,
-    )
+    sp.add_argument("--suite", choices=_CHOICES["suite"], default=None)
     _add_common(sp, samples_default=1000)
 
     return p
@@ -228,12 +226,10 @@ def _merge_config(args: argparse.Namespace) -> None:
         dest = str(key).replace("-", "_")
         if dest in ("command", "config") or dest not in known:
             raise _UsageError(f"unknown config field {key!r}")
+        if dest in _CHOICES and value not in _CHOICES[dest]:
+            raise _UsageError(f"config field {key!r} must be one of {_CHOICES[dest]}")
         if known[dest] is None:
             setattr(args, dest, value)
-
-
-def _fmt(args) -> str:
-    return args.format if args.format else "json"
 
 
 def _seed(args) -> int:
@@ -246,12 +242,17 @@ def _samples(args) -> int:
     return int(args._samples_default) if args._samples_default else 1000
 
 
+def _emit_eval_result(args, result) -> None:
+    fields = ("value", "abs_error", "terms_used", "path")
+    values = [getattr(result, f) for f in fields]
+    _emit(args, dict(zip(fields, values)), [fields, values])
+
+
 def _cmd_eval_spherical(args) -> int:
     x = _floats(args.x, "--x")
     xi = _floats(args.xi, "--xi")
     path = args.path or "auto"
-    result = sph.spherical_eval(x, xi, path=path)
-    _emit(_eval_result_text(result, _fmt(args)), args.out)
+    _emit_eval_result(args, sph.spherical_eval(x, xi, path=path))
     return 0
 
 
@@ -260,16 +261,12 @@ def _cmd_eval_polya(args) -> int:
     lam = _floats(args.lam, "--lam")
     pi_values = [polya_eval(omega, v) for v in lam]
     product = phi_omega(omega, lam)
-    if _fmt(args) == "csv":
-        pairs = [(f"lambda_{i}", v) for i, v in enumerate(lam)]
-        pairs += [(f"pi_{i}", v) for i, v in enumerate(pi_values)]
-        pairs.append(("phi_product", product))
-        text = _render_kv_csv(pairs)
-    else:
-        text = _render_json(
-            {"lambda": list(lam), "pi_values": pi_values, "phi_product": product}
-        )
-    _emit(text, args.out)
+    rows = [("key", "value")]
+    rows += [(f"lambda_{i}", v) for i, v in enumerate(lam)]
+    rows += [(f"pi_{i}", v) for i, v in enumerate(pi_values)]
+    rows.append(("phi_product", product))
+    payload = {"lambda": list(lam), "pi_values": pi_values, "phi_product": product}
+    _emit(args, payload, rows)
     return 0
 
 
@@ -280,16 +277,12 @@ def _cmd_eval_mixture(args) -> int:
         {"weight": w, "value": phi_omega(om, lam)} for w, om in mix.components
     ]
     value = mixture_eval(mix, lam)
-    if _fmt(args) == "csv":
-        pairs = [(f"component_{i}_weight", c["weight"]) for i, c in enumerate(comps)]
-        pairs += [(f"component_{i}_value", c["value"]) for i, c in enumerate(comps)]
-        pairs.append(("value", value))
-        text = _render_kv_csv(pairs)
-    else:
-        text = _render_json(
-            {"lambda": list(lam), "value": value, "components": comps}
-        )
-    _emit(text, args.out)
+    rows = [("key", "value")]
+    rows += [(f"component_{i}_weight", c["weight"]) for i, c in enumerate(comps)]
+    rows += [(f"component_{i}_value", c["value"]) for i, c in enumerate(comps)]
+    rows.append(("value", value))
+    payload = {"lambda": list(lam), "value": value, "components": comps}
+    _emit(args, payload, rows)
     return 0
 
 
@@ -297,8 +290,7 @@ def _cmd_orbital(args) -> int:
     lam = _floats(args.lam, "--lam")
     theta = _floats(args.theta, "--theta")
     path = args.path or "auto"
-    result = sph.orbital_integral(lam, theta, path=path)
-    _emit(_eval_result_text(result, _fmt(args)), args.out)
+    _emit_eval_result(args, sph.orbital_integral(lam, theta, path=path))
     return 0
 
 
@@ -307,23 +299,16 @@ def _cmd_heat_kernel(args) -> int:
     lam = _floats(args.lam, "--lam")
     theta = _floats(args.theta, "--theta")
     value = sph.heat_kernel(t, lam, theta)
-    if _fmt(args) == "csv":
-        text = f"value\n{value!r}\n"
-    else:
-        text = _render_json({"value": value})
-    _emit(text, args.out)
+    _emit(args, {"value": value}, [["value"], [value]])
     return 0
 
 
 def _cmd_laplacian_check(args) -> int:
     x = _floats(args.x, "--x")
     xi = _floats(args.xi, "--xi")
-    fd_step = None if args.fd_step is None else _float(args.fd_step, "--fd-step")
+    fd_step = 2e-3 if args.fd_step is None else _float(args.fd_step, "--fd-step")
     tol = 1e-3 if args.tol is None else _float(args.tol, "--tol")
-    tight = sph.SphericalOptions(rel_tol=1e-13)
-    g = lambda v: sph.spherical_series(x, v, opts=tight).value
-    lap = sph.radial_laplacian(g, xi, fd_step=2e-3 if fd_step is None else fd_step)
-    eigen = -math.fsum(v * v for v in x) * g(xi)
+    lap, eigen = sph._eigen_identity(x, xi, fd_step)
     rel = abs(lap - eigen) / max(1.0, abs(eigen))
     passed = rel <= tol
     payload = {
@@ -333,11 +318,7 @@ def _cmd_laplacian_check(args) -> int:
         "tol": tol,
         "passed": passed,
     }
-    if _fmt(args) == "csv":
-        text = _render_kv_csv(sorted(payload.items()))
-    else:
-        text = _render_json(payload)
-    _emit(text, args.out)
+    _emit(args, payload, [("key", "value"), *sorted(payload.items())])
     if not passed:
         _print_error("check_failed", f"rel_error {rel:.9e} exceeds tol {tol:.9e}")
         return 2
@@ -363,7 +344,13 @@ def _cmd_sweep(args) -> int:
         report = weyl_concentration_sweep(
             m, n_list, n_samples=_samples(args), seed=_seed(args)
         )
-    _emit(sweep_to_text(report, _fmt(args)), args.out)
+    std_errors = report.std_errors or (None,) * len(report.n_values)
+    rows = [["n", "value", "limit", "abs_error", "std_error"]]
+    rows += [
+        [n, v, report.limit_value, e, se]
+        for n, v, e, se in zip(report.n_values, report.values, report.abs_errors, std_errors)
+    ]
+    _emit(args, report.to_json(), rows)
     return 0
 
 
@@ -371,28 +358,16 @@ def _cmd_validate(args) -> int:
     suite = args.suite or "all"
     names = None if suite == "all" else [suite]
     results = validate_all(names, samples=_samples(args), seed=_seed(args))
-    # default (no --format) is the human pass/fail table
-    if args.format == "json":
-        text = _render_json(
-            {
-                "results": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                "passed": sum(r.passed for r in results),
-                "total": len(results),
-            }
-        )
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "passed", "detail"])
-        for r in results:
-            writer.writerow([r.name, str(r.passed).lower(), r.detail])
-        text = buf.getvalue()
-    else:
-        text = render_report(results)
-    _emit(text, args.out)
+    payload = {
+        "results": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+        "passed": sum(r.passed for r in results),
+        "total": len(results),
+    }
+    rows = [["name", "passed", "detail"]]
+    rows += [[r.name, str(r.passed).lower(), r.detail] for r in results]
+    _emit(args, payload, rows, table=render_report(results))
     failed = [r for r in results if not r.passed]
     if failed:
         _print_error(
@@ -414,6 +389,22 @@ _COMMANDS = {
 }
 
 
+# (error kind, exit code) by exception type; the first match wins, so
+# subclasses come before their bases
+_FAILURES = {
+    ValidationError: ("schema", 1),
+    _UsageError: ("usage", 1),
+    DegeneracyError: ("degeneracy", 2),
+    ShapeError: ("shape", 2),
+    RangeError: ("range", 2),
+    ConvergenceError: ("convergence", 2),
+    DomainError: ("domain", 2),
+    SphericaError: ("error", 2),
+    OSError: ("io", 1),
+    ValueError: ("usage", 1),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -423,36 +414,10 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
-        _print_error("schema", exc)
-        return 1
-    except _UsageError as exc:
-        _print_error("usage", exc)
-        return 1
-    except DegeneracyError as exc:
-        _print_error("degeneracy", exc)
-        return 2
-    except ShapeError as exc:
-        _print_error("shape", exc)
-        return 2
-    except RangeError as exc:
-        _print_error("range", exc)
-        return 2
-    except ConvergenceError as exc:
-        _print_error("convergence", exc)
-        return 2
-    except DomainError as exc:
-        _print_error("domain", exc)
-        return 2
-    except SphericaError as exc:
-        _print_error("error", exc)
-        return 2
-    except OSError as exc:
-        _print_error("io", exc)
-        return 1
-    except ValueError as exc:
-        _print_error("usage", exc)
-        return 1
+    except tuple(_FAILURES) as exc:
+        kind, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        _print_error(kind, exc)
+        return code
 
 
 if __name__ == "__main__":

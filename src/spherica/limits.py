@@ -16,7 +16,6 @@ the randomness of the points that stay.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,16 +58,6 @@ class SweepReport:
             "abs_errors": list(self.abs_errors),
             "std_errors": None if self.std_errors is None else list(self.std_errors),
         }
-
-    def to_csv(self) -> str:
-        lines = ["n,value,limit,abs_error,std_error"]
-        for i, n in enumerate(self.n_values):
-            se = "" if self.std_errors is None else repr(self.std_errors[i])
-            lines.append(
-                f"{n},{self.values[i]!r},{self.limit_value!r},"
-                f"{self.abs_errors[i]!r},{se}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _check_grid(n_values: Sequence[int], minimum: int) -> tuple[int, ...]:
@@ -271,12 +260,3 @@ def weyl_concentration_sweep(
         limit_value=limit,
         std_errors=tuple(std_errors) if m >= 2 else None,
     )
-
-
-def sweep_to_text(report: SweepReport, fmt: str) -> str:
-    """Render a report as 'json' (single line) or 'csv'."""
-    if fmt == "json":
-        return json.dumps(report.to_json(), sort_keys=True) + "\n"
-    if fmt == "csv":
-        return report.to_csv()
-    raise DomainError(f"unknown format {fmt!r}")

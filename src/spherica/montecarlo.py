@@ -34,7 +34,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError, RangeError, ShapeError
 from .polya import OmegaParam
-from .spherical import DiagonalPoint, _point_pair
+from .spherical import _point_pair
 
 _BLOCK = 8192
 _MASK64 = (1 << 64) - 1
@@ -212,11 +212,8 @@ def mc_biinvariant_avg(
     n x n matrix (n >= 2m).  Only the first m columns of each Haar unitary
     matter, so the samplers draw n x m isometries: V1 slab then V2 slab.
     """
-    xs = DiagonalPoint(x)
-    ys = DiagonalPoint(y)
+    xs, ys = _point_pair(x, y)
     m = xs.dimension
-    if ys.dimension != m:
-        raise ShapeError("x and y must have the same length")
     n = int(n)
     if n < 2 * m:
         raise DomainError(f"need n >= 2m = {2 * m}, got n = {n}")

@@ -567,6 +567,15 @@ def radial_laplacian(
     return math.fsum(pieces)
 
 
+def _eigen_identity(x, xi, fd_step: float = 2e-3) -> tuple[float, float]:
+    """Both sides of the eigen-equation L phi_x = -|x|^2 phi_x at xi: the
+    radial Laplacian of the tightly converged series, and the target."""
+    tight = SphericalOptions(rel_tol=1e-13)
+    g = lambda v: spherical_series(x, v, opts=tight).value
+    laplacian = radial_laplacian(g, xi, fd_step=fd_step)
+    return laplacian, -math.fsum(v * v for v in x) * g(xi)
+
+
 # ---------------------------------------------------------------------------
 # Weyl integration constants and angular densities
 

@@ -1,5 +1,7 @@
 """Command-line driver: output contracts, config precedence, exit codes."""
 
+import csv
+import io
 import json
 import math
 
@@ -252,6 +254,23 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,8"], {"format": "table"}),
+        (["validate", "--suite", "special"], {"format": "table"}),
+        (["sweep", "--m", "1", "--n-list", "4,8"], {"kind": "bogus"}),
+        (["eval-spherical", "--x", "1", "--xi", "1"], {"path": "bogus"}),
+    ],
+    ids=["sweep_format", "validate_format", "kind", "path"],
+)
+def test_config_file_values_obey_flag_choices(capsys, tmp_path, argv, field):
+    cfg = write_json(tmp_path, "cfg.json", field)
+    code, out, err = run_cli(capsys, argv + ["--config", cfg])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_output_file_written(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(
@@ -279,6 +298,88 @@ def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["eval-spherical", "--x", "1", "--bogus", "2"])
     assert code == 1
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["eval-spherical", "--x", "1", "--xi", "2,3"], 2, "shape"),
+        # the I0 series runs out of terms at z = 9e4, below the overflow guard
+        (["orbital", "--lam", "30,1", "--theta", "20,2"], 2, "convergence"),
+        (["heat-kernel", "--t", "-1", "--lam", "1", "--theta", "1"], 2, "domain"),
+        (["eval-polya", "--omega", "MISSING", "--lam", "1"], 1, "io"),
+        (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "8,4"], 2, "domain"),
+    ],
+    ids=["shape", "convergence", "domain", "io", "sweep_domain"],
+)
+def test_failure_kind_and_exit_code(capsys, tmp_path, argv, code, kind):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    got, out, err = run_cli(capsys, argv)
+    assert (got, json.loads(err)["error"]) == (code, kind)
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, header, exact",
+    [
+        (["eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"], "value,abs_error,terms_used,path", None),
+        (
+            ["eval-polya", "--omega", "ATOM", "--lam", "1,2"],
+            "key,value",
+            "key,value\nlambda_0,1.0\nlambda_1,2.0\npi_0,0.5\npi_1,0.2\nphi_product,0.1\n",
+        ),
+        (["eval-mixture", "--mixture", "MIX", "--lam", "1"], "key,value", None),
+        (["orbital", "--lam", "1", "--theta", "2"], "value,abs_error,terms_used,path", None),
+        (["heat-kernel", "--t", "0.5", "--lam", "1", "--theta", "1"], "value", None),
+        (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5"], "key,value", None),
+        (
+            ["sweep", "--kind", "powersum", "--omega", "GAUSS", "--m", "2", "--n-list", "25,50"],
+            "n,value,limit,abs_error,std_error",
+            "n,value,limit,abs_error,std_error\n"
+            "25,0.04000000000000001,0.0,0.04000000000000001,\n"
+            "50,0.019999999999999997,0.0,0.019999999999999997,\n",
+        ),
+        (["validate", "--suite", "limits"], "name,passed,detail", None),
+    ],
+    ids=[
+        "eval-spherical",
+        "eval-polya",
+        "eval-mixture",
+        "orbital",
+        "heat-kernel",
+        "laplacian-check",
+        "sweep",
+        "validate",
+    ],
+)
+def test_csv_output_contract(capsys, tmp_path, argv, header, exact):
+    files = {
+        "ATOM": write_json(tmp_path, "atom.json", {"alpha": [4], "gamma": 0}),
+        "MIX": write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS),
+        "GAUSS": write_json(tmp_path, "gauss.json", {"alpha": [], "gamma": 1}),
+    }
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0 and err == ""
+    assert out.split("\n", 1)[0] == header
+    if exact is not None:
+        assert out == exact
+    # every row parses back into one cell per column and re-serializes to the
+    # same bytes, so cells holding commas (validate details) are quoted
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == out
+    if argv[0] == "validate":
+        assert any("," in detail for _, _, detail in rows[1:])
+
+    target = tmp_path / "out.txt"
+    for fmt in ([], ["--format", "json"], ["--format", "csv"]):
+        _, printed, _ = run_cli(capsys, argv + fmt)
+        code, silent, _ = run_cli(capsys, argv + fmt + ["--out", str(target)])
+        assert code == 0 and silent == ""
+        assert target.read_text(encoding="utf-8") == printed
 
 
 def test_console_script_thread_count_invariance(cli_subprocess):

@@ -1,6 +1,5 @@
 """Large-dimension machinery: rescaling map, realizing sequences, sweeps."""
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from spherica import (
     t_n_map,
     weyl_concentration_sweep,
 )
-from spherica.limits import sweep_to_text
 
 SINGLE_ATOM = OmegaParam([1.0], 0.0)
 PURE_GAUSSIAN = OmegaParam([], 1.0)
@@ -182,13 +180,3 @@ def test_report_serialization():
     assert obj["n_values"] == [25, 50]
     assert obj["std_errors"] is None
     assert obj["abs_errors"] == list(report.abs_errors)
-
-    csv_text = report.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "n,value,limit,abs_error,std_error"
-    assert len(lines) == 3
-    assert lines[1].startswith("25,")
-
-    parsed = json.loads(sweep_to_text(report, "json"))
-    assert parsed == json.loads(json.dumps(obj))
-    assert sweep_to_text(report, "csv") == csv_text

@@ -10,12 +10,14 @@ from spherica import (
     DegeneracyError,
     DiagonalPoint,
     DomainError,
+    OmegaParam,
     RangeError,
     ShapeError,
     bessel_i0,
     bessel_j0,
     heat_kernel,
     hyper_f,
+    mc_biinvariant_avg,
     mc_orbital_exp,
     mc_spherical,
     orbital_integral,
@@ -139,8 +141,19 @@ def test_dimension_mismatch_rejected():
         lambda x, xi: heat_kernel(1.0, x, xi),
         lambda x, xi: mc_spherical(x, xi, 200),
         lambda x, xi: mc_orbital_exp(x, xi, 200),
+        lambda x, xi: mc_biinvariant_avg(OmegaParam([1.0]), x, xi, 4, 200),
     ],
-    ids=["det", "f_kernel", "eval", "series", "orbital", "heat", "mc_spherical", "mc_orbital"],
+    ids=[
+        "det",
+        "f_kernel",
+        "eval",
+        "series",
+        "orbital",
+        "heat",
+        "mc_spherical",
+        "mc_orbital",
+        "mc_biinvariant",
+    ],
 )
 def test_empty_points_rejected(evaluate):
     with pytest.raises(DomainError, match="empty diagonal point"):
