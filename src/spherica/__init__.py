@@ -6,7 +6,7 @@ Layout:
 * series    — entire-kernel power series and the derived radial kernels
 * symfunc   — partitions, power sums, complete homogeneous and Schur bases
 * spherical — finite-n evaluators (determinant and series routes), orbital
-              integral, heat kernel, radial Laplacian, angular densities
+              integral, heat kernel, radial and flat Laplacians, angular densities
 * polya     — limit parameters, pointwise products, mixtures, morphism values
 * montecarlo— reproducible Haar samplers and averaging oracles
 * limits    — finite-size-to-limit sweeps
@@ -34,7 +34,6 @@ from .limits import (
 from .montecarlo import (
     McEstimate,
     RngStream,
-    ambient_laplacian_fd,
     haar_unitary,
     mc_biinvariant_avg,
     mc_orbital_exp,
@@ -66,6 +65,7 @@ from .spherical import (
     DiagonalPoint,
     EvalResult,
     SphericalOptions,
+    ambient_laplacian_fd,
     heat_kernel,
     orbital_integral,
     radial_laplacian,

@@ -11,8 +11,8 @@ Conventions (stable contract):
 * --config FILE supplies defaults from a flat JSON object keyed by flag
   names (dashes or underscores); explicit flags win, and values must be
   among the flag's choices.
-* --seed defaults to 0; identical argv (plus config) gives byte-identical
-  output, independent of thread count.
+* sweep and validate take --seed (default 0) and --samples; identical argv
+  (plus config) gives byte-identical output, independent of thread count.
 * Exit codes: 0 success, 1 usage or schema problem, 2 numeric/domain
   problem (including failed checks).  Every failure prints a single-line
   JSON object {"error": kind, "message": text} on stderr.
@@ -141,9 +141,10 @@ def _add_common(sp, samples_default=None):
     sp.add_argument("--format", choices=_CHOICES["format"], default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.set_defaults(_samples_default=samples_default)
+    if samples_default:  # only the sampling commands; the others reject both flags
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--samples", type=int, default=None)
+        sp.set_defaults(_samples_default=samples_default)
 
 
 def build_parser() -> _Parser:
@@ -237,9 +238,7 @@ def _seed(args) -> int:
 
 
 def _samples(args) -> int:
-    if args.samples is not None:
-        return int(args.samples)
-    return int(args._samples_default) if args._samples_default else 1000
+    return int(args._samples_default if args.samples is None else args.samples)
 
 
 def _emit_eval_result(args, result) -> None:

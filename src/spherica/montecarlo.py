@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError, RangeError, ShapeError
+from .errors import DomainError, RangeError
 from .polya import OmegaParam
 from .spherical import _point_pair
 
@@ -103,13 +103,8 @@ def _haar_isometry_batch(stream: RngStream, count: int, n: int, m: int) -> np.nd
 
 
 def _blocks(n_samples: int):
-    b = 0
-    done = 0
-    while done < n_samples:
-        take = min(_BLOCK, n_samples - done)
-        yield b, take
-        b += 1
-        done += take
+    for b, start in enumerate(range(0, n_samples, _BLOCK)):
+        yield b, min(_BLOCK, n_samples - start)
 
 
 def _block_estimates(
@@ -201,6 +196,16 @@ def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _rank_core(v1: np.ndarray, v2: np.ndarray, x, y) -> np.ndarray:
+    # X + V1 Y V2* = B1 K B2* with the 2m x 2m core K = X + W1 Y W2*: W_k stacks
+    # the top m rows of V_k on R_k, where Q_k R_k is the thin QR of the bottom
+    # n - m rows, and B_k = blockdiag(I_m, Q_k) has orthonormal columns
+    m = len(x)
+    w1, w2 = (np.concatenate([v[:, :m], np.linalg.qr(v[:, m:], mode="r")], axis=1)
+              for v in (v1, v2))
+    return np.einsum("bim,m,bjm->bij", w1, y, w2.conj()) + np.pad(np.diag(x), (0, m))
+
+
 def mc_biinvariant_avg(
     omega: OmegaParam, x, y, n: int, n_samples: int, seed: int = 0
 ) -> McEstimate:
@@ -211,6 +216,9 @@ def mc_biinvariant_avg(
     where X, Y embed the m-vectors x, y as the leading diagonal block of an
     n x n matrix (n >= 2m).  Only the first m columns of each Haar unitary
     matter, so the samplers draw n x m isometries: V1 slab then V2 slab.
+    The translate has rank <= 2m, so each sample (the same draws as for the
+    n x n form) takes the singular values of an exact 2m x 2m core, in O(n m^2)
+    (_rank_core); the n - 2m zeros left out each contribute Pi(omega, 0) = 1.
     """
     xs, ys = _point_pair(x, y)
     m = xs.dimension
@@ -218,45 +226,12 @@ def mc_biinvariant_avg(
     if n < 2 * m:
         raise DomainError(f"need n >= 2m = {2 * m}, got n = {n}")
     n_samples = _check_samples(n_samples)
-    xfull = np.zeros(n)
-    xfull[:m] = xs.values
-    yv = np.array(ys.values, dtype=complex)
-    idx = np.arange(n)
 
     def sample(stream, take):
         v1 = _haar_isometry_batch(stream, take, n, m)
         v2 = _haar_isometry_batch(stream, take, n, m)
-        a = np.zeros((take, n, n), dtype=complex)
-        a[:, idx, idx] = xfull
-        a += np.einsum("bim,m,bjm->bij", v1, yv, v2.conj())
-        return (_phi_omega_singvals(omega, np.linalg.svd(a, compute_uv=False)),)
+        s = np.linalg.svd(_rank_core(v1, v2, xs.values, ys.values), compute_uv=False)
+        return (_phi_omega_singvals(omega, s),)
 
     [(mean, se)] = _block_estimates(n_samples, seed, sample)
     return McEstimate(mean, se, n_samples, int(seed))
-
-
-def ambient_laplacian_fd(
-    f: Callable[[np.ndarray], float], x: np.ndarray, fd_step: float | None = None
-) -> float:
-    """Flat Laplacian of f at the matrix x by central second differences over
-    all 2n^2 real coordinates (real and imaginary part of every entry)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {x.shape}")
-    n = x.shape[0]
-    h = (
-        float(fd_step)
-        if fd_step is not None
-        else 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    )
-    if not (h > 0.0):
-        raise DomainError("fd_step must be positive")
-    f0 = float(f(x))
-    pieces = []
-    for j in range(n):
-        for k in range(n):
-            for unit in (1.0, 1.0j):
-                step = np.zeros((n, n), dtype=complex)
-                step[j, k] = h * unit
-                pieces.append(float(f(x + step)) - 2.0 * f0 + float(f(x - step)))
-    return math.fsum(pieces) / (h * h)

@@ -567,6 +567,33 @@ def radial_laplacian(
     return math.fsum(pieces)
 
 
+def ambient_laplacian_fd(
+    f: Callable[[np.ndarray], float], x: np.ndarray, fd_step: float | None = None
+) -> float:
+    """Flat Laplacian of f at the matrix x by central second differences over
+    all 2n^2 real coordinates (real and imaginary part of every entry)."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {x.shape}")
+    n = x.shape[0]
+    h = (
+        float(fd_step)
+        if fd_step is not None
+        else 1e-4 * (1.0 + float(np.linalg.norm(x)))
+    )
+    if not (h > 0.0):
+        raise DomainError("fd_step must be positive")
+    f0 = float(f(x))
+    pieces = []
+    for j in range(n):
+        for k in range(n):
+            for unit in (1.0, 1.0j):
+                step = np.zeros((n, n), dtype=complex)
+                step[j, k] = h * unit
+                pieces.append(float(f(x + step)) - 2.0 * f0 + float(f(x - step)))
+    return math.fsum(pieces) / (h * h)
+
+
 def _eigen_identity(x, xi, fd_step: float = 2e-3) -> tuple[float, float]:
     """Both sides of the eigen-equation L phi_x = -|x|^2 phi_x at xi: the
     radial Laplacian of the tightly converged series, and the target."""

@@ -248,9 +248,8 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
 
 def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     out = []
-    n_samp = max(int(samples), 100)
-    e1 = montecarlo.mc_spherical((1.0,), (1.0,), n_samp, seed=seed + 3)
-    e2 = montecarlo.mc_spherical((1.0,), (1.0,), n_samp, seed=seed + 3)
+    e1 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)
+    e2 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)
     out.append(
         _flag(
             "mc.deterministic",
@@ -287,7 +286,7 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
         )
     )
 
-    orb = montecarlo.mc_orbital_exp((0.5,), (0.5,), n_samp, seed=seed + 5)
+    orb = montecarlo.mc_orbital_exp((0.5,), (0.5,), samples, seed=seed + 5)
     tgt = series.bessel_i0(0.25)
     out.append(
         _flag(
@@ -298,7 +297,7 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     )
 
     sq = lambda a: float(np.sum(np.abs(a) ** 2))
-    lap = montecarlo.ambient_laplacian_fd(sq, np.zeros((2, 2), dtype=complex))
+    lap = spherical.ambient_laplacian_fd(sq, np.zeros((2, 2), dtype=complex))
     out.append(_close("mc.flat_laplacian_quadratic", lap, 16.0, 1e-6))
 
     om = polya.OmegaParam([4.0], 0.0)

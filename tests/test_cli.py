@@ -300,6 +300,30 @@ def test_unknown_flag_is_usage_error(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-spherical", "--x", "1", "--xi", "1"],
+        ["eval-polya", "--omega", "ATOM", "--lam", "1"],
+        ["eval-mixture", "--mixture", "MIX", "--lam", "1"],
+        ["orbital", "--lam", "1", "--theta", "2"],
+        ["heat-kernel", "--t", "0.5", "--lam", "1", "--theta", "1"],
+        ["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
+    files = {
+        "ATOM": write_json(tmp_path, "atom.json", {"alpha": [1.0], "gamma": 0.0}),
+        "MIX": write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS),
+    }
+    argv = [files.get(a, a) for a in argv]
+    assert run_cli(capsys, argv)[0] == 0
+    code, out, err = run_cli(capsys, argv + [flag, "-5"])
+    assert (code, out, json.loads(err)["error"]) == (1, "", "usage")
+
+
 @pytest.mark.parametrize(
     "argv, code, kind",
     [
@@ -309,8 +333,10 @@ def test_unknown_flag_is_usage_error(capsys):
         (["heat-kernel", "--t", "-1", "--lam", "1", "--theta", "1"], 2, "domain"),
         (["eval-polya", "--omega", "MISSING", "--lam", "1"], 1, "io"),
         (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "8,4"], 2, "domain"),
+        # below the estimators' 100-sample floor: refused, not quietly raised to 100
+        (["validate", "--suite", "mc", "--samples", "20"], 2, "domain"),
     ],
-    ids=["shape", "convergence", "domain", "io", "sweep_domain"],
+    ids=["shape", "convergence", "domain", "io", "sweep_domain", "validate_samples"],
 )
 def test_failure_kind_and_exit_code(capsys, tmp_path, argv, code, kind):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]

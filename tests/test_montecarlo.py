@@ -195,3 +195,48 @@ def test_biinvariant_average_needs_room_to_embed():
     om = OmegaParam([4.0], 0.0)
     with pytest.raises(DomainError):
         mc_biinvariant_avg(om, [1.0, 2.0], [0.5, 1.0], 3, 500, seed=0)
+
+
+# m-vectors in canonical (descending, nonnegative) order, so the estimator
+# embeds them exactly as given
+_X, _Y = (1.3, 0.4), (2.2, 0.9)
+_SIZES = [(1, 2), (1, 3), (1, 40), (2, 4), (2, 5), (2, 40)]
+
+
+def _translate(v1, v2, x, y):
+    # X + V1 Y V2* assembled as the full n x n matrix, by the definition
+    m = len(x)
+    a = np.einsum("bim,m,bjm->bij", v1, np.asarray(y, dtype=complex), v2.conj())
+    a[:, range(m), range(m)] += x
+    return a
+
+
+@pytest.mark.parametrize("m, n", _SIZES)
+def test_rank_core_singular_values_match_the_full_translate(m, n):
+    x, y = np.array(_X[:m]), np.array(_Y[:m], dtype=complex)
+    stream = RngStream(11, 0)
+    v1 = montecarlo._haar_isometry_batch(stream, 300, n, m)
+    v2 = montecarlo._haar_isometry_batch(stream, 300, n, m)
+    full = np.linalg.svd(_translate(v1, v2, x, y), compute_uv=False)
+    core = np.linalg.svd(montecarlo._rank_core(v1, v2, x, y), compute_uv=False)
+    assert core.shape == (300, 2 * m)
+    assert np.all(np.abs(core - full[:, : 2 * m]) <= 1e-12 * full[:, : 2 * m])
+    # the n - 2m singular values left out are zero (none when n = 2m)
+    assert np.all(full[:, 2 * m :] <= 1e-12 * full[:, :1])
+
+
+@pytest.mark.parametrize("m, n, n_samples", [(m, n, 1000) for m, n in _SIZES] + [(2, 5, 9000)])
+def test_biinvariant_average_matches_a_full_svd_estimator(m, n, n_samples):
+    om = OmegaParam([2.0, 0.5], 0.3)
+    x, y = _X[:m], _Y[:m]
+
+    def sample(stream, take):
+        v1 = montecarlo._haar_isometry_batch(stream, take, n, m)
+        v2 = montecarlo._haar_isometry_batch(stream, take, n, m)
+        s = np.linalg.svd(_translate(v1, v2, x, y), compute_uv=False)
+        return (montecarlo._phi_omega_singvals(om, s),)
+
+    [(mean, se)] = montecarlo._block_estimates(n_samples, 5, sample)
+    est = mc_biinvariant_avg(om, x, y, n, n_samples, seed=5)
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
