@@ -80,10 +80,9 @@ def _floats(value, flag: str) -> tuple[float, ...]:
 
 def _ints(value, flag: str) -> tuple[int, ...]:
     vals = _floats(value, flag)
-    out = tuple(int(v) for v in vals)
-    if any(float(i) != v for i, v in zip(out, vals)):
+    if not all(v.is_integer() for v in vals):  # False for fractions, inf and nan
         raise _UsageError(f"{flag} expects integers")
-    return out
+    return tuple(int(v) for v in vals)
 
 
 def _float(value, flag: str) -> float:
@@ -336,10 +335,10 @@ def _cmd_sweep(args) -> int:
         )
     elif kind == "powersum":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
-        m = int(_float(args.m, "--m"))
+        (m,) = _ints([_float(args.m, "--m")], "--m")
         report = powersum_convergence(omega, m, n_list)
     else:
-        m = int(_float(args.m, "--m"))
+        (m,) = _ints([_float(args.m, "--m")], "--m")
         report = weyl_concentration_sweep(
             m, n_list, n_samples=_samples(args), seed=_seed(args)
         )

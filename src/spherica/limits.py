@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ShapeError
 from .montecarlo import RngStream, _blocks, mc_spherical
@@ -217,6 +216,8 @@ def weyl_concentration_sweep(
     std_errors: list[float] = []
     for i, n in enumerate(grid):
         if m == 1:
+            from scipy import integrate
+
             c = _weyl_cmn(1, n)
             total, _ = integrate.quad(
                 lambda t: obs(np.array([t])) * _weyl_density_unnormalized(1, n, [t]),

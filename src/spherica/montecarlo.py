@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, RangeError
 from .polya import OmegaParam
@@ -39,6 +38,13 @@ from .spherical import _point_pair
 _BLOCK = 8192
 _MASK64 = (1 << 64) - 1
 _INV53 = 2.0**-53
+
+
+def ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF; scipy.special is loaded on the first call."""
+    from scipy.special import ndtri as _ndtri
+
+    return _ndtri(u)
 
 
 class RngStream:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConvergenceError,
@@ -492,11 +491,12 @@ def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> floa
     H0(t, lam, theta) = 1/(n! (2t)^n) * e^{-(|lam|^2+|theta|^2)/4t}
                         * det(I0(lam_i theta_j / 2t)) / (D(lam) D(theta)).
 
-    Requires t > 0 and squared entries separated beyond opts.degeneracy_tol.
+    Requires finite t > 0 and squared entries separated beyond
+    opts.degeneracy_tol.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError("heat_kernel requires t > 0")
+        raise DomainError("heat_kernel requires finite t > 0")
     lam, theta = _point_pair(lam, theta)
     _require_separated(lam, theta, opts, ("lam", "theta"), "")
     n = lam.dimension
@@ -648,6 +648,8 @@ def _weyl_cmn(m: int, n: int) -> float:
     hit = _cmn_cache.get(key)
     if hit is not None:
         return hit
+    from scipy import integrate
+
     if m == 1:
         total, _ = integrate.quad(
             lambda t: _weyl_density_unnormalized(1, n, [t]), 0.0, math.pi, limit=200

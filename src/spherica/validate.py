@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import limits, montecarlo, polya, series, spherical, symfunc
 
@@ -114,6 +113,8 @@ def _symfunc_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
+    from scipy import integrate
+
     out = []
     one = spherical.spherical_det((1.3,), (0.7,))
     out.append(

@@ -115,6 +115,17 @@ def test_heat_kernel_value(capsys):
     assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_heat_kernel_rejects_infinite_t(capsys):
+    code, out, err = run_cli(
+        capsys, ["heat-kernel", "--t", "inf", "--lam", "1", "--theta", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "domain",
+        "message": "heat_kernel requires finite t > 0",
+    }
+
+
 def test_laplacian_check_passes(capsys):
     code, out, err = run_cli(
         capsys, ["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5"]
@@ -335,8 +346,22 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "8,4"], 2, "domain"),
         # below the estimators' 100-sample floor: refused, not quietly raised to 100
         (["validate", "--suite", "mc", "--samples", "20"], 2, "domain"),
+        # integer flags: an infinite value or a fraction is a usage error
+        (["sweep", "--kind", "weyl", "--m", "inf", "--n-list", "4,8"], 1, "usage"),
+        (["sweep", "--kind", "weyl", "--m", "1.7", "--n-list", "4,8"], 1, "usage"),
+        (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,inf"], 1, "usage"),
     ],
-    ids=["shape", "convergence", "domain", "io", "sweep_domain", "validate_samples"],
+    ids=[
+        "shape",
+        "convergence",
+        "domain",
+        "io",
+        "sweep_domain",
+        "validate_samples",
+        "m_inf",
+        "m_fraction",
+        "n_list_inf",
+    ],
 )
 def test_failure_kind_and_exit_code(capsys, tmp_path, argv, code, kind):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
@@ -416,3 +441,40 @@ def test_console_script_thread_count_invariance(cli_subprocess):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# Runs in a fresh interpreter: every command below needs numpy only, and the
+# first Monte Carlo draw is what loads scipy.special.
+_COLD_START_CHILD = """
+import json, sys
+from spherica.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from spherica import mc_spherical
+mc_spherical((1.0, 0.5), (0.3, 0.2), n_samples=100)
+print(json.dumps({"codes": codes, "scipy": loaded, "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_cli_commands_load_no_scipy(python_subprocess, tmp_path):
+    atom = write_json(tmp_path, "atom.json", {"alpha": [4], "gamma": 0})
+    gauss = write_json(tmp_path, "gauss.json", {"alpha": [], "gamma": 1})
+    mix = write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS)
+    commands = [
+        ["eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"],
+        ["orbital", "--lam", "1", "--theta", "2"],
+        ["heat-kernel", "--t", "0.5", "--lam", "1", "--theta", "1"],
+        ["eval-polya", "--omega", atom, "--lam", "1,2"],
+        ["eval-mixture", "--mixture", mix, "--lam", "1"],
+        ["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5"],
+        ["sweep", "--kind", "powersum", "--omega", gauss, "--m", "2", "--n-list", "25,50"],
+        ["sweep", "--kind", "spherical", "--omega", atom, "--xi", "1", "--n-list", "4,8"],
+        ["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4,8", "--samples", "1000"],
+        ["validate", "--suite", "special"],
+        ["validate", "--suite", "symfunc"],
+        ["validate", "--suite", "polya"],
+    ]
+    proc = python_subprocess(["-c", _COLD_START_CHILD, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report == {"codes": [0] * len(commands), "scipy": [], "special": True}

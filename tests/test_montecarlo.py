@@ -24,6 +24,17 @@ from spherica import (
 )
 
 
+def test_ndtri_is_scipy_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+
+    u = np.concatenate(
+        [RngStream(7, 3).uniforms((10_000,)), [0.5 * 2.0**-53, 1.0 - 2.0**-53]]
+    )
+    got = montecarlo.ndtri(u)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), ndtri(u).view(np.uint64))
+
+
 def test_stream_is_deterministic_and_keyed():
     a = RngStream(7, 3).uniforms((16,))
     b = RngStream(7, 3).uniforms((16,))
