@@ -232,12 +232,20 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
 
 
+def _int(value, flag: str) -> int:
+    # argparse ints pass exactly (seeds use 64 bits); config values are checked
+    if type(value) is int:
+        return value
+    return _ints([value], flag)[0]
+
+
 def _seed(args) -> int:
-    return 0 if args.seed is None else int(args.seed)
+    return 0 if args.seed is None else _int(args.seed, "--seed")
 
 
 def _samples(args) -> int:
-    return int(args._samples_default if args.samples is None else args.samples)
+    value = args._samples_default if args.samples is None else args.samples
+    return _int(value, "--samples")
 
 
 def _emit_eval_result(args, result) -> None:

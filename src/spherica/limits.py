@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .montecarlo import RngStream, _blocks, mc_spherical
 from .polya import OmegaParam, p_tilde, polya_eval
-from .spherical import DiagonalPoint, _weyl_cmn, _weyl_density_unnormalized, spherical_series
+from .spherical import DiagonalPoint, _weyl_cmn, _weyl_density, spherical_series
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,6 @@ def _mean_cos_sq(theta: np.ndarray) -> float:
     return float(np.mean(c * c))
 
 
-def _density_rows(m: int, n: int, th: np.ndarray) -> np.ndarray:
-    # unnormalized angular density on rows of th, shape (batch, m)
-    acc = np.ones(th.shape[0])
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc *= (np.sin(th[:, i] + th[:, j]) * np.sin(th[:, i] - th[:, j])) ** 2
-    for i in range(m):
-        acc *= np.sin(2.0 * th[:, i]) * np.sin(th[:, i]) ** (2 * (n - 2 * m))
-    return np.abs(acc)
-
-
 def weyl_concentration_sweep(
     m: int,
     n_values: Sequence[int],
@@ -220,7 +209,7 @@ def weyl_concentration_sweep(
 
             c = _weyl_cmn(1, n)
             total, _ = integrate.quad(
-                lambda t: obs(np.array([t])) * _weyl_density_unnormalized(1, n, [t]),
+                lambda t: obs(np.array([t])) * _weyl_density(1, n, [t]),
                 0.0,
                 math.pi,
                 limit=200,
@@ -233,7 +222,7 @@ def weyl_concentration_sweep(
             for b, take in _blocks(int(n_samples)):
                 stream = RngStream(seed + 1000003 * i, b)
                 th = stream.uniforms((take, m)) * math.pi
-                w_blocks.append(_density_rows(m, n, th))
+                w_blocks.append(_weyl_density(m, n, th))
                 f_blocks.append(np.array([float(obs(row)) for row in th]))
             w_sum = math.fsum(float(np.sum(w)) for w in w_blocks)
             wf_sum = math.fsum(

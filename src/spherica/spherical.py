@@ -2,17 +2,18 @@
 
 The bi-unitarily invariant functions evaluated here depend only on singular
 value vectors, so arguments are canonicalized diagonal points (entries made
-nonnegative and sorted in decreasing order).  Two independent evaluation
-routes are provided for the Fourier transform of an orbit:
+nonnegative and sorted in decreasing order).
 
-* a closed determinant form with Bessel J0 entries divided by squared
-  Vandermonde products, valid when all squared entries are well separated;
-* a Schur-function series with factorial coefficients, valid everywhere,
-  truncated with a certified tail bound.
-
-The same machinery, with I0 in place of J0 (equivalently positive instead of
-negative squared variables), gives the exponential orbital integral and the
-radial heat kernel.
+One core, ``_orbit_transform``, evaluates the Fourier transform of a
+U(n) x U(n) orbit: it picks the route, a closed determinant form with Bessel
+kernel entries over squared Vandermonde products (valid when all squared
+entries are well separated) or a Schur-function series with a certified tail
+bound (valid everywhere), and builds the determinant prefactor.  The J0
+kernel gives the spherical function, I0 (positive instead of negative squared
+variables) the exponential orbital integral, and the radial heat kernel is
+the orbital integral at a rescaled point times a Gaussian factor.
+``spherical_det_f_kernel`` keeps its own prefactor bookkeeping as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -133,10 +134,14 @@ def _is_degenerate(values: Sequence[float], tol: float) -> bool:
     return any(sq[i] - sq[i + 1] <= tol * scale for i in range(len(sq) - 1))
 
 
-def _require_separated(x, xi, opts, names=("x", "xi"), hint="; use spherical_series"):
-    for p, name in zip((x, xi), names):
-        if _is_degenerate(p.values, opts.degeneracy_tol):
-            raise DegeneracyError(f"coincident squared entries in {name}{hint}")
+def _is_separated(x: DiagonalPoint, xi: DiagonalPoint, opts: SphericalOptions) -> bool:
+    tol = opts.degeneracy_tol
+    return not (_is_degenerate(x.values, tol) or _is_degenerate(xi.values, tol))
+
+
+def _require_separated(x, xi, opts) -> None:
+    if not _is_separated(x, xi, opts):
+        raise DegeneracyError("coincident squared entries; use the series path")
 
 
 def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
@@ -184,8 +189,9 @@ def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]
     running value near 1 in magnitude (all inputs positive)."""
     acc = 1.0
     i = j = 0
-    while i < len(numerators) or j < len(denominators):
-        if j >= len(denominators) or (i < len(numerators) and acc <= 1.0):
+    n_num, n_den = len(numerators), len(denominators)
+    while i < n_num or j < n_den:
+        if j >= n_den or (i < n_num and acc <= 1.0):
             acc *= numerators[i]
             i += 1
         else:
@@ -228,19 +234,11 @@ def spherical_det(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResult:
 
     Requires all squared entries of x (and of xi) to be pairwise separated
     beyond opts.degeneracy_tol relative to the largest square; otherwise a
-    DegeneracyError directs the caller to spherical_series.  The formula is
+    DegeneracyError directs the caller to the series route.  The formula is
     symmetric under exchanging x and xi, and the implementation evaluates in a
     canonical argument order so the symmetry holds bitwise.
     """
-    x, xi = _point_pair(x, xi)
-    _require_separated(x, xi, opts)
-    n = x.dimension
-    a, b = _canonical_order(x, xi)
-    num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
-    den = _gap_factors(a) + _gap_factors(b)
-    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    value, abs_error = _det_ratio(bessel_j0, a, b, num, den, sign)
-    return EvalResult(value, abs_error, n, "determinant")
+    return _orbit_transform(*_point_pair(x, xi), True, "det", opts)
 
 
 def spherical_det_f_kernel(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResult:
@@ -278,18 +276,7 @@ def spherical_eval(
     the determinant when both arguments are separated beyond
     opts.degeneracy_tol and the series otherwise.
     """
-    if path not in ("auto", "det", "series"):
-        raise DomainError(f"unknown path {path!r}")
-    if path == "det":
-        return spherical_det(x, xi, opts)
-    if path == "series":
-        return spherical_series(x, xi, opts=opts)
-    x, xi = _point_pair(x, xi)
-    if _is_degenerate(x.values, opts.degeneracy_tol) or _is_degenerate(
-        xi.values, opts.degeneracy_tol
-    ):
-        return spherical_series(x, xi, opts=opts)
-    return spherical_det(x, xi, opts)
+    return _orbit_transform(*_point_pair(x, xi), True, path, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +414,47 @@ def _schur_fourier_series(
         W = min(2 * W, opts.max_weight_cap)
 
 
+def _orbit_transform(
+    x: DiagonalPoint,
+    xi: DiagonalPoint,
+    oscillatory: bool,
+    path: str,
+    opts: SphericalOptions,
+    max_weight: int | None = None,
+) -> EvalResult:
+    """Fourier transform of the U(n) x U(n) orbit of x, evaluated at xi (a
+    pair from _point_pair):
+
+    (delta!)^2 4^{n(n-1)/2} det(K(x_i xi_j)) / (D(x) D(xi)),
+
+    with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
+    spherical function), K = I0 otherwise (the exponential orbital integral).
+    ``path`` "det" takes this determinant, "series" the Schur series (with
+    initial weight ``max_weight``, default opts.max_weight), and "auto" the
+    determinant when both arguments are separated, the series otherwise.
+    """
+    if path not in ("auto", "det", "series"):
+        raise DomainError(f"unknown path {path!r}")
+    if path == "auto":
+        path = "det" if _is_separated(x, xi, opts) else "series"
+    elif path == "det":
+        _require_separated(x, xi, opts)
+    if path == "series":
+        w0 = opts.max_weight if max_weight is None else int(max_weight)
+        if w0 < 1:
+            raise DomainError("max_weight must be positive")
+        xiq = [v * v / 4.0 for v in xi.values]
+        return _schur_fourier_series(x.values, xiq, oscillatory, w0, opts)
+    n = x.dimension
+    a, b = _canonical_order(x, xi)
+    num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
+    den = _gap_factors(a) + _gap_factors(b)
+    sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
+    kernel = bessel_j0 if oscillatory else bessel_i0
+    value, abs_error = _det_ratio(kernel, a, b, num, den, sign)
+    return EvalResult(value, abs_error, n, "determinant")
+
+
 def spherical_series(
     x, xi, max_weight: int | None = None, opts: SphericalOptions = _DEFAULT
 ) -> EvalResult:
@@ -438,12 +466,7 @@ def spherical_series(
     opts.rel_tol; failure to certify raises ConvergenceError with the partial
     sum attached.
     """
-    x, xi = _point_pair(x, xi)
-    w0 = opts.max_weight if max_weight is None else int(max_weight)
-    if w0 < 1:
-        raise DomainError("max_weight must be positive")
-    xiq = [v * v / 4.0 for v in xi.values]
-    return _schur_fourier_series(x.values, xiq, True, w0, opts)
+    return _orbit_transform(*_point_pair(x, xi), True, "series", opts, max_weight)
 
 
 def orbital_integral(
@@ -463,57 +486,36 @@ def orbital_integral(
     overflow guard).
     """
     lam, theta = _point_pair(lam, theta)
-    n = lam.dimension
-    if path not in ("auto", "det", "series"):
-        raise DomainError(f"unknown path {path!r}")
     if lam.values[0] * theta.values[0] > 700.0:
         raise RangeError("orbital_integral overflow guard: max(lam)*max(theta) > 700")
-
-    degenerate = _is_degenerate(lam.values, opts.degeneracy_tol) or _is_degenerate(
-        theta.values, opts.degeneracy_tol
-    )
-    if path == "det" and degenerate:
-        raise DegeneracyError("coincident squared entries; use the series path")
-    if path == "series" or (path == "auto" and degenerate):
-        thq = [v * v / 4.0 for v in theta.values]
-        return _schur_fourier_series(lam.values, thq, False, opts.max_weight, opts)
-
-    a, b = _canonical_order(lam, theta)
-    num = [2.0] * (n * (n - 1)) + [float(math.factorial(j)) for j in range(1, n)] * 2
-    den = _gap_factors(a) + _gap_factors(b)
-    value, abs_error = _det_ratio(bessel_i0, a, b, num, den, 1.0)
-    return EvalResult(value, abs_error, n, "determinant")
+    return _orbit_transform(lam, theta, False, path, opts)
 
 
 def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> float:
-    """Radial heat kernel
+    """Radial heat kernel, the orbital integral at the rescaled point lam/2t:
 
     H0(t, lam, theta) = 1/(n! (2t)^n) * e^{-(|lam|^2+|theta|^2)/4t}
-                        * det(I0(lam_i theta_j / 2t)) / (D(lam) D(theta)).
+                        * det(I0(lam_i theta_j / 2t)) / (D(lam) D(theta))
+                      = e^{-(|lam|^2+|theta|^2)/4t} * I(lam/2t, theta)
+                        / (n! (2t)^n (4t)^{n(n-1)} (prod_{j<n} j!)^2).
 
-    Requires finite t > 0 and squared entries separated beyond
-    opts.degeneracy_tol.
+    Requires finite t > 0.  Coincident entries take the series route of
+    orbital_integral, whose overflow guard applies to (lam/2t, theta).
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError("heat_kernel requires finite t > 0")
     lam, theta = _point_pair(lam, theta)
-    _require_separated(lam, theta, opts, ("lam", "theta"), "")
     n = lam.dimension
+    orbital = orbital_integral([v / (2.0 * t) for v in lam.values], theta, opts=opts)
     norm2 = math.fsum(v * v for v in lam.values) + math.fsum(
         v * v for v in theta.values
     )
-    num = [math.exp(-norm2 / (4.0 * t))]
-    den = (
-        [float(math.factorial(n))]
-        + [2.0 * t] * n
-        + _gap_factors(lam.values)
-        + _gap_factors(theta.values)
-    )
-    value, _ = _det_ratio(
-        lambda p: bessel_i0(p / (2.0 * t)), lam.values, theta.values, num, den, 1.0
-    )
-    return value
+    num = [orbital.value, math.exp(-norm2 / (4.0 * t))]
+    # a running quotient: (4t)^{n(n-1)} alone can leave double range
+    den = [float(math.factorial(n))] + [2.0 * t] * n + [4.0 * t] * (n * (n - 1))
+    den += [float(math.factorial(j)) for j in range(n)] * 2
+    return _balanced_product(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +634,19 @@ _cmn_cache: dict[tuple[int, int], float] = {}
 _cmn_lock = threading.Lock()
 
 
-def _weyl_density_unnormalized(m: int, n: int, theta: Sequence[float]) -> float:
-    th = [float(v) for v in theta]
+def _weyl_density(m: int, n: int, theta):
+    """Unnormalized angular density at theta, m angles, or on each row of an
+    array of shape (batch, m)."""
+    if isinstance(theta, np.ndarray):
+        sin, cols = np.sin, [theta[:, i] for i in range(m)]
+    else:
+        sin, cols = math.sin, [float(v) for v in theta]
     acc = 1.0
     for i in range(m):
         for j in range(i + 1, m):
-            acc *= (math.sin(th[i] + th[j]) * math.sin(th[i] - th[j])) ** 2
-    for v in th:
-        acc *= math.sin(2.0 * v) * math.sin(v) ** (2 * (n - 2 * m))
+            acc = acc * (sin(cols[i] + cols[j]) * sin(cols[i] - cols[j])) ** 2
+    for c in cols:
+        acc = acc * (sin(2.0 * c) * sin(c) ** (2 * (n - 2 * m)))
     return abs(acc)
 
 
@@ -650,23 +657,10 @@ def _weyl_cmn(m: int, n: int) -> float:
         return hit
     from scipy import integrate
 
-    if m == 1:
-        total, _ = integrate.quad(
-            lambda t: _weyl_density_unnormalized(1, n, [t]), 0.0, math.pi, limit=200
-        )
-    elif m == 2:
-        total, _ = integrate.dblquad(
-            lambda t2, t1: _weyl_density_unnormalized(2, n, [t1, t2]),
-            0.0,
-            math.pi,
-            0.0,
-            math.pi,
-        )
-    else:
-        ranges = [(0.0, math.pi)] * m
-        total, _ = integrate.nquad(
-            lambda *ts: _weyl_density_unnormalized(m, n, ts), ranges
-        )
+    # nquad passes the innermost variable first
+    total, _ = integrate.nquad(
+        lambda *ts: _weyl_density(m, n, ts[::-1]), [(0.0, math.pi)] * m, opts={"limit": 200}
+    )
     c = 1.0 / total
     with _cmn_lock:
         return _cmn_cache.setdefault(key, c)
@@ -692,4 +686,4 @@ def weyl_density_mn(m: int, n: int, theta: Sequence[float]) -> float:
     for v in th:
         if not (0.0 <= v <= math.pi):
             raise DomainError("theta entries must lie in [0, pi]")
-    return _weyl_cmn(m, n) * _weyl_density_unnormalized(m, n, th)
+    return _weyl_cmn(m, n) * _weyl_density(m, n, th)

@@ -36,10 +36,6 @@ def _close(name: str, value: float, expected: float, rel: float) -> CheckResult:
     )
 
 
-def _flag(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail)
-
-
 def _special_checks(samples: int, seed: int) -> list[CheckResult]:
     out = []
     out.append(_close("special.f_at_zero", series.hyper_f(0.0), 1.0, 0.0))
@@ -47,14 +43,14 @@ def _special_checks(samples: int, seed: int) -> list[CheckResult]:
         _close("special.f_at_one", series.hyper_f(1.0), 2.2795853023360673, 1e-14)
     )
     out.append(
-        _flag(
+        CheckResult(
             "special.j0_even",
             series.bessel_j0(1.7) == series.bessel_j0(-1.7),
             "j0(1.7) and j0(-1.7) are bitwise equal",
         )
     )
     out.append(
-        _flag(
+        CheckResult(
             "special.i0_matches_f",
             series.bessel_i0(2.0) == series.hyper_f(1.0),
             "i0(2) == f(1) bitwise",
@@ -70,7 +66,7 @@ def _special_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     value, est, terms = series.bessel_j0_with_error(5.0)
     out.append(
-        _flag(
+        CheckResult(
             "special.error_estimate_sane",
             est > 0.0 and terms < 200 and abs(value) <= 1.0,
             f"value={value:.9e} est={est:.9e} terms={terms}",
@@ -88,14 +84,14 @@ def _symfunc_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     a = symfunc.schur((2, 1), (0.3, 1.7, 0.9))
     b = symfunc.schur((2, 1), (1.7, 0.9, 0.3))
-    out.append(_flag("symfunc.permutation_invariance", a == b, "bitwise equal"))
+    out.append(CheckResult("symfunc.permutation_invariance", a == b, "bitwise equal"))
     lhs = symfunc.cauchy_lhs((0.3, 0.1), (0.2, 0.4), 40)
     rhs = symfunc.cauchy_rhs((0.3, 0.1), (0.2, 0.4))
     out.append(_close("symfunc.cauchy_identity", lhs, rhs, 1e-13))
     n22 = sum(1 for _ in symfunc.enumerate_partitions(2, 2))
     n66 = sum(1 for _ in symfunc.enumerate_partitions(6, 6))
     out.append(
-        _flag(
+        CheckResult(
             "symfunc.partition_counts",
             n22 == 4 and n66 == 30,
             f"count(2,2)={n22} count(6,6)={n66}",
@@ -103,7 +99,7 @@ def _symfunc_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     h = symfunc.newton_h_from_p([2.0, 4.0, 8.0])
     out.append(
-        _flag(
+        CheckResult(
             "symfunc.newton_single_variable",
             h == [1.0, 2.0, 4.0, 8.0],
             f"h={h}",
@@ -178,7 +174,7 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     dens = spherical.weyl_density_mn(1, 6, [math.pi / 3])
     out.append(
-        _flag("spherical.weyl_density_positive", dens > 0.0, f"value={dens:.9e}")
+        CheckResult("spherical.weyl_density_positive", dens > 0.0, f"value={dens:.9e}")
     )
     return out
 
@@ -203,7 +199,7 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
     out.append(_close("polya.first_moment", polya.p_tilde(om2, 1), 1.0, 0.0))
     ht = polya.h_tilde(polya.OmegaParam([2.0], 0.0), 4)
     out.append(
-        _flag(
+        CheckResult(
             "polya.h_single_atom",
             ht == [1.0, 2.0, 4.0, 8.0, 16.0],
             f"h_tilde={ht}",
@@ -221,7 +217,7 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
     out.append(_close("polya.second_derivative", lhs, rhs, 1e-5))
     cs = polya.log_deriv_coeffs(om, 3)
     out.append(
-        _flag(
+        CheckResult(
             "polya.log_deriv_coeffs",
             np.allclose(cs, [-2.0, 2.0, -2.0], rtol=0, atol=1e-12),
             f"coeffs={cs}",
@@ -229,7 +225,7 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     rt = polya.OmegaParam.from_json(om2.to_json())
     out.append(
-        _flag(
+        CheckResult(
             "polya.json_roundtrip",
             rt.alpha == om2.alpha and rt.gamma == om2.gamma,
             "exact roundtrip",
@@ -252,7 +248,7 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     e1 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)
     e2 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)
     out.append(
-        _flag(
+        CheckResult(
             "mc.deterministic",
             e1.mean == e2.mean and e1.std_error == e2.std_error,
             "identical estimates for identical seeds",
@@ -260,14 +256,14 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     target = series.bessel_j0(1.0)
     out.append(
-        _flag(
+        CheckResult(
             "mc.matches_series",
             abs(e1.mean - target) <= 6.0 * e1.std_error,
             f"mean={e1.mean:.9e} target={target:.9e} se={e1.std_error:.9e}",
         )
     )
     out.append(
-        _flag(
+        CheckResult(
             "mc.imag_diagnostic",
             e1.imag_mean is not None
             and abs(e1.imag_mean) <= 6.0 * max(e1.imag_std_error, 1e-15),
@@ -280,7 +276,7 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     m11 = np.abs(us[:, 0, 0]) ** 2
     se = float(np.std(m11, ddof=1)) / math.sqrt(len(m11))
     out.append(
-        _flag(
+        CheckResult(
             "mc.haar_entry_moment",
             abs(float(np.mean(m11)) - 1.0 / 3.0) <= 6.0 * se,
             f"mean={float(np.mean(m11)):.9e} expected={1/3:.9e} se={se:.9e}",
@@ -290,7 +286,7 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     orb = montecarlo.mc_orbital_exp((0.5,), (0.5,), samples, seed=seed + 5)
     tgt = series.bessel_i0(0.25)
     out.append(
-        _flag(
+        CheckResult(
             "mc.orbital_matches_series",
             abs(orb.mean - tgt) <= 6.0 * orb.std_error,
             f"mean={orb.mean:.9e} target={tgt:.9e} se={orb.std_error:.9e}",
@@ -318,7 +314,7 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
     out = []
     lam = limits.lambda_sequence_for(polya.OmegaParam([], 1.0), 4)
     out.append(
-        _flag(
+        CheckResult(
             "limits.lambda_sequence_exact",
             lam == (2.0, 2.0, 2.0, 2.0),
             f"lam={lam}",
@@ -327,7 +323,7 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
     om = polya.OmegaParam([0.25], 0.0)
     back = limits.t_n_map(limits.lambda_sequence_for(om, 8), 8)
     out.append(
-        _flag(
+        CheckResult(
             "limits.t_n_roundtrip",
             back.alpha == om.alpha and back.gamma == 0.0,
             f"alpha={back.alpha}",
@@ -337,7 +333,7 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
     rep = limits.powersum_convergence(om2, 2, (8, 16, 32))
     expected_last = om2.gamma**2 / (32 - 2)
     out.append(
-        _flag(
+        CheckResult(
             "limits.powersum_rate",
             all(a > b for a, b in zip(rep.abs_errors, rep.abs_errors[1:]))
             and abs(rep.abs_errors[-1] - expected_last) <= 1e-12,
@@ -346,7 +342,7 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
     )
     rep2 = limits.spherical_convergence(om2, 1.0, (4, 8, 16), method="series")
     out.append(
-        _flag(
+        CheckResult(
             "limits.spherical_trend",
             rep2.abs_errors[-1] < rep2.abs_errors[0] and rep2.abs_errors[-1] < 0.1,
             f"errors={[f'{e:.3e}' for e in rep2.abs_errors]}",
@@ -357,7 +353,7 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
         abs(v - 1.0 / n) <= 1e-8 for v, n in zip(rep3.values, rep3.n_values)
     ) and abs(rep3.limit_value) <= 1e-30
     out.append(
-        _flag(
+        CheckResult(
             "limits.angular_moment_law",
             ok,
             f"values={[f'{v:.9e}' for v in rep3.values]}",

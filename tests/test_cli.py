@@ -350,6 +350,9 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         (["sweep", "--kind", "weyl", "--m", "inf", "--n-list", "4,8"], 1, "usage"),
         (["sweep", "--kind", "weyl", "--m", "1.7", "--n-list", "4,8"], 1, "usage"),
         (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,inf"], 1, "usage"),
+        # config-file values get the same integer check as the flags
+        (["validate", "--suite", "mc", "--config", "SAMPLES_INF"], 1, "usage"),
+        (["validate", "--suite", "mc", "--config", "SEED_FRACTION"], 1, "usage"),
     ],
     ids=[
         "shape",
@@ -361,10 +364,18 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         "m_inf",
         "m_fraction",
         "n_list_inf",
+        "config_samples_inf",
+        "config_seed_fraction",
     ],
 )
 def test_failure_kind_and_exit_code(capsys, tmp_path, argv, code, kind):
-    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    files = {
+        "MISSING": str(tmp_path / "missing.json"),
+        # Python's JSON reader accepts Infinity
+        "SAMPLES_INF": write_json(tmp_path, "inf.json", {"samples": math.inf}),
+        "SEED_FRACTION": write_json(tmp_path, "frac.json", {"seed": 2.5}),
+    }
+    argv = [files.get(a, a) for a in argv]
     got, out, err = run_cli(capsys, argv)
     assert (got, json.loads(err)["error"]) == (code, kind)
     assert out == ""

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from spherica import (
@@ -13,6 +16,7 @@ from spherica import (
     OmegaParam,
     RangeError,
     ShapeError,
+    SphericalOptions,
     bessel_i0,
     bessel_j0,
     heat_kernel,
@@ -232,11 +236,105 @@ def test_heat_kernel_decays_for_large_time():
     assert h500 < 1e-3
 
 
+def _heat_closed_form(t, lam, theta, dps):
+    """1/(n! (2t)^n) e^{-(|lam|^2+|theta|^2)/4t} det(I0(lam_i theta_j/2t))
+    / (D(lam) D(theta)) in mpmath at dps digits."""
+    with mp.workdps(dps):
+        a = [mp.mpf(v) for v in lam]
+        b = [mp.mpf(v) for v in theta]
+        t = mp.mpf(t)
+        n = len(a)
+        m = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                m[i, j] = mp.besseli(0, a[i] * b[j] / (2 * t))
+
+        def gaps(v):
+            return mp.fprod(v[i] ** 2 - v[j] ** 2 for i in range(n) for j in range(i + 1, n))
+
+        norm2 = mp.fsum(v**2 for v in a) + mp.fsum(v**2 for v in b)
+        pref = mp.exp(-norm2 / (4 * t)) / (mp.factorial(n) * (2 * t) ** n)
+        return pref * mp.det(m) / (gaps(a) * gaps(b))
+
+
+def _split(values, shift):
+    # the k-th repeat of a value v moves to v (1 + k shift)
+    seen: dict[float, int] = {}
+    out = []
+    for v in values:
+        k = seen.get(v, 0)
+        seen[v] = k + 1
+        out.append(mp.mpf(v) * (1 + k * shift))
+    return out
+
+
+def _heat_oracle(t, lam, theta):
+    """Closed form, at points split by 1e-30 and 1e-36 where entries
+    coincide; the two splits must agree far below double precision."""
+    with mp.workdps(160):
+        lo, hi = (
+            _heat_closed_form(t, _split(lam, shift), _split(theta, shift), dps)
+            for shift, dps in ((mp.mpf(10) ** -30, 160), (mp.mpf(10) ** -36, 180))
+        )
+        assert abs(lo - hi) <= mp.mpf(10) ** -25 * abs(hi)
+        return float(hi)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 10.0])
+@pytest.mark.parametrize("lam, theta", [((0.7,), (0.7,)), ((0.8,), (0.6,))])
+def test_heat_kernel_one_dimensional_closed_form(t, lam, theta):
+    got = heat_kernel(t, lam, theta)
+    assert got == pytest.approx(_heat_oracle(t, lam, theta), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "lam, theta",
+    [
+        ((1.0, 0.5), (0.8, 0.3)),
+        ((1.9, 1.1, 0.4), (1.5, 0.9, 0.2)),
+        ((1.8, 1.3, 0.8, 0.3), (1.6, 1.0, 0.6, 0.2)),
+    ],
+)
+def test_heat_kernel_closed_form_separated(lam, theta):
+    got = heat_kernel(0.5, lam, theta)
+    assert got == pytest.approx(_heat_oracle(0.5, lam, theta), rel=1e-9, abs=0.0)
+
+
 def test_heat_kernel_input_validation():
     with pytest.raises(DomainError):
         heat_kernel(0.0, (1.0,), (1.0,))
-    with pytest.raises(DegeneracyError):
-        heat_kernel(0.5, (1.0, 1.0), (0.5, 1.5))
+    # coincident entries take the orbital series at (lam/2t, theta)
+    got = heat_kernel(0.5, (1.0, 1.0), (0.5, 1.5))
+    expected = _heat_oracle(0.5, (1.0, 1.0), (0.5, 1.5))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _separated_point(n):
+    # entries in [0.1, 2] whose squares differ by at least 5% of the largest
+    def ok(v):
+        sq = sorted((x * x for x in v), reverse=True)
+        return all(sq[i] - sq[i + 1] >= 0.05 * sq[0] for i in range(n - 1))
+
+    entries = st.floats(0.1, 2.0, allow_nan=False, allow_infinity=False)
+    return st.lists(entries, min_size=n, max_size=n).filter(ok)
+
+
+@st.composite
+def _separated_pair(draw):
+    n = draw(st.integers(1, 3))
+    return draw(_separated_point(n)), draw(_separated_point(n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_separated_pair())
+def test_determinant_and_series_routes_agree_within_their_errors(pair):
+    x, xi = pair
+    # a low starting weight keeps the series cheap; it doubles until certified
+    opts = SphericalOptions(max_weight=16)
+    for evaluate in (spherical_eval, orbital_integral):
+        d = evaluate(x, xi, path="det", opts=opts)
+        s = evaluate(x, xi, path="series", opts=opts)
+        assert abs(d.value - s.value) <= d.abs_error + s.abs_error
 
 
 def test_radial_laplacian_gaussian_closed_form():
