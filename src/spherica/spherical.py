@@ -68,8 +68,10 @@ class DiagonalPoint:
 class EvalResult:
     """Value with provenance.
 
-    abs_error   certified (determinant: conditioning-based; series: tail bound)
-    terms_used  series: partitions summed; determinant: matrix order
+    abs_error   certified (determinant: conditioning-based; series: tail bound
+                plus rounding)
+    terms_used  series: partitions summed in the returning pass, up to the
+                weight where it stopped; determinant: matrix order
     path        "determinant" or "series"
     """
 
@@ -81,6 +83,15 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class SphericalOptions:
+    """Tolerances of the evaluators.
+
+    rel_tol         relative tolerance the series tail must certify
+    degeneracy_tol  relative squared gap below which "auto" takes the series
+    max_weight      largest partition weight of the series' first pass; the
+                    pass stops earlier once its tail bound is below rounding
+    max_weight_cap  largest weight a doubling may reach
+    """
+
     rel_tol: float = 1e-10
     degeneracy_tol: float = 1e-6
     max_weight: int = 64
@@ -284,10 +295,11 @@ def spherical_eval(
 
 
 def _series_tail_bound(
-    p1_lam: float, xi_max: float, n: int, n_xi_vars: int, rows: int, start: int
-) -> float:
-    """Upper bound on the absolute sum of all series layers beyond weight
-    ``start``.
+    p1_lam: float, xi_max: float, n: int, n_xi_vars: int, rows: int, max_weight: int
+) -> list[float]:
+    """Upper bounds on the absolute sum of all series layers beyond each
+    weight: entry w of the returned list (w = 0..max_weight) bounds the
+    layers of weight > w, and the list is non-increasing.
 
     Construction: for a partition m with at most ``rows`` parts,
       coefficient^2 <= prod_i ((n-rows)!/(m_i + n - rows)!)^2   (worst row),
@@ -298,10 +310,12 @@ def _series_tail_bound(
     which decays factorially in j.  The finite convolution is summed exactly
     and the remainder is closed off geometrically; +inf means "not certified".
     """
+    W = max_weight
     if p1_lam <= 0.0 or xi_max <= 0.0:
-        return 0.0
+        return [0.0] * (W + 1)
+    uncertified = [math.inf] * (W + 1)
     K = n_xi_vars
-    J = start + 160
+    J = W + 160
     base = n - rows
     lr = math.log(p1_lam) + math.log(xi_max)
     lg_base = math.lgamma(base + 1)
@@ -316,24 +330,26 @@ def _series_tail_bound(
             + 2.0 * (lg_base - math.lgamma(base + 1 + j))
         )
     if np.max(logv) > 700.0:
-        return math.inf
+        return uncertified
     with np.errstate(over="ignore", under="ignore"):
         v = np.exp(logv)
         conv = v.copy()
         for _ in range(rows - 1):
             conv = np.convolve(conv, v)[: J + 1]
     if not np.all(np.isfinite(conv)):
-        return math.inf
-    tail = float(np.sum(conv[start + 1 :]))
+        return uncertified
+    tail = float(np.sum(conv[W + 1 :]))
     c_last, c_prev = float(conv[J]), float(conv[J - 1])
     if c_last > 0.0:
         if c_prev <= 0.0:
-            return math.inf
+            return uncertified
         rho = c_last / c_prev
         if rho >= 0.9:
-            return math.inf
+            return uncertified
         tail += c_last * rho / (1.0 - rho)
-    return tail
+    # suffix sums from the top: entry w adds the layer bounds w+1..W to entry W
+    tails = np.cumsum(np.concatenate(([tail], conv[W:0:-1])))[::-1]
+    return tails.tolist()
 
 
 def _schur_fourier_series(
@@ -350,6 +366,12 @@ def _schur_fourier_series(
     Variables are rescaled by their maxima and the scale is folded into the
     factorial coefficient through lgamma, so the routine stays in range for
     large dimensions and large entries.
+
+    Each pass sums partitions of weight <= W in weight order, W = max_weight
+    at first.  The pass is cut at the first weight whose tail bound is below
+    rounding of the empty partition, and it returns after any complete layer
+    whose tail bound is below both the rounding term and the requested
+    tolerance.  Otherwise the tail beyond W certifies the sum or W doubles.
     """
     n = len(xvals)
     lam = [v * v for v in xvals]
@@ -367,9 +389,14 @@ def _schur_fourier_series(
     xi_max = max(xiq)
     lam_hat = [v / c_lam for v in lam]
     xi_hat = [q / c_xi for q in xiq]
+    rounding = 4.0 * _EPS
 
     W = max_weight
     while True:
+        tails = _series_tail_bound(p1_lam, xi_max, n, n_xi, rows, W)
+        # the empty partition makes sum |t| >= 1: layers past this weight
+        # cannot move the sum beyond the rounding term already claimed
+        W = next((w for w, t in enumerate(tails) if t <= rounding), W)
         h_lam = complete_h_table(lam_hat, W + rows)
         h_xi = complete_h_table(xi_hat, W + rows)
         lg = [math.lgamma(t + 1) for t in range(n + W + 1)]  # lg[t] = log t!
@@ -378,8 +405,15 @@ def _schur_fourier_series(
         comp = 0.0
         abs_sum = 1.0
         count = 1
+        layer = 0
         for parts in _partition_tuples(W, rows):
             w = sum(parts)
+            if w != layer:
+                # layers 0..w-1 are complete
+                tail = tails[w - 1]
+                if tail <= rounding * abs_sum and tail <= opts.rel_tol * abs(total) + 1e-14:
+                    return EvalResult(total, tail + rounding * abs_sum, count, "series")
+                layer = w
             if w == 0:
                 continue
             s_l = _jacobi_trudi_det(parts, h_lam)
@@ -402,9 +436,9 @@ def _schur_fourier_series(
             comp = (t - total) - y
             total = t
 
-        tail = _series_tail_bound(p1_lam, xi_max, n, n_xi, rows, W)
+        tail = tails[W]
         if tail <= opts.rel_tol * abs(total) + 1e-14:
-            return EvalResult(total, tail + 4.0 * _EPS * abs_sum, count, "series")
+            return EvalResult(total, tail + rounding * abs_sum, count, "series")
         if W >= opts.max_weight_cap:
             raise ConvergenceError(
                 f"series tail not certified at max weight {W}",
@@ -464,7 +498,9 @@ def spherical_series(
     initial truncation weight is max_weight (default opts.max_weight) and is
     doubled up to opts.max_weight_cap until the tail bound certifies
     opts.rel_tol; failure to certify raises ConvergenceError with the partial
-    sum attached.
+    sum attached.  A pass stops before its truncation weight at the first
+    complete weight whose tail bound is below both the rounding term and
+    opts.rel_tol.
     """
     return _orbit_transform(*_point_pair(x, xi), True, "series", opts, max_weight)
 

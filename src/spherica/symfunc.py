@@ -81,6 +81,8 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     h = [0.0] * (max_m + 1)
     h[0] = 1.0
     for xk in _as_sorted_vars(x):
+        if xk == 0.0:
+            continue  # h[j] += 0 * h[j-1] leaves the table unchanged
         for j in range(1, max_m + 1):
             h[j] += xk * h[j - 1]
     return h

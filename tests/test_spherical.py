@@ -1,11 +1,12 @@
 """Finite-dimension spherical functions, orbital integrals, heat kernel."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -34,6 +35,8 @@ from spherica import (
     weyl_c_n,
     weyl_density_mn,
 )
+from spherica.spherical import _EPS, _series_tail_bound
+from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 J0_AT_ONE = 0.7651976865579666
 HEAT_POINT = 0.4657596075936404
@@ -268,16 +271,20 @@ def _split(values, shift):
     return out
 
 
-def _heat_oracle(t, lam, theta):
-    """Closed form, at points split by 1e-30 and 1e-36 where entries
-    coincide; the two splits must agree far below double precision."""
-    with mp.workdps(160):
+def _split_oracle(closed_form, a, b, dps):
+    """closed_form(a, b, dps) at points split by 1e-30 and 1e-36 where
+    entries coincide; the two splits must agree far below double precision."""
+    with mp.workdps(dps):
         lo, hi = (
-            _heat_closed_form(t, _split(lam, shift), _split(theta, shift), dps)
-            for shift, dps in ((mp.mpf(10) ** -30, 160), (mp.mpf(10) ** -36, 180))
+            closed_form(_split(a, shift), _split(b, shift), d)
+            for shift, d in ((mp.mpf(10) ** -30, dps), (mp.mpf(10) ** -36, dps + 20))
         )
         assert abs(lo - hi) <= mp.mpf(10) ** -25 * abs(hi)
         return float(hi)
+
+
+def _heat_oracle(t, lam, theta):
+    return _split_oracle(lambda a, b, dps: _heat_closed_form(t, a, b, dps), lam, theta, 160)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.5, 10.0])
@@ -335,6 +342,128 @@ def test_determinant_and_series_routes_agree_within_their_errors(pair):
         d = evaluate(x, xi, path="det", opts=opts)
         s = evaluate(x, xi, path="series", opts=opts)
         assert abs(d.value - s.value) <= d.abs_error + s.abs_error
+
+
+def test_series_partition_counts_stay_small():
+    # the series stops at the weight its tail bound certifies, not at max_weight
+    r = spherical_series((1, 1), (0.5, 1.5))
+    assert r.value == 0.7234100002331137
+    assert r.terms_used <= 100
+    r = spherical_series((2, 2, 1), (1.5, 0.5, 0.7))
+    assert r.value == 0.4589556802729325
+    assert r.terms_used <= 1500
+
+
+@st.composite
+def _series_point(draw):
+    # entries from a small pool, so coincident and zero entries are common
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.floats(0.2, 2.0), min_size=1, max_size=n)) + [0.0]
+    entry = st.sampled_from(pool)
+    x = draw(st.lists(entry, min_size=n, max_size=n))
+    xi = draw(st.lists(entry, min_size=n, max_size=n))
+    evaluate = draw(st.sampled_from([spherical_eval, orbital_integral]))
+    return evaluate, x, xi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_series_point())
+def test_tail_table_bounds_every_weight(point):
+    evaluate, x, xi = point
+    assume(evaluate(x, xi).path == "series")
+    n = len(x)
+    lam = [v * v for v in x]
+    xiq = [v * v / 4.0 for v in xi]
+    n_xi = sum(1 for q in xiq if q != 0.0)
+    rows = min(sum(1 for v in lam if v != 0.0), n_xi)
+    assume(rows > 0)
+    p1, xi_max = math.fsum(lam), max(xiq)
+    # the weight the first pass is cut to, as the series picks it
+    first = _series_tail_bound(p1, xi_max, n, n_xi, rows, 64)
+    W = next((w for w, t in enumerate(first) if t <= 4.0 * _EPS), 64)
+    tails = _series_tail_bound(p1, xi_max, n, n_xi, rows, W)
+    assert len(tails) == W + 1
+    assert all(tails[w] >= tails[w + 1] for w in range(W))
+    # brute force: absolute sum of every layer up to weight 2W
+    h_lam = complete_h_table(lam, 2 * W + rows)
+    h_xi = complete_h_table(xiq, 2 * W + rows)
+    layers = [0.0] * (2 * W + 1)
+    for parts in _partition_tuples(2 * W, rows):
+        log_a = sum(math.lgamma(n - i) - math.lgamma(n - i + m) for i, m in enumerate(parts))
+        schurs = _jacobi_trudi_det(parts, h_lam) * _jacobi_trudi_det(parts, h_xi)
+        layers[sum(parts)] += abs(math.exp(2.0 * log_a) * schurs)
+    # at rank one with equal xi entries the bound is attained: both sides are
+    # then one sum, rounded differently through lgamma (measured gap < 1e-14)
+    for w in range(W + 1):
+        assert tails[w] >= (1.0 - 1e-12) * math.fsum(layers[w + 1 :])
+
+
+def _transform_closed_form(oscillatory, a, b, dps):
+    """(delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)) in mpmath, with
+    K = J0 and the sign (-1)^{n(n-1)/2} when oscillatory, K = I0 otherwise."""
+    with mp.workdps(dps):
+        n = len(a)
+        kernel = (lambda z: mp.besselj(0, z)) if oscillatory else (lambda z: mp.besseli(0, z))
+        m = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                m[i, j] = kernel(a[i] * b[j])
+
+        def gaps(v):
+            return mp.fprod(v[i] ** 2 - v[j] ** 2 for i in range(n) for j in range(i + 1, n))
+
+        superfact = mp.fprod(mp.factorial(j) for j in range(1, n))
+        four = -4 if oscillatory else 4
+        pref = superfact**2 * mp.mpf(four) ** (n * (n - 1) // 2)
+        return pref * mp.det(m) / (gaps(a) * gaps(b))
+
+
+def _transform_oracle(oscillatory, x, xi):
+    """Closed form at split points, with 45 more digits per coincident pair."""
+    pairs = sum(len(v) - len(set(v)) for v in (x, xi))
+    closed_form = lambda a, b, dps: _transform_closed_form(oscillatory, a, b, dps)
+    return _split_oracle(closed_form, x, xi, 60 + 45 * pairs)
+
+
+def _coincident_points(seed):
+    """Points shaped like the coincident benchmark classes: n = 2 and 3 with
+    one coincident pair against a separated point, n = 4 with a pair against
+    a point with a zero entry; entries in [0.2, 2]."""
+    rng = random.Random(seed)
+
+    def separated(n):
+        while True:
+            v = sorted((rng.uniform(0.2, 2.0) for _ in range(n)), reverse=True)
+            if all(v[i] ** 2 - v[i + 1] ** 2 > 0.05 * v[0] ** 2 for i in range(n - 1)):
+                return v
+
+    def with_pair(n):
+        base = separated(n - 1)
+        return sorted(base + base[:1], reverse=True)
+
+    points = []
+    for n, count in ((2, 24), (3, 24)):
+        for k in range(count):
+            pair = (with_pair(n), separated(n))
+            points.append(pair if k % 2 else pair[::-1])
+    for _ in range(12):
+        points.append((with_pair(4), separated(3) + [0.0]))
+    return points
+
+
+ORBITAL_MISS = (
+    (1.9000062478414768, 1.6685090370638551, 1.4159568666312485),
+    (1.986757555097953, 1.986757555097953, 0.9578514430619771),
+)
+
+
+@pytest.mark.parametrize("x, xi", _coincident_points(2024) + [ORBITAL_MISS])
+def test_series_route_within_its_bound_of_the_oracle(x, xi):
+    for oscillatory, evaluate in ((True, spherical_eval), (False, orbital_integral)):
+        r = evaluate(x, xi)
+        assert r.path == "series"
+        oracle = _transform_oracle(oscillatory, x, xi)
+        assert abs(r.value - oracle) <= r.abs_error <= 1e-13 * max(1.0, abs(oracle))
 
 
 def test_radial_laplacian_gaussian_closed_form():

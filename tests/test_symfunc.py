@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherica import (
     DomainError,
@@ -56,6 +58,32 @@ def test_complete_h_table_prefix_consistent():
     assert table[0] == 1.0
     for m in range(7):
         assert table[m] == complete_h(m, x)
+
+
+@st.composite
+def _with_zeros_inserted(draw):
+    """A variable list and the same list with zeros (of either sign) inserted."""
+    base = draw(st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=4))
+    padded = list(base)
+    for _ in range(draw(st.integers(1, 4))):
+        padded.insert(draw(st.integers(0, len(padded))), draw(st.sampled_from([0.0, -0.0])))
+    return base, padded
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _with_zeros_inserted(),
+    st.integers(0, 12),
+    st.lists(st.integers(1, 4), min_size=0, max_size=3).map(lambda p: sorted(p, reverse=True)),
+)
+def test_zero_variables_leave_tables_and_schur_bitwise_unchanged(pair, max_m, parts):
+    base, padded = pair
+    assert _bits(complete_h_table(padded, max_m)) == _bits(complete_h_table(base, max_m))
+    assert _bits([schur(parts, padded)]) == _bits([schur(parts, base)])
 
 
 def test_newton_recursion_exponential_case():
