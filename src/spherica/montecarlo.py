@@ -18,9 +18,16 @@ Reproducibility contract
   lost to cancellation.  The estimate therefore depends only on
   (master_seed, n_samples), not on any parallel execution plan.
 
-Haar unitaries: complex Ginibre matrix, QR decomposition, then each column of
-Q is multiplied by the phase of the matching diagonal entry of R.  Without
-the phase correction QR output is not Haar distributed.
+Haar isometries: the first m columns of an n x n Haar unitary are the Q of
+an n x m complex Ginibre slab whose R has a positive real diagonal (without
+that phase condition Q is not Haar distributed).  Blocks orthonormalise the
+slab by classical Gram-Schmidt run twice per column, vectorised over the
+sample axis in a batch-last (m, n, count) layout: two passes are orthonormal
+to working precision, and the R they imply has a positive diagonal, so the
+phase is fixed without a separate step.  The first r rows of a Haar unitary
+have the law of the transpose of an n x r Haar isometry, so estimators draw
+only n x min(rank) slabs.  A single matrix (haar_unitary) has no batch to
+vectorise over and takes LAPACK QR plus the phase fix instead.
 """
 
 from __future__ import annotations
@@ -60,8 +67,10 @@ class RngStream:
 
     def uniforms(self, shape) -> np.ndarray:
         """Open-interval (0,1) uniforms with exactly 53 random bits each."""
-        k = self._gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-        return (k.astype(np.float64) + 0.5) * _INV53
+        u = self._gen.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(np.float64)
+        u += 0.5
+        u *= _INV53
+        return u
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals by the inverse CDF applied to uniforms()."""
@@ -92,20 +101,39 @@ class McEstimate:
 
 
 def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
-    """One n x n Haar-distributed unitary (Ginibre + QR + phase fix)."""
+    """One n x n Haar-distributed unitary (Ginibre + QR + phase fix).
+
+    Draws the same variates as _haar_isometry_batch(stream, 1, n, n).
+    """
     if n < 1:
         raise DomainError("haar_unitary requires n >= 1")
-    return _haar_isometry_batch(stream, 1, n, n)[0]
+    q, r = np.linalg.qr(stream.complex_ginibre((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _orthonormalise(q: np.ndarray) -> np.ndarray:
+    # in place on a batch-last (m, n, count) complex slab, column k = q[k]:
+    # classical Gram-Schmidt, two passes per column, so Q R = slab with R
+    # upper-triangular and its diagonal (the final norms) positive
+    for k in range(len(q)):
+        v = q[k]
+        for _ in range(2 if k else 0):
+            c = [np.sum(q[i].conj() * v, axis=0) for i in range(k)]
+            for i in range(k):
+                v -= q[i] * c[i]
+        v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
+    return q
 
 
 def _haar_isometry_batch(stream: RngStream, count: int, n: int, m: int) -> np.ndarray:
-    # first m columns of Haar unitaries: QR of an n x m Ginibre slab, phased
-    z = stream.complex_ginibre((count, n, m))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    absd = np.abs(d)
-    ph = np.where(absd > 0.0, d / np.where(absd > 0.0, absd, 1.0), 1.0)
-    return q * ph[:, None, :]
+    # (count, n, m): first m columns of count Haar unitaries, the Q of an
+    # n x m Ginibre slab (real parts, then imaginary parts) with positive R
+    z = stream.normals((2, count, n, m))
+    q = np.empty((m, n, count), dtype=complex)
+    q.real = z[0].T
+    q.imag = z[1].T
+    return _orthonormalise(q).T
 
 
 def _blocks(n_samples: int):
@@ -138,11 +166,16 @@ def _block_estimates(
 
 
 def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # per sample: sum_j b_j Re (U diag(a) V*)_{jj}, U slab drawn before V slab
-    n = len(a)
-    u = _haar_isometry_batch(stream, take, n, n)
-    v = _haar_isometry_batch(stream, take, n, n)
-    return np.einsum("bja,a,bja->bj", u, a.astype(complex), v.conj()).real @ b
+    # per sample: sum_{j,k} b_j a_k Re U_jk conj(V_jk), U slab drawn before V
+    # slab.  Canonical points put zeros last, so only columns k < rank a and
+    # rows j < rank b enter; (U, V) -> (U^T, V^T) keeps the Haar law and swaps
+    # the roles of a and b, so n x min(rank a, rank b) isometries suffice
+    if np.count_nonzero(b) < np.count_nonzero(a):
+        a, b = b, a
+    n, r = len(a), np.count_nonzero(a)
+    u = _haar_isometry_batch(stream, take, n, r)
+    v = _haar_isometry_batch(stream, take, n, r)
+    return np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v.conj()).real @ b
 
 
 def _check_samples(n_samples: int) -> int:
@@ -204,11 +237,16 @@ def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
 
 def _rank_core(v1: np.ndarray, v2: np.ndarray, x, y) -> np.ndarray:
     # X + V1 Y V2* = B1 K B2* with the 2m x 2m core K = X + W1 Y W2*: W_k stacks
-    # the top m rows of V_k on R_k, where Q_k R_k is the thin QR of the bottom
-    # n - m rows, and B_k = blockdiag(I_m, Q_k) has orthonormal columns
+    # the top m rows of V_k on R_k = Q_k* S_k, where Q_k is the orthonormalised
+    # bottom n - m rows S_k, and B_k = blockdiag(I_m, Q_k) has orthonormal columns
     m = len(x)
-    w1, w2 = (np.concatenate([v[:, :m], np.linalg.qr(v[:, m:], mode="r")], axis=1)
-              for v in (v1, v2))
+
+    def r_factor(s):
+        s = s.T  # batch-last (m, n - m, batch)
+        q = _orthonormalise(s.copy())
+        return np.einsum("ilb,jlb->bij", q.conj(), s)
+
+    w1, w2 = (np.concatenate([v[:, :m], r_factor(v[:, m:])], axis=1) for v in (v1, v2))
     return np.einsum("bim,m,bjm->bij", w1, y, w2.conj()) + np.pad(np.diag(x), (0, m))
 
 

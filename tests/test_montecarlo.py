@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherica import montecarlo
 from spherica import (
@@ -21,6 +23,7 @@ from spherica import (
     orbital_integral,
     phi_omega,
     spherical_det,
+    spherical_series,
 )
 
 
@@ -42,6 +45,17 @@ def test_stream_is_deterministic_and_keyed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all((a > 0.0) & (a < 1.0))
+
+
+def test_uniforms_are_the_documented_map_of_philox_words():
+    got = RngStream(7, 3).uniforms((3, 1000))
+    key = np.array([7, 3], dtype=np.uint64)
+    k = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 1 << 53, size=(3, 1000), dtype=np.uint64
+    )
+    want = (k.astype(np.float64) + 0.5) * 2.0**-53
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_stream_normals_are_finite():
@@ -251,3 +265,147 @@ def test_biinvariant_average_matches_a_full_svd_estimator(m, n, n_samples):
     est = mc_biinvariant_avg(om, x, y, n, n_samples, seed=5)
     assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
     assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _slabs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(st.sampled_from([1, 7])), n, draw(st.integers(1, n)), draw(st.integers(0, 999))
+
+
+def _ginibre(seed, count, n, m):
+    # the slab _haar_isometry_batch(RngStream(seed, 0), count, n, m) orthonormalises
+    z = RngStream(seed, 0).normals((2, count, n, m))
+    return z[0] + 1j * z[1]
+
+
+def _gram_defect(q):
+    m = q.shape[-1]
+    return np.linalg.norm(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(m), axis=(-2, -1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_slabs())
+def test_isometry_batch_is_orthonormal(slab):
+    count, n, m, seed = slab
+    q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m)
+    assert q.shape == (count, n, m)
+    assert np.all(_gram_defect(q) <= 1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_slabs())
+def test_isometry_batch_r_factor_is_triangular_with_positive_diagonal(slab):
+    count, n, m, seed = slab
+    z = _ginibre(seed, count, n, m)
+    q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m)
+    r = np.conj(np.swapaxes(q, 1, 2)) @ z
+    scale = np.max(np.abs(z))
+    assert np.all(np.abs(np.tril(r, -1)) <= 1e-13 * scale)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(d.real > 0.0)
+    assert np.all(np.abs(d.imag) <= 1e-13 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_slabs())
+def test_isometry_batch_is_lapack_qr_with_the_phase_fix(slab):
+    count, n, m, seed = slab
+    q_ref, r = np.linalg.qr(_ginibre(seed, count, n, m))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q_ref = q_ref * (d / np.abs(d))[:, None, :]
+    q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m)
+    assert np.max(np.abs(q - q_ref)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_slabs().filter(lambda slab: slab[2] >= 2))
+def test_orthonormaliser_keeps_nearly_equal_columns_orthonormal(slab):
+    # one Gram-Schmidt pass loses orthogonality in proportion to the
+    # condition number (here ~1e8); the second pass restores it
+    count, n, m, seed = slab
+    z = _ginibre(seed, count, n, m)
+    z[:, :, 1] = z[:, :, 0] * (1.0 + 1e-8 * _ginibre(seed + 1, count, n, 1)[:, :, 0])
+    q = montecarlo._orthonormalise(np.ascontiguousarray(z.T)).T
+    assert np.all(_gram_defect(q) <= 1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(0, 999), st.integers(0, 9))
+def test_haar_unitary_is_the_batch_of_one(n, seed, block):
+    u = haar_unitary(n, RngStream(seed, block))
+    q = montecarlo._haar_isometry_batch(RngStream(seed, block), 1, n, n)[0]
+    assert np.max(np.abs(u - q)) <= 1e-13
+
+
+# full-rank estimates at seed 0 and 20000 samples (two full blocks and a
+# partial one), as computed with LAPACK QR and the phase fix: the
+# Gram-Schmidt sampler moves them only by rounding
+_FULL_RANK = {
+    2: ((1.0, 2.0), (0.5, 1.5), (0.4290369821287487, 0.003912884147050905),
+        (2.060930884239772, 0.019841975172662042)),
+    3: ((1.2, 0.8, 0.3), (0.9, 0.6, 0.2), (0.930013108469132, 0.0006337843982050795),
+        (1.0759115941543553, 0.0029702963235025775)),
+    4: ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1),
+        (0.9417132340136468, 0.0005428406653019337),
+        (1.0591369975260088, 0.002641363804300792)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_FULL_RANK))
+def test_full_rank_estimates_keep_their_values(n):
+    x, xi, sph, orb = _FULL_RANK[n]
+    est = mc_spherical(x, xi, 20_000, seed=0)
+    assert (est.mean, est.std_error) == pytest.approx(sph, rel=1e-12, abs=0.0)
+    est = mc_orbital_exp(x, xi, 20_000, seed=0)
+    assert (est.mean, est.std_error) == pytest.approx(orb, rel=1e-12, abs=0.0)
+
+
+_FULL_8 = (2.0, 1.7, 1.5, 1.2, 1.0, 0.7, 0.5, 0.2)
+_RANK1_8 = (1.0,) + (0.0,) * 7
+
+
+@pytest.mark.parametrize("x, xi", [(_FULL_8, _RANK1_8), (_RANK1_8, _FULL_8)])
+def test_rank_one_argument_draws_one_column_and_matches_the_series(x, xi, monkeypatch):
+    # x full rank: the pairing swaps the roles of x and xi; x rank one: it
+    # does not.  Either way each slab is 8 x 1.
+    shapes = []
+    batch = montecarlo._haar_isometry_batch
+
+    def recording(stream, count, n, m):
+        shapes.append((n, m))
+        return batch(stream, count, n, m)
+
+    monkeypatch.setattr(montecarlo, "_haar_isometry_batch", recording)
+    est = mc_spherical(x, xi, 20_000, seed=0)
+    assert set(shapes) == {(8, 1)}
+    series = spherical_series(x, xi).value
+    assert abs(est.mean - series) <= 4.0 * est.std_error
+    assert abs(est.imag_mean) <= 4.0 * est.imag_std_error
+
+
+# Prints a digest of sampler and estimator output; run under two BLAS
+# thread counts, the digests must agree byte for byte.
+_THREADS_CHILD = """
+import hashlib, json
+from spherica import OmegaParam, RngStream, mc_biinvariant_avg, mc_spherical
+from spherica.montecarlo import _haar_isometry_batch
+h = hashlib.sha256()
+for n, m in ((4, 4), (25, 25), (40, 1)):
+    h.update(_haar_isometry_batch(RngStream(3, 1), 300, n, m).tobytes())
+for x, xi in (((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1)), ((1.2, 0.8, 0.3), (1.0, 0.0, 0.0))):
+    e = mc_spherical(x, xi, 9000, seed=4)
+    h.update(json.dumps([e.mean, e.std_error, e.imag_mean, e.imag_std_error]).encode())
+e = mc_biinvariant_avg(OmegaParam([2.0], 0.3), [1.0], [0.8], 40, 2000, seed=4)
+h.update(json.dumps([e.mean, e.std_error]).encode())
+print(h.hexdigest())
+"""
+
+
+def test_sampler_bits_do_not_depend_on_the_blas_thread_count(python_subprocess):
+    digests = []
+    for threads in ("1", "4"):
+        proc = python_subprocess(["-c", _THREADS_CHILD], threads)
+        assert proc.returncode == 0, proc.stderr.decode()
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
