@@ -12,7 +12,14 @@ Layout:
 * limits    — finite-size-to-limit sweeps
 * validate  — deterministic cross-check suite
 * cli       — `spherica` command-line driver
+
+Only montecarlo needs numpy at import time, so it and its six names
+(McEstimate, RngStream, haar_unitary, mc_biinvariant_avg, mc_orbital_exp,
+mc_spherical) load on first use; the other modules import numpy inside
+the functions that build arrays.
 """
+
+import importlib
 
 from .errors import (
     ConvergenceError,
@@ -30,14 +37,6 @@ from .limits import (
     spherical_convergence,
     t_n_map,
     weyl_concentration_sweep,
-)
-from .montecarlo import (
-    McEstimate,
-    RngStream,
-    haar_unitary,
-    mc_biinvariant_avg,
-    mc_orbital_exp,
-    mc_spherical,
 )
 from .polya import (
     MixtureParam,
@@ -91,6 +90,27 @@ from .symfunc import (
 from .validate import CheckResult, render_report, validate_all
 
 __version__ = "0.1.0"
+
+_MONTECARLO_NAMES = frozenset(
+    {
+        "McEstimate",
+        "RngStream",
+        "haar_unitary",
+        "mc_biinvariant_avg",
+        "mc_orbital_exp",
+        "mc_spherical",
+    }
+)
+
+
+def __getattr__(name):
+    # `from . import montecarlo` here would look the name up on this module
+    # first, and so call this function again
+    if name == "montecarlo" or name in _MONTECARLO_NAMES:
+        module = importlib.import_module(".montecarlo", __name__)
+        return module if name == "montecarlo" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CheckResult",

@@ -62,6 +62,13 @@ def _print_error(kind: str, message) -> None:
     print(line, file=sys.stderr)
 
 
+def _number(value) -> float:
+    # float() takes JSON true/false from a config file as 1.0/0.0
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def _floats(value, flag: str) -> tuple[float, ...]:
     if value is None:
         raise _UsageError(f"missing required value for {flag}")
@@ -70,7 +77,7 @@ def _floats(value, flag: str) -> tuple[float, ...]:
     else:
         items = [p for p in str(value).split(",") if p.strip() != ""]
     try:
-        out = tuple(float(v) for v in items)
+        out = tuple(_number(v) for v in items)
     except (TypeError, ValueError):
         raise _UsageError(f"{flag} expects a comma-separated list of numbers")
     if not out:
@@ -89,7 +96,7 @@ def _float(value, flag: str) -> float:
     if value is None:
         raise _UsageError(f"missing required value for {flag}")
     try:
-        return float(value)
+        return _number(value)
     except (TypeError, ValueError):
         raise _UsageError(f"{flag} expects a number")
 

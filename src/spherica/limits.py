@@ -18,14 +18,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, ShapeError
-from .montecarlo import RngStream, _blocks, mc_spherical
 from .polya import OmegaParam, p_tilde, polya_eval
 from .spherical import DiagonalPoint, _weyl_cmn, _weyl_density, spherical_series
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def __getattr__(name):
+    # montecarlo loads numpy, so the sweeps import it where they sample;
+    # these names stay readable here for code that patches or reads them
+    if name in ("RngStream", "_blocks", "mc_spherical"):
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,9 @@ def spherical_convergence(
         if method == "series":
             values.append(spherical_series(lam, xi).value)
         else:
-            est = mc_spherical(lam, xi, n_samples, seed + 1000003 * i)
+            from . import montecarlo
+
+            est = montecarlo.mc_spherical(lam, xi, n_samples, seed + 1000003 * i)
             values.append(est.mean)
             std_errors.append(est.std_error)
     params: dict = {"omega": omega.to_json(), "u": u, "method": method}
@@ -177,6 +189,8 @@ def spherical_convergence(
 
 
 def _mean_cos_sq(theta: np.ndarray) -> float:
+    import numpy as np
+
     c = np.cos(theta)
     return float(np.mean(c * c))
 
@@ -195,6 +209,8 @@ def weyl_concentration_sweep(
     m >= 2 uses self-normalized importance sampling from the uniform
     proposal on [0, pi]^m, one derived seed per grid point.
     """
+    import numpy as np
+
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -217,10 +233,12 @@ def weyl_concentration_sweep(
             )
             values.append(c * total)
         else:
+            from . import montecarlo
+
             w_blocks: list[np.ndarray] = []
             f_blocks: list[np.ndarray] = []
-            for b, take in _blocks(int(n_samples)):
-                stream = RngStream(seed + 1000003 * i, b)
+            for b, take in montecarlo._blocks(int(n_samples)):
+                stream = montecarlo.RngStream(seed + 1000003 * i, b)
                 th = stream.uniforms((take, m)) * math.pi
                 w_blocks.append(_weyl_density(m, n, th))
                 f_blocks.append(np.array([float(obs(row)) for row in th]))

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, ShapeError, ValidationError
 from .symfunc import Partition, _jacobi_trudi_det, newton_h_from_p
 
@@ -213,6 +211,8 @@ def phi_omega(omega: OmegaParam, xi: Sequence[float]) -> float:
 
 def phi_omega_matrix(omega: OmegaParam, x) -> float:
     """phi_omega at a full square complex matrix, through its singular values."""
+    import numpy as np
+
     arr = np.asarray(x)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {arr.shape}")

@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     ConvergenceError,
@@ -34,6 +32,9 @@ from .errors import (
 )
 from .series import SeriesOptions, bessel_i0, bessel_j0, hyper_f
 from .symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EPS = 2.220446049250313e-16
 
@@ -313,6 +314,8 @@ def _series_tail_bound(
     W = max_weight
     if p1_lam <= 0.0 or xi_max <= 0.0:
         return [0.0] * (W + 1)
+    import numpy as np
+
     uncertified = [math.inf] * (W + 1)
     K = n_xi_vars
     J = W + 160
@@ -573,6 +576,8 @@ def radial_laplacian(
     Entries must be nonzero and squared entries pairwise separated (the
     divided differences blow up otherwise).  Default step 1e-4 * (1 + |lam|).
     """
+    import numpy as np
+
     lam = _as_point(lam)
     v = np.array(lam.values, dtype=float)
     n = len(v)
@@ -610,6 +615,8 @@ def ambient_laplacian_fd(
 ) -> float:
     """Flat Laplacian of f at the matrix x by central second differences over
     all 2n^2 real coordinates (real and imaginary part of every entry)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {x.shape}")
@@ -673,6 +680,8 @@ _cmn_lock = threading.Lock()
 def _weyl_density(m: int, n: int, theta):
     """Unnormalized angular density at theta, m angles, or on each row of an
     array of shape (batch, m)."""
+    import numpy as np
+
     if isinstance(theta, np.ndarray):
         sin, cols = np.sin, [theta[:, i] for i in range(m)]
     else:

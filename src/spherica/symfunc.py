@@ -9,10 +9,9 @@ the inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -57,7 +56,7 @@ class Partition:
 def _as_sorted_vars(x: Sequence[float]) -> list[float]:
     vals = [float(v) for v in x]
     for v in vals:
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise DomainError("variables must be finite")
     vals.sort(reverse=True)
     return vals
@@ -135,6 +134,8 @@ def _jacobi_trudi_det(parts: tuple[int, ...], h: Sequence[float]) -> float:
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
+    import numpy as np
+
     mat = np.array(
         [[hv(parts[i] - (i + 1) + (j + 1)) for j in range(l)] for i in range(l)],
         dtype=float,

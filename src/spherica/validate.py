@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import limits, montecarlo, polya, series, spherical, symfunc
+from . import limits, polya, series, spherical, symfunc
 
 # first positive zero of the oscillatory kernel, standard constant
 _J0_FIRST_ZERO = 2.404825557695773
@@ -180,6 +178,8 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
+    import numpy as np
+
     out = []
     om = polya.OmegaParam([4.0], 0.0)
     out.append(_close("polya.pointwise", polya.polya_eval(om, 1.0), 0.5, 0.0))
@@ -244,6 +244,10 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
+    import numpy as np
+
+    from . import montecarlo
+
     out = []
     e1 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)
     e2 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)

@@ -282,6 +282,23 @@ def test_config_file_values_obey_flag_choices(capsys, tmp_path, argv, field):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["heat-kernel", "--lam", "1", "--theta", "1"], {"t": True}),
+        (["validate", "--suite", "mc"], {"seed": True}),
+        (["validate", "--suite", "mc"], {"samples": True}),
+        (["sweep", "--kind", "weyl", "--m", "1"], {"n_list": [4, True]}),
+    ],
+    ids=["t", "seed", "samples", "n_list"],
+)
+def test_config_file_booleans_are_not_numbers(capsys, tmp_path, argv, field):
+    # float(True) is 1.0; a JSON true must not pass as the number one
+    cfg = write_json(tmp_path, "cfg.json", field)
+    code, out, err = run_cli(capsys, argv + ["--config", cfg])
+    assert (code, out, json.loads(err)["error"]) == (1, "", "usage")
+
+
 def test_output_file_written(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(
@@ -454,8 +471,8 @@ def test_console_script_thread_count_invariance(cli_subprocess):
     assert outputs[0] == outputs[1]
 
 
-# Runs in a fresh interpreter: every command below needs numpy only, and the
-# first Monte Carlo draw is what loads scipy.special.
+# Runs in a fresh interpreter: no command below needs scipy (some need
+# numpy), and the first Monte Carlo draw is what loads scipy.special.
 _COLD_START_CHILD = """
 import json, sys
 from spherica.cli import main
@@ -489,3 +506,39 @@ def test_cli_commands_load_no_scipy(python_subprocess, tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     report = json.loads(proc.stdout.decode().splitlines()[-1])
     assert report == {"codes": [0] * len(commands), "scipy": [], "special": True}
+
+
+# Runs in a fresh interpreter: the package, the CLI and the scalar commands
+# below never load numpy; the first Monte Carlo call does.
+_NO_NUMPY_CHILD = """
+import json, sys
+import spherica
+import spherica.cli
+codes = [spherica.cli.main(argv) for argv in json.loads(sys.argv[1])]
+before = "numpy" in sys.modules
+spherica.mc_spherical((1.0, 0.5), (0.3, 0.2), n_samples=100)
+print(json.dumps({"codes": codes, "numpy_before": before, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
+    omega = write_json(tmp_path, "omega.json", {"alpha": [0.5], "gamma": 0.25})
+    mix = write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS)
+    commands = [
+        ["eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"],
+        ["orbital", "--lam", "1,0.5", "--theta", "2,0.3"],
+        ["heat-kernel", "--t", "0.5", "--lam", "1,0.5", "--theta", "1,0.2"],
+        ["eval-polya", "--omega", omega, "--lam", "1,2"],
+        ["eval-mixture", "--mixture", mix, "--lam", "1,0.5"],
+        ["sweep", "--kind", "powersum", "--omega", omega, "--m", "2", "--n-list", "8,16,32"],
+        ["validate", "--suite", "special"],
+        ["validate", "--suite", "symfunc"],
+    ]
+    proc = python_subprocess(["-c", _NO_NUMPY_CHILD, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report == {
+        "codes": [0] * len(commands),
+        "numpy_before": False,
+        "numpy_after": True,
+    }

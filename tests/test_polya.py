@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherica import (
     DomainError,
@@ -221,3 +223,37 @@ def test_curvature_identity_on_random_parameters():
         lhs, rhs = second_deriv_identity(om, h=1e-4)
         if rhs > 0.0:
             assert lhs == pytest.approx(rhs, rel=1e-5)
+
+
+_GRAM_SIZE = 30
+_GRAM_MIX = MixtureParam(
+    [(0.3, OmegaParam([2.0], 0.0)), (0.7, OmegaParam([0.5], 1.0))]
+)
+
+
+def _gram_min_eig(points, f):
+    """Smallest eigenvalue of G_ij = f(X_i - X_j)."""
+    g = np.array([[f(a - b) for b in points] for a in points])
+    return float(np.linalg.eigvalsh(g)[0])
+
+
+def _singular_values(x):
+    return [float(v) for v in np.linalg.svd(x, compute_uv=False)]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.2, 1.0]))
+def test_limit_functions_are_of_positive_type(seed, spread):
+    # 30 random 3x3 complex matrices, real and imaginary parts N(0, spread^2)
+    rng = np.random.default_rng(seed)
+    shape = (_GRAM_SIZE, 3, 3)
+    points = spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    floor = -(1e-12 + _GRAM_SIZE * np.finfo(float).eps)
+    omega = OmegaParam([1.0, 0.3], 0.5)
+    assert _gram_min_eig(points, lambda d: phi_omega_matrix(omega, d)) >= floor
+    assert _gram_min_eig(points, lambda d: mixture_eval(_GRAM_MIX, _singular_values(d))) >= floor
+    if spread == 1.0:
+        # negative control: a bounded function of the singular values that is
+        # not of positive type fails the same check by a wide margin
+        cos_product = lambda d: math.prod(math.cos(v) for v in _singular_values(d))
+        assert _gram_min_eig(points, cos_product) < -1.0
