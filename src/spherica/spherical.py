@@ -294,6 +294,22 @@ def spherical_eval(
 # ---------------------------------------------------------------------------
 # Schur series route
 
+# entry t is math.lgamma(t + 1) = log t!; grown by building a longer list and
+# rebinding the name, never in place, so every reader holds a complete table
+_log_fact: list[float] = [0.0]
+
+
+def _log_factorials(top: int) -> list[float]:
+    """The shared table of log t! (exactly math.lgamma(t + 1)), t = 0..top
+    at least."""
+    global _log_fact
+    table = _log_fact
+    if len(table) <= top:
+        grown = range(len(table), max(top + 1, 2 * len(table)))
+        table = table + [math.lgamma(t + 1) for t in grown]
+        _log_fact = table
+    return table
+
 
 def _series_tail_bound(
     p1_lam: float, xi_max: float, n: int, n_xi_vars: int, rows: int, max_weight: int
@@ -321,17 +337,15 @@ def _series_tail_bound(
     J = W + 160
     base = n - rows
     lr = math.log(p1_lam) + math.log(xi_max)
-    lg_base = math.lgamma(base + 1)
-    lg_k = math.lgamma(K)
-    logv = np.empty(J + 1)
-    for j in range(J + 1):
-        logv[j] = (
-            math.lgamma(j + K)
-            - math.lgamma(j + 1)
-            - lg_k
-            + j * lr
-            + 2.0 * (lg_base - math.lgamma(base + 1 + j))
-        )
+    lf = _log_factorials(J + max(K - 1, base))  # lf[t] = lgamma(t + 1)
+    lg_base = lf[base]
+    lg_k = lf[K - 1]
+    logv = np.array(
+        [
+            lf[j + K - 1] - lf[j] - lg_k + j * lr + 2.0 * (lg_base - lf[base + j])
+            for j in range(J + 1)
+        ]
+    )
     if np.max(logv) > 700.0:
         return uncertified
     with np.errstate(over="ignore", under="ignore"):
@@ -375,6 +389,7 @@ def _schur_fourier_series(
     rounding of the empty partition, and it returns after any complete layer
     whose tail bound is below both the rounding term and the requested
     tolerance.  Otherwise the tail beyond W certifies the sum or W doubles.
+    A term beyond double range raises RangeError.
     """
     n = len(xvals)
     lam = [v * v for v in xvals]
@@ -402,14 +417,22 @@ def _schur_fourier_series(
         W = next((w for w, t in enumerate(tails) if t <= rounding), W)
         h_lam = complete_h_table(lam_hat, W + rows)
         h_xi = complete_h_table(xi_hat, W + rows)
-        lg = [math.lgamma(t + 1) for t in range(n + W + 1)]  # lg[t] = log t!
+        lg = _log_factorials(n + W)
+        # row i of a partition contributes log((n-1-i)! / (m_i + n-1-i)!)
+        row_coef = [
+            [lg[d] - lg[d + m] for m in range(W + 1)] for d in range(n - 1, n - 1 - rows, -1)
+        ]
+        jacobi_trudi = _jacobi_trudi_det
+        exp = math.exp
 
         total = 1.0  # empty partition
         comp = 0.0
         abs_sum = 1.0
         count = 1
         layer = 0
-        for parts in _partition_tuples(W, rows):
+        partitions = _partition_tuples(W, rows)
+        next(partitions)  # the empty partition, summed above
+        for parts in partitions:
             w = sum(parts)
             if w != layer:
                 # layers 0..w-1 are complete
@@ -417,20 +440,22 @@ def _schur_fourier_series(
                 if tail <= rounding * abs_sum and tail <= opts.rel_tol * abs(total) + 1e-14:
                     return EvalResult(total, tail + rounding * abs_sum, count, "series")
                 layer = w
-            if w == 0:
-                continue
-            s_l = _jacobi_trudi_det(parts, h_lam)
+                layer_log = w * half_logc
+                negate = alternating and (w & 1)
+            s_l = jacobi_trudi(parts, h_lam)
             if s_l == 0.0:
                 continue
-            s_x = _jacobi_trudi_det(parts, h_xi)
+            s_x = jacobi_trudi(parts, h_xi)
             if s_x == 0.0:
                 continue
-            log_a = w * half_logc
-            for i, mi in enumerate(parts):
-                d = n - 1 - i
-                log_a += lg[d] - lg[d + mi]
-            term = math.exp(2.0 * log_a) * s_l * s_x
-            if alternating and (w & 1):
+            log_a = layer_log
+            for coef, mi in zip(row_coef, parts):
+                log_a += coef[mi]
+            try:
+                term = exp(2.0 * log_a) * s_l * s_x
+            except OverflowError:
+                raise RangeError(f"series term at weight {w} exceeds double range") from None
+            if negate:
                 term = -term
             count += 1
             abs_sum += abs(term)
@@ -478,8 +503,8 @@ def _orbit_transform(
         _require_separated(x, xi, opts)
     if path == "series":
         w0 = opts.max_weight if max_weight is None else int(max_weight)
-        if w0 < 1:
-            raise DomainError("max_weight must be positive")
+        if not 1 <= w0 <= opts.max_weight_cap:
+            raise DomainError("need 1 <= max_weight <= max_weight_cap")
         xiq = [v * v / 4.0 for v in xi.values]
         return _schur_fourier_series(x.values, xiq, oscillatory, w0, opts)
     n = x.dimension
@@ -503,7 +528,8 @@ def spherical_series(
     opts.rel_tol; failure to certify raises ConvergenceError with the partial
     sum attached.  A pass stops before its truncation weight at the first
     complete weight whose tail bound is below both the rounding term and
-    opts.rel_tol.
+    opts.rel_tol.  max_weight above opts.max_weight_cap raises DomainError;
+    a term beyond double range raises RangeError.
     """
     return _orbit_transform(*_point_pair(x, xi), True, "series", opts, max_weight)
 

@@ -82,8 +82,10 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     for xk in _as_sorted_vars(x):
         if xk == 0.0:
             continue  # h[j] += 0 * h[j-1] leaves the table unchanged
+        prev = 1.0  # h[j-1] after this variable's update, from h[0]
         for j in range(1, max_m + 1):
-            h[j] += xk * h[j - 1]
+            prev = h[j] + xk * prev
+            h[j] = prev
     return h
 
 
@@ -113,34 +115,34 @@ def newton_h_from_p(p: Sequence[float]) -> list[float]:
 def _jacobi_trudi_det(parts: tuple[int, ...], h: Sequence[float]) -> float:
     """det(h_{m_i - i + j})_{1<=i,j<=l} with h_k = 0 for k < 0.
 
-    Closed forms for l <= 3, LU with partial pivoting (numpy) beyond.
+    ``parts`` are the positive parts of a partition, so the only index that
+    can be negative in the closed forms for l <= 3 is c - 2 of the last row
+    when c = 1; it reads an explicit 0.0.  The closed forms multiply the same
+    entries in the same order as a cofactor expansion along the first row.
+    Beyond three rows, LU with partial pivoting (numpy).
     """
-
-    def hv(k: int) -> float:
-        return h[k] if k >= 0 else 0.0
-
     l = len(parts)
     if l == 0:
         return 1.0
     if l == 1:
-        return hv(parts[0])
+        return h[parts[0]]
     if l == 2:
         a, b = parts
-        return hv(a) * hv(b) - hv(a + 1) * hv(b - 1)
+        return h[a] * h[b] - h[a + 1] * h[b - 1]
     if l == 3:
-        m = [[hv(parts[i] - i + j) for j in range(3)] for i in range(3)]
+        a, b, c = parts
+        h00, h01, h02 = h[a], h[a + 1], h[a + 2]
+        h10, h11, h12 = h[b - 1], h[b], h[b + 1]
+        h20, h21, h22 = (h[c - 2] if c >= 2 else 0.0), h[c - 1], h[c]
         return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+            h00 * (h11 * h22 - h12 * h21)
+            - h01 * (h10 * h22 - h12 * h20)
+            + h02 * (h10 * h21 - h11 * h20)
         )
     import numpy as np
 
-    mat = np.array(
-        [[hv(parts[i] - (i + 1) + (j + 1)) for j in range(l)] for i in range(l)],
-        dtype=float,
-    )
-    return float(np.linalg.det(mat))
+    rows = [[h[k] if k >= 0 else 0.0 for k in range(p - i, p - i + l)] for i, p in enumerate(parts)]
+    return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
 def schur(m: Partition | Sequence[int], x: Sequence[float]) -> float:
@@ -162,26 +164,48 @@ def schur(m: Partition | Sequence[int], x: Sequence[float]) -> float:
 
 
 def _partition_tuples(max_weight: int, max_length: int) -> Iterator[tuple[int, ...]]:
-    # weight ascending; within a weight, lexicographically descending
-    def gen(remaining: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first, slots - 1):
-                yield (first,) + rest
+    """Parts of every partition of weight <= max_weight with at most
+    max_length parts, starting with ().
 
-    for w in range(max_weight + 1):
-        yield from gen(w, w, max_length)
+    Order contract: weight ascending, lexicographically descending within a
+    weight.  The series sums its terms in this order with compensated
+    summation, so its bits (and the weight at which a pass may stop) depend
+    on it.  Each step is the lexicographic predecessor: pop trailing parts
+    until one can be decremented with the popped weight still fitting below
+    the new part in the free slots, then refill greedily.
+    """
+    if max_weight < 0:
+        return
+    yield ()
+    if max_length < 1:
+        return
+    for w in range(1, max_weight + 1):
+        parts = [w]
+        while True:
+            yield tuple(parts)
+            rem = 0
+            while parts:
+                top = parts.pop()
+                rem += top
+                top -= 1
+                if rem <= top * (max_length - len(parts)):
+                    break
+            else:
+                break  # (1, ..., 1) or the length limit: weight w is done
+            # rem (>= top + 1) refills as top, top, ..., remainder
+            q, r = divmod(rem, top)
+            parts.extend([top] * q)
+            if r:
+                parts.append(r)
 
 
 def enumerate_partitions(max_weight: int, max_length: int) -> Iterator[Partition]:
     """Every partition with weight <= max_weight and at most max_length parts.
 
     Deterministic order: weight ascending, then lexicographically descending
-    within each weight, e.g. (2), (1, 1).
+    within each weight, e.g. (2), (1, 1).  The order is a contract: the
+    Schur series route sums in it, and its compensated sum's bits depend on
+    the order of the terms.
     """
     if max_weight < 0 or max_length < 0:
         raise DomainError("max_weight and max_length must be nonnegative")

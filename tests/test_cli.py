@@ -106,6 +106,14 @@ def test_orbital_value_and_guard(capsys):
     assert json.loads(err)["error"] == "range"
 
 
+def test_orbital_series_overflow_is_a_range_error(capsys):
+    # coincident entries take the series route; its terms leave double range
+    # below the 700 guard
+    code, out, err = run_cli(capsys, ["orbital", "--lam", "25,25", "--theta", "25,24"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "range"
+
+
 def test_heat_kernel_value(capsys):
     code, out, _ = run_cli(
         capsys, ["heat-kernel", "--t", "0.5", "--lam", "1", "--theta", "1"]

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +21,7 @@ from spherica import (
     ShapeError,
     SphericalOptions,
     bessel_i0,
+    cauchy_lhs,
     bessel_j0,
     heat_kernel,
     hyper_f,
@@ -29,12 +32,14 @@ from spherica import (
     radial_laplacian,
     spherical_det,
     spherical_det_f_kernel,
+    spherical_convergence,
     spherical_eval,
     spherical_series,
     squared_gap_product,
     weyl_c_n,
     weyl_density_mn,
 )
+import spherica.spherical as spherical_module
 from spherica.spherical import _EPS, _series_tail_bound
 from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
@@ -464,6 +469,137 @@ def test_series_route_within_its_bound_of_the_oracle(x, xi):
         assert r.path == "series"
         oracle = _transform_oracle(oscillatory, x, xi)
         assert abs(r.value - oracle) <= r.abs_error <= 1e-13 * max(1.0, abs(oracle))
+
+
+# Series-route results pinned bit for bit: (evaluator, x, xi, value,
+# abs_error, terms_used).  Coincident points at n = 2, 3, 4 for the J0 and I0
+# kernels and two points with a zero entry.
+SERIES_BITS = [
+    (spherical_series, (1.0, 1.0), (0.5, 0.5), 0.9394195846867707, 1.4007814342366197e-15, 30),
+    (
+        spherical_eval,
+        (1.0, 1.0, 2.0),
+        (0.7, 1.3, 0.2),
+        0.6856009920101908,
+        1.372349966353237e-15,
+        710,
+    ),
+    (
+        spherical_series,
+        (1.5, 1.5, 0.5, 0.5),
+        (0.8, 0.8, 0.3, 0.6),
+        0.873196524124093,
+        1.1366043728688958e-15,
+        1123,
+    ),
+    (orbital_integral, (2.0, 2.0), (1.0, 0.5), 1.8262491361063453, 1.7599968857973003e-15, 100),
+    (
+        orbital_integral,
+        (1.0, 1.0, 1.0),
+        (0.5, 0.3, 0.3),
+        1.0364601322132923,
+        9.552054455982069e-16,
+        123,
+    ),
+    (spherical_series, (1.2, 0.0), (0.9, 0.4), 0.9155677392951217, 9.799654501483079e-16, 9),
+    (
+        spherical_eval,
+        (1.3, 1.3, 0.0),
+        (0.6, 0.2, 0.9),
+        0.8920777386416284,
+        1.6306098344456449e-15,
+        49,
+    ),
+]
+
+
+@pytest.mark.parametrize("evaluate, x, xi, value, abs_error, terms_used", SERIES_BITS)
+def test_series_route_bits_are_pinned(evaluate, x, xi, value, abs_error, terms_used):
+    r = evaluate(x, xi)
+    assert r.path == "series"
+    assert (r.value, r.abs_error, r.terms_used) == (value, abs_error, terms_used)
+
+
+def test_series_sweep_and_cauchy_bits_are_pinned():
+    report = spherical_convergence(OmegaParam([1.0, 0.3], 0.5), 1.0, (5, 10, 20, 40))
+    assert report.values == (
+        0.6338485969454344,
+        0.6445779209443038,
+        0.6505193454299362,
+        0.6536008555173357,
+    )
+    assert cauchy_lhs((0.3, 0.2, 0.1), (0.5, 0.4, -0.2), 12) == 1.5744680442111796
+
+
+def test_series_terms_beyond_double_range_raise_range_error():
+    # the spherical value is bounded by 1, but its series terms overflow
+    with pytest.raises(RangeError):
+        spherical_eval((30.0, 30.0), (30.0, 29.0))
+    # below the 700 overflow guard of the determinant route
+    with pytest.raises(RangeError):
+        orbital_integral((25.0, 25.0), (25.0, 24.0))
+
+
+def test_series_refuses_max_weight_beyond_the_cap():
+    with pytest.raises(DomainError, match="max_weight_cap"):
+        spherical_series((20.0, 20.0), (20.0, 19.0), max_weight=300)
+    with pytest.raises(DomainError, match="max_weight_cap"):
+        spherical_series((1.0, 1.0), (0.5, 0.5), max_weight=0)
+    capped = SphericalOptions().max_weight_cap
+    assert spherical_series((1.0, 1.0), (0.5, 0.5), max_weight=capped).path == "series"
+
+
+def test_log_factorial_table_stays_complete_across_threads():
+    # the shared table grows by rebinding; a reader must never see a table
+    # shorter than it asked for or an entry other than lgamma(t + 1)
+    saved_table, saved_interval = spherical_module._log_fact, sys.getswitchinterval()
+    bad = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            top = rng.randrange(3000)
+            table = spherical_module._log_factorials(top)
+            t = rng.randrange(top + 1)
+            if len(table) <= top or table[t] != math.lgamma(t + 1):
+                bad.append((top, t))
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        spherical_module._log_fact = [0.0]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved_interval)
+        spherical_module._log_fact = saved_table
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
+
+
+@pytest.mark.parametrize("n, size", [(2, 20), (3, 16)])
+def test_spherical_function_is_of_positive_type(n, size):
+    # Gram matrix G_ij = phi_x(X_i - X_j) over complex Gaussian points with
+    # real and imaginary parts N(0, 0.2^2); phi_x depends on singular values
+    rng = np.random.default_rng(2)
+    shape = (size, n, n)
+    points = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    x = rng.uniform(0.5, 2.0, n).tolist()
+    gram = np.eye(size)
+    control = np.eye(size)
+    worst = 0.0
+    for i in range(size):
+        for j in range(i):
+            s = np.linalg.svd(points[i] - points[j], compute_uv=False).tolist()
+            r = spherical_series(x, s)
+            gram[i, j] = gram[j, i] = r.value
+            worst = max(worst, r.abs_error)
+            # negative control: bounded in the singular values, not of positive type
+            control[i, j] = control[j, i] = math.prod(math.cos(5.0 * v) for v in s)
+    assert np.linalg.eigvalsh(gram)[0] >= -(size * worst + 1e-12)
+    assert np.linalg.eigvalsh(control)[0] < -1.0
 
 
 def test_radial_laplacian_gaussian_closed_form():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from spherica import (
     power_p,
     schur,
 )
+from spherica.symfunc import _jacobi_trudi_det, _partition_tuples
 
 
 def test_partition_trims_trailing_zeros():
@@ -156,6 +158,54 @@ def test_partition_enumeration_small_cases():
 def test_partition_enumeration_counts():
     assert sum(1 for _ in enumerate_partitions(5, 6)) == 19
     assert sum(1 for _ in enumerate_partitions(6, 6)) == 30
+
+
+def _all_partitions(max_weight):
+    """Every partition of weight <= max_weight, in no particular order."""
+    found, frontier = [()], [()]
+    while frontier:
+        grown = []
+        for parts in frontier:
+            cap = parts[-1] if parts else max_weight
+            for part in range(1, min(cap, max_weight - sum(parts)) + 1):
+                grown.append(parts + (part,))
+        found += grown
+        frontier = grown
+    return found
+
+
+def test_partition_order_matches_sorted_reference():
+    # the series sums in this order, so its bits depend on it: weight
+    # ascending, lexicographically descending within a weight
+    reference = sorted(_all_partitions(24), key=lambda p: (sum(p), [-v for v in p]))
+    for max_weight in range(25):
+        for max_length in range(7):
+            expected = [p for p in reference if sum(p) <= max_weight and len(p) <= max_length]
+            assert list(_partition_tuples(max_weight, max_length)) == expected
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(1,), (4,), (1, 1), (3, 1), (2, 2), (5, 3)]
+    + [(1, 1, 1), (3, 2, 1), (2, 2, 2), (4, 3, 2), (6, 1, 1)],
+)
+def test_jacobi_trudi_closed_forms_match_numpy_det(parts):
+    # b = 1 reads h_0 and c = 1 reads h_{-1} = 0 in the last row
+    rng = np.random.default_rng(sum(parts) + 10 * len(parts))
+    l = len(parts)
+    for _ in range(20):
+        h = np.concatenate(([1.0], rng.uniform(-2.0, 2.0, parts[0] + l)))
+        mat = np.array(
+            [
+                [h[p - i + j] if p - i + j >= 0 else 0.0 for j in range(l)]
+                for i, p in enumerate(parts)
+            ]
+        )
+        expected = np.linalg.det(mat)
+        # rounding of a cofactor expansion is relative to the Hadamard bound
+        scale = np.prod(np.linalg.norm(mat, axis=1))
+        got = _jacobi_trudi_det(parts, h.tolist())
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-14 * scale)
 
 
 def test_partition_enumeration_unique_and_bounded():
