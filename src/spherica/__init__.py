@@ -53,7 +53,6 @@ from .polya import (
     sigma_moment,
 )
 from .series import (
-    SeriesOptions,
     bessel_i0,
     bessel_j0,
     bessel_j0_with_error,
@@ -63,7 +62,6 @@ from .series import (
 from .spherical import (
     DiagonalPoint,
     EvalResult,
-    SphericalOptions,
     ambient_laplacian_fd,
     heat_kernel,
     orbital_integral,
@@ -125,10 +123,8 @@ __all__ = [
     "Partition",
     "RangeError",
     "RngStream",
-    "SeriesOptions",
     "ShapeError",
     "SphericaError",
-    "SphericalOptions",
     "SweepReport",
     "ValidationError",
     "ambient_laplacian_fd",

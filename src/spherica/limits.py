@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, ShapeError
 from .polya import OmegaParam, p_tilde, polya_eval
-from .spherical import DiagonalPoint, _weyl_cmn, _weyl_density, spherical_series
+from .spherical import DiagonalPoint, _weyl_density, spherical_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,11 +30,11 @@ if TYPE_CHECKING:
 
 def __getattr__(name):
     # montecarlo loads numpy, so the sweeps import it where they sample;
-    # these names stay readable here for code that patches or reads them
-    if name in ("RngStream", "_blocks", "mc_spherical"):
+    # mc_spherical stays readable here for code that patches or reads it
+    if name == "mc_spherical":
         from . import montecarlo
 
-        return getattr(montecarlo, name)
+        return montecarlo.mc_spherical
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -205,7 +205,9 @@ def weyl_concentration_sweep(
     """Expectation of an angular observable under the (m, n) density along
     the grid, against its value at the concentration point (pi/2, ..., pi/2).
 
-    m = 1 uses adaptive quadrature (deterministic, no standard errors).
+    m = 1 uses adaptive quadrature of the observable times the density over
+    the quadrature of the density on the same rule (deterministic, no
+    standard errors; a constant observable is exact).
     m >= 2 uses self-normalized importance sampling from the uniform
     proposal on [0, pi]^m, one derived seed per grid point.
     """
@@ -223,15 +225,14 @@ def weyl_concentration_sweep(
         if m == 1:
             from scipy import integrate
 
-            c = _weyl_cmn(1, n)
-            total, _ = integrate.quad(
-                lambda t: obs(np.array([t])) * _weyl_density(1, n, [t]),
-                0.0,
-                math.pi,
-                limit=200,
-                points=[math.pi / 2.0],
+            total, mass = (
+                integrate.quad(f, 0.0, math.pi, limit=200, points=[math.pi / 2.0])[0]
+                for f in (
+                    lambda t: obs(np.array([t])) * _weyl_density(1, n, [t]),
+                    lambda t: _weyl_density(1, n, [t]),
+                )
             )
-            values.append(c * total)
+            values.append(total / mass)
         else:
             from . import montecarlo
 

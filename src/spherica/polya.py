@@ -229,14 +229,13 @@ def mixture_eval(mixture: MixtureParam, xi: Sequence[float]) -> float:
     return math.fsum(w * phi_omega(om, xi) for w, om in mixture.components)
 
 
-def second_deriv_identity(omega: OmegaParam, h: float = 1e-4) -> tuple[float, float]:
-    """(-2 Pi''(0) estimated by central differences, p~_1(omega)).
+def second_deriv_identity(omega: OmegaParam) -> tuple[float, float]:
+    """(-2 Pi''(0) estimated by central differences with step 1e-4,
+    p~_1(omega)).
 
     The two agree: the curvature of Pi at the origin recovers the first
     morphism value.
     """
-    h = float(h)
-    if not (h > 0.0) or not math.isfinite(h):
-        raise DomainError("h must be positive and finite")
+    h = 1e-4
     lhs = -2.0 * (polya_eval(omega, h) - 2.0 + polya_eval(omega, -h)) / (h * h)
     return lhs, p_tilde(omega, 1)

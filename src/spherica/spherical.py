@@ -19,7 +19,6 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -30,13 +29,20 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .series import SeriesOptions, bessel_i0, bessel_j0, hyper_f
+from .series import bessel_i0, bessel_j0, hyper_f
 from .symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
 
 _EPS = 2.220446049250313e-16
+# relative squared gap below which "auto" takes the series
+_DEGENERACY_TOL = 1e-6
+# partition weight of the series' first pass, and the cap of its doublings
+_FIRST_WEIGHT = 64
+_WEIGHT_CAP = 240
+# relative tolerance the series tail must certify
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,34 +88,6 @@ class EvalResult:
     path: str
 
 
-@dataclass(frozen=True)
-class SphericalOptions:
-    """Tolerances of the evaluators.
-
-    rel_tol         relative tolerance the series tail must certify
-    degeneracy_tol  relative squared gap below which "auto" takes the series
-    max_weight      largest partition weight of the series' first pass; the
-                    pass stops earlier once its tail bound is below rounding
-    max_weight_cap  largest weight a doubling may reach
-    """
-
-    rel_tol: float = 1e-10
-    degeneracy_tol: float = 1e-6
-    max_weight: int = 64
-    max_weight_cap: int = 240
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError("rel_tol must be positive")
-        if not (0.0 < self.degeneracy_tol < 1.0):
-            raise DomainError("degeneracy_tol must lie in (0, 1)")
-        if self.max_weight < 1 or self.max_weight_cap < self.max_weight:
-            raise DomainError("need 1 <= max_weight <= max_weight_cap")
-
-
-_DEFAULT = SphericalOptions()
-
-
 def _as_point(x) -> DiagonalPoint:
     return x if isinstance(x, DiagonalPoint) else DiagonalPoint(x)
 
@@ -139,20 +117,19 @@ def squared_gap_product(values: Sequence[float]) -> float:
     return math.prod(_gap_factors([float(v) for v in values]), start=1.0)
 
 
-def _is_degenerate(values: Sequence[float], tol: float) -> bool:
+def _is_degenerate(values: Sequence[float]) -> bool:
     # nonempty canonical input: squares descend, so adjacent gaps are minimal
     sq = [v * v for v in values]
     scale = sq[0]
-    return any(sq[i] - sq[i + 1] <= tol * scale for i in range(len(sq) - 1))
+    return any(sq[i] - sq[i + 1] <= _DEGENERACY_TOL * scale for i in range(len(sq) - 1))
 
 
-def _is_separated(x: DiagonalPoint, xi: DiagonalPoint, opts: SphericalOptions) -> bool:
-    tol = opts.degeneracy_tol
-    return not (_is_degenerate(x.values, tol) or _is_degenerate(xi.values, tol))
+def _is_separated(x: DiagonalPoint, xi: DiagonalPoint) -> bool:
+    return not (_is_degenerate(x.values) or _is_degenerate(xi.values))
 
 
-def _require_separated(x, xi, opts) -> None:
-    if not _is_separated(x, xi, opts):
+def _require_separated(x, xi) -> None:
+    if not _is_separated(x, xi):
         raise DegeneracyError("coincident squared entries; use the series path")
 
 
@@ -238,22 +215,22 @@ def _det_ratio(
     return value, abs_error
 
 
-def spherical_det(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResult:
+def spherical_det(x, xi) -> EvalResult:
     """Determinant form of the spherical function.
 
     phi_x(xi) = (delta!)^2 (-4)^{n(n-1)/2} det(J0(x_j xi_k)) / (D(x) D(xi)),
     delta = (n-1, ..., 1, 0), D(v) = prod_{i<j}(v_i^2 - v_j^2).
 
     Requires all squared entries of x (and of xi) to be pairwise separated
-    beyond opts.degeneracy_tol relative to the largest square; otherwise a
+    beyond 1e-6 relative to the largest square; otherwise a
     DegeneracyError directs the caller to the series route.  The formula is
     symmetric under exchanging x and xi, and the implementation evaluates in a
     canonical argument order so the symmetry holds bitwise.
     """
-    return _orbit_transform(*_point_pair(x, xi), True, "det", opts)
+    return _orbit_transform(*_point_pair(x, xi), True, "det")
 
 
-def spherical_det_f_kernel(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResult:
+def spherical_det_f_kernel(x, xi) -> EvalResult:
     """Same value through the squared-variable kernel determinant:
 
     (delta!)^2 det(F(Lam_i Xi_j)) / (D(Lam) D(Xi)) with Lam = x^2,
@@ -261,7 +238,7 @@ def spherical_det_f_kernel(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResu
     Kept as an independently coded cross-check of the prefactor bookkeeping.
     """
     x, xi = _point_pair(x, xi)
-    _require_separated(x, xi, opts)
+    _require_separated(x, xi)
     n = x.dimension
     lam = [v * v for v in x.values]
     xis = [-(v * v) / 4.0 for v in xi.values]
@@ -279,16 +256,14 @@ def spherical_det_f_kernel(x, xi, opts: SphericalOptions = _DEFAULT) -> EvalResu
     return EvalResult(value, abs_error, n, "determinant")
 
 
-def spherical_eval(
-    x, xi, path: str = "auto", opts: SphericalOptions = _DEFAULT
-) -> EvalResult:
+def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
     """Spherical function with explicit route selection.
 
     path "det" and "series" force the corresponding evaluator; "auto" takes
-    the determinant when both arguments are separated beyond
-    opts.degeneracy_tol and the series otherwise.
+    the determinant when both arguments' squared entries are separated beyond
+    1e-6 relative to the largest square and the series otherwise.
     """
-    return _orbit_transform(*_point_pair(x, xi), True, path, opts)
+    return _orbit_transform(*_point_pair(x, xi), True, path)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +348,7 @@ def _schur_fourier_series(
     xvals: Sequence[float],
     xi_quarter_sq: Sequence[float],
     alternating: bool,
-    max_weight: int,
-    opts: SphericalOptions,
+    rel_tol: float,
 ) -> EvalResult:
     """sum over partitions m of (delta!/(m+delta)!)^2 s_m(Lam) s_m(Xi) with
     Lam = x^2 and |Xi| = xi^2/4; ``alternating`` attaches (-1)^{|m|} (the
@@ -384,12 +358,12 @@ def _schur_fourier_series(
     factorial coefficient through lgamma, so the routine stays in range for
     large dimensions and large entries.
 
-    Each pass sums partitions of weight <= W in weight order, W = max_weight
-    at first.  The pass is cut at the first weight whose tail bound is below
+    Each pass sums partitions of weight <= W in weight order, W = 64 at
+    first.  The pass is cut at the first weight whose tail bound is below
     rounding of the empty partition, and it returns after any complete layer
-    whose tail bound is below both the rounding term and the requested
-    tolerance.  Otherwise the tail beyond W certifies the sum or W doubles.
-    A term beyond double range raises RangeError.
+    whose tail bound is below both the rounding term and rel_tol.  Otherwise
+    the tail beyond W certifies the sum or W doubles, up to 240.  A term
+    beyond double range raises RangeError.
     """
     n = len(xvals)
     lam = [v * v for v in xvals]
@@ -409,7 +383,7 @@ def _schur_fourier_series(
     xi_hat = [q / c_xi for q in xiq]
     rounding = 4.0 * _EPS
 
-    W = max_weight
+    W = _FIRST_WEIGHT
     while True:
         tails = _series_tail_bound(p1_lam, xi_max, n, n_xi, rows, W)
         # the empty partition makes sum |t| >= 1: layers past this weight
@@ -437,7 +411,7 @@ def _schur_fourier_series(
             if w != layer:
                 # layers 0..w-1 are complete
                 tail = tails[w - 1]
-                if tail <= rounding * abs_sum and tail <= opts.rel_tol * abs(total) + 1e-14:
+                if tail <= rounding * abs_sum and tail <= rel_tol * abs(total) + 1e-14:
                     return EvalResult(total, tail + rounding * abs_sum, count, "series")
                 layer = w
                 layer_log = w * half_logc
@@ -465,15 +439,15 @@ def _schur_fourier_series(
             total = t
 
         tail = tails[W]
-        if tail <= opts.rel_tol * abs(total) + 1e-14:
+        if tail <= rel_tol * abs(total) + 1e-14:
             return EvalResult(total, tail + rounding * abs_sum, count, "series")
-        if W >= opts.max_weight_cap:
+        if W >= _WEIGHT_CAP:
             raise ConvergenceError(
                 f"series tail not certified at max weight {W}",
                 partial=total,
                 abs_error=tail,
             )
-        W = min(2 * W, opts.max_weight_cap)
+        W = min(2 * W, _WEIGHT_CAP)
 
 
 def _orbit_transform(
@@ -481,8 +455,7 @@ def _orbit_transform(
     xi: DiagonalPoint,
     oscillatory: bool,
     path: str,
-    opts: SphericalOptions,
-    max_weight: int | None = None,
+    rel_tol: float = _REL_TOL,
 ) -> EvalResult:
     """Fourier transform of the U(n) x U(n) orbit of x, evaluated at xi (a
     pair from _point_pair):
@@ -491,22 +464,19 @@ def _orbit_transform(
 
     with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
     spherical function), K = I0 otherwise (the exponential orbital integral).
-    ``path`` "det" takes this determinant, "series" the Schur series (with
-    initial weight ``max_weight``, default opts.max_weight), and "auto" the
-    determinant when both arguments are separated, the series otherwise.
+    ``path`` "det" takes this determinant, "series" the Schur series
+    (certified to ``rel_tol``), and "auto" the determinant when both
+    arguments are separated, the series otherwise.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
     if path == "auto":
-        path = "det" if _is_separated(x, xi, opts) else "series"
+        path = "det" if _is_separated(x, xi) else "series"
     elif path == "det":
-        _require_separated(x, xi, opts)
+        _require_separated(x, xi)
     if path == "series":
-        w0 = opts.max_weight if max_weight is None else int(max_weight)
-        if not 1 <= w0 <= opts.max_weight_cap:
-            raise DomainError("need 1 <= max_weight <= max_weight_cap")
         xiq = [v * v / 4.0 for v in xi.values]
-        return _schur_fourier_series(x.values, xiq, oscillatory, w0, opts)
+        return _schur_fourier_series(x.values, xiq, oscillatory, rel_tol)
     n = x.dimension
     a, b = _canonical_order(x, xi)
     num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
@@ -517,26 +487,23 @@ def _orbit_transform(
     return EvalResult(value, abs_error, n, "determinant")
 
 
-def spherical_series(
-    x, xi, max_weight: int | None = None, opts: SphericalOptions = _DEFAULT
-) -> EvalResult:
+def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     """Series form of the spherical function.
 
     Handles coincident and zero entries (no Vandermonde division).  The
-    initial truncation weight is max_weight (default opts.max_weight) and is
-    doubled up to opts.max_weight_cap until the tail bound certifies
-    opts.rel_tol; failure to certify raises ConvergenceError with the partial
-    sum attached.  A pass stops before its truncation weight at the first
-    complete weight whose tail bound is below both the rounding term and
-    opts.rel_tol.  max_weight above opts.max_weight_cap raises DomainError;
-    a term beyond double range raises RangeError.
+    initial truncation weight 64 is doubled up to 240 until the tail bound
+    certifies rel_tol; failure to certify raises ConvergenceError with the
+    partial sum attached.  A pass stops before its truncation weight at the
+    first complete weight whose tail bound is below both the rounding term
+    and rel_tol.  rel_tol <= 0 raises DomainError; a term beyond double range
+    raises RangeError.
     """
-    return _orbit_transform(*_point_pair(x, xi), True, "series", opts, max_weight)
+    if not rel_tol > 0.0:
+        raise DomainError("rel_tol must be positive")
+    return _orbit_transform(*_point_pair(x, xi), True, "series", rel_tol)
 
 
-def orbital_integral(
-    lam, theta, path: str = "auto", opts: SphericalOptions = _DEFAULT
-) -> EvalResult:
+def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
     """Exponential orbital integral
 
     I(lam, theta) = 2^{n(n-1)} [1! ... (n-1)!]^2 det(I0(lam_i theta_j))
@@ -553,10 +520,10 @@ def orbital_integral(
     lam, theta = _point_pair(lam, theta)
     if lam.values[0] * theta.values[0] > 700.0:
         raise RangeError("orbital_integral overflow guard: max(lam)*max(theta) > 700")
-    return _orbit_transform(lam, theta, False, path, opts)
+    return _orbit_transform(lam, theta, False, path)
 
 
-def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> float:
+def heat_kernel(t: float, lam, theta) -> float:
     """Radial heat kernel, the orbital integral at the rescaled point lam/2t:
 
     H0(t, lam, theta) = 1/(n! (2t)^n) * e^{-(|lam|^2+|theta|^2)/4t}
@@ -572,7 +539,7 @@ def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> floa
         raise DomainError("heat_kernel requires finite t > 0")
     lam, theta = _point_pair(lam, theta)
     n = lam.dimension
-    orbital = orbital_integral([v / (2.0 * t) for v in lam.values], theta, opts=opts)
+    orbital = orbital_integral([v / (2.0 * t) for v in lam.values], theta)
     norm2 = math.fsum(v * v for v in lam.values) + math.fsum(
         v * v for v in theta.values
     )
@@ -588,10 +555,7 @@ def heat_kernel(t: float, lam, theta, opts: SphericalOptions = _DEFAULT) -> floa
 
 
 def radial_laplacian(
-    F: Callable[[np.ndarray], float],
-    lam,
-    fd_step: float | None = None,
-    opts: SphericalOptions = _DEFAULT,
+    F: Callable[[np.ndarray], float], lam, fd_step: float | None = None
 ) -> float:
     """Radial part of the flat Laplacian, applied by central differences:
 
@@ -609,7 +573,7 @@ def radial_laplacian(
     n = len(v)
     if n == 0:
         raise DomainError("empty diagonal point")
-    if _is_degenerate(lam.values, opts.degeneracy_tol) or v[-1] == 0.0:
+    if _is_degenerate(lam.values) or v[-1] == 0.0:
         raise DegeneracyError("radial_laplacian needs nonzero, separated entries")
     h = float(fd_step) if fd_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(v)))
     if not (h > 0.0):
@@ -636,24 +600,17 @@ def radial_laplacian(
     return math.fsum(pieces)
 
 
-def ambient_laplacian_fd(
-    f: Callable[[np.ndarray], float], x: np.ndarray, fd_step: float | None = None
-) -> float:
+def ambient_laplacian_fd(f: Callable[[np.ndarray], float], x: np.ndarray) -> float:
     """Flat Laplacian of f at the matrix x by central second differences over
-    all 2n^2 real coordinates (real and imaginary part of every entry)."""
+    all 2n^2 real coordinates (real and imaginary part of every entry), with
+    step 1e-4 * (1 + |x|)."""
     import numpy as np
 
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {x.shape}")
     n = x.shape[0]
-    h = (
-        float(fd_step)
-        if fd_step is not None
-        else 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    )
-    if not (h > 0.0):
-        raise DomainError("fd_step must be positive")
+    h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
     f0 = float(f(x))
     pieces = []
     for j in range(n):
@@ -668,8 +625,7 @@ def ambient_laplacian_fd(
 def _eigen_identity(x, xi, fd_step: float = 2e-3) -> tuple[float, float]:
     """Both sides of the eigen-equation L phi_x = -|x|^2 phi_x at xi: the
     radial Laplacian of the tightly converged series, and the target."""
-    tight = SphericalOptions(rel_tol=1e-13)
-    g = lambda v: spherical_series(x, v, opts=tight).value
+    g = lambda v: spherical_series(x, v, rel_tol=1e-13).value
     laplacian = radial_laplacian(g, xi, fd_step=fd_step)
     return laplacian, -math.fsum(v * v for v in x) * g(xi)
 
@@ -699,10 +655,6 @@ def weyl_c_n(n: int) -> float:
     return math.exp(log_c)
 
 
-_cmn_cache: dict[tuple[int, int], float] = {}
-_cmn_lock = threading.Lock()
-
-
 def _weyl_density(m: int, n: int, theta):
     """Unnormalized angular density at theta, m angles, or on each row of an
     array of shape (batch, m)."""
@@ -722,19 +674,16 @@ def _weyl_density(m: int, n: int, theta):
 
 
 def _weyl_cmn(m: int, n: int) -> float:
-    key = (m, n)
-    hit = _cmn_cache.get(key)
-    if hit is not None:
-        return hit
-    from scipy import integrate
-
-    # nquad passes the innermost variable first
-    total, _ = integrate.nquad(
-        lambda *ts: _weyl_density(m, n, ts[::-1]), [(0.0, math.pi)] * m, opts={"limit": 200}
-    )
-    c = 1.0 / total
-    with _cmn_lock:
-        return _cmn_cache.setdefault(key, c)
+    """c_{m,n} = 1 / (2^m S_m(n-2m+1, 1, 1)), S_m the Selberg integral: with
+    x_i = sin^2 t_i the density is 2^m prod x_i^{n-2m} prod_{i<j} (x_i-x_j)^2
+    on [0, 1]^m.  The factorials cancel to one exact quotient of integers,
+    prod_j (n-m+j)!/(n-2m+j)! over 2^m prod_j j! (j+1)!, j < m."""
+    num = math.prod(math.perm(n - m + j, m) for j in range(m))
+    den = 2**m * math.prod(math.factorial(j) * math.factorial(j + 1) for j in range(m))
+    try:
+        return num / den
+    except OverflowError:
+        raise RangeError(f"c_{{m,n}} is out of double range at m={m}, n={n}") from None
 
 
 def weyl_density_mn(m: int, n: int, theta: Sequence[float]) -> float:
@@ -743,9 +692,9 @@ def weyl_density_mn(m: int, n: int, theta: Sequence[float]) -> float:
     D_{m,n}(theta) = c_{m,n} | prod_{i<j} sin^2(t_i+t_j) sin^2(t_i-t_j)
                      * prod_i sin(2 t_i) sin^{2(n-2m)}(t_i) |.
 
-    Requires n >= 2m >= 2.  The constant c_{m,n} is fixed by quadrature once
-    per (m, n) and cached.  Mass concentrates at theta = (pi/2, ..., pi/2) as
-    n grows.
+    Requires n >= 2m >= 2.  The constant c_{m,n} is the Selberg closed form,
+    computed exactly and rounded once; RangeError if it leaves double range.
+    Mass concentrates at theta = (pi/2, ..., pi/2) as n grows.
     """
     m = int(m)
     n = int(n)

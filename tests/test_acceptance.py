@@ -235,7 +235,7 @@ def test_criterion_08_product_function_identities(capsys):
     worst_curv = 0.0
     for _ in range(10):
         om3 = OmegaParam(rng.uniform(0.0, 3.0, 2).tolist(), float(rng.uniform(0.1, 2)))
-        lhs, rhs = second_deriv_identity(om3, h=1e-4)
+        lhs, rhs = second_deriv_identity(om3)
         worst_curv = max(worst_curv, abs(lhs / rhs - 1.0))
     elapsed = time.perf_counter() - start
     ok = (

@@ -34,5 +34,3 @@ def test_unknown_name_raises_attribute_error(module):
 
 def test_limits_keeps_its_monte_carlo_names():
     assert limits.mc_spherical is montecarlo.mc_spherical
-    assert limits.RngStream is montecarlo.RngStream
-    assert limits._blocks is montecarlo._blocks

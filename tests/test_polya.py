@@ -220,7 +220,7 @@ def test_curvature_identity_on_random_parameters():
         om = OmegaParam(
             [rng.uniform(0, 4) for _ in range(rng.randint(0, 3))], rng.uniform(0, 3)
         )
-        lhs, rhs = second_deriv_identity(om, h=1e-4)
+        lhs, rhs = second_deriv_identity(om)
         if rhs > 0.0:
             assert lhs == pytest.approx(rhs, rel=1e-5)
 

@@ -2,13 +2,13 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from spherica import (
     ConvergenceError,
     DomainError,
     RangeError,
-    SeriesOptions,
     bessel_i0,
     bessel_j0,
     bessel_j0_with_error,
@@ -97,6 +97,16 @@ def test_error_estimate_covers_reference_difference():
         assert abs(value - reference_sum(-x * x / 4.0, 60)) <= est
 
 
+def test_j0_error_estimate_bounds_the_true_error():
+    # the float reference above cancels like the series itself; past x ~ 10
+    # the cancellation, not the truncation, sets the error
+    with mp.workdps(40):
+        for k in range(2401):
+            x = 0.025 * k
+            value, est, _ = bessel_j0_with_error(x)
+            assert abs(mp.mpf(value) - mp.besselj(0, mp.mpf(x))) <= est
+
+
 def test_with_error_value_matches_plain_call():
     for z in (-3.0, -0.25, 0.0, 1.0, 7.5):
         value, est, terms = hyper_f_with_error(z)
@@ -120,15 +130,8 @@ def test_overflow_guard_raises_range_error():
 
 
 def test_exhausted_term_budget_raises_with_partial_sum():
-    opts = SeriesOptions(rel_tol=1e-15, max_terms=3)
+    # the terms of F(-1e5) peak near k = 316, beyond the 200-term cap
     with pytest.raises(ConvergenceError) as exc:
-        hyper_f(5.0, opts)
+        hyper_f(-1e5)
     assert exc.value.partial is not None
     assert math.isfinite(exc.value.partial)
-
-
-def test_options_validated():
-    with pytest.raises(DomainError):
-        SeriesOptions(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesOptions(max_terms=0)

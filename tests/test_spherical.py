@@ -1,11 +1,11 @@
 """Finite-dimension spherical functions, orbital integrals, heat kernel."""
 
 import math
+import os
 import random
 import sys
 import threading
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +19,6 @@ from spherica import (
     OmegaParam,
     RangeError,
     ShapeError,
-    SphericalOptions,
     bessel_i0,
     cauchy_lhs,
     bessel_j0,
@@ -42,6 +41,11 @@ from spherica import (
 import spherica.spherical as spherical_module
 from spherica.spherical import _EPS, _series_tail_bound
 from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
+
+# the benchmark's mpmath oracle: the closed determinant forms, with coincident
+# entries split apart by two tiny shifts that must agree
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+from oracle import determinant_oracle  # noqa: E402
 
 J0_AT_ONE = 0.7651976865579666
 HEAT_POINT = 0.4657596075936404
@@ -244,59 +248,11 @@ def test_heat_kernel_decays_for_large_time():
     assert h500 < 1e-3
 
 
-def _heat_closed_form(t, lam, theta, dps):
-    """1/(n! (2t)^n) e^{-(|lam|^2+|theta|^2)/4t} det(I0(lam_i theta_j/2t))
-    / (D(lam) D(theta)) in mpmath at dps digits."""
-    with mp.workdps(dps):
-        a = [mp.mpf(v) for v in lam]
-        b = [mp.mpf(v) for v in theta]
-        t = mp.mpf(t)
-        n = len(a)
-        m = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = mp.besseli(0, a[i] * b[j] / (2 * t))
-
-        def gaps(v):
-            return mp.fprod(v[i] ** 2 - v[j] ** 2 for i in range(n) for j in range(i + 1, n))
-
-        norm2 = mp.fsum(v**2 for v in a) + mp.fsum(v**2 for v in b)
-        pref = mp.exp(-norm2 / (4 * t)) / (mp.factorial(n) * (2 * t) ** n)
-        return pref * mp.det(m) / (gaps(a) * gaps(b))
-
-
-def _split(values, shift):
-    # the k-th repeat of a value v moves to v (1 + k shift)
-    seen: dict[float, int] = {}
-    out = []
-    for v in values:
-        k = seen.get(v, 0)
-        seen[v] = k + 1
-        out.append(mp.mpf(v) * (1 + k * shift))
-    return out
-
-
-def _split_oracle(closed_form, a, b, dps):
-    """closed_form(a, b, dps) at points split by 1e-30 and 1e-36 where
-    entries coincide; the two splits must agree far below double precision."""
-    with mp.workdps(dps):
-        lo, hi = (
-            closed_form(_split(a, shift), _split(b, shift), d)
-            for shift, d in ((mp.mpf(10) ** -30, dps), (mp.mpf(10) ** -36, dps + 20))
-        )
-        assert abs(lo - hi) <= mp.mpf(10) ** -25 * abs(hi)
-        return float(hi)
-
-
-def _heat_oracle(t, lam, theta):
-    return _split_oracle(lambda a, b, dps: _heat_closed_form(t, a, b, dps), lam, theta, 160)
-
-
 @pytest.mark.parametrize("t", [1e-3, 0.5, 10.0])
 @pytest.mark.parametrize("lam, theta", [((0.7,), (0.7,)), ((0.8,), (0.6,))])
 def test_heat_kernel_one_dimensional_closed_form(t, lam, theta):
     got = heat_kernel(t, lam, theta)
-    assert got == pytest.approx(_heat_oracle(t, lam, theta), rel=1e-13, abs=0.0)
+    assert got == pytest.approx(determinant_oracle("heat", lam, theta, t), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -309,7 +265,7 @@ def test_heat_kernel_one_dimensional_closed_form(t, lam, theta):
 )
 def test_heat_kernel_closed_form_separated(lam, theta):
     got = heat_kernel(0.5, lam, theta)
-    assert got == pytest.approx(_heat_oracle(0.5, lam, theta), rel=1e-9, abs=0.0)
+    assert got == pytest.approx(determinant_oracle("heat", lam, theta, 0.5), rel=1e-9, abs=0.0)
 
 
 def test_heat_kernel_input_validation():
@@ -317,7 +273,7 @@ def test_heat_kernel_input_validation():
         heat_kernel(0.0, (1.0,), (1.0,))
     # coincident entries take the orbital series at (lam/2t, theta)
     got = heat_kernel(0.5, (1.0, 1.0), (0.5, 1.5))
-    expected = _heat_oracle(0.5, (1.0, 1.0), (0.5, 1.5))
+    expected = determinant_oracle("heat", (1.0, 1.0), (0.5, 1.5), 0.5)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -341,16 +297,14 @@ def _separated_pair(draw):
 @given(_separated_pair())
 def test_determinant_and_series_routes_agree_within_their_errors(pair):
     x, xi = pair
-    # a low starting weight keeps the series cheap; it doubles until certified
-    opts = SphericalOptions(max_weight=16)
     for evaluate in (spherical_eval, orbital_integral):
-        d = evaluate(x, xi, path="det", opts=opts)
-        s = evaluate(x, xi, path="series", opts=opts)
+        d = evaluate(x, xi, path="det")
+        s = evaluate(x, xi, path="series")
         assert abs(d.value - s.value) <= d.abs_error + s.abs_error
 
 
 def test_series_partition_counts_stay_small():
-    # the series stops at the weight its tail bound certifies, not at max_weight
+    # the series stops at the weight its tail bound certifies, not at weight 64
     r = spherical_series((1, 1), (0.5, 1.5))
     assert r.value == 0.7234100002331137
     assert r.terms_used <= 100
@@ -403,33 +357,6 @@ def test_tail_table_bounds_every_weight(point):
         assert tails[w] >= (1.0 - 1e-12) * math.fsum(layers[w + 1 :])
 
 
-def _transform_closed_form(oscillatory, a, b, dps):
-    """(delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)) in mpmath, with
-    K = J0 and the sign (-1)^{n(n-1)/2} when oscillatory, K = I0 otherwise."""
-    with mp.workdps(dps):
-        n = len(a)
-        kernel = (lambda z: mp.besselj(0, z)) if oscillatory else (lambda z: mp.besseli(0, z))
-        m = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = kernel(a[i] * b[j])
-
-        def gaps(v):
-            return mp.fprod(v[i] ** 2 - v[j] ** 2 for i in range(n) for j in range(i + 1, n))
-
-        superfact = mp.fprod(mp.factorial(j) for j in range(1, n))
-        four = -4 if oscillatory else 4
-        pref = superfact**2 * mp.mpf(four) ** (n * (n - 1) // 2)
-        return pref * mp.det(m) / (gaps(a) * gaps(b))
-
-
-def _transform_oracle(oscillatory, x, xi):
-    """Closed form at split points, with 45 more digits per coincident pair."""
-    pairs = sum(len(v) - len(set(v)) for v in (x, xi))
-    closed_form = lambda a, b, dps: _transform_closed_form(oscillatory, a, b, dps)
-    return _split_oracle(closed_form, x, xi, 60 + 45 * pairs)
-
-
 def _coincident_points(seed):
     """Points shaped like the coincident benchmark classes: n = 2 and 3 with
     one coincident pair against a separated point, n = 4 with a pair against
@@ -467,7 +394,7 @@ def test_series_route_within_its_bound_of_the_oracle(x, xi):
     for oscillatory, evaluate in ((True, spherical_eval), (False, orbital_integral)):
         r = evaluate(x, xi)
         assert r.path == "series"
-        oracle = _transform_oracle(oscillatory, x, xi)
+        oracle = determinant_oracle("spherical" if oscillatory else "orbital", x, xi)
         assert abs(r.value - oracle) <= r.abs_error <= 1e-13 * max(1.0, abs(oracle))
 
 
@@ -520,6 +447,45 @@ def test_series_route_bits_are_pinned(evaluate, x, xi, value, abs_error, terms_u
     assert (r.value, r.abs_error, r.terms_used) == (value, abs_error, terms_used)
 
 
+# Determinant-route results pinned bit for bit: (evaluator, x, xi, value,
+# abs_error) at separated points for n = 1, 2, 3, 4; terms_used is n.
+DET_POINTS = [
+    ((1.3,), (0.7,)),
+    ((1.0, 2.0), (0.5, 1.5)),
+    ((0.4, 1.1, 2.3), (0.3, 0.9, 1.7)),
+    ((1.8, 1.3, 0.8, 0.3), (1.6, 1.0, 0.6, 0.2)),
+]
+DET_BITS = [
+    (spherical_eval, 0.8034465294730335, 1.427207737721818e-15),
+    (spherical_eval, 0.42380017221205923, 4.0923401412465475e-15),
+    (spherical_eval, 0.48320897928037226, 9.235881844719753e-14),
+    (spherical_eval, 0.7018890564958395, 5.276629158217882e-09),
+    (orbital_integral, 1.2179895243513215, 2.1635840218993278e-15),
+    (orbital_integral, 2.070521140287063, 4.682177129693717e-14),
+    (orbital_integral, 1.9718223085342774, 2.3101416333824304e-12),
+    (orbital_integral, 1.414308573261254, 6.727334045738642e-08),
+    (spherical_det_f_kernel, 0.8034465294730335, 1.427207737721818e-15),
+    (spherical_det_f_kernel, 0.42380017221205923, 4.0923401412465475e-15),
+    (spherical_det_f_kernel, 0.4832089792803721, 9.235881844719753e-14),
+    (spherical_det_f_kernel, 0.7018890564958051, 5.276629158217882e-09),
+]
+
+
+@pytest.mark.parametrize(
+    "evaluate, x, xi, value, abs_error",
+    [(f, *DET_POINTS[k % 4], v, e) for k, (f, v, e) in enumerate(DET_BITS)],
+)
+def test_determinant_route_bits_are_pinned(evaluate, x, xi, value, abs_error):
+    r = evaluate(x, xi)
+    assert r.path == "determinant"
+    assert (r.value, r.abs_error, r.terms_used) == (value, abs_error, len(x))
+
+
+def test_heat_kernel_bits_are_pinned():
+    assert heat_kernel(0.5, (1.0, 0.5), (0.8, 0.3)) == 0.04915755798323767
+    assert heat_kernel(0.7, (1.9, 1.1, 0.4), (1.5, 0.9, 0.2)) == 2.1838131941188243e-06
+
+
 def test_series_sweep_and_cauchy_bits_are_pinned():
     report = spherical_convergence(OmegaParam([1.0, 0.3], 0.5), 1.0, (5, 10, 20, 40))
     assert report.values == (
@@ -540,13 +506,10 @@ def test_series_terms_beyond_double_range_raise_range_error():
         orbital_integral((25.0, 25.0), (25.0, 24.0))
 
 
-def test_series_refuses_max_weight_beyond_the_cap():
-    with pytest.raises(DomainError, match="max_weight_cap"):
-        spherical_series((20.0, 20.0), (20.0, 19.0), max_weight=300)
-    with pytest.raises(DomainError, match="max_weight_cap"):
-        spherical_series((1.0, 1.0), (0.5, 0.5), max_weight=0)
-    capped = SphericalOptions().max_weight_cap
-    assert spherical_series((1.0, 1.0), (0.5, 0.5), max_weight=capped).path == "series"
+def test_series_refuses_a_nonpositive_tolerance():
+    for rel_tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(DomainError, match="rel_tol"):
+            spherical_series((1.0, 1.0), (0.5, 0.5), rel_tol=rel_tol)
 
 
 def test_log_factorial_table_stays_complete_across_threads():
@@ -648,6 +611,22 @@ def test_angular_density_is_normalized():
         lambda t: weyl_density_mn(1, 4, (t,)), 0.0, math.pi, limit=200
     )
     assert total == pytest.approx(1.0, abs=1e-8)
+    for n in (4, 7):
+        total, _ = integrate.dblquad(
+            lambda t2, t1: weyl_density_mn(2, n, (t1, t2)), 0.0, math.pi, 0.0, math.pi
+        )
+        assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_angular_constant_is_the_selberg_closed_form():
+    cmn = spherical_module._weyl_cmn
+    assert cmn(3, 9) == 44100.0
+    assert cmn(4, 10) == 27783000.0
+    assert cmn(3, 30) == 39390439725.0
+    for n in (2, 3, 10, 10_000):
+        assert cmn(1, n) == (n - 1) / 2
+    with pytest.raises(RangeError):
+        cmn(60, 400)
 
 
 def test_angular_second_moment_law():
