@@ -195,6 +195,29 @@ def _mean_cos_sq(theta: np.ndarray) -> float:
     return float(np.mean(c * c))
 
 
+# nodes of the m = 1 rule: exact for polynomials in sin t up to degree 95
+_WEYL_NODES = 48
+
+
+def _weyl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-angles d_k = arccos(y_k) and weights w_k of the Gauss rule for
+    y^(2n-3) on [0, 1], by Golub-Welsch on I - J, J the Jacobi matrix
+    (alpha = 0, beta = 2n - 3) in x = 2y - 1.  The eigenvalues of I - J,
+    2(1 - y_k), are small where the weight concentrates and come out with
+    relative accuracy, where those of J would lose it to cancellation."""
+    import numpy as np
+
+    b = 2.0 * n - 3.0
+    k = np.arange(_WEYL_NODES, dtype=float)
+    s = 2.0 * k + b
+    diag = (4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0)
+    k, s = k[1:], s[1:]
+    off = 2.0 * k * (k + b) / s / np.sqrt((s - 1.0) * (s + 1.0))
+    z, vecs = np.linalg.eigh(np.diag(diag) - np.diag(off, 1) - np.diag(off, -1))
+    # arccos(1 - u) = 2 arcsin(sqrt(u / 2)), with u = z / 2 = 1 - y
+    return 2.0 * np.arcsin(np.sqrt(z) / 2.0), vecs[0] ** 2
+
+
 def weyl_concentration_sweep(
     m: int,
     n_values: Sequence[int],
@@ -205,9 +228,14 @@ def weyl_concentration_sweep(
     """Expectation of an angular observable under the (m, n) density along
     the grid, against its value at the concentration point (pi/2, ..., pi/2).
 
-    m = 1 uses adaptive quadrature of the observable times the density over
-    the quadrature of the density on the same rule (deterministic, no
-    standard errors; a constant observable is exact).
+    m = 1 is deterministic, with no standard errors.  With y = sin t, and
+    [pi/2, pi] folded onto [0, pi/2] by t -> pi - t, the density is
+    2 y^(2n-3) dy on [0, 1].  A fixed 48-node Gauss-Jacobi rule for that
+    weight gives the value as sum_k w_k (f(t_k) + f(pi - t_k)) / 2 over
+    sum_k w_k.  It is exact for polynomials in sin t up to degree 95 (so
+    the default observable gives 1/n), accurate to rounding for smooth
+    observables at every n, and a constant observable is exact.  At a
+    kink it is not: |t - 1| is about 1e-4 off at n <= 10.
     m >= 2 uses self-normalized importance sampling from the uniform
     proposal on [0, pi]^m, one derived seed per grid point.
     """
@@ -223,16 +251,10 @@ def weyl_concentration_sweep(
     std_errors: list[float] = []
     for i, n in enumerate(grid):
         if m == 1:
-            from scipy import integrate
-
-            total, mass = (
-                integrate.quad(f, 0.0, math.pi, limit=200, points=[math.pi / 2.0])[0]
-                for f in (
-                    lambda t: obs(np.array([t])) * _weyl_density(1, n, [t]),
-                    lambda t: _weyl_density(1, n, [t]),
-                )
-            )
-            values.append(total / mass)
+            half, w = _weyl_rule(n)
+            f = lambda t: float(obs(np.array([t])))
+            folded = np.array([f(math.pi / 2.0 - d) + f(math.pi / 2.0 + d) for d in half])
+            values.append(math.fsum(w * folded) / (2.0 * math.fsum(w)))
         else:
             from . import montecarlo
 

@@ -15,6 +15,8 @@ from . import limits, polya, series, spherical, symfunc
 
 # first positive zero of the oscillatory kernel, standard constant
 _J0_FIRST_ZERO = 2.404825557695773
+# J0(20) from mpmath at 40 digits, rounded to double
+_J0_AT_20 = 0.16702466434058316
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,15 @@ def _special_checks(samples: int, seed: int) -> list[CheckResult]:
         )
     )
     value, est, terms = series.bessel_j0_with_error(5.0)
+    # at x = 20 the estimate must cover the true error, not only be positive
+    value20, est20, _ = series.bessel_j0_with_error(20.0)
+    err20 = abs(value20 - _J0_AT_20)
     out.append(
         CheckResult(
             "special.error_estimate_sane",
-            est > 0.0 and terms < 200 and abs(value) <= 1.0,
-            f"value={value:.9e} est={est:.9e} terms={terms}",
+            est > 0.0 and terms < 200 and abs(value) <= 1.0 and err20 <= est20,
+            f"value={value:.9e} est={est:.9e} terms={terms}"
+            f" j0(20)_abs_err={err20:.9e} est={est20:.9e}",
         )
     )
     return out
@@ -107,7 +113,7 @@ def _symfunc_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
-    from scipy import integrate
+    from numpy.polynomial.legendre import leggauss
 
     out = []
     one = spherical.spherical_det((1.3,), (0.7,))
@@ -133,13 +139,14 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
     hk = spherical.heat_kernel(0.5, (1.0,), (1.0,))
     out.append(_close("spherical.heat_frozen", hk, 0.4657596075936404, 1e-13))
     t, s, lam0, rho = 0.3, 0.4, 0.8, 1.1
-    conv, _ = integrate.quad(
-        lambda th: spherical.heat_kernel(t, (lam0,), (th,))
+    # 64-node Gauss-Legendre on [0, 30]; the integrand is below 1e-50 past 10
+    nodes, weights = leggauss(64)
+    conv = math.fsum(
+        15.0 * w
+        * spherical.heat_kernel(t, (lam0,), (th,))
         * spherical.heat_kernel(s, (th,), (rho,))
-        * th,
-        0.0,
-        30.0,
-        limit=200,
+        * th
+        for th, w in zip((15.0 * (nodes + 1.0)).tolist(), weights.tolist())
     )
     out.append(
         _close(

@@ -505,10 +505,13 @@ def test_cli_commands_load_no_scipy(python_subprocess, tmp_path):
         ["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5"],
         ["sweep", "--kind", "powersum", "--omega", gauss, "--m", "2", "--n-list", "25,50"],
         ["sweep", "--kind", "spherical", "--omega", atom, "--xi", "1", "--n-list", "4,8"],
+        ["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,8,16"],
         ["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4,8", "--samples", "1000"],
         ["validate", "--suite", "special"],
         ["validate", "--suite", "symfunc"],
+        ["validate", "--suite", "spherical"],
         ["validate", "--suite", "polya"],
+        ["validate", "--suite", "limits"],
     ]
     proc = python_subprocess(["-c", _COLD_START_CHILD, json.dumps(commands)])
     assert proc.returncode == 0, proc.stderr.decode()

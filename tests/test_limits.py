@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -127,11 +128,38 @@ def test_spherical_sweep_validates_inputs():
 
 
 def test_angular_sweep_default_observable_follows_the_law():
-    report = weyl_concentration_sweep(1, (10, 50))
+    # E[cos^2 t] = 1/n exactly (Aomoto), to rounding up to the largest sizes
+    grid = (2, 3, 5, 10, 50, 200, 1000, 10**4, 10**5)
+    report = weyl_concentration_sweep(1, grid)
     assert abs(report.limit_value) <= 1e-30
     for n, value in zip(report.n_values, report.values):
-        assert value == pytest.approx(1.0 / n, abs=1e-8)
-    assert report.values[1] < report.values[0]
+        assert value * n == pytest.approx(1.0, rel=1e-11, abs=0.0)
+
+
+def _weyl_average_mp(f, n: int) -> float:
+    # the m = 1 density |sin 2t| sin(t)^(2n-4), folded onto [0, pi/2]
+    with mp.workdps(30):
+        dens = lambda t: mp.sin(2 * t) * mp.sin(t) ** (2 * n - 4)
+        half = mp.pi / 2
+        num = mp.quad(lambda t: (f(t) + f(mp.pi - t)) / 2 * dens(t), [0, half])
+        return float(num / mp.quad(dens, [0, half]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 400])
+def test_angular_sweep_smooth_observable_matches_mpmath(n):
+    report = weyl_concentration_sweep(
+        1, (n,), observable=lambda th: float(np.exp(np.sin(3.0 * th[0])))
+    )
+    expected = _weyl_average_mp(lambda t: mp.exp(mp.sin(3 * t)), n)
+    assert report.values[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m, grid", [(2, (4, 8, 16, 32)), (3, (6, 12, 24))])
+def test_angular_sweep_sampled_values_follow_aomoto(m, grid):
+    # E[mean cos^2] = m/n exactly; each sampled value within 4 standard errors
+    report = weyl_concentration_sweep(m, grid, n_samples=20_000, seed=0)
+    for n, value, se in zip(report.n_values, report.values, report.std_errors):
+        assert abs(value - m / n) <= 4.0 * se
 
 
 def test_angular_sweep_constant_observable_is_exact():
