@@ -57,13 +57,9 @@ class DiagonalPoint:
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        vals = []
-        for v in values:
-            f = float(v)
-            if not math.isfinite(f):
-                raise DomainError("diagonal entries must be finite")
-            vals.append(abs(f))
-        vals.sort(reverse=True)
+        vals = sorted(map(abs, map(float, values)), reverse=True)
+        if not all(map(math.isfinite, vals)):
+            raise DomainError("diagonal entries must be finite")
         object.__setattr__(self, "values", tuple(vals))
 
     @property
@@ -312,14 +308,14 @@ def _series_tail_bound(
     J = W + 160
     base = n - rows
     lr = math.log(p1_lam) + math.log(xi_max)
-    lf = _log_factorials(J + max(K - 1, base))  # lf[t] = lgamma(t + 1)
-    lg_base = lf[base]
-    lg_k = lf[K - 1]
-    logv = np.array(
-        [
-            lf[j + K - 1] - lf[j] - lg_k + j * lr + 2.0 * (lg_base - lf[base + j])
-            for j in range(J + 1)
-        ]
+    lf = np.array(_log_factorials(J + max(K - 1, base)))  # lf[t] = lgamma(t + 1)
+    # elementwise, in the order of the scalar formula, so the bits are the same
+    logv = (
+        lf[K - 1 : K + J]
+        - lf[: J + 1]
+        - lf[K - 1]
+        + np.arange(J + 1) * lr
+        + 2.0 * (lf[base] - lf[base : base + J + 1])
     )
     if np.max(logv) > 700.0:
         return uncertified
@@ -515,7 +511,9 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
     and handles degenerate inputs, e.g. theta = 0 gives exactly 1.
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
-    overflow guard).
+    overflow guard).  On the determinant route the 200-term cap of the I0
+    series comes first: an entry product lam_i theta_j above about 262.3
+    raises ConvergenceError.
     """
     lam, theta = _point_pair(lam, theta)
     if lam.values[0] * theta.values[0] > 700.0:

@@ -54,11 +54,9 @@ class Partition:
 
 
 def _as_sorted_vars(x: Sequence[float]) -> list[float]:
-    vals = [float(v) for v in x]
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError("variables must be finite")
-    vals.sort(reverse=True)
+    vals = sorted(map(float, x), reverse=True)
+    if not all(map(math.isfinite, vals)):
+        raise DomainError("variables must be finite")
     return vals
 
 

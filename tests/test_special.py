@@ -1,14 +1,18 @@
 """Power-series special functions: shared series F, J0, I0."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherica import (
     ConvergenceError,
     DomainError,
     RangeError,
+    SphericaError,
     bessel_i0,
     bessel_j0,
     bessel_j0_with_error,
@@ -135,3 +139,92 @@ def test_exhausted_term_budget_raises_with_partial_sum():
         hyper_f(-1e5)
     assert exc.value.partial is not None
     assert math.isfinite(exc.value.partial)
+
+
+def test_term_cap_is_reached_before_the_700_guards():
+    # the 200-term cap, not the |x| > 700 overflow guard, limits both kernels
+    assert math.isfinite(bessel_i0(262.0))
+    with pytest.raises(ConvergenceError):
+        bessel_i0(263.0)
+    assert math.isfinite(bessel_j0(204.0))
+    with pytest.raises(ConvergenceError):
+        bessel_j0(205.0)
+
+
+def _reference_f(z: float) -> tuple[float, float, int]:
+    """One Taylor loop for both signs of z, with every test run on every
+    term: the bit-identity reference for hyper_f_with_error."""
+    z = float(z)
+    if not math.isfinite(z):
+        raise DomainError("hyper_f requires finite z")
+
+    total = 1.0  # k = 0 term
+    comp = 0.0  # Kahan compensation
+    term = 1.0
+    small_streak = 0
+    abs_sum = 1.0  # sum of |t_k|, kept for z < 0 only
+    mag_z = abs(z)
+    for k in range(1, 200 + 1):
+        term *= z / (k * k)
+        # Kahan update
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if not math.isfinite(total):
+            raise RangeError("hyper_f partial sums overflowed double range")
+
+        threshold = 1e-15 * abs(total)
+        mag = abs(term)
+        next_mag = mag * mag_z / ((k + 1) * (k + 1))
+        if z >= 0.0:
+            if term <= threshold and next_mag <= mag:
+                ratio = mag_z / ((k + 2) * (k + 2))
+                if ratio < 1.0:
+                    truncation = next_mag / (1.0 - ratio)
+                    break
+        else:
+            abs_sum += mag
+            small_streak = small_streak + 1 if mag <= threshold else 0
+            if small_streak >= 2 and next_mag <= mag:
+                truncation = next_mag
+                break
+    else:
+        raise ConvergenceError("hyper_f did not converge within 200 terms", partial=total)
+    rounding = 2.0 * k * 1.11e-16 * (abs(total) if z >= 0.0 else abs_sum)
+    return total, truncation + rounding, k + 1
+
+
+def _outcome(f, z):
+    """repr of the result, or of the exception's type, message and partial
+    sum: repr tells -0.0 from 0.0 and round-trips every float."""
+    try:
+        return repr(f(z))
+    except SphericaError as exc:
+        return repr((type(exc), str(exc), getattr(exc, "partial", None)))
+
+
+def _log_uniform_grid(count, seed):
+    rng = random.Random(seed)
+    top = math.log10(3e4)
+    return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, top) for _ in range(count)]
+
+
+# signed zeros, subnormals, overflow, non-finite input, and both sides of the
+# 200-term cap for I0 (x = 262 | 263) and J0 (x = 204 | 205)
+EDGE_Z = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308,
+    math.inf, -math.inf, math.nan,
+    262.0**2 / 4.0, 263.0**2 / 4.0, -(204.0**2) / 4.0, -(205.0**2) / 4.0,
+]
+
+
+def test_kernel_matches_the_reference_loop_bit_for_bit():
+    for z in EDGE_Z + _log_uniform_grid(2000, seed=13):
+        assert _outcome(hyper_f_with_error, z) == _outcome(_reference_f, z), z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_kernel_matches_the_reference_loop_on_any_finite_float(z):
+    assert _outcome(hyper_f_with_error, z) == _outcome(_reference_f, z)

@@ -59,6 +59,17 @@ def test_diagonal_point_canonical_form():
         DiagonalPoint((float("nan"),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_nonfinite_entry_anywhere_is_refused(bad, where):
+    vals = [2.0, -0.5, 1.0]
+    vals[where] = bad
+    with pytest.raises(DomainError, match="diagonal entries must be finite"):
+        DiagonalPoint(vals)
+    with pytest.raises(DomainError, match="variables must be finite"):
+        complete_h_table(vals, 3)
+
+
 def test_squared_gap_product_values():
     assert squared_gap_product((2.0, 1.0)) == 3.0
     assert squared_gap_product((5.0,)) == 1.0
