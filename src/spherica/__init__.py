@@ -5,7 +5,7 @@ Layout:
 
 * series    — entire-kernel power series and the derived radial kernels
 * symfunc   — partitions, power sums, complete homogeneous and Schur bases
-* spherical — finite-n evaluators (determinant and series routes), orbital
+* spherical — finite-n evaluators (determinant, Newton and series routes), orbital
               integral, heat kernel, radial and flat Laplacians, angular densities
 * polya     — limit parameters, pointwise products, mixtures, morphism values
 * montecarlo— reproducible Haar samplers and averaging oracles

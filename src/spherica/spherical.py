@@ -5,11 +5,21 @@ value vectors, so arguments are canonicalized diagonal points (entries made
 nonnegative and sorted in decreasing order).
 
 One core, ``_orbit_transform``, evaluates the Fourier transform of a
-U(n) x U(n) orbit: it picks the route, a closed determinant form with Bessel
-kernel entries over squared Vandermonde products (valid when all squared
-entries are well separated) or a Schur-function series with a certified tail
-bound (valid everywhere), and builds the determinant prefactor.  The J0
-kernel gives the spherical function, I0 (positive instead of negative squared
+U(n) x U(n) orbit by one of three routes:
+
+* "det": the closed determinant form with Bessel kernel entries over
+  squared Vandermonde products (valid when all squared entries are well
+  separated);
+* "newton": the same determinant with the kernel expanded in the Newton
+  basis of the squared entries, which cancels the Vandermonde products
+  exactly (valid everywhere, pure Python, certified by a bound that grows
+  with the entry products);
+* "series": a Schur-function series with a certified tail bound (valid
+  everywhere, the reference).
+
+"auto" takes "det" at separated points and "newton" elsewhere, and falls
+back to the series when the Newton bound does not certify.  The J0 kernel
+gives the spherical function, I0 (positive instead of negative squared
 variables) the exponential orbital integral, and the radial heat kernel is
 the orbital integral at a rescaled point times a Gaussian factor.
 ``spherical_det_f_kernel`` keeps its own prefactor bookkeeping as an
@@ -19,6 +29,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -36,13 +47,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EPS = 2.220446049250313e-16
-# relative squared gap below which "auto" takes the series
+# relative squared gap below which "auto" leaves the Bessel determinant (for
+# the Newton-basis route, then the series)
 _DEGENERACY_TOL = 1e-6
 # partition weight of the series' first pass, and the cap of its doublings
 _FIRST_WEIGHT = 64
 _WEIGHT_CAP = 240
-# relative tolerance the series tail must certify
+# relative tolerance the series tail and the Newton-basis route must certify
 _REL_TOL = 1e-10
+# truncation order beyond which the Newton-basis route gives up
+_NEWTON_MAX_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -71,11 +85,13 @@ class DiagonalPoint:
 class EvalResult:
     """Value with provenance.
 
-    abs_error   certified (determinant: conditioning-based; series: tail bound
-                plus rounding)
-    terms_used  series: partitions summed in the returning pass, up to the
-                weight where it stopped; determinant: matrix order
-    path        "determinant" or "series"
+    abs_error   certified (determinant: conditioning-based; newton: truncation,
+                entry rounding and LU backward error through a Hadamard
+                bound; series: tail bound plus rounding)
+    terms_used  determinant: matrix order; newton: truncation order K of
+                the kernel expansion; series: partitions summed in the
+                returning pass, up to the weight where it stopped
+    path        "determinant", "newton" or "series"
     """
 
     value: float
@@ -126,7 +142,9 @@ def _is_separated(x: DiagonalPoint, xi: DiagonalPoint) -> bool:
 
 def _require_separated(x, xi) -> None:
     if not _is_separated(x, xi):
-        raise DegeneracyError("coincident squared entries; use the series path")
+        raise DegeneracyError(
+            "coincident squared entries; use path 'auto', 'newton' or 'series'"
+        )
 
 
 def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
@@ -135,10 +153,19 @@ def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
     return (x.values, xi.values) if x.values >= xi.values else (xi.values, x.values)
 
 
-def _lu_full_pivot(a: list[list[float]]) -> tuple[float, list[float]]:
-    """Elimination with full pivoting; returns (sign, diagonal pivots)."""
+def _lu_full_pivot(a: list[list[float]]):
+    """Elimination with full pivoting on a copy of ``a``.
+
+    Returns (sign, diagonal pivots, lu, rows, cols): P a Q = L U, where row
+    i of P a Q is row rows[i] of ``a`` and column j is column cols[j], lu
+    holds the multipliers of the unit lower L below its diagonal and U on
+    and above it, and sign is det(P) det(Q).  A zero pivot stops the
+    elimination; the block left below it is zero.
+    """
     n = len(a)
     a = [row[:] for row in a]
+    rows = list(range(n))
+    cols = list(range(n))
     sign = 1.0
     diag = []
     for k in range(n):
@@ -153,20 +180,22 @@ def _lu_full_pivot(a: list[list[float]]) -> tuple[float, list[float]]:
             break
         if p != k:
             a[k], a[p] = a[p], a[k]
+            rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
         if q != k:
             for row in a:
                 row[k], row[q] = row[q], row[k]
+            cols[k], cols[q] = cols[q], cols[k]
             sign = -sign
         piv = a[k][k]
         diag.append(piv)
         for i in range(k + 1, n):
             f = a[i][k] / piv
+            a[i][k] = f
             if f != 0.0:
-                a[i][k] = 0.0
                 for j in range(k + 1, n):
                     a[i][j] -= f * a[k][j]
-    return sign, diag
+    return sign, diag, a, rows, cols
 
 
 def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]) -> float:
@@ -197,7 +226,7 @@ def _det_ratio(
     conditioning-based absolute error estimate (Hadamard bound over |det|)."""
     matrix = [[kernel(ai * bj) for bj in b] for ai in a]
     n = len(matrix)
-    lu_sign, diag = _lu_full_pivot(matrix)
+    lu_sign, diag = _lu_full_pivot(matrix)[:2]
     for d in diag:
         if d < 0.0:
             lu_sign = -lu_sign
@@ -219,7 +248,7 @@ def spherical_det(x, xi) -> EvalResult:
 
     Requires all squared entries of x (and of xi) to be pairwise separated
     beyond 1e-6 relative to the largest square; otherwise a
-    DegeneracyError directs the caller to the series route.  The formula is
+    DegeneracyError directs the caller to the other routes.  The formula is
     symmetric under exchanging x and xi, and the implementation evaluates in a
     canonical argument order so the symmetry holds bitwise.
     """
@@ -255,11 +284,170 @@ def spherical_det_f_kernel(x, xi) -> EvalResult:
 def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
     """Spherical function with explicit route selection.
 
-    path "det" and "series" force the corresponding evaluator; "auto" takes
-    the determinant when both arguments' squared entries are separated beyond
-    1e-6 relative to the largest square and the series otherwise.
+    path "det", "newton" and "series" force the corresponding evaluator;
+    "auto" takes the Bessel determinant when both arguments' squared entries
+    are separated beyond 1e-6 relative to the largest square, and otherwise
+    the Newton-basis determinant, falling back to the series when that does
+    not certify rel_tol = 1e-10.  "newton" raises ConvergenceError (with the
+    partial value and its bound) where it does not certify; "det" raises
+    DegeneracyError at unseparated points.
     """
     return _orbit_transform(*_point_pair(x, xi), True, path)
+
+
+# ---------------------------------------------------------------------------
+# Newton-basis route
+
+
+def _newton_rows(v: Sequence[float], top: int) -> list[list[float]]:
+    """Row i, entry m: g_m(v; i) = i!/(i+m)! h_m(v_0..v_i), m = 0..top-i,
+    by the subtraction-free recurrence g_m(i) = (i g_m(i-1) + v_i g_{m-1}(i))
+    / (i+m) from g_0 = 1 (nonnegative v)."""
+    rows = []
+    prev = [0.0] * (top + 1)
+    for i, vi in enumerate(v):
+        row = [1.0]
+        g = 1.0
+        for m in range(1, top - i + 1):
+            g = (i * prev[m] + vi * g) / (i + m)
+            row.append(g)
+        rows.append(row)
+        prev = row
+    return rows
+
+
+def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalResult:
+    """The orbit transform of _orbit_transform as a determinant with no gap
+    division, valid at coincident and zero entries.
+
+    With lam = a^2 and mu = b^2/4 for the pair (a, b) of _canonical_order,
+    K(a_i b_j) = sum_k s^k lam_i^k mu_j^k / (k!)^2, s = -1 for J0 and +1 for
+    I0.  In the Newton basis of the nodes lam_0..lam_{n-1},
+    lam^k = sum_i h_{k-i}(lam_0..lam_i) prod_{q<i} (lam - lam_q), so the
+    kernel matrix factors through two triangular Newton matrices whose
+    determinants are the Vandermonde products; they cancel D(a) D(b) and
+    the 4^{n(n-1)/2} exactly.  With (delta!)^2 placed in rows and columns,
+    what is left is value = s^{n(n-1)/2} det M,
+
+        M[i][j] = sum_{k=max(i,j)..K} s^k g_{k-i}(lam; i) g_{k-j}(mu; j)
+
+    (g from _newton_rows), with no prefactor product.  abs_error bounds the
+    distance to the untruncated, exactly rounded value (u = 2^-53):
+
+    * truncation: h_m of i+1 variables has C(m+i, i) monomials, so
+      0 <= g_m(v; i) <= v_0^m/m!, term k is at most
+      t_k = lam_0^{k-i}/(k-i)! mu_0^{k-j}/(k-j)!, and for k > K
+      t_{k+1}/t_k <= rho = lam_0 mu_0/((K+2-i)(K+2-j)); the tail is at most
+      t_{K+1}/(1 - rho).  K is the least order >= n-1 where rho <= 1/2 and
+      every t_{K+1} <= 2^-60, far below the rounding of a diagonal entry
+      (whose terms sum to >= 1 in magnitude).  Past _NEWTON_MAX_ORDER the
+      route gives up: value nan, abs_error inf.
+    * entry rounding: v_i = fl(a_i^2) (or fl(b_i^2)/4) is one rounding and a
+      recurrence step three more, so g_m(i) is within gamma_{4m+3i}
+      relative (induction on m+i) and term k within gamma_{8k+1}.  The terms
+      are summed from k = K down (for J0 even and odd k apart, then
+      subtracted), so term k passes through at most k+2 additions: the
+      entry is within u sum_k (9k+3)|t_k| (1 + O(Ku)).
+    * LU: full-pivot elimination gives L^U^ = P fl(M) Q + dM with
+      |dM| <= gamma_n |L^||U^| (Higham, Accuracy and Stability, Thm 9.3).
+      So P M Q = L^(U^ + Z) with |Z| <= |L^^-1| W, W = |P(M - fl(M))Q| +
+      |dM| (its first part bounded entrywise by the two items above), and
+      |L^^-1| <= the inverse of the comparison matrix of L^ (unit
+      diagonal, -|l_ik| below), applied by forward substitution without
+      cancellation.  det U^ is the product of the pivots, rounded within
+      gamma_n |value|.
+    * Hadamard: for rows a_i and perturbation row norms f_i,
+      |det(A + Z) - det A| <= prod(|a_i| + f_i) - prod|a_i| (expand in the
+      rows, Hadamard each term), summed telescoped as
+      sum_i f_i prod_{k<i}(|a_k| + f_k) prod_{k>i}|a_k|; here A = U^, whose
+      full pivoting keeps |a_i| <= sqrt(n - i) |u_ii|, so the bound tracks
+      the perturbation of each pivot rather than the conditioning of M.
+
+    The sum of the parts is raised by a factor 1 + 1e-10 that covers the
+    rounding of its own arithmetic (nonnegative, O((K + n) u) relative) and
+    the O(Ku) factors above.  terms_used is K.
+    """
+    a, b = _canonical_order(x, xi)
+    n = len(a)
+    lam = [v * v for v in a]
+    mu = [v * v / 4.0 for v in b]
+    lam0, mu0 = lam[0], mu[0]
+    product = lam0 * mu0
+    # pl[m] = lam_0^m/m!, pm[m] = mu_0^m/m!: bounds on g_m of every prefix
+    pl, pm = [1.0], [1.0]
+    K = n - 1
+    while True:
+        for m in range(len(pl), K + 2):
+            pl.append(pl[-1] * lam0 / m)
+            pm.append(pm[-1] * mu0 / m)
+        first_l = max(pl[K + 2 - n :])
+        first_m = max(pm[K + 2 - n :])
+        first = first_l * first_m if first_l and first_m else 0.0
+        if first <= 2.0**-60 and 2.0 * product <= (K + 3 - n) ** 2:
+            break
+        if K >= _NEWTON_MAX_ORDER:
+            return EvalResult(math.nan, math.inf, K, "newton")
+        K += 1
+
+    g_lam = _newton_rows(lam, K)
+    g_mu = _newton_rows(mu, K)
+    unit = _EPS / 2.0
+    matrix, entry_err = [], []
+    for i, gi in enumerate(g_lam):
+        row, err_row = [], []
+        for j, gj in enumerate(g_mu):
+            lo = max(i, j)
+            terms = list(map(operator.mul, gi[lo - i :], gj[lo - j :]))
+            terms.reverse()  # k = K, K-1, ..., lo
+            if oscillatory:
+                total = sum(terms[::2]) - sum(terms[1::2])
+                if K & 1:
+                    total = -total
+            else:
+                total = sum(terms)
+            weighted = sum(map(operator.mul, terms, range(9 * K + 3, 9 * lo, -9)))
+            rho = product / ((K + 2 - i) * (K + 2 - j))
+            tail = pl[K + 1 - i] * pm[K + 1 - j] if first else 0.0
+            row.append(total)
+            err_row.append(unit * weighted + tail / (1.0 - rho))
+        matrix.append(row)
+        entry_err.append(err_row)
+    if not all(math.isfinite(v) for row in matrix for v in row):
+        return EvalResult(math.nan, math.inf, K, "newton")
+
+    lu_sign, diag, lu, rows, cols = _lu_full_pivot(matrix)
+    if oscillatory and (n * (n - 1) // 2) % 2:
+        lu_sign = -lu_sign
+    value = lu_sign * math.prod(diag)
+    if not math.isfinite(value):
+        return EvalResult(math.nan, math.inf, K, "newton")
+
+    gamma_n = n * unit / (1.0 - n * unit)
+    z_rows = []  # rows of the bound on |Z|, by forward substitution
+    for r in range(n):
+        lu_r = lu[r]
+        err_r = entry_err[rows[r]]
+        z = [
+            err_r[cols[c]]
+            + gamma_n
+            * (
+                sum(abs(lu_r[k] * lu[k][c]) for k in range(min(r, c)))
+                + abs(lu_r[c] if r <= c else lu_r[c] * lu[c][c])
+            )
+            for c in range(n)
+        ]
+        for k in range(r):
+            z = [zc + abs(lu_r[k]) * yc for zc, yc in zip(z, z_rows[k])]
+        z_rows.append(z)
+    base = [math.hypot(*lu[r][r:]) for r in range(n)]
+    bound = 0.0
+    prefix = 1.0
+    for i, z in enumerate(z_rows):
+        f = math.hypot(*z)
+        bound += f * prefix * math.prod(base[i + 1 :])
+        prefix *= base[i] + f
+    abs_error = (bound + gamma_n * abs(value)) * (1.0 + 1e-10)
+    return EvalResult(value, abs_error, K, "newton")
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +648,27 @@ def _orbit_transform(
 
     with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
     spherical function), K = I0 otherwise (the exponential orbital integral).
-    ``path`` "det" takes this determinant, "series" the Schur series
-    (certified to ``rel_tol``), and "auto" the determinant when both
-    arguments are separated, the series otherwise.
+    ``path`` "det" takes this determinant, "newton" its Newton-basis form
+    (_newton_transform; ConvergenceError unless it certifies ``rel_tol``),
+    "series" the Schur series (certified to ``rel_tol``), and "auto" the
+    determinant when both arguments are separated, otherwise the Newton
+    form if it certifies ``rel_tol`` and the series if not.
     """
-    if path not in ("auto", "det", "series"):
+    if path not in ("auto", "det", "newton", "series"):
         raise DomainError(f"unknown path {path!r}")
-    if path == "auto":
-        path = "det" if _is_separated(x, xi) else "series"
+    if path == "auto" and _is_separated(x, xi):
+        path = "det"
+    elif path in ("auto", "newton"):
+        r = _newton_transform(x, xi, oscillatory)
+        if r.abs_error <= rel_tol * abs(r.value):
+            return r
+        if path == "newton":
+            raise ConvergenceError(
+                f"newton determinant not certified to rel_tol {rel_tol:g}",
+                partial=r.value,
+                abs_error=r.abs_error,
+            )
+        path = "series"
     elif path == "det":
         _require_separated(x, xi)
     if path == "series":
@@ -506,9 +707,10 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
                     / (D(lam) D(theta)),
 
     the two-sided unitary average of exp(Re tr(lam u theta v*)).  ``path`` is
-    "auto" (determinant when separated, series otherwise), "det", or
-    "series"; the series is the positive-kernel analogue of the spherical one
-    and handles degenerate inputs, e.g. theta = 0 gives exactly 1.
+    "auto", "det", "newton" or "series", as in spherical_eval: "auto" takes
+    the determinant when separated, otherwise the Newton-basis determinant
+    or, where that does not certify, the series.  Both handle coincident and
+    zero entries; theta = 0 gives 1 (exactly on the series).
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
     overflow guard).  On the determinant route the 200-term cap of the I0
@@ -529,8 +731,10 @@ def heat_kernel(t: float, lam, theta) -> float:
                       = e^{-(|lam|^2+|theta|^2)/4t} * I(lam/2t, theta)
                         / (n! (2t)^n (4t)^{n(n-1)} (prod_{j<n} j!)^2).
 
-    Requires finite t > 0.  Coincident entries take the series route of
-    orbital_integral, whose overflow guard applies to (lam/2t, theta).
+    Requires finite t > 0.  Coincident entries take the "auto" route of
+    orbital_integral at (lam/2t, theta): the Newton-basis determinant, or the
+    series where that does not certify.  The orbital overflow guard applies
+    to (lam/2t, theta).
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):

@@ -61,6 +61,22 @@ def test_eval_spherical_degenerate_determinant_exits_two(capsys):
     assert msg["error"] == "degeneracy"
 
 
+def test_newton_path_flag(capsys):
+    code, out, _ = run_cli(
+        capsys, ["eval-spherical", "--x", "1,1", "--xi", "0.5,1.5", "--path", "newton"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["path"] == "newton"
+    assert payload["value"] == pytest.approx(0.7234100002331137, rel=1e-13)
+    # past what the Newton bound certifies: a convergence error, no output
+    argv = ["orbital", "--lam", "2.34,2.34,2.17,1.65", "--theta", "2.99,2.98,2.97,0", "--path"]
+    code, out, err = run_cli(capsys, argv + ["newton"])
+    assert (code, out, json.loads(err)["error"]) == (2, "", "convergence")
+    code, out, _ = run_cli(capsys, argv + ["auto"])
+    assert (code, json.loads(out)["path"]) == (0, "series")
+
+
 def test_eval_spherical_zero_argument(capsys):
     code, out, _ = run_cli(capsys, ["eval-spherical", "--x", "0,0", "--xi", "3,4"])
     assert code == 0
@@ -537,7 +553,9 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
     mix = write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS)
     commands = [
         ["eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"],
+        ["eval-spherical", "--x", "1,1", "--xi", "0.5,1.5"],
         ["orbital", "--lam", "1,0.5", "--theta", "2,0.3"],
+        ["orbital", "--lam", "1,1", "--theta", "0.5,1.5"],
         ["heat-kernel", "--t", "0.5", "--lam", "1,0.5", "--theta", "1,0.2"],
         ["eval-polya", "--omega", omega, "--lam", "1,2"],
         ["eval-mixture", "--mixture", mix, "--lam", "1,0.5"],

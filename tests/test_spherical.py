@@ -1,5 +1,6 @@
 """Finite-dimension spherical functions, orbital integrals, heat kernel."""
 
+import functools
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from spherica import (
+    ConvergenceError,
     DegeneracyError,
     DiagonalPoint,
     DomainError,
@@ -141,9 +143,11 @@ def test_eval_route_selection():
     auto = spherical_eval((1.0, 2.0), (0.5, 1.5))
     assert auto.path == "determinant"
     degen = spherical_eval((1.0, 1.0), (0.5, 1.5))
-    assert degen.path == "series"
+    assert degen.path == "newton"
     forced = spherical_eval((1.0, 2.0), (0.5, 1.5), path="series")
     assert forced.path == "series"
+    forced = spherical_eval((1.0, 2.0), (0.5, 1.5), path="newton")
+    assert forced.path == "newton"
     with pytest.raises(DomainError):
         spherical_eval((1.0,), (1.0,), path="bogus")
     with pytest.raises(DegeneracyError):
@@ -340,7 +344,7 @@ def _series_point(draw):
 @given(_series_point())
 def test_tail_table_bounds_every_weight(point):
     evaluate, x, xi = point
-    assume(evaluate(x, xi).path == "series")
+    assert evaluate(x, xi, path="series").path == "series"
     n = len(x)
     lam = [v * v for v in x]
     xiq = [v * v / 4.0 for v in xi]
@@ -394,6 +398,16 @@ def _coincident_points(seed):
     return points
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_oracle(kind, x, xi):
+    return determinant_oracle(kind, x, xi)
+
+
+def _oracle(kind, x, xi):
+    # the series and Newton-route tests share these mpmath evaluations
+    return _cached_oracle(kind, tuple(x), tuple(xi))
+
+
 ORBITAL_MISS = (
     (1.9000062478414768, 1.6685090370638551, 1.4159568666312485),
     (1.986757555097953, 1.986757555097953, 0.9578514430619771),
@@ -403,9 +417,9 @@ ORBITAL_MISS = (
 @pytest.mark.parametrize("x, xi", _coincident_points(2024) + [ORBITAL_MISS])
 def test_series_route_within_its_bound_of_the_oracle(x, xi):
     for oscillatory, evaluate in ((True, spherical_eval), (False, orbital_integral)):
-        r = evaluate(x, xi)
+        r = evaluate(x, xi, path="series")
         assert r.path == "series"
-        oracle = determinant_oracle("spherical" if oscillatory else "orbital", x, xi)
+        oracle = _oracle("spherical" if oscillatory else "orbital", x, xi)
         assert abs(r.value - oracle) <= r.abs_error <= 1e-13 * max(1.0, abs(oracle))
 
 
@@ -453,9 +467,79 @@ SERIES_BITS = [
 
 @pytest.mark.parametrize("evaluate, x, xi, value, abs_error, terms_used", SERIES_BITS)
 def test_series_route_bits_are_pinned(evaluate, x, xi, value, abs_error, terms_used):
-    r = evaluate(x, xi)
+    r = evaluate(x, xi) if evaluate is spherical_series else evaluate(x, xi, path="series")
     assert r.path == "series"
     assert (r.value, r.abs_error, r.terms_used) == (value, abs_error, terms_used)
+
+
+@pytest.mark.parametrize(
+    "x, xi", _coincident_points(2024) + [ORBITAL_MISS] + [row[1:3] for row in SERIES_BITS]
+)
+def test_newton_route_within_its_bound_of_the_oracle(x, xi):
+    for oscillatory, evaluate in ((True, spherical_eval), (False, orbital_integral)):
+        r = evaluate(x, xi, path="newton")
+        assert r.path == "newton"
+        oracle = _oracle("spherical" if oscillatory else "orbital", x, xi)
+        assert abs(r.value - oracle) <= r.abs_error <= 1e-10 * abs(r.value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_separated_pair())
+def test_newton_and_determinant_routes_agree_within_their_errors(pair):
+    x, xi = pair
+    for evaluate in (spherical_eval, orbital_integral):
+        d = evaluate(x, xi, path="det")
+        r = evaluate(x, xi, path="newton")
+        assert abs(d.value - r.value) <= d.abs_error + r.abs_error
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_series_point())
+def test_newton_and_series_routes_agree_within_their_errors(point):
+    evaluate, x, xi = point
+    s = evaluate(x, xi, path="series")
+    r = evaluate(x, xi, path="newton")
+    assert abs(s.value - r.value) <= s.abs_error + r.abs_error
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_series_point(), st.randoms(use_true_random=False))
+def test_newton_route_symmetries_are_exact(point, rnd):
+    evaluate, x, xi = point
+    expected = repr(evaluate(x, xi, path="newton"))
+    assert repr(evaluate(xi, x, path="newton")) == expected
+
+    def shuffle_and_flip(v):
+        return [e if rnd.random() < 0.5 else -e for e in rnd.sample(v, len(v))]
+
+    assert repr(evaluate(shuffle_and_flip(x), shuffle_and_flip(xi), path="newton")) == expected
+
+
+@pytest.mark.parametrize(
+    "x, xi",
+    [((2.6,), (2.21,)), ((2.96, 2.54), (2.95, 1.54)), ((2.96,), (2.94,)), ((2.9, 2.9), (2.89, 1.83))],
+)
+def test_newton_bound_holds_where_j0_entries_cancel(x, xi):
+    # entry products 5.7 to 8.7: the J0 entries cancel, and it is the entry
+    # rounding term that covers the error; the last two do not certify
+    try:
+        r = spherical_eval(x, xi, path="newton")
+        value, bound = r.value, r.abs_error
+    except ConvergenceError as exc:
+        value, bound = exc.partial, exc.abs_error
+    assert abs(value - _oracle("spherical", x, xi)) <= bound
+
+
+def test_newton_route_refuses_what_it_cannot_certify():
+    # n = 4, max product 7: the Newton bound is about 1.6e-9 relative, so
+    # "auto" falls back to the series and a forced "newton" raises
+    lam, theta = (2.34, 2.34, 2.17, 1.65), (2.99, 2.98, 2.97, 0.0)
+    series = orbital_integral(lam, theta, path="series")
+    assert orbital_integral(lam, theta) == series
+    with pytest.raises(ConvergenceError) as info:
+        orbital_integral(lam, theta, path="newton")
+    assert info.value.partial == pytest.approx(series.value, rel=1e-9)
+    assert 1e-10 * abs(info.value.partial) < info.value.abs_error < math.inf
 
 
 # Determinant-route results pinned bit for bit: (evaluator, x, xi, value,
@@ -553,10 +637,16 @@ def test_log_factorial_table_stays_complete_across_threads():
     assert bad == []
 
 
-@pytest.mark.parametrize("n, size", [(2, 20), (3, 16)])
+@pytest.mark.parametrize("n, size", [(2, 20), (3, 16), (4, 40)])
 def test_spherical_function_is_of_positive_type(n, size):
     # Gram matrix G_ij = phi_x(X_i - X_j) over complex Gaussian points with
-    # real and imaginary parts N(0, 0.2^2); phi_x depends on singular values
+    # real and imaginary parts N(0, 0.2^2); phi_x depends on singular values.
+    # n = 4 goes through the Newton-basis route (the series would take
+    # minutes); its control needs 40 points to reach -1 (at 12: -0.24)
+    if n < 4:
+        evaluate = spherical_series
+    else:
+        evaluate = functools.partial(spherical_eval, path="newton")
     rng = np.random.default_rng(2)
     shape = (size, n, n)
     points = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -567,7 +657,7 @@ def test_spherical_function_is_of_positive_type(n, size):
     for i in range(size):
         for j in range(i):
             s = np.linalg.svd(points[i] - points[j], compute_uv=False).tolist()
-            r = spherical_series(x, s)
+            r = evaluate(x, s)
             gram[i, j] = gram[j, i] = r.value
             worst = max(worst, r.abs_error)
             # negative control: bounded in the singular values, not of positive type
