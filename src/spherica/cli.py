@@ -136,7 +136,7 @@ def _emit(args, payload, rows, table: str | None = None) -> None:
 # allowed values by option; the config file is held to them as well
 _CHOICES = {
     "format": ["json", "csv"],
-    "path": ["auto", "det", "newton", "series"],
+    "path": ["auto", "det", "series"],
     "kind": ["spherical", "powersum", "weyl"],
     "method": ["series", "mc"],
     "suite": ["special", "symfunc", "spherical", "polya", "mc", "limits", "all"],

@@ -10,15 +10,17 @@ U(n) x U(n) orbit by one of three routes:
 * "det": the closed determinant form with Bessel kernel entries over
   squared Vandermonde products (valid when all squared entries are well
   separated);
-* "newton": the same determinant with the kernel expanded in the Newton
-  basis of the squared entries, which cancels the Vandermonde products
-  exactly (valid everywhere, pure Python, certified by a bound that grows
-  with the entry products);
+* the Newton-basis determinant (result path "newton"): the same
+  determinant with the kernel expanded in the Newton basis of the squared
+  entries, which cancels the Vandermonde products exactly (valid
+  everywhere, pure Python, certified by a bound that grows with the entry
+  products);
 * "series": a Schur-function series with a certified tail bound (valid
   everywhere, the reference).
 
-"auto" takes "det" at separated points and "newton" elsewhere, and falls
-back to the series when the Newton bound does not certify.  The J0 kernel
+"det" and "series" can be forced; "auto" takes "det" at separated points
+and the Newton-basis determinant elsewhere, and falls back to the series
+when the Newton bound does not certify.  The J0 kernel
 gives the spherical function, I0 (positive instead of negative squared
 variables) the exponential orbital integral, and the radial heat kernel is
 the orbital integral at a rescaled point times a Gaussian factor.
@@ -143,7 +145,7 @@ def _is_separated(x: DiagonalPoint, xi: DiagonalPoint) -> bool:
 def _require_separated(x, xi) -> None:
     if not _is_separated(x, xi):
         raise DegeneracyError(
-            "coincident squared entries; use path 'auto', 'newton' or 'series'"
+            "coincident squared entries; use path 'auto' or 'series'"
         )
 
 
@@ -284,12 +286,11 @@ def spherical_det_f_kernel(x, xi) -> EvalResult:
 def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
     """Spherical function with explicit route selection.
 
-    path "det", "newton" and "series" force the corresponding evaluator;
-    "auto" takes the Bessel determinant when both arguments' squared entries
-    are separated beyond 1e-6 relative to the largest square, and otherwise
-    the Newton-basis determinant, falling back to the series when that does
-    not certify rel_tol = 1e-10.  "newton" raises ConvergenceError (with the
-    partial value and its bound) where it does not certify; "det" raises
+    path "det" and "series" force the corresponding evaluator; "auto" takes
+    the Bessel determinant when both arguments' squared entries are
+    separated beyond 1e-6 relative to the largest square, and otherwise the
+    Newton-basis determinant (result path "newton"), falling back to the
+    series when that does not certify rel_tol = 1e-10.  "det" raises
     DegeneracyError at unseparated points.
     """
     return _orbit_transform(*_point_pair(x, xi), True, path)
@@ -648,26 +649,19 @@ def _orbit_transform(
 
     with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
     spherical function), K = I0 otherwise (the exponential orbital integral).
-    ``path`` "det" takes this determinant, "newton" its Newton-basis form
-    (_newton_transform; ConvergenceError unless it certifies ``rel_tol``),
-    "series" the Schur series (certified to ``rel_tol``), and "auto" the
-    determinant when both arguments are separated, otherwise the Newton
-    form if it certifies ``rel_tol`` and the series if not.
+    ``path`` "det" takes this determinant, "series" the Schur series
+    (certified to ``rel_tol``), and "auto" the determinant when both
+    arguments are separated, otherwise its Newton-basis form
+    (_newton_transform) if that certifies ``rel_tol`` and the series if not.
     """
-    if path not in ("auto", "det", "newton", "series"):
+    if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
     if path == "auto" and _is_separated(x, xi):
         path = "det"
-    elif path in ("auto", "newton"):
+    elif path == "auto":
         r = _newton_transform(x, xi, oscillatory)
         if r.abs_error <= rel_tol * abs(r.value):
             return r
-        if path == "newton":
-            raise ConvergenceError(
-                f"newton determinant not certified to rel_tol {rel_tol:g}",
-                partial=r.value,
-                abs_error=r.abs_error,
-            )
         path = "series"
     elif path == "det":
         _require_separated(x, xi)
@@ -707,7 +701,7 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
                     / (D(lam) D(theta)),
 
     the two-sided unitary average of exp(Re tr(lam u theta v*)).  ``path`` is
-    "auto", "det", "newton" or "series", as in spherical_eval: "auto" takes
+    "auto", "det" or "series", as in spherical_eval: "auto" takes
     the determinant when separated, otherwise the Newton-basis determinant
     or, where that does not certify, the series.  Both handle coincident and
     zero entries; theta = 0 gives 1 (exactly on the series).

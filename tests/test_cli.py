@@ -61,22 +61,6 @@ def test_eval_spherical_degenerate_determinant_exits_two(capsys):
     assert msg["error"] == "degeneracy"
 
 
-def test_newton_path_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, ["eval-spherical", "--x", "1,1", "--xi", "0.5,1.5", "--path", "newton"]
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["path"] == "newton"
-    assert payload["value"] == pytest.approx(0.7234100002331137, rel=1e-13)
-    # past what the Newton bound certifies: a convergence error, no output
-    argv = ["orbital", "--lam", "2.34,2.34,2.17,1.65", "--theta", "2.99,2.98,2.97,0", "--path"]
-    code, out, err = run_cli(capsys, argv + ["newton"])
-    assert (code, out, json.loads(err)["error"]) == (2, "", "convergence")
-    code, out, _ = run_cli(capsys, argv + ["auto"])
-    assert (code, json.loads(out)["path"]) == (0, "series")
-
-
 def test_eval_spherical_zero_argument(capsys):
     code, out, _ = run_cli(capsys, ["eval-spherical", "--x", "0,0", "--xi", "3,4"])
     assert code == 0

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from spherica import (
-    ConvergenceError,
     DegeneracyError,
     DiagonalPoint,
     DomainError,
@@ -146,8 +145,6 @@ def test_eval_route_selection():
     assert degen.path == "newton"
     forced = spherical_eval((1.0, 2.0), (0.5, 1.5), path="series")
     assert forced.path == "series"
-    forced = spherical_eval((1.0, 2.0), (0.5, 1.5), path="newton")
-    assert forced.path == "newton"
     with pytest.raises(DomainError):
         spherical_eval((1.0,), (1.0,), path="bogus")
     with pytest.raises(DegeneracyError):
@@ -472,12 +469,19 @@ def test_series_route_bits_are_pinned(evaluate, x, xi, value, abs_error, terms_u
     assert (r.value, r.abs_error, r.terms_used) == (value, abs_error, terms_used)
 
 
+def _newton(evaluate, x, xi):
+    # the Newton-basis route forced, for spherical_eval's J0 or
+    # orbital_integral's I0 kernel; "auto" takes it only where it certifies
+    oscillatory = evaluate is spherical_eval
+    return spherical_module._newton_transform(*spherical_module._point_pair(x, xi), oscillatory)
+
+
 @pytest.mark.parametrize(
     "x, xi", _coincident_points(2024) + [ORBITAL_MISS] + [row[1:3] for row in SERIES_BITS]
 )
 def test_newton_route_within_its_bound_of_the_oracle(x, xi):
     for oscillatory, evaluate in ((True, spherical_eval), (False, orbital_integral)):
-        r = evaluate(x, xi, path="newton")
+        r = _newton(evaluate, x, xi)
         assert r.path == "newton"
         oracle = _oracle("spherical" if oscillatory else "orbital", x, xi)
         assert abs(r.value - oracle) <= r.abs_error <= 1e-10 * abs(r.value)
@@ -489,7 +493,7 @@ def test_newton_and_determinant_routes_agree_within_their_errors(pair):
     x, xi = pair
     for evaluate in (spherical_eval, orbital_integral):
         d = evaluate(x, xi, path="det")
-        r = evaluate(x, xi, path="newton")
+        r = _newton(evaluate, x, xi)
         assert abs(d.value - r.value) <= d.abs_error + r.abs_error
 
 
@@ -498,7 +502,7 @@ def test_newton_and_determinant_routes_agree_within_their_errors(pair):
 def test_newton_and_series_routes_agree_within_their_errors(point):
     evaluate, x, xi = point
     s = evaluate(x, xi, path="series")
-    r = evaluate(x, xi, path="newton")
+    r = _newton(evaluate, x, xi)
     assert abs(s.value - r.value) <= s.abs_error + r.abs_error
 
 
@@ -506,13 +510,13 @@ def test_newton_and_series_routes_agree_within_their_errors(point):
 @given(_series_point(), st.randoms(use_true_random=False))
 def test_newton_route_symmetries_are_exact(point, rnd):
     evaluate, x, xi = point
-    expected = repr(evaluate(x, xi, path="newton"))
-    assert repr(evaluate(xi, x, path="newton")) == expected
+    expected = repr(_newton(evaluate, x, xi))
+    assert repr(_newton(evaluate, xi, x)) == expected
 
     def shuffle_and_flip(v):
         return [e if rnd.random() < 0.5 else -e for e in rnd.sample(v, len(v))]
 
-    assert repr(evaluate(shuffle_and_flip(x), shuffle_and_flip(xi), path="newton")) == expected
+    assert repr(_newton(evaluate, shuffle_and_flip(x), shuffle_and_flip(xi))) == expected
 
 
 @pytest.mark.parametrize(
@@ -522,24 +526,19 @@ def test_newton_route_symmetries_are_exact(point, rnd):
 def test_newton_bound_holds_where_j0_entries_cancel(x, xi):
     # entry products 5.7 to 8.7: the J0 entries cancel, and it is the entry
     # rounding term that covers the error; the last two do not certify
-    try:
-        r = spherical_eval(x, xi, path="newton")
-        value, bound = r.value, r.abs_error
-    except ConvergenceError as exc:
-        value, bound = exc.partial, exc.abs_error
-    assert abs(value - _oracle("spherical", x, xi)) <= bound
+    r = _newton(spherical_eval, x, xi)
+    assert abs(r.value - _oracle("spherical", x, xi)) <= r.abs_error
 
 
 def test_newton_route_refuses_what_it_cannot_certify():
     # n = 4, max product 7: the Newton bound is about 1.6e-9 relative, so
-    # "auto" falls back to the series and a forced "newton" raises
+    # "auto" falls back to the series
     lam, theta = (2.34, 2.34, 2.17, 1.65), (2.99, 2.98, 2.97, 0.0)
     series = orbital_integral(lam, theta, path="series")
     assert orbital_integral(lam, theta) == series
-    with pytest.raises(ConvergenceError) as info:
-        orbital_integral(lam, theta, path="newton")
-    assert info.value.partial == pytest.approx(series.value, rel=1e-9)
-    assert 1e-10 * abs(info.value.partial) < info.value.abs_error < math.inf
+    r = _newton(orbital_integral, lam, theta)
+    assert r.value == pytest.approx(series.value, rel=1e-9)
+    assert 1e-10 * abs(r.value) < r.abs_error < math.inf
 
 
 # Determinant-route results pinned bit for bit: (evaluator, x, xi, value,
@@ -646,7 +645,7 @@ def test_spherical_function_is_of_positive_type(n, size):
     if n < 4:
         evaluate = spherical_series
     else:
-        evaluate = functools.partial(spherical_eval, path="newton")
+        evaluate = functools.partial(_newton, spherical_eval)
     rng = np.random.default_rng(2)
     shape = (size, n, n)
     points = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
