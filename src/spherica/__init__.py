@@ -67,7 +67,6 @@ from .spherical import (
     orbital_integral,
     radial_laplacian,
     spherical_det,
-    spherical_det_f_kernel,
     spherical_eval,
     spherical_series,
     squared_gap_product,
@@ -163,7 +162,6 @@ __all__ = [
     "sigma_moment",
     "spherical_convergence",
     "spherical_det",
-    "spherical_det_f_kernel",
     "spherical_eval",
     "spherical_series",
     "squared_gap_product",

@@ -247,6 +247,10 @@ def weyl_concentration_sweep(
     grid = _check_grid(n_values, 2 * m)
     obs = _mean_cos_sq if observable is None else observable
     limit = float(obs(np.full(m, math.pi / 2.0)))
+    if m >= 2:
+        from . import montecarlo
+
+        n_samples = montecarlo._check_samples(n_samples)
     values: list[float] = []
     std_errors: list[float] = []
     for i, n in enumerate(grid):
@@ -256,11 +260,9 @@ def weyl_concentration_sweep(
             folded = np.array([f(math.pi / 2.0 - d) + f(math.pi / 2.0 + d) for d in half])
             values.append(math.fsum(w * folded) / (2.0 * math.fsum(w)))
         else:
-            from . import montecarlo
-
             w_blocks: list[np.ndarray] = []
             f_blocks: list[np.ndarray] = []
-            for b, take in montecarlo._blocks(int(n_samples)):
+            for b, take in montecarlo._blocks(n_samples):
                 stream = montecarlo.RngStream(seed + 1000003 * i, b)
                 th = stream.uniforms((take, m)) * math.pi
                 w_blocks.append(_weyl_density(m, n, th))
@@ -281,7 +283,7 @@ def weyl_concentration_sweep(
         "observable": "mean_cos_sq" if observable is None else "custom",
     }
     if m >= 2:
-        params["n_samples"] = int(n_samples)
+        params["n_samples"] = n_samples
         params["seed"] = int(seed)
     return SweepReport(
         kind="weyl_concentration",

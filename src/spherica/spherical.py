@@ -24,8 +24,6 @@ when the Newton bound does not certify.  The J0 kernel
 gives the spherical function, I0 (positive instead of negative squared
 variables) the exponential orbital integral, and the radial heat kernel is
 the orbital integral at a rescaled point times a Gaussian factor.
-``spherical_det_f_kernel`` keeps its own prefactor bookkeeping as an
-independent cross-check.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
+# hyper_f goes unused but stays: perfbench/tracer.py patches it here by name
 from .series import bessel_i0, bessel_j0, hyper_f
 from .symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
@@ -142,13 +141,6 @@ def _is_separated(x: DiagonalPoint, xi: DiagonalPoint) -> bool:
     return not (_is_degenerate(x.values) or _is_degenerate(xi.values))
 
 
-def _require_separated(x, xi) -> None:
-    if not _is_separated(x, xi):
-        raise DegeneracyError(
-            "coincident squared entries; use path 'auto' or 'series'"
-        )
-
-
 def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
     # the kernel determinants are symmetric in their two arguments; one fixed
     # evaluation order makes that symmetry hold bitwise
@@ -216,18 +208,22 @@ def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]
     return acc
 
 
-def _det_ratio(
-    kernel: Callable[[float], float],
-    a: Sequence[float],
-    b: Sequence[float],
-    num: list[float],
-    den: list[float],
-    sign: float,
-) -> tuple[float, float]:
-    """(sign * prod(num) / prod(den)) * det(kernel(a_i b_j)), with a
-    conditioning-based absolute error estimate (Hadamard bound over |det|)."""
+def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalResult:
+    """The Bessel route of _orbit_transform at a separated pair: with (a, b)
+    from _canonical_order and K = J0 (``oscillatory``) or I0,
+
+    (delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)),
+
+    times (-1)^{n(n-1)/2} for J0, with a conditioning-based absolute error
+    estimate (Hadamard bound over |det|).  terms_used is n.
+    """
+    a, b = _canonical_order(x, xi)
+    n = len(a)
+    num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
+    den = _gap_factors(a) + _gap_factors(b)
+    sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
+    kernel = bessel_j0 if oscillatory else bessel_i0
     matrix = [[kernel(ai * bj) for bj in b] for ai in a]
-    n = len(matrix)
     lu_sign, diag = _lu_full_pivot(matrix)[:2]
     for d in diag:
         if d < 0.0:
@@ -239,7 +235,7 @@ def _det_ratio(
     rownorms = [math.sqrt(math.fsum(e * e for e in row)) for row in matrix]
     hadamard = _balanced_product([max(r, 1e-300) for r in rownorms] + num, den)
     abs_error = 8.0 * n * n * _EPS * hadamard + 1e-300
-    return value, abs_error
+    return EvalResult(value, abs_error, n, "determinant")
 
 
 def spherical_det(x, xi) -> EvalResult:
@@ -255,32 +251,6 @@ def spherical_det(x, xi) -> EvalResult:
     canonical argument order so the symmetry holds bitwise.
     """
     return _orbit_transform(*_point_pair(x, xi), True, "det")
-
-
-def spherical_det_f_kernel(x, xi) -> EvalResult:
-    """Same value through the squared-variable kernel determinant:
-
-    (delta!)^2 det(F(Lam_i Xi_j)) / (D(Lam) D(Xi)) with Lam = x^2,
-    Xi = -xi^2/4 and D here the plain Vandermonde in the squared variables.
-    Kept as an independently coded cross-check of the prefactor bookkeeping.
-    """
-    x, xi = _point_pair(x, xi)
-    _require_separated(x, xi)
-    n = x.dimension
-    lam = [v * v for v in x.values]
-    xis = [-(v * v) / 4.0 for v in xi.values]
-    num = [float(math.factorial(j)) for j in range(n)] * 2
-    den = []
-    sign = 1.0
-    for vals in (lam, xis):
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                g = vals[i] - vals[j]
-                if g < 0.0:
-                    sign = -sign
-                den.append(abs(g))
-    value, abs_error = _det_ratio(hyper_f, lam, xis, num, den, sign)
-    return EvalResult(value, abs_error, n, "determinant")
 
 
 def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
@@ -649,10 +619,11 @@ def _orbit_transform(
 
     with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
     spherical function), K = I0 otherwise (the exponential orbital integral).
-    ``path`` "det" takes this determinant, "series" the Schur series
-    (certified to ``rel_tol``), and "auto" the determinant when both
-    arguments are separated, otherwise its Newton-basis form
-    (_newton_transform) if that certifies ``rel_tol`` and the series if not.
+    It only picks the route: ``path`` "det" takes this determinant
+    (_det_ratio), "series" the Schur series (_schur_fourier_series, certified
+    to ``rel_tol``), and "auto" the determinant when both arguments are
+    separated, otherwise its Newton-basis form (_newton_transform) if that
+    certifies ``rel_tol`` and the series if not.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
@@ -663,19 +634,12 @@ def _orbit_transform(
         if r.abs_error <= rel_tol * abs(r.value):
             return r
         path = "series"
-    elif path == "det":
-        _require_separated(x, xi)
+    elif path == "det" and not _is_separated(x, xi):
+        raise DegeneracyError("coincident squared entries; use path 'auto' or 'series'")
     if path == "series":
         xiq = [v * v / 4.0 for v in xi.values]
         return _schur_fourier_series(x.values, xiq, oscillatory, rel_tol)
-    n = x.dimension
-    a, b = _canonical_order(x, xi)
-    num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
-    den = _gap_factors(a) + _gap_factors(b)
-    sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
-    kernel = bessel_j0 if oscillatory else bessel_i0
-    value, abs_error = _det_ratio(kernel, a, b, num, den, sign)
-    return EvalResult(value, abs_error, n, "determinant")
+    return _det_ratio(x, xi, oscillatory)
 
 
 def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:

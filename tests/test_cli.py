@@ -371,6 +371,7 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "8,4"], 2, "domain"),
         # below the estimators' 100-sample floor: refused, not quietly raised to 100
         (["validate", "--suite", "mc", "--samples", "20"], 2, "domain"),
+        (["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4", "--samples", "0"], 2, "domain"),
         # integer flags: an infinite value or a fraction is a usage error
         (["sweep", "--kind", "weyl", "--m", "inf", "--n-list", "4,8"], 1, "usage"),
         (["sweep", "--kind", "weyl", "--m", "1.7", "--n-list", "4,8"], 1, "usage"),
@@ -386,6 +387,7 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         "io",
         "sweep_domain",
         "validate_samples",
+        "weyl_samples",
         "m_inf",
         "m_fraction",
         "n_list_inf",

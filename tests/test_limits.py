@@ -189,6 +189,12 @@ def test_angular_sweep_validates_inputs():
         weyl_concentration_sweep(2, (3, 8))
 
 
+@pytest.mark.parametrize("n_samples", [0, 1, 99])
+def test_sampled_angular_sweep_refuses_fewer_than_100_samples(n_samples):
+    with pytest.raises(DomainError, match="need at least 100 samples"):
+        weyl_concentration_sweep(2, (4, 8), n_samples=n_samples)
+
+
 def test_coefficient_rescaling_approaches_one():
     n = 10_000
     for parts in ((1,), (2, 1), (2, 2), (4,)):

@@ -31,7 +31,6 @@ from spherica import (
     orbital_integral,
     radial_laplacian,
     spherical_det,
-    spherical_det_f_kernel,
     spherical_convergence,
     spherical_eval,
     spherical_series,
@@ -162,7 +161,6 @@ def test_dimension_mismatch_rejected():
     "evaluate",
     [
         spherical_det,
-        spherical_det_f_kernel,
         spherical_eval,
         spherical_series,
         orbital_integral,
@@ -173,7 +171,6 @@ def test_dimension_mismatch_rejected():
     ],
     ids=[
         "det",
-        "f_kernel",
         "eval",
         "series",
         "orbital",
@@ -195,16 +192,6 @@ def test_near_zero_argument_normalizes_to_one():
     # error must cover the deviation rather than silently under-report
     d = spherical_det((1.0, 2.0), (1e-8, 5e-9))
     assert d.abs_error >= abs(d.value - 1.0)
-
-
-def test_f_kernel_form_matches_determinant():
-    for x, xi in (
-        ((1.0, 2.0), (0.5, 1.5)),
-        ((0.4, 1.1, 2.3), (0.3, 0.9, 1.7)),
-    ):
-        a = spherical_det(x, xi).value
-        b = spherical_det_f_kernel(x, xi).value
-        assert b == pytest.approx(a, rel=1e-10)
 
 
 def test_orbital_one_dimensional_matches_i0():
@@ -558,10 +545,6 @@ DET_BITS = [
     (orbital_integral, 2.070521140287063, 4.682177129693717e-14),
     (orbital_integral, 1.9718223085342774, 2.3101416333824304e-12),
     (orbital_integral, 1.414308573261254, 6.727334045738642e-08),
-    (spherical_det_f_kernel, 0.8034465294730335, 1.427207737721818e-15),
-    (spherical_det_f_kernel, 0.42380017221205923, 4.0923401412465475e-15),
-    (spherical_det_f_kernel, 0.4832089792803721, 9.235881844719753e-14),
-    (spherical_det_f_kernel, 0.7018890564958051, 5.276629158217882e-09),
 ]
 
 
