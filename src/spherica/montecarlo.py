@@ -5,7 +5,8 @@ Reproducibility contract
 * Core generator: Philox-4x64 (counter-based), keyed by the 128-bit pair
   (master_seed, stream_id).  Streams with distinct ids are independent.
 * Gaussians are produced by inverse-transform sampling: 53-bit uniforms
-  u = (k + 1/2) * 2^-53 with k drawn from [0, 2^53), mapped through the
+  u = (k + 1/2) * 2^-53 with k the top 53 bits of a raw Philox word (so
+  uniform on [0, 2^53)), kept below 1 at k = 2^53 - 1, mapped through the
   inverse normal CDF (scipy.special.ndtri).  No ziggurat, no rejection, so
   the stream consumption per sample is fixed and platform independent.
 * Estimators consume samples in fixed-size blocks of 8192; block b draws all
@@ -45,6 +46,7 @@ from .spherical import _point_pair
 _BLOCK = 8192
 _MASK64 = (1 << 64) - 1
 _INV53 = 2.0**-53
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def ndtri(u: np.ndarray) -> np.ndarray:
@@ -66,10 +68,19 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniforms(self, shape) -> np.ndarray:
-        """Open-interval (0,1) uniforms with exactly 53 random bits each."""
-        u = self._gen.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(np.float64)
+        """Open-interval (0,1) uniforms with exactly 53 random bits each.
+
+        k is the top 53 bits of one raw Philox word, bit for bit
+        integers(0, 2^53): Lemire's method for a range of 2^53 takes the
+        high word of x 2^53 and never rejects.  (k + 1/2) 2^-53 rounds to 1.0
+        at k = 2^53 - 1, so the result is clamped to 1 - 2^-53.
+        """
+        k = self._gen.bit_generator.random_raw(shape)
+        k >>= np.uint64(11)
+        u = k.astype(np.float64)
         u += 0.5
         u *= _INV53
+        np.minimum(u, _BELOW_ONE, out=u)
         return u
 
     def normals(self, shape) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -424,19 +425,22 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
 # ---------------------------------------------------------------------------
 # Schur series route
 
-# entry t is math.lgamma(t + 1) = log t!; grown by building a longer list and
-# rebinding the name, never in place, so every reader holds a complete table
-_log_fact: list[float] = [0.0]
+# entry t is math.lgamma(t + 1) = log t!, a float array after the first call;
+# grown by building a longer array and rebinding the name, never in place, so
+# every reader holds a complete table
+_log_fact: Sequence[float] = [0.0]
 
 
-def _log_factorials(top: int) -> list[float]:
+def _log_factorials(top: int) -> np.ndarray:
     """The shared table of log t! (exactly math.lgamma(t + 1)), t = 0..top
-    at least."""
+    at least, for top >= 1."""
     global _log_fact
     table = _log_fact
     if len(table) <= top:
+        import numpy as np
+
         grown = range(len(table), max(top + 1, 2 * len(table)))
-        table = table + [math.lgamma(t + 1) for t in grown]
+        table = np.concatenate((table, [math.lgamma(t + 1) for t in grown]))
         _log_fact = table
     return table
 
@@ -467,7 +471,7 @@ def _series_tail_bound(
     J = W + 160
     base = n - rows
     lr = math.log(p1_lam) + math.log(xi_max)
-    lf = np.array(_log_factorials(J + max(K - 1, base)))  # lf[t] = lgamma(t + 1)
+    lf = _log_factorials(J + max(K - 1, base))  # lf[t] = lgamma(t + 1)
     # elementwise, in the order of the scalar formula, so the bits are the same
     logv = (
         lf[K - 1 : K + J]
@@ -501,7 +505,7 @@ def _series_tail_bound(
 
 def _schur_fourier_series(
     xvals: Sequence[float],
-    xi_quarter_sq: Sequence[float],
+    xivals: Sequence[float],
     alternating: bool,
     rel_tol: float,
 ) -> EvalResult:
@@ -509,8 +513,11 @@ def _schur_fourier_series(
     Lam = x^2 and |Xi| = xi^2/4; ``alternating`` attaches (-1)^{|m|} (the
     J0-type kernel), otherwise all terms are positive (I0-type).
 
-    Variables are rescaled by their maxima and the scale is folded into the
-    factorial coefficient through lgamma, so the routine stays in range for
+    Zero squares add nothing to a Schur function, so only the nonzero
+    entries of Lam and Xi are kept; the dimension n enters through the
+    coefficients alone.  Variables are rescaled by their maxima, and the
+    scale is folded into each row's log coefficient, a running sum of
+    log(scale) - log(d + t), so the routine stays in range and accurate for
     large dimensions and large entries.
 
     Each pass sums partitions of weight <= W in weight order, W = 64 at
@@ -519,44 +526,72 @@ def _schur_fourier_series(
     whose tail bound is below both the rounding term and rel_tol.  Otherwise
     the tail beyond W certifies the sum or W doubles, up to 240.  A term
     beyond double range raises RangeError.
+
+    The error returned is the tail bound plus a rounding term: 4 eps times
+    the absolute sum of the terms, plus each layer's absolute sum times the
+    relative error a term of that weight can take from the rounding of its
+    log coefficient (which grows like log n per unit of weight).
     """
     n = len(xvals)
-    lam = [v * v for v in xvals]
-    xiq = [float(q) for q in xi_quarter_sq]
-    n_lam = sum(1 for v in lam if v != 0.0)
-    n_xi = sum(1 for q in xiq if q != 0.0)
-    rows = min(n_lam, n_xi)
+    # filter on the squares: a square can underflow to 0 where its entry does not
+    lam = [s for v in xvals if (s := v * v) != 0.0]
+    xiq = [q for v in xivals if (q := v * v / 4.0) != 0.0]
+    rows = min(len(lam), len(xiq))
     if rows == 0:
         return EvalResult(1.0, 0.0, 1, "series")
 
     c_lam = max(lam[0], 1.0)
-    c_xi = max(max(xiq), 1.0)
+    xi_max = max(xiq)
+    c_xi = max(xi_max, 1.0)
     half_logc = 0.5 * (math.log(c_lam) + math.log(c_xi))
     p1_lam = math.fsum(lam)
-    xi_max = max(xiq)
     lam_hat = [v / c_lam for v in lam]
     xi_hat = [q / c_xi for q in xiq]
     rounding = 4.0 * _EPS
+    log = math.log
 
     W = _FIRST_WEIGHT
     while True:
-        tails = _series_tail_bound(p1_lam, xi_max, n, n_xi, rows, W)
+        tails = _series_tail_bound(p1_lam, xi_max, n, len(xiq), rows, W)
         # the empty partition makes sum |t| >= 1: layers past this weight
         # cannot move the sum beyond the rounding term already claimed
         W = next((w for w, t in enumerate(tails) if t <= rounding), W)
         h_lam = complete_h_table(lam_hat, W + rows)
         h_xi = complete_h_table(xi_hat, W + rows)
-        lg = _log_factorials(n + W)
-        # row i of a partition contributes log((n-1-i)! / (m_i + n-1-i)!)
+        # row i of a partition contributes m_i half_logc + log(d! / (m_i + d)!),
+        # d = n-1-i: a running sum of half_logc - log(d + t), whose steps are
+        # small where the scale matches the dimension (the rank-one sweeps).
+        # logs holds log(n-rows+1) .. log(n-1+W); row i reads W of them from
+        # offset rows-1-i.
+        logs = [log(k) for k in range(n - rows + 1, n + W)]
         row_coef = [
-            [lg[d] - lg[d + m] for m in range(W + 1)] for d in range(n - 1, n - 1 - rows, -1)
+            list(accumulate([half_logc - v for v in logs[off : off + W]], initial=0.0))
+            for off in range(rows - 1, -1, -1)
         ]
+        # A weight-w log coefficient is off by at most log_err[w] + cross big[w].
+        # half_logc is within 1.5 eps half_logc, each log within eps |log| and
+        # each sum within eps/2 of its result, so step t of any row's running
+        # sum is off by at most 2 eps half_logc + 1.5 eps log(n-1+t)
+        # + eps/2 big[t], with big[t] the largest |row_coef| up to t (the rows
+        # are monotone in d, so the first and last rows hold it).  The steps
+        # grow with t, so their prefix sums log_err bound every split of w
+        # between the rows; the rows - 1 additions across rows add cross
+        # big[w].  A term exp(2 log a) then carries relative error
+        # expm1(2 (log_err[w] + cross big[w])).
+        big = list(accumulate(map(max, map(abs, row_coef[0]), map(abs, row_coef[-1])), max))
+        fixed = 2.0 * _EPS * half_logc
+        steps = (fixed + 1.5 * _EPS * v + 0.5 * _EPS * b for v, b in zip(logs[rows - 1 :], big[1:]))
+        log_err = list(accumulate(steps, initial=0.0))
+        cross = 0.5 * _EPS * rows * (rows - 1)
         jacobi_trudi = _jacobi_trudi_det
         exp = math.exp
 
         total = 1.0  # empty partition
         comp = 0.0
         abs_sum = 1.0
+        coef_sum = 0.0  # per complete layer: its sum |t| times layer_err
+        layer_start = 1.0  # abs_sum before the current layer
+        layer_err = 0.0  # relative error of a term of this layer from its log
         count = 1
         layer = 0
         partitions = _partition_tuples(W, rows)
@@ -565,11 +600,14 @@ def _schur_fourier_series(
             w = sum(parts)
             if w != layer:
                 # layers 0..w-1 are complete
+                coef_sum += layer_err * (abs_sum - layer_start)
                 tail = tails[w - 1]
                 if tail <= rounding * abs_sum and tail <= rel_tol * abs(total) + 1e-14:
-                    return EvalResult(total, tail + rounding * abs_sum, count, "series")
+                    err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
+                    return EvalResult(total, err, count, "series")
                 layer = w
-                layer_log = w * half_logc
+                layer_start = abs_sum
+                layer_err = math.expm1(2.0 * (log_err[w] + cross * big[w]))
                 negate = alternating and (w & 1)
             s_l = jacobi_trudi(parts, h_lam)
             if s_l == 0.0:
@@ -577,7 +615,7 @@ def _schur_fourier_series(
             s_x = jacobi_trudi(parts, h_xi)
             if s_x == 0.0:
                 continue
-            log_a = layer_log
+            log_a = 0.0
             for coef, mi in zip(row_coef, parts):
                 log_a += coef[mi]
             try:
@@ -593,9 +631,11 @@ def _schur_fourier_series(
             comp = (t - total) - y
             total = t
 
+        coef_sum += layer_err * (abs_sum - layer_start)
         tail = tails[W]
         if tail <= rel_tol * abs(total) + 1e-14:
-            return EvalResult(total, tail + rounding * abs_sum, count, "series")
+            err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
+            return EvalResult(total, err, count, "series")
         if W >= _WEIGHT_CAP:
             raise ConvergenceError(
                 f"series tail not certified at max weight {W}",
@@ -637,21 +677,26 @@ def _orbit_transform(
     elif path == "det" and not _is_separated(x, xi):
         raise DegeneracyError("coincident squared entries; use path 'auto' or 'series'")
     if path == "series":
-        xiq = [v * v / 4.0 for v in xi.values]
-        return _schur_fourier_series(x.values, xiq, oscillatory, rel_tol)
+        return _schur_fourier_series(x.values, xi.values, oscillatory, rel_tol)
     return _det_ratio(x, xi, oscillatory)
 
 
 def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     """Series form of the spherical function.
 
-    Handles coincident and zero entries (no Vandermonde division).  The
-    initial truncation weight 64 is doubled up to 240 until the tail bound
-    certifies rel_tol; failure to certify raises ConvergenceError with the
-    partial sum attached.  A pass stops before its truncation weight at the
-    first complete weight whose tail bound is below both the rounding term
-    and rel_tol.  rel_tol <= 0 raises DomainError; a term beyond double range
-    raises RangeError.
+    Handles coincident and zero entries (no Vandermonde division).  Zero
+    entries cost nothing beyond input validation and a run of equal entries
+    costs what one entry does, so a rank-one sweep point (xi = (u, 0, ...,
+    0), x from lambda_sequence_for) costs O(W) per pass beyond its O(n)
+    set-up, whatever the dimension n.  The initial
+    truncation weight 64 is doubled up to 240 until the tail bound certifies
+    rel_tol; failure to certify raises ConvergenceError with the partial sum
+    attached.  A pass stops before its truncation weight at the first
+    complete weight whose tail bound is below both the rounding term and
+    rel_tol.  abs_error is the tail bound plus the rounding term, which
+    covers the error each term takes from its log-factorial coefficient as
+    well as the summation.  rel_tol <= 0 raises DomainError; a term beyond
+    double range raises RangeError.
     """
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")

@@ -1,6 +1,8 @@
 """Large-dimension machinery: rescaling map, realizing sequences, sweeps."""
 
 import math
+import os
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +21,10 @@ from spherica import (
     t_n_map,
     weyl_concentration_sweep,
 )
+
+# the benchmark's mpmath oracle: the one-row sum of a rank-one sweep point
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+from oracle import sweep_oracle  # noqa: E402
 
 SINGLE_ATOM = OmegaParam([1.0], 0.0)
 PURE_GAUSSIAN = OmegaParam([], 1.0)
@@ -118,6 +124,18 @@ def test_spherical_sweep_sampling_route_matches_series():
     series = spherical_series(lam, (1.0,) + (0.0,) * 24).value
     assert report.std_errors is not None
     assert abs(report.values[0] - series) <= 5.0 * report.std_errors[0]
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+@pytest.mark.parametrize(
+    "omega, u", [(OmegaParam([0.5], 0.3), 1.0), (OmegaParam([0.538, 0.104], 0.0), 1.05)]
+)
+def test_rank_one_sweep_at_large_n_is_within_its_bound(omega, u, n):
+    # log-factorial differences at d ~ n once put the first point 1.5e-10 off
+    # the one-row sum while claiming 1.6e-15; the second has n - 2 zero entries
+    r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
+    (oracle,), _ = sweep_oracle(omega.to_json(), u, [n])
+    assert abs(r.value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
 
 
 def test_spherical_sweep_validates_inputs():

@@ -1,6 +1,7 @@
 """Reproducible Haar-unitary Monte Carlo oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,33 @@ def test_uniforms_are_the_documented_map_of_philox_words():
     want = (k.astype(np.float64) + 0.5) * 2.0**-53
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_uniforms_keep_the_bits_of_bounded_integers_across_calls(seed):
+    # several shapes drawn in turn from one stream, so stream continuation
+    # is compared too; no draw here lands on k = 2^53 - 1
+    stream = RngStream(seed, 11)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 11], dtype=np.uint64)))
+    for shape in [(5,), (3, 4), (2, 7, 3), (0,), (8192, 2)]:
+        k = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+        want = (k.astype(np.float64) + 0.5) * 2.0**-53
+        got = stream.uniforms(shape)
+        assert got.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_uniforms_stay_below_one_at_the_largest_integer():
+    # (2^53 - 1 + 1/2) 2^-53 rounds to 1.0, where ndtri is inf
+    assert ((2**53 - 1) + 0.5) * 2.0**-53 == 1.0
+    top = np.iinfo(np.uint64).max  # a raw word whose 53 top bits are all set
+    stream = RngStream(0)
+    stream._gen = SimpleNamespace(
+        bit_generator=SimpleNamespace(random_raw=lambda shape: np.full(shape, top, dtype=np.uint64))
+    )
+    u = stream.uniforms((3,))
+    assert np.array_equal(u, np.full(3, 1.0 - 2.0**-53))
+    assert np.all(np.isfinite(stream.normals((3,))))
 
 
 def test_stream_normals_are_finite():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,31 @@ def test_zero_variables_leave_tables_and_schur_bitwise_unchanged(pair, max_m, pa
     base, padded = pair
     assert _bits(complete_h_table(padded, max_m)) == _bits(complete_h_table(base, max_m))
     assert _bits([schur(parts, padded)]) == _bits([schur(parts, base)])
+
+
+@st.composite
+def _multiset_with_repeats(draw):
+    """Nonnegative variables from a pool of at most three values (zero among
+    the candidates), each repeated up to 40 times, in shuffled order.  No
+    value is so small that its powers underflow, where no relative bound holds."""
+    pool = draw(st.lists(st.floats(1e-3, 3.0) | st.just(0.0), min_size=1, max_size=3))
+    x = [v for v in pool for _ in range(draw(st.integers(1, 40)))]
+    return draw(st.permutations(x))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_multiset_with_repeats(), st.integers(0, 30))
+def test_complete_h_table_on_repeated_entries_matches_mpmath(x, max_m):
+    # the longest run enters in closed form: every entry stays within
+    # 4 (len(x) + m) eps relative of the exact sum over the float inputs
+    table = complete_h_table(x, max_m)
+    with mp.workdps(60):
+        exact = [mp.mpf(1)] + [mp.mpf(0)] * max_m
+        for v in x:
+            for m in range(1, max_m + 1):
+                exact[m] += mp.mpf(v) * exact[m - 1]
+        for m, (got, want) in enumerate(zip(table, exact)):
+            assert abs(got - want) <= 4 * (len(x) + m) * 2.0**-52 * want
 
 
 def test_newton_recursion_exponential_case():
