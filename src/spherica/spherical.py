@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -510,8 +510,9 @@ def _schur_fourier_series(
     rel_tol: float,
 ) -> EvalResult:
     """sum over partitions m of (delta!/(m+delta)!)^2 s_m(Lam) s_m(Xi) with
-    Lam = x^2 and |Xi| = xi^2/4; ``alternating`` attaches (-1)^{|m|} (the
-    J0-type kernel), otherwise all terms are positive (I0-type).
+    Lam = x^2 and |Xi| = xi^2/4, for canonical (nonnegative, descending)
+    entries; ``alternating`` attaches (-1)^{|m|} (the J0-type kernel),
+    otherwise all terms are positive (I0-type).
 
     Zero squares add nothing to a Schur function, so only the nonzero
     entries of Lam and Xi are kept; the dimension n enters through the
@@ -533,9 +534,10 @@ def _schur_fourier_series(
     log coefficient (which grows like log n per unit of weight).
     """
     n = len(xvals)
-    # filter on the squares: a square can underflow to 0 where its entry does not
-    lam = [s for v in xvals if (s := v * v) != 0.0]
-    xiq = [q for v in xivals if (q := v * v / 4.0) != 0.0]
+    # canonical entries descend, so their squares do: keep the squares up to
+    # the first zero one (a square can underflow to 0 where its entry does not)
+    lam = list(takewhile(bool, (v * v for v in xvals)))
+    xiq = list(takewhile(bool, (v * v / 4.0 for v in xivals)))
     rows = min(len(lam), len(xiq))
     if rows == 0:
         return EvalResult(1.0, 0.0, 1, "series")

@@ -5,8 +5,8 @@ form of the matrix-argument evaluators, and the power-sum / complete-homogeneous
 bases carry the scaling limit.  All evaluation routines sort their variable
 list once (descending), so results are bitwise invariant under permutation of
 the inputs.  The complete-h table expands the longest run of equal variables
-in closed form, so a list of n entries with few distinct values costs O(n)
-to sort and O(max_m) per distinct value; for nonnegative variables each
+in closed form, so n entries of which all but k are one repeated value cost
+O(n) to sort and O((k + 1) max_m) to fold; for nonnegative variables each
 entry h_m is within about (len(x) + 3m) 2^-53 relative of the exact sum.
 """
 

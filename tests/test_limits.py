@@ -131,8 +131,9 @@ def test_spherical_sweep_sampling_route_matches_series():
     "omega, u", [(OmegaParam([0.5], 0.3), 1.0), (OmegaParam([0.538, 0.104], 0.0), 1.05)]
 )
 def test_rank_one_sweep_at_large_n_is_within_its_bound(omega, u, n):
-    # log-factorial differences at d ~ n once put the first point 1.5e-10 off
-    # the one-row sum while claiming 1.6e-15; the second has n - 2 zero entries
+    # the series coefficients at d ~ n, where differences of lgamma values
+    # lose about lgamma(n) eps (1.5e-10 here at n = 1e5); the second point
+    # has n - 2 zero entries
     r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
     (oracle,), _ = sweep_oracle(omega.to_json(), u, [n])
     assert abs(r.value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
