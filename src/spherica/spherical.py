@@ -13,17 +13,18 @@ U(n) x U(n) orbit by one of three routes:
 * the Newton-basis determinant (result path "newton"): the same
   determinant with the kernel expanded in the Newton basis of the squared
   entries, which cancels the Vandermonde products exactly (valid
-  everywhere, pure Python, certified by a bound that grows with the entry
-  products);
+  everywhere, pure Python);
 * "series": a Schur-function series with a certified tail bound (valid
   everywhere, the reference).
 
+Both determinants take their bound from one helper, _certified_det: the LU
+backward error and the entry errors, carried through a Hadamard bound.
 "det" and "series" can be forced; "auto" takes "det" at separated points
-and the Newton-basis determinant elsewhere, and falls back to the series
-when the Newton bound does not certify.  The J0 kernel
-gives the spherical function, I0 (positive instead of negative squared
-variables) the exponential orbital integral, and the radial heat kernel is
-the orbital integral at a rescaled point times a Gaussian factor.
+and the Newton-basis determinant elsewhere, which must certify 1e-10
+relative or raise ConvergenceError; it never sums the series.  The J0
+kernel gives the spherical function, I0 (positive instead of negative
+squared variables) the exponential orbital integral, and the radial heat
+kernel is the orbital integral at a rescaled point times a Gaussian factor.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, takewhile
+from itertools import accumulate, combinations, takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -41,16 +42,17 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-# hyper_f goes unused but stays: perfbench/tracer.py patches it here by name
-from .series import bessel_i0, bessel_j0, hyper_f
+# bessel_j0, bessel_i0 and hyper_f go unused but stay: perfbench/tracer.py
+# patches them here by name
+from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
 from .symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
 
 _EPS = 2.220446049250313e-16
-# relative squared gap below which "auto" leaves the Bessel determinant (for
-# the Newton-basis route, then the series)
+# relative squared gap below which "auto" leaves the Bessel determinant for
+# the Newton-basis route
 _DEGENERACY_TOL = 1e-6
 # partition weight of the series' first pass, and the cap of its doublings
 _FIRST_WEIGHT = 64
@@ -87,9 +89,13 @@ class DiagonalPoint:
 class EvalResult:
     """Value with provenance.
 
-    abs_error   certified (determinant: conditioning-based; newton: truncation,
-                entry rounding and LU backward error through a Hadamard
-                bound; series: tail bound plus rounding)
+    abs_error   certified bound on |value - exact value|: for both
+                determinants the entry errors (kernel estimate and argument
+                rounding, or truncation and entry rounding) and the LU
+                backward error through _certified_det, composed with the
+                rounding of the pivot product (for "determinant" also of
+                the gaps and the prefactor); for the series its tail bound
+                plus rounding
     terms_used  determinant: matrix order; newton: truncation order K of
                 the kernel expansion; series: partitions summed in the
                 returning pass, up to the weight where it stopped
@@ -117,18 +123,10 @@ def _point_pair(x, xi) -> tuple[DiagonalPoint, DiagonalPoint]:
     return x, xi
 
 
-def _gap_factors(values: Sequence[float]) -> list[float]:
-    # positive for canonical (descending) input with distinct squares
-    out = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            out.append(values[i] * values[i] - values[j] * values[j])
-    return out
-
-
 def squared_gap_product(values: Sequence[float]) -> float:
     """D(v) = prod_{i<j} (v_i^2 - v_j^2)."""
-    return math.prod(_gap_factors([float(v) for v in values]), start=1.0)
+    squares = [float(v) * float(v) for v in values]
+    return math.prod((si - sj for si, sj in combinations(squares, 2)), start=1.0)
 
 
 def _is_degenerate(values: Sequence[float]) -> bool:
@@ -209,33 +207,110 @@ def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]
     return acc
 
 
+def _certified_det(matrix: list[list[float]], entry_err: list[list[float]]):
+    """(sign, |pivots|, rel) for the determinant of the exact matrix that
+    ``matrix`` approximates within ``entry_err`` entrywise:
+    |det(exact) - sign prod|pivots|| <= rel prod|pivots|, rel = inf when a
+    pivot is zero or the bound leaves double range.
+
+    Full-pivot elimination gives L^U^ = P fl(M) Q + dM with
+    |dM| <= gamma_n |L^||U^| (Higham, Accuracy and Stability, Thm 9.3), so
+    P M Q = L^(U^ + Z) with L^ Z = D, |D| <= W = |P E Q| + gamma_n |L^||U^|.
+    Forward substitution without cancellation bounds the row norms of Z:
+    |z_r| <= |E_r| + gamma_n |U_r| + sum_{k<r} |l_rk| (gamma_n |U_k| + |z_k|),
+    O(n^2) after the LU.  Expanding det(U^ + Z) in its rows and bounding each
+    term by Hadamard gives |det(U^ + Z) - det U^| <= prod(|U_r| + |z_r|) -
+    prod|U_r|; full pivoting keeps |U_r| <= sqrt(n - r) |u_rr|, so the bound
+    tracks the perturbation of each pivot rather than the conditioning of M.
+    rel is raised by a factor 1 + 1e-10 that covers the rounding of its own
+    arithmetic (nonnegative, O(n u) relative).
+    """
+    n = len(matrix)
+    sign, diag, lu, rows, _ = _lu_full_pivot(matrix)
+    mags = list(map(abs, diag))
+    if not all(mags):
+        return sign, mags, math.inf
+    # a product keeps its sign through underflow and overflow
+    sign = math.copysign(1.0, sign * math.prod(diag))
+    unit = _EPS / 2.0
+    gamma_n = n * unit / (1.0 - n * unit)
+    hypot = math.hypot
+    w = []  # w[k] = gamma_n |U_k| + |z_k|
+    growth, ratio = 0.0, 1.0
+    for r, (lu_r, m_r) in enumerate(zip(lu, mags)):
+        u_r = hypot(*lu_r[r:])
+        z_r = hypot(*entry_err[rows[r]]) + gamma_n * u_r
+        z_r += sum(map(operator.mul, map(abs, lu_r[:r]), w))
+        w.append(gamma_n * u_r + z_r)
+        growth += math.log1p(z_r / u_r)
+        ratio *= u_r / m_r
+    # expm1 raises OverflowError past about 709
+    rel = math.expm1(growth) * ratio if growth < 700.0 else math.inf
+    return sign, mags, rel * (1.0 + 1e-10)
+
+
 def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalResult:
     """The Bessel route of _orbit_transform at a separated pair: with (a, b)
     from _canonical_order and K = J0 (``oscillatory``) or I0,
 
     (delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)),
 
-    times (-1)^{n(n-1)/2} for J0, with a conditioning-based absolute error
-    estimate (Hadamard bound over |det|).  terms_used is n.
+    times (-1)^{n(n-1)/2} for J0.  terms_used is n.  abs_error is
+    |value| times the composition prod(1 + r) - 1 of these relative errors:
+
+    * the determinant, from _certified_det, with entry errors the kernel's
+      own estimate (hyper_f_with_error) plus the rounding of its argument:
+      fl(a_i b_j) and its square move x = a_i b_j by at most eps x, and
+      |J0'| <= 1, I0' <= I0, so the entry moves by eps x (J0) or
+      eps x (value + estimate) (I0);
+    * each gap g = fl(s_i - s_j) of the computed squares s: s_i - s_j is
+      within E = eps (s_i + s_j) of the exact gap (a factor 2 to spare) and
+      g within u g of s_i - s_j, so g is within E / (g - E) + u of the exact
+      gap, relative;
+    * the balanced product: gamma_m for its m roundings, counting the
+      factorials beyond 22!, which are rounded to double.
+
+    A zero pivot gives abs_error inf.  The total is raised by a factor
+    1 + 1e-10 for the rounding of the bound's own arithmetic.
     """
     a, b = _canonical_order(x, xi)
     n = len(a)
     num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
-    den = _gap_factors(a) + _gap_factors(b)
+    # the gaps, positive at a separated pair, and the sum of their relative
+    # errors; 1e-323 covers subnormal squares, the one case where a
+    # separated gap is not beyond 1e6 E
+    den, gap_err = [], 0.0
+    for v in (a, b):
+        for si, sj in combinations([t * t for t in v], 2):
+            g = si - sj
+            big = _EPS * (si + sj) + 1e-323
+            den.append(g)
+            gap_err += big / (g - big) if g > 1e6 * big else math.inf
     sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
-    kernel = bessel_j0 if oscillatory else bessel_i0
-    matrix = [[kernel(ai * bj) for bj in b] for ai in a]
-    lu_sign, diag = _lu_full_pivot(matrix)[:2]
-    for d in diag:
-        if d < 0.0:
-            lu_sign = -lu_sign
-    mags = [abs(d) for d in diag]
+    # the call bessel_j0 / bessel_i0 make, with its error estimate
+    z_sign = -1.0 if oscillatory else 1.0
+    matrix, entry_err = [], []
+    for ai in a:
+        row, err_row = [], []
+        for bj in b:
+            p = ai * bj
+            v, e, _ = hyper_f_with_error(z_sign * (p * p) / 4.0)
+            row.append(v)
+            err_row.append(e + _EPS * p * (1.0 if oscillatory else v + e))
+        matrix.append(row)
+        entry_err.append(err_row)
+    lu_sign, mags, rel = _certified_det(matrix, entry_err)
     value = 0.0
-    if all(m > 0.0 for m in mags):
+    if all(mags):
         value = sign * lu_sign * _balanced_product(mags + num, den)
-    rownorms = [math.sqrt(math.fsum(e * e for e in row)) for row in matrix]
-    hadamard = _balanced_product([max(r, 1e-300) for r in rownorms] + num, den)
-    abs_error = 8.0 * n * n * _EPS * hadamard + 1e-300
+    if rel == math.inf or gap_err == math.inf:
+        return EvalResult(value, math.inf, n, "determinant")
+    unit = _EPS / 2.0
+    roundings = len(mags) + len(num) + 2 * len(den) + 2 * max(0, n - 23)
+    # log1p(r) <= r for the gap terms, gamma_m >= the sum of the u terms, and
+    # (1 + rel) e^rest - 1 = rel e^rest + expm1(rest)
+    rest = gap_err + roundings * unit / (1.0 - roundings * unit)
+    abs_error = abs(value) * (rel * math.exp(rest) + math.expm1(rest)) * (1.0 + 1e-10)
     return EvalResult(value, abs_error, n, "determinant")
 
 
@@ -260,9 +335,11 @@ def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
     path "det" and "series" force the corresponding evaluator; "auto" takes
     the Bessel determinant when both arguments' squared entries are
     separated beyond 1e-6 relative to the largest square, and otherwise the
-    Newton-basis determinant (result path "newton"), falling back to the
-    series when that does not certify rel_tol = 1e-10.  "det" raises
-    DegeneracyError at unseparated points.
+    Newton-basis determinant (result path "newton"), which must certify
+    1e-10 relative: where it does not (coincident points with large entry
+    products), ConvergenceError carries its value as ``partial`` and its
+    bound as ``abs_error``, and path "series" sums the Schur series.  "det"
+    raises DegeneracyError at unseparated points.
     """
     return _orbit_transform(*_point_pair(x, xi), True, path)
 
@@ -320,24 +397,13 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
       are summed from k = K down (for J0 even and odd k apart, then
       subtracted), so term k passes through at most k+2 additions: the
       entry is within u sum_k (9k+3)|t_k| (1 + O(Ku)).
-    * LU: full-pivot elimination gives L^U^ = P fl(M) Q + dM with
-      |dM| <= gamma_n |L^||U^| (Higham, Accuracy and Stability, Thm 9.3).
-      So P M Q = L^(U^ + Z) with |Z| <= |L^^-1| W, W = |P(M - fl(M))Q| +
-      |dM| (its first part bounded entrywise by the two items above), and
-      |L^^-1| <= the inverse of the comparison matrix of L^ (unit
-      diagonal, -|l_ik| below), applied by forward substitution without
-      cancellation.  det U^ is the product of the pivots, rounded within
+    * LU and Hadamard: _certified_det, with the two items above as the
+      entry errors; the product of the pivots is rounded within
       gamma_n |value|.
-    * Hadamard: for rows a_i and perturbation row norms f_i,
-      |det(A + Z) - det A| <= prod(|a_i| + f_i) - prod|a_i| (expand in the
-      rows, Hadamard each term), summed telescoped as
-      sum_i f_i prod_{k<i}(|a_k| + f_k) prod_{k>i}|a_k|; here A = U^, whose
-      full pivoting keeps |a_i| <= sqrt(n - i) |u_ii|, so the bound tracks
-      the perturbation of each pivot rather than the conditioning of M.
 
     The sum of the parts is raised by a factor 1 + 1e-10 that covers the
-    rounding of its own arithmetic (nonnegative, O((K + n) u) relative) and
-    the O(Ku) factors above.  terms_used is K.
+    rounding of its own arithmetic and the O(Ku) factors above.  terms_used
+    is K.
     """
     a, b = _canonical_order(x, xi)
     n = len(a)
@@ -387,38 +453,17 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
     if not all(math.isfinite(v) for row in matrix for v in row):
         return EvalResult(math.nan, math.inf, K, "newton")
 
-    lu_sign, diag, lu, rows, cols = _lu_full_pivot(matrix)
+    lu_sign, mags, rel = _certified_det(matrix, entry_err)
     if oscillatory and (n * (n - 1) // 2) % 2:
         lu_sign = -lu_sign
-    value = lu_sign * math.prod(diag)
+    value = lu_sign * math.prod(mags)
     if not math.isfinite(value):
         return EvalResult(math.nan, math.inf, K, "newton")
-
+    if not math.isfinite(rel):
+        return EvalResult(value, math.inf, K, "newton")
+    # value is prod|pivots| rounded within gamma_n
     gamma_n = n * unit / (1.0 - n * unit)
-    z_rows = []  # rows of the bound on |Z|, by forward substitution
-    for r in range(n):
-        lu_r = lu[r]
-        err_r = entry_err[rows[r]]
-        z = [
-            err_r[cols[c]]
-            + gamma_n
-            * (
-                sum(abs(lu_r[k] * lu[k][c]) for k in range(min(r, c)))
-                + abs(lu_r[c] if r <= c else lu_r[c] * lu[c][c])
-            )
-            for c in range(n)
-        ]
-        for k in range(r):
-            z = [zc + abs(lu_r[k]) * yc for zc, yc in zip(z, z_rows[k])]
-        z_rows.append(z)
-    base = [math.hypot(*lu[r][r:]) for r in range(n)]
-    bound = 0.0
-    prefix = 1.0
-    for i, z in enumerate(z_rows):
-        f = math.hypot(*z)
-        bound += f * prefix * math.prod(base[i + 1 :])
-        prefix *= base[i] + f
-    abs_error = (bound + gamma_n * abs(value)) * (1.0 + 1e-10)
+    abs_error = abs(value) * (rel + gamma_n) * (1.0 + 1e-10)
     return EvalResult(value, abs_error, K, "newton")
 
 
@@ -648,11 +693,7 @@ def _schur_fourier_series(
 
 
 def _orbit_transform(
-    x: DiagonalPoint,
-    xi: DiagonalPoint,
-    oscillatory: bool,
-    path: str,
-    rel_tol: float = _REL_TOL,
+    x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool, path: str
 ) -> EvalResult:
     """Fourier transform of the U(n) x U(n) orbit of x, evaluated at xi (a
     pair from _point_pair):
@@ -661,26 +702,30 @@ def _orbit_transform(
 
     with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
     spherical function), K = I0 otherwise (the exponential orbital integral).
-    It only picks the route: ``path`` "det" takes this determinant
-    (_det_ratio), "series" the Schur series (_schur_fourier_series, certified
-    to ``rel_tol``), and "auto" the determinant when both arguments are
-    separated, otherwise its Newton-basis form (_newton_transform) if that
-    certifies ``rel_tol`` and the series if not.
+    It only picks the route: ``path`` "series" takes the Schur series
+    (_schur_fourier_series); otherwise a separated pair takes this
+    determinant (_det_ratio), "det" raises DegeneracyError at any other
+    pair, and "auto" takes its Newton-basis form (_newton_transform), which
+    must certify 1e-10 relative or raise ConvergenceError with its value and
+    bound attached.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
-    if path == "auto" and _is_separated(x, xi):
-        path = "det"
-    elif path == "auto":
-        r = _newton_transform(x, xi, oscillatory)
-        if r.abs_error <= rel_tol * abs(r.value):
-            return r
-        path = "series"
-    elif path == "det" and not _is_separated(x, xi):
-        raise DegeneracyError("coincident squared entries; use path 'auto' or 'series'")
     if path == "series":
-        return _schur_fourier_series(x.values, xi.values, oscillatory, rel_tol)
-    return _det_ratio(x, xi, oscillatory)
+        return _schur_fourier_series(x.values, xi.values, oscillatory, _REL_TOL)
+    if _is_separated(x, xi):
+        return _det_ratio(x, xi, oscillatory)
+    if path == "det":
+        raise DegeneracyError("coincident squared entries; use path 'auto' or 'series'")
+    r = _newton_transform(x, xi, oscillatory)
+    if r.abs_error <= _REL_TOL * abs(r.value):
+        return r
+    raise ConvergenceError(
+        f"Newton-basis determinant certifies {r.abs_error:.3g} absolute at value"
+        f" {r.value:.17g}, not 1e-10 relative; path 'series' sums the Schur series",
+        partial=r.value,
+        abs_error=r.abs_error,
+    )
 
 
 def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
@@ -702,7 +747,8 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     """
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")
-    return _orbit_transform(*_point_pair(x, xi), True, "series", rel_tol)
+    x, xi = _point_pair(x, xi)
+    return _schur_fourier_series(x.values, xi.values, True, rel_tol)
 
 
 def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
@@ -712,10 +758,11 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
                     / (D(lam) D(theta)),
 
     the two-sided unitary average of exp(Re tr(lam u theta v*)).  ``path`` is
-    "auto", "det" or "series", as in spherical_eval: "auto" takes
-    the determinant when separated, otherwise the Newton-basis determinant
-    or, where that does not certify, the series.  Both handle coincident and
-    zero entries; theta = 0 gives 1 (exactly on the series).
+    "auto", "det" or "series", as in spherical_eval: "auto" takes the
+    determinant when separated, otherwise the Newton-basis determinant,
+    and raises ConvergenceError where that does not certify 1e-10
+    relative.  The Newton-basis determinant and the series handle
+    coincident and zero entries; theta = 0 gives 1 (exactly on the series).
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
     overflow guard).  On the determinant route the 200-term cap of the I0
@@ -737,9 +784,9 @@ def heat_kernel(t: float, lam, theta) -> float:
                         / (n! (2t)^n (4t)^{n(n-1)} (prod_{j<n} j!)^2).
 
     Requires finite t > 0.  Coincident entries take the "auto" route of
-    orbital_integral at (lam/2t, theta): the Newton-basis determinant, or the
-    series where that does not certify.  The orbital overflow guard applies
-    to (lam/2t, theta).
+    orbital_integral at (lam/2t, theta): the Newton-basis determinant, which
+    raises ConvergenceError where it does not certify.  The orbital overflow
+    guard applies to (lam/2t, theta).
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):

@@ -17,6 +17,8 @@ from . import limits, polya, series, spherical, symfunc
 _J0_FIRST_ZERO = 2.404825557695773
 # J0(20) from mpmath at 40 digits, rounded to double
 _J0_AT_20 = 0.16702466434058316
+# J0(40) from mpmath at 40 digits, rounded to double
+_J0_AT_40 = 0.00736689058423729
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,16 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
     one = spherical.spherical_det((1.3,), (0.7,))
     out.append(
         _close("spherical.n1_reduces", one.value, series.bessel_j0(1.3 * 0.7), 1e-14)
+    )
+    # the J0 entry cancels to a few digits; the bound must carry that
+    r40 = spherical.spherical_eval((10.0,), (4.0,))
+    err40 = abs(r40.value - _J0_AT_40)
+    out.append(
+        CheckResult(
+            "spherical.det_bound_covers_j0_40",
+            err40 <= r40.abs_error,
+            f"value={r40.value:.9e} abs_err={err40:.9e} bound={r40.abs_error:.9e}",
+        )
     )
     det2 = spherical.spherical_det((1.0, 0.5), (0.8, 0.3))
     ser2 = spherical.spherical_series((1.0, 0.5), (0.8, 0.3))

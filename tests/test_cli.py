@@ -107,9 +107,10 @@ def test_orbital_value_and_guard(capsys):
 
 
 def test_orbital_series_overflow_is_a_range_error(capsys):
-    # coincident entries take the series route; its terms leave double range
-    # below the 700 guard
-    code, out, err = run_cli(capsys, ["orbital", "--lam", "25,25", "--theta", "25,24"])
+    # the series terms at these coincident entries leave double range below
+    # the 700 guard
+    argv = ["orbital", "--lam", "25,25", "--theta", "25,24", "--path", "series"]
+    code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "range"
 
@@ -557,3 +558,21 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         "numpy_before": False,
         "numpy_after": True,
     }
+
+
+# Runs in a fresh interpreter: at coincident points with large products the
+# Newton-basis route does not certify, and "auto" raises at once instead of
+# summing a six-row Schur series
+_UNCERTIFIED_CHILD = """
+import json, sys
+from spherica.cli import main
+code = main(["eval-spherical", "--x", "1,2,3,4,5,6", "--xi", "1,1,1,1,1,1"])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_uncertified_coincident_point_raises_at_once(python_subprocess):
+    proc = python_subprocess(["-c", _UNCERTIFIED_CHILD], timeout=30)
+    lines = proc.stdout.decode().splitlines()
+    assert json.loads(lines[-1]) == {"code": 2, "numpy": False}
+    assert json.loads(proc.stderr.decode())["error"] == "convergence"

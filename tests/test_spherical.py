@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from spherica import (
+    ConvergenceError,
     DegeneracyError,
     DiagonalPoint,
     DomainError,
@@ -522,12 +523,14 @@ def test_newton_bound_holds_where_j0_entries_cancel(x, xi):
 
 def test_newton_route_refuses_what_it_cannot_certify():
     # n = 4, max product 7: the Newton bound is about 1.6e-9 relative, so
-    # "auto" falls back to the series
+    # "auto" raises with the Newton value and bound; "series" sums the series
     lam, theta = (2.34, 2.34, 2.17, 1.65), (2.99, 2.98, 2.97, 0.0)
     series = orbital_integral(lam, theta, path="series")
-    assert orbital_integral(lam, theta) == series
+    with pytest.raises(ConvergenceError, match="path 'series'") as info:
+        orbital_integral(lam, theta)
     r = _newton(orbital_integral, lam, theta)
-    assert r.value == pytest.approx(series.value, rel=1e-9)
+    assert (info.value.partial, info.value.abs_error) == (r.value, r.abs_error)
+    assert abs(info.value.partial - series.value) <= info.value.abs_error
     assert 1e-10 * abs(r.value) < r.abs_error < math.inf
 
 
@@ -540,14 +543,14 @@ DET_POINTS = [
     ((1.8, 1.3, 0.8, 0.3), (1.6, 1.0, 0.6, 0.2)),
 ]
 DET_BITS = [
-    (spherical_eval, 0.8034465294730335, 1.427207737721818e-15),
-    (spherical_eval, 0.42380017221205923, 4.0923401412465475e-15),
-    (spherical_eval, 0.48320897928037226, 9.235881844719753e-14),
-    (spherical_eval, 0.7018890564958395, 5.276629158217882e-09),
-    (orbital_integral, 1.2179895243513215, 2.1635840218993278e-15),
-    (orbital_integral, 2.070521140287063, 4.682177129693717e-14),
-    (orbital_integral, 1.9718223085342774, 2.3101416333824304e-12),
-    (orbital_integral, 1.414308573261254, 6.727334045738642e-08),
+    (spherical_eval, 0.8034465294730335, 3.2627992883885096e-15),
+    (spherical_eval, 0.42380017221205923, 1.8479874558174132e-14),
+    (spherical_eval, 0.48320897928037226, 2.345449617441376e-13),
+    (spherical_eval, 0.7018890564958395, 1.8270356172553917e-10),
+    (orbital_integral, 1.2179895243513215, 3.2205577595626883e-15),
+    (orbital_integral, 2.070521140287063, 5.0085713225050265e-14),
+    (orbital_integral, 1.9718223085342774, 9.405283313642399e-13),
+    (orbital_integral, 1.414308573261254, 3.60240558433156e-10),
 ]
 
 
@@ -559,6 +562,44 @@ def test_determinant_route_bits_are_pinned(evaluate, x, xi, value, abs_error):
     r = evaluate(x, xi)
     assert r.path == "determinant"
     assert (r.value, r.abs_error, r.terms_used) == (value, abs_error, len(x))
+    # the pinned bits are themselves within their bound of the oracle
+    kind = "orbital" if evaluate is orbital_integral else "spherical"
+    assert abs(value - _oracle(kind, x, xi)) <= abs_error
+
+
+def test_certified_determinant_bound_beyond_double_range_is_infinite():
+    # entry errors far above the pivots: the bound leaves double range
+    sign, mags, rel = spherical_module._certified_det(
+        [[-1e-200, 0.0], [0.0, 1e-200]], [[1e100, 1e100], [1e100, 1e100]]
+    )
+    assert (sign, mags, rel) == (-1.0, [1e-200, 1e-200], math.inf)
+
+
+def _separated_points(seed):
+    """Pairs shaped like the separated benchmark class: n = 1..6, entries
+    U(0.1, 4), squared gaps at least 0.01 of the largest square."""
+    rng = random.Random(seed)
+
+    def separated(n):
+        while True:
+            v = sorted((rng.uniform(0.1, 4.0) for _ in range(n)), reverse=True)
+            if all(v[i] ** 2 - v[i + 1] ** 2 > 0.01 * v[0] ** 2 for i in range(n - 1)):
+                return v
+
+    return [(separated(n), separated(n)) for n in range(1, 7) for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "x, xi",
+    _separated_points(17)
+    # J0 entries lose digits to Taylor cancellation: the kernel error counts
+    + [((3.868076348036853,), (3.539758894315002,)), ((10.0,), (4.0,))],
+)
+def test_determinant_route_within_its_bound_of_the_oracle(x, xi):
+    for kind, evaluate in (("spherical", spherical_eval), ("orbital", orbital_integral)):
+        r = evaluate(x, xi)
+        assert r.path == "determinant"
+        assert abs(r.value - _oracle(kind, x, xi)) <= r.abs_error
 
 
 def test_heat_kernel_bits_are_pinned():
@@ -580,10 +621,19 @@ def test_series_sweep_and_cauchy_bits_are_pinned():
 def test_series_terms_beyond_double_range_raise_range_error():
     # the spherical value is bounded by 1, but its series terms overflow
     with pytest.raises(RangeError):
-        spherical_eval((30.0, 30.0), (30.0, 29.0))
+        spherical_eval((30.0, 30.0), (30.0, 29.0), path="series")
     # below the 700 overflow guard of the determinant route
     with pytest.raises(RangeError):
-        orbital_integral((25.0, 25.0), (25.0, 24.0))
+        orbital_integral((25.0, 25.0), (25.0, 24.0), path="series")
+    # "auto" never sums the series: past its order cap the Newton-basis
+    # route certifies nothing
+    for evaluate, x, xi in (
+        (spherical_eval, (30.0, 30.0), (30.0, 29.0)),
+        (orbital_integral, (25.0, 25.0), (25.0, 24.0)),
+    ):
+        with pytest.raises(ConvergenceError) as info:
+            evaluate(x, xi)
+        assert info.value.abs_error == math.inf
 
 
 def test_series_refuses_a_nonpositive_tolerance():
