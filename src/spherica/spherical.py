@@ -42,10 +42,10 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-# bessel_j0, bessel_i0 and hyper_f go unused but stay: perfbench/tracer.py
-# patches them here by name
+# bessel_j0, bessel_i0, hyper_f and complete_h_table go unused but stay:
+# perfbench/tracer.py patches them here by name
 from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
-from .symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
+from .symfunc import _h_table, _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -470,82 +470,94 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
 # ---------------------------------------------------------------------------
 # Schur series route
 
-# entry t is math.lgamma(t + 1) = log t!, a float array after the first call;
-# grown by building a longer array and rebinding the name, never in place, so
-# every reader holds a complete table
-_log_fact: Sequence[float] = [0.0]
+# floor of exp in the tail bound: a computed exp below it bounds a true value
+# below it, and the floor keeps an underflowed layer bound positive
+_EXP_FLOOR = 1e-290
 
 
-def _log_factorials(top: int) -> np.ndarray:
-    """The shared table of log t! (exactly math.lgamma(t + 1)), t = 0..top
-    at least, for top >= 1."""
-    global _log_fact
-    table = _log_fact
-    if len(table) <= top:
-        import numpy as np
-
-        grown = range(len(table), max(top + 1, 2 * len(table)))
-        table = np.concatenate((table, [math.lgamma(t + 1) for t in grown]))
-        _log_fact = table
-    return table
+def _gamma(m: int) -> float:
+    # gamma_m = m u / (1 - m u), u = 2^-53: m roundings, relative
+    unit = _EPS / 2.0
+    return m * unit / (1.0 - m * unit)
 
 
 def _series_tail_bound(
-    p1_lam: float, xi_max: float, n: int, n_xi_vars: int, rows: int, max_weight: int
+    coef: Sequence[float],
+    h_lam: Sequence[float],
+    h_xi: Sequence[float],
+    slack: float,
+    rows: int,
+    max_weight: int,
 ) -> list[float]:
     """Upper bounds on the absolute sum of all series layers beyond each
     weight: entry w of the returned list (w = 0..max_weight) bounds the
-    layers of weight > w, and the list is non-increasing.
+    layers of weight > w, and the list is non-increasing; +inf means "not
+    certified".
 
-    Construction: for a partition m with at most ``rows`` parts,
-      coefficient^2 <= prod_i ((n-rows)!/(m_i + n - rows)!)^2   (worst row),
-      s_m(Lam)      <= p1(Lam)^{|m|}                            (monomial count),
-      s_m(|Xi|)     <= prod_i C(m_i + K - 1, K - 1) max|Xi|^{m_i},
-    so each layer is dominated by the coefficients of the ``rows``-fold
-    convolution of v_j = C(j+K-1, K-1) (p1 max|Xi|)^j ((n-rows)!/(j+n-rows)!)^2,
-    which decays factorially in j.  The finite convolution is summed exactly
-    and the remainder is closed off geometrically; +inf means "not certified".
+    For nonnegative variables h_m = sum_mu K_{mu m} s_mu with Kostka numbers
+    K >= 0 and K_mm = 1 (Macdonald, I.6), so s_m <= prod_i h_{m_i}; each
+    row's coefficient d!/(m_i + d)! is largest in the last row, d = n - rows.
+    A partition of at most ``rows`` parts is therefore bounded by
+    prod_i v_{m_i}, with
+
+      v_j = exp(2 coef[j]) h_j(Lam^) h_j(Xi^),
+
+    ``coef`` the last row's log coefficient with the scale folded in and
+    h the tables of the scaled variables, read to J = len(coef) - 1 (at
+    rows = 1 the bound is the layer itself).  The weight-k layer is at most
+    entry k of the rows-fold convolution of v.  The true v_j is within
+    exp(slack) of the computed one (the coefficient's log error and the
+    tables' rounding) and the computed values are raised by that.
+
+    Past J: h_j of nonnegative variables is a Polya frequency sequence, so
+    h_{j+1}/h_j does not increase, and neither does 1/(j + n - rows)^2; the
+    ratio rho = v_J / v_{J-1}, taken from the last coefficient step and
+    raised by exp(2 slack), bounds every later ratio, and the one-row sum
+    past J is at most T = v_J rho / (1 - rho).  For rows >= 2 the
+    convolution of the tables is taken in full, to rows J, and every
+    composition with a part beyond J is at most rows T (S + T)^(rows-1),
+    S = sum_{j<=J} v_j.  The sums are raised by 1 + 1e-10 for their own
+    rounding.
     """
     W = max_weight
-    if p1_lam <= 0.0 or xi_max <= 0.0:
-        return [0.0] * (W + 1)
-    import numpy as np
-
+    J = len(coef) - 1
     uncertified = [math.inf] * (W + 1)
-    K = n_xi_vars
-    J = W + 160
-    base = n - rows
-    lr = math.log(p1_lam) + math.log(xi_max)
-    lf = _log_factorials(J + max(K - 1, base))  # lf[t] = lgamma(t + 1)
-    # elementwise, in the order of the scalar formula, so the bits are the same
-    logv = (
-        lf[K - 1 : K + J]
-        - lf[: J + 1]
-        - lf[K - 1]
-        + np.arange(J + 1) * lr
-        + 2.0 * (lf[base] - lf[base : base + J + 1])
-    )
-    if np.max(logv) > 700.0:
+    exp = math.exp
+    grow = exp(slack) * (1.0 + 1e-10)
+    floor = _EXP_FLOOR
+    try:
+        e2 = map(exp, [c + c for c in coef])
+        v = [(e if e > floor else floor) * a * b * grow for e, a, b in zip(e2, h_lam, h_xi)]
+        step = exp(2.0 * (coef[J] - coef[J - 1]))
+    except OverflowError:
         return uncertified
-    with np.errstate(over="ignore", under="ignore"):
-        v = np.exp(logv)
-        conv = v.copy()
-        for _ in range(rows - 1):
-            conv = np.convolve(conv, v)[: J + 1]
-    if not np.all(np.isfinite(conv)):
+    rho = step * (h_lam[J] / h_lam[J - 1]) * (h_xi[J] / h_xi[J - 1]) * grow * grow
+    if not rho < 1.0:  # also nan, from overflowed tables
         return uncertified
-    tail = float(np.sum(conv[W + 1 :]))
-    c_last, c_prev = float(conv[J]), float(conv[J - 1])
-    if c_last > 0.0:
-        if c_prev <= 0.0:
+    beyond = v[J] * rho / (1.0 - rho)
+    if rows > 1:
+        import numpy as np
+
+        single = np.array(v)
+        conv = single
+        with np.errstate(over="ignore"):
+            for _ in range(rows - 1):
+                conv = np.convolve(conv, single)
+        try:
+            spill = rows * beyond * (math.fsum(v) + beyond) ** (rows - 1)
+        except OverflowError:
             return uncertified
-        rho = c_last / c_prev
-        if rho >= 0.9:
-            return uncertified
-        tail += c_last * rho / (1.0 - rho)
-    # suffix sums from the top: entry w adds the layer bounds w+1..W to entry W
-    tails = np.cumsum(np.concatenate(([tail], conv[W:0:-1])))[::-1]
-    return tails.tolist()
+        beyond = float(np.sum(conv[J + 1 :])) + spill
+        v = conv[: J + 1].tolist()
+    # suffix sums from the top: entry w adds the layer bounds w+1..J
+    tails = [0.0] * (W + 1)
+    acc = math.fsum(v[W + 1 :]) + beyond
+    for w in range(W, -1, -1):
+        tails[w] = acc * (1.0 + 1e-10)
+        acc += v[w]
+    if not math.isfinite(tails[0]):
+        return uncertified
+    return tails
 
 
 def _schur_fourier_series(
@@ -561,22 +573,29 @@ def _schur_fourier_series(
 
     Zero squares add nothing to a Schur function, so only the nonzero
     entries of Lam and Xi are kept; the dimension n enters through the
-    coefficients alone.  Variables are rescaled by their maxima, and the
-    scale is folded into each row's log coefficient, a running sum of
-    log(scale) - log(d + t), so the routine stays in range and accurate for
-    large dimensions and large entries.
+    coefficients alone.  Variables are divided by their largest entries,
+    so every table entry is at least 1 and cannot underflow, and the scale
+    is folded into each row's log coefficient, a running sum of
+    log(scale) - log(d + t); the routine stays in range and accurate for
+    large dimensions and large entries.  Set-up is O(n) for the squares
+    and the scaling; a pass then costs O((k + 1) W) for the tables (k
+    entries outside the longest run of equal ones) plus its partitions.
 
-    Each pass sums partitions of weight <= W in weight order, W = 64 at
-    first.  The pass is cut at the first weight whose tail bound is below
-    rounding of the empty partition, and it returns after any complete layer
-    whose tail bound is below both the rounding term and rel_tol.  Otherwise
-    the tail beyond W certifies the sum or W doubles, up to 240.  A term
-    beyond double range raises RangeError.
+    Each pass builds the complete-h tables to W + rows, W = 64 at first,
+    and takes its tail bounds from them (_series_tail_bound); W is then cut
+    to the first weight whose tail bound is below the rounding of the empty
+    partition.  The pass sums partitions of weight <= W in weight order and
+    returns after any complete layer whose tail bound is below both the
+    rounding term and rel_tol.  Otherwise the tail beyond W certifies the
+    sum or W doubles, up to 240.  A term beyond double range raises
+    RangeError.
 
     The error returned is the tail bound plus a rounding term: 4 eps times
     the absolute sum of the terms, plus each layer's absolute sum times the
-    relative error a term of that weight can take from the rounding of its
-    log coefficient (which grows like log n per unit of weight).
+    relative error a term of that weight can take from its log coefficient
+    (which grows like log n per unit of weight) and from the complete-h
+    entries it reads.  At rows >= 2 the latter counts the entries' errors,
+    not the cancellation of the Jacobi-Trudi determinant.
     """
     n = len(xvals)
     # canonical entries descend, so their squares do: keep the squares up to
@@ -587,11 +606,9 @@ def _schur_fourier_series(
     if rows == 0:
         return EvalResult(1.0, 0.0, 1, "series")
 
-    c_lam = max(lam[0], 1.0)
-    xi_max = max(xiq)
-    c_xi = max(xi_max, 1.0)
-    half_logc = 0.5 * (math.log(c_lam) + math.log(c_xi))
-    p1_lam = math.fsum(lam)
+    c_lam, c_xi = lam[0], xiq[0]
+    log_cl, log_cx = math.log(c_lam), math.log(c_xi)
+    half_logc = 0.5 * (log_cl + log_cx)
     lam_hat = [v / c_lam for v in lam]
     xi_hat = [q / c_xi for q in xiq]
     rounding = 4.0 * _EPS
@@ -599,37 +616,51 @@ def _schur_fourier_series(
 
     W = _FIRST_WEIGHT
     while True:
-        tails = _series_tail_bound(p1_lam, xi_max, n, len(xiq), rows, W)
-        # the empty partition makes sum |t| >= 1: layers past this weight
-        # cannot move the sum beyond the rounding term already claimed
-        W = next((w for w, t in enumerate(tails) if t <= rounding), W)
-        h_lam = complete_h_table(lam_hat, W + rows)
-        h_xi = complete_h_table(xi_hat, W + rows)
+        top = W + rows
+        h_lam, k_lam = _h_table(lam_hat, top)
+        h_xi, k_xi = _h_table(xi_hat, top)
         # row i of a partition contributes m_i half_logc + log(d! / (m_i + d)!),
         # d = n-1-i: a running sum of half_logc - log(d + t), whose steps are
         # small where the scale matches the dimension (the rank-one sweeps).
-        # logs holds log(n-rows+1) .. log(n-1+W); row i reads W of them from
-        # offset rows-1-i.
-        logs = [log(k) for k in range(n - rows + 1, n + W)]
+        # logs holds log(n-rows+1) .. log(n-1+top); row i reads them from
+        # offset rows-1-i.  The last row, d = n - rows, has the largest
+        # coefficients and feeds the tail bound up to weight top.
+        logs = [log(k) for k in range(n - rows + 1, n + top)]
+        last_row = list(accumulate([half_logc - v for v in logs[:top]], initial=0.0))
+        # With L = |log c_lam| + |log c_xi|, half_logc is within 0.75 eps L
+        # (the two logs can cancel), each log within eps |log| and each sum
+        # within eps/2 of its result, so step t of a row's running sum is off
+        # by at most eps L + 1.5 eps log(d + t) + eps/2 |its result|.  For
+        # the tail, top times the largest such step bounds every last-row
+        # entry's error.  The scaled variables carry two roundings each
+        # (square, scale) and an entry h_j of a table with k folded
+        # variables k + 3j more (complete_h_table), so h_j is within
+        # gamma_{k+5j} relative.
+        fixed = _EPS * (abs(log_cl) + abs(log_cx))
+        last_err = top * (fixed + _EPS * (1.5 * logs[top - 1] + 0.5 * max(map(abs, last_row))))
+        slack = 2.0 * last_err + _gamma(k_lam + 5 * top) + _gamma(k_xi + 5 * top)
+        tails = _series_tail_bound(last_row, h_lam, h_xi, slack, rows, W)
+        # the empty partition makes sum |t| >= 1: layers past this weight
+        # cannot move the sum beyond the rounding term already claimed
+        W = next((w for w, t in enumerate(tails) if t <= rounding), W)
         row_coef = [
             list(accumulate([half_logc - v for v in logs[off : off + W]], initial=0.0))
-            for off in range(rows - 1, -1, -1)
-        ]
-        # A weight-w log coefficient is off by at most log_err[w] + cross big[w].
-        # half_logc is within 1.5 eps half_logc, each log within eps |log| and
-        # each sum within eps/2 of its result, so step t of any row's running
-        # sum is off by at most 2 eps half_logc + 1.5 eps log(n-1+t)
-        # + eps/2 big[t], with big[t] the largest |row_coef| up to t (the rows
-        # are monotone in d, so the first and last rows hold it).  The steps
-        # grow with t, so their prefix sums log_err bound every split of w
-        # between the rows; the rows - 1 additions across rows add cross
+            for off in range(rows - 1, 0, -1)
+        ] + [last_row]
+        # A weight-w log coefficient is off by at most log_err[w] + cross big[w],
+        # with big[t] the largest |row_coef| up to t (the rows are monotone in
+        # d, so the first and last rows hold it) and the steps above summed:
+        # they grow with t, so their prefix sums log_err bound every split of
+        # w between the rows; the rows - 1 additions across rows add cross
         # big[w].  A term exp(2 log a) then carries relative error
-        # expm1(2 (log_err[w] + cross big[w])).
-        big = list(accumulate(map(max, map(abs, row_coef[0]), map(abs, row_coef[-1])), max))
-        fixed = 2.0 * _EPS * half_logc
+        # expm1(2 (log_err[w] + cross big[w])), and its h entries, at most
+        # rows per table with indices summing to w, gamma_{rows k + 5w} each.
+        edges = map(max, map(abs, row_coef[0][: W + 1]), map(abs, last_row[: W + 1]))
+        big = list(accumulate(edges, max))
         steps = (fixed + 1.5 * _EPS * v + 0.5 * _EPS * b for v, b in zip(logs[rows - 1 :], big[1:]))
         log_err = list(accumulate(steps, initial=0.0))
         cross = 0.5 * _EPS * rows * (rows - 1)
+        k_rows = rows * (k_lam + k_xi)
         jacobi_trudi = _jacobi_trudi_det
         exp = math.exp
 
@@ -654,7 +685,9 @@ def _schur_fourier_series(
                     return EvalResult(total, err, count, "series")
                 layer = w
                 layer_start = abs_sum
-                layer_err = math.expm1(2.0 * (log_err[w] + cross * big[w]))
+                layer_err = math.expm1(
+                    2.0 * (log_err[w] + cross * big[w]) + _gamma(k_rows + 10 * w)
+                )
                 negate = alternating and (w & 1)
             s_l = jacobi_trudi(parts, h_lam)
             if s_l == 0.0:
@@ -735,15 +768,19 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     entries cost nothing beyond input validation and a run of equal entries
     costs what one entry does, so a rank-one sweep point (xi = (u, 0, ...,
     0), x from lambda_sequence_for) costs O(W) per pass beyond its O(n)
-    set-up, whatever the dimension n.  The initial
+    set-up (validation, squares, scaling), whatever the dimension n; at
+    one row it loads no numpy.  The tail bound is read from the complete-h
+    tables of the pass (exact up to rounding at one row).  The initial
     truncation weight 64 is doubled up to 240 until the tail bound certifies
     rel_tol; failure to certify raises ConvergenceError with the partial sum
     attached.  A pass stops before its truncation weight at the first
     complete weight whose tail bound is below both the rounding term and
     rel_tol.  abs_error is the tail bound plus the rounding term, which
-    covers the error each term takes from its log-factorial coefficient as
-    well as the summation.  rel_tol <= 0 raises DomainError; a term beyond
-    double range raises RangeError.
+    covers the error each term takes from its log-factorial coefficient and
+    its complete-h entries as well as the summation, though not the
+    cancellation of a Jacobi-Trudi determinant of two or more rows.
+    rel_tol <= 0 raises DomainError; a term beyond double range raises
+    RangeError.
     """
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")

@@ -7,7 +7,7 @@ list once (descending), so results are bitwise invariant under permutation of
 the inputs.  The complete-h table expands the longest run of equal variables
 in closed form, so n entries of which all but k are one repeated value cost
 O(n) to sort and O((k + 1) max_m) to fold; for nonnegative variables each
-entry h_m is within about (len(x) + 3m) 2^-53 relative of the exact sum.
+entry h_m is within about (k + 3m) 2^-53 relative of the exact sum.
 """
 
 from __future__ import annotations
@@ -84,14 +84,21 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     variables cost O((k + 1) max_m) beyond sorting the input.
 
     For nonnegative variables both steps are subtraction-free.  A seeded
-    h_j takes 3j roundings, and a fold one rounding plus two per degree it
-    adds, so every monomial of h_m passes at most len(x) + 3m roundings and
-    h_m has relative error at most about (len(x) + 3m) 2^-53.  Mixed signs
-    can cancel, and then no relative bound holds.
+    h_j takes 3j roundings, and each of the k folds adds at most one
+    rounding to every monomial of h_m beyond the two per degree it brings,
+    so every monomial of h_m passes at most k + 3m roundings and h_m has
+    relative error at most gamma_{k+3m} (about (k + 3m) 2^-53), k <= len(x)
+    the number of folded variables.  Mixed signs can cancel, and then no
+    relative bound holds.
     """
     if max_m < 0:
         raise DomainError("max_m must be nonnegative")
-    vals = _as_sorted_vars(x)
+    return _h_table(_as_sorted_vars(x), max_m)[0]
+
+
+def _h_table(vals: list[float], max_m: int) -> tuple[list[float], int]:
+    """complete_h_table of finite variables already in decreasing order,
+    and the number k of variables it folds in (its error bound's k)."""
     # equal entries are adjacent; find the longest nonzero run by bisection
     g, seed, start = 1, 0, 0
     while start < len(vals):
@@ -107,14 +114,16 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
             term = term * c * (j + g - 1) / j
             h[j] = term
         vals = vals[:seed] + vals[seed + g :]
+    folds = 0
     for xk in vals:
         if xk == 0.0:
             continue  # h[j] += 0 * h[j-1] leaves the table unchanged
+        folds += 1
         prev = 1.0  # h[j-1] after this variable's update, from h[0]
         for j in range(1, max_m + 1):
             prev = h[j] + xk * prev
             h[j] = prev
-    return h
+    return h, folds
 
 
 def complete_h(m: int, x: Sequence[float]) -> float:

@@ -547,6 +547,7 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         ["eval-polya", "--omega", omega, "--lam", "1,2"],
         ["eval-mixture", "--mixture", mix, "--lam", "1,0.5"],
         ["sweep", "--kind", "powersum", "--omega", omega, "--m", "2", "--n-list", "8,16,32"],
+        ["sweep", "--kind", "spherical", "--omega", omega, "--xi", "1.5", "--n-list", "8,64,512"],
         ["validate", "--suite", "special"],
         ["validate", "--suite", "symfunc"],
     ]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import sys
 
 import mpmath as mp
@@ -137,6 +138,41 @@ def test_rank_one_sweep_at_large_n_is_within_its_bound(omega, u, n):
     r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
     (oracle,), _ = sweep_oracle(omega.to_json(), u, [n])
     assert abs(r.value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
+
+
+def test_rank_one_tail_bound_is_tight_at_a_slowly_decaying_point():
+    # at n = 909 the terms decay like (alpha_1 u^2 / 4)^j, about 0.65^j;
+    # bounding s_m(Lam) by p1(Lam)^|m| made the tail decay like 0.95^j, and
+    # the series ran all 64 layers to claim 4.4e-12 (8.7e-12 relative)
+    omega = OmegaParam([0.38689055071199824, 0.11043597590010397], 0.4475227218986806)
+    u, n = 1.728919756753612, 909
+    r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
+    (oracle,), _ = sweep_oracle(omega.to_json(), u, [n])
+    assert abs(r.value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
+
+
+def _sweep_pool(seed, sweeps):
+    """Sweeps shaped like the benchmark's rank-one pool: one or two atoms in
+    [0.05, 0.8], gamma zero or in [0.05, 0.5], u in [0.5, 2]."""
+    rng = random.Random(seed)
+    pool = []
+    for k in range(sweeps):
+        alpha = sorted((rng.uniform(0.05, 0.8) for _ in range(1 + k % 2)), reverse=True)
+        gamma = 0.0 if k % 4 < 2 else rng.uniform(0.05, 0.5)
+        pool.append((OmegaParam(alpha, gamma), rng.uniform(0.5, 2.0)))
+    return pool
+
+
+@pytest.mark.parametrize("omega, u", _sweep_pool(2024, 6))
+def test_rank_one_sweep_points_are_within_their_bound(omega, u):
+    grid = (25, 50, 100, 200)
+    report = spherical_convergence(omega, u, grid)
+    oracles, _ = sweep_oracle(omega.to_json(), u, grid)
+    for n, value, oracle in zip(grid, report.values, oracles):
+        # the sweep takes the series' bits without building the size-n xi
+        r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
+        assert value == r.value
+        assert abs(value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
 
 
 def test_spherical_sweep_validates_inputs():
