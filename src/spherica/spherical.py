@@ -544,14 +544,14 @@ def _series_tail_bound(
             for _ in range(rows - 1):
                 conv = np.convolve(conv, single)
         try:
-            spill = rows * beyond * (math.fsum(v) + beyond) ** (rows - 1)
+            spill = rows * beyond * (sum(v) + beyond) ** (rows - 1)
         except OverflowError:
             return uncertified
         beyond = float(np.sum(conv[J + 1 :])) + spill
         v = conv[: J + 1].tolist()
     # suffix sums from the top: entry w adds the layer bounds w+1..J
     tails = [0.0] * (W + 1)
-    acc = math.fsum(v[W + 1 :]) + beyond
+    acc = sum(v[W + 1 :]) + beyond
     for w in range(W, -1, -1):
         tails[w] = acc * (1.0 + 1e-10)
         acc += v[w]
@@ -573,13 +573,14 @@ def _schur_fourier_series(
 
     Zero squares add nothing to a Schur function, so only the nonzero
     entries of Lam and Xi are kept; the dimension n enters through the
-    coefficients alone.  Variables are divided by their largest entries,
-    so every table entry is at least 1 and cannot underflow, and the scale
-    is folded into each row's log coefficient, a running sum of
-    log(scale) - log(d + t); the routine stays in range and accurate for
-    large dimensions and large entries.  Set-up is O(n) for the squares
-    and the scaling; a pass then costs O((k + 1) W) for the tables (k
-    entries outside the longest run of equal ones) plus its partitions.
+    coefficients alone.  Entries are divided by their largest ones before
+    they are squared, so no square leaves double range on its own and
+    every table entry is at least 1, and the scale is folded into each
+    row's log coefficient, a running sum of log(scale) - log(d + t); the
+    routine stays in range and accurate for large dimensions and large or
+    small entries.  Set-up is O(n) for the scaled squares; a pass then
+    costs O((k + 1) W) for the tables (k entries outside the longest run
+    of equal ones) plus its partitions.
 
     Each pass builds the complete-h tables to W + rows, W = 64 at first,
     and takes its tail bounds from them (_series_tail_bound); W is then cut
@@ -598,19 +599,18 @@ def _schur_fourier_series(
     not the cancellation of the Jacobi-Trudi determinant.
     """
     n = len(xvals)
-    # canonical entries descend, so their squares do: keep the squares up to
-    # the first zero one (a square can underflow to 0 where its entry does not)
-    lam = list(takewhile(bool, (v * v for v in xvals)))
-    xiq = list(takewhile(bool, (v * v / 4.0 for v in xivals)))
-    rows = min(len(lam), len(xiq))
-    if rows == 0:
+    x0, xi0 = xvals[0], xivals[0]
+    if not (x0 and xi0):
         return EvalResult(1.0, 0.0, 1, "series")
-
-    c_lam, c_xi = lam[0], xiq[0]
-    log_cl, log_cx = math.log(c_lam), math.log(c_xi)
-    half_logc = 0.5 * (log_cl + log_cx)
-    lam_hat = [v / c_lam for v in lam]
-    xi_hat = [q / c_xi for q in xiq]
+    # Lam = x0^2 Lam^ and |Xi| = (xi0/2)^2 Xi^: entries are scaled before
+    # they are squared, since a square can leave double range where the
+    # products x_i xi_j do not.  Canonical entries descend, so the scaled
+    # squares do: keep them up to the first zero one.
+    lam_hat = list(takewhile(bool, ((v / x0) * (v / x0) for v in xvals)))
+    xi_hat = list(takewhile(bool, ((v / xi0) * (v / xi0) for v in xivals)))
+    rows = min(len(lam_hat), len(xi_hat))
+    log_x0, log_xi0 = math.log(x0), math.log(xi0)
+    half_logc = log_x0 + log_xi0 - math.log(2.0)
     rounding = 4.0 * _EPS
     log = math.log
 
@@ -627,16 +627,16 @@ def _schur_fourier_series(
         # coefficients and feeds the tail bound up to weight top.
         logs = [log(k) for k in range(n - rows + 1, n + top)]
         last_row = list(accumulate([half_logc - v for v in logs[:top]], initial=0.0))
-        # With L = |log c_lam| + |log c_xi|, half_logc is within 0.75 eps L
-        # (the two logs can cancel), each log within eps |log| and each sum
-        # within eps/2 of its result, so step t of a row's running sum is off
-        # by at most eps L + 1.5 eps log(d + t) + eps/2 |its result|.  For
-        # the tail, top times the largest such step bounds every last-row
-        # entry's error.  The scaled variables carry two roundings each
-        # (square, scale) and an entry h_j of a table with k folded
+        # Each log is within eps |log|, log 2 and each sum within eps/2 of
+        # its value (log x0 and log xi0 can cancel), so step t of a row's
+        # running sum is off by at most eps L + 1.5 eps log(d + t) + eps/2
+        # |its result|, L = 1.5 (|log x0| + |log xi0|) + |half_logc| + 0.35.
+        # For the tail, top times the largest such step bounds every
+        # last-row entry's error.  The scaled variables carry two roundings
+        # each (scale, square) and an entry h_j of a table with k folded
         # variables k + 3j more (complete_h_table), so h_j is within
         # gamma_{k+5j} relative.
-        fixed = _EPS * (abs(log_cl) + abs(log_cx))
+        fixed = _EPS * (1.5 * (abs(log_x0) + abs(log_xi0)) + abs(half_logc) + 0.35)
         last_err = top * (fixed + _EPS * (1.5 * logs[top - 1] + 0.5 * max(map(abs, last_row))))
         slack = 2.0 * last_err + _gamma(k_lam + 5 * top) + _gamma(k_xi + 5 * top)
         tails = _series_tail_bound(last_row, h_lam, h_xi, slack, rows, W)
