@@ -470,8 +470,9 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
 # ---------------------------------------------------------------------------
 # Schur series route
 
-# floor of exp in the tail bound: a computed exp below it bounds a true value
-# below it, and the floor keeps an underflowed layer bound positive
+# the tail bound raises exp values below this to it: where the computed exp
+# is below the floor the true one is too (up to the slack), so the layer bound
+# stays an upper bound where exp underflows
 _EXP_FLOOR = 1e-290
 
 
