@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -45,7 +46,7 @@ from .errors import (
 # bessel_j0, bessel_i0, hyper_f and complete_h_table go unused but stay:
 # perfbench/tracer.py patches them here by name
 from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
-from .symfunc import _h_table, _jacobi_trudi_det, _partition_tuples, complete_h_table
+from .symfunc import _h_stream, _h_table, _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -491,9 +492,9 @@ def _series_tail_bound(
     max_weight: int,
 ) -> list[float]:
     """Upper bounds on the absolute sum of all series layers beyond each
-    weight: entry w of the returned list (w = 0..max_weight) bounds the
-    layers of weight > w, and the list is non-increasing; +inf means "not
-    certified".
+    weight, for rows >= 2 (one row takes _one_row_series): entry w of the
+    returned list (w = 0..max_weight) bounds the layers of weight > w, and
+    the list is non-increasing; +inf means "not certified".
 
     For nonnegative variables h_m = sum_mu K_{mu m} s_mu with Kostka numbers
     K >= 0 and K_mm = 1 (Macdonald, I.6), so s_m <= prod_i h_{m_i}; each
@@ -504,21 +505,20 @@ def _series_tail_bound(
       v_j = exp(2 coef[j]) h_j(Lam^) h_j(Xi^),
 
     ``coef`` the last row's log coefficient with the scale folded in and
-    h the tables of the scaled variables, read to J = len(coef) - 1 (at
-    rows = 1 the bound is the layer itself).  The weight-k layer is at most
-    entry k of the rows-fold convolution of v.  The true v_j is within
-    exp(slack) of the computed one (the coefficient's log error and the
-    tables' rounding) and the computed values are raised by that.
+    h the tables of the scaled variables, read to J = len(coef) - 1.  The
+    weight-k layer is at most entry k of the rows-fold convolution of v.
+    The true v_j is within exp(slack) of the computed one (the coefficient's
+    log error and the tables' rounding) and the computed values are raised
+    by that.
 
     Past J: h_j of nonnegative variables is a Polya frequency sequence, so
     h_{j+1}/h_j does not increase, and neither does 1/(j + n - rows)^2; the
     ratio rho = v_J / v_{J-1}, taken from the last coefficient step and
-    raised by exp(2 slack), bounds every later ratio, and the one-row sum
-    past J is at most T = v_J rho / (1 - rho).  For rows >= 2 the
-    convolution of the tables is taken in full, to rows J, and every
-    composition with a part beyond J is at most rows T (S + T)^(rows-1),
-    S = sum_{j<=J} v_j.  The sums are raised by 1 + 1e-10 for their own
-    rounding.
+    raised by exp(2 slack), bounds every later ratio, and the sum of v past
+    J is at most T = v_J rho / (1 - rho).  The convolution of the tables is
+    taken in full, to rows J, and every composition with a part beyond J is
+    at most rows T (S + T)^(rows-1), S = sum_{j<=J} v_j.  The sums are
+    raised by 1 + 1e-10 for their own rounding.
     """
     W = max_weight
     J = len(coef) - 1
@@ -536,20 +536,19 @@ def _series_tail_bound(
     if not rho < 1.0:  # also nan, from overflowed tables
         return uncertified
     beyond = v[J] * rho / (1.0 - rho)
-    if rows > 1:
-        import numpy as np
+    import numpy as np
 
-        single = np.array(v)
-        conv = single
-        with np.errstate(over="ignore"):
-            for _ in range(rows - 1):
-                conv = np.convolve(conv, single)
-        try:
-            spill = rows * beyond * (sum(v) + beyond) ** (rows - 1)
-        except OverflowError:
-            return uncertified
-        beyond = float(np.sum(conv[J + 1 :])) + spill
-        v = conv[: J + 1].tolist()
+    single = np.array(v)
+    conv = single
+    with np.errstate(over="ignore"):
+        for _ in range(rows - 1):
+            conv = np.convolve(conv, single)
+    try:
+        spill = rows * beyond * (sum(v) + beyond) ** (rows - 1)
+    except OverflowError:
+        return uncertified
+    beyond = float(np.sum(conv[J + 1 :])) + spill
+    v = conv[: J + 1].tolist()
     # suffix sums from the top: entry w adds the layer bounds w+1..J
     tails = [0.0] * (W + 1)
     acc = sum(v[W + 1 :]) + beyond
@@ -559,6 +558,91 @@ def _series_tail_bound(
     if not math.isfinite(tails[0]):
         return uncertified
     return tails
+
+
+def _one_row_series(
+    vals: Sequence[float],
+    n: int,
+    half_logc: float,
+    fixed: float,
+    alternating: bool,
+    rel_tol: float,
+) -> EvalResult:
+    """_schur_fourier_series where one side has a single nonzero square.
+
+    That side scales to exactly 1 and drops out, so exchanging x and xi
+    gives the same bits.  Term j is (+-1)^j exp(2 c_j) h_j(Lam^), Lam^ the
+    scaled squares of the canonical entries ``vals`` of the other side and
+    c_j the running log coefficient.  Runs of equal entries are found by
+    bisection and scaled and squared once each, and h_j comes from
+    _h_stream, the recurrences of complete_h_table one weight at a time.
+
+    v_j = exp(2 c_j) h_j raised by exp(slack_j) bounds the exact term; the
+    slack is twice the log coefficient's error plus gamma_{k+10j} for h_j
+    and the scaled squares.  h_{j+1}/h_j of nonnegative variables does not
+    increase (a Polya frequency sequence), and neither does
+    exp(2 (c_{j+1} - c_j)) = (x0 xi0 / (2 (n + j)))^2, so rho_j =
+    v_j / v_{j-1}, from the coefficient step and raised by exp(2 slack_j),
+    bounds every later ratio: the layers from weight j on sum to at most
+    v_j / (1 - rho_j).  The sum stops before the first weight where that is
+    below both the rounding term and rel_tol; past weight 240 it need only
+    meet rel_tol, or ConvergenceError is raised.
+    """
+    v0 = vals[0]
+    runs = []  # (scaled square, multiplicity), descending
+    start = 0
+    while start < len(vals):
+        end = bisect_right(vals, -vals[start], start, key=operator.neg)
+        square = (vals[start] / v0) * (vals[start] / v0)
+        if not square:
+            break
+        runs.append((square, end - start))
+        start = end
+    k, hs = _h_stream(runs)
+    h_prev = next(hs)
+    coef = big = log_err = 0.0
+    total, comp, abs_sum, coef_sum, count = 1.0, 0.0, 1.0, 0.0, 1
+    rounding = 4.0 * _EPS
+    exp, log = math.exp, math.log
+    for w, h in zip(range(1, _WEIGHT_CAP + 2), hs):
+        log_d = log(n - 1 + w)
+        step = half_logc - log_d
+        coef += step
+        big = max(big, abs(coef))
+        log_err += fixed + 1.5 * _EPS * log_d + 0.5 * _EPS * big
+        slack = 2.0 * log_err + _gamma(k + 10 * w)
+        grow = exp(slack) * (1.0 + 1e-10)
+        try:
+            e = exp(2.0 * coef)
+            rho = exp(2.0 * step) * (h / h_prev) * grow * grow
+        except OverflowError:
+            # the steps fall and coef = step at w = 1, so e overflows first
+            e = math.inf
+        # the 1e-10 in grow also covers the rounding of v and of the tail
+        v = (e if e > _EXP_FLOOR else _EXP_FLOOR) * h * grow
+        if v == math.inf:
+            raise RangeError(f"series term at weight {w} exceeds double range")
+        tail = v / (1.0 - rho) if rho < 1.0 else math.inf
+        if tail <= rel_tol * abs(total) + 1e-14 and (
+            tail <= rounding * abs_sum or w > _WEIGHT_CAP
+        ):
+            err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
+            return EvalResult(total, err, count, "series")
+        if w > _WEIGHT_CAP:
+            raise ConvergenceError(
+                f"series tail not certified at max weight {_WEIGHT_CAP}",
+                partial=total,
+                abs_error=tail,
+            )
+        term = -e * h if alternating and w & 1 else e * h
+        count += 1
+        abs_sum += abs(term)
+        coef_sum += math.expm1(slack) * abs(term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        h_prev = h
 
 
 def _schur_fourier_series(
@@ -579,13 +663,16 @@ def _schur_fourier_series(
     every table entry is at least 1, and the scale is folded into each
     row's log coefficient, a running sum of log(scale) - log(d + t); the
     routine stays in range and accurate for large dimensions and large or
-    small entries.  Set-up is O(n) for the scaled squares; a pass then
-    costs O((k + 1) W) for the tables (k entries outside the longest run
-    of equal ones) plus its partitions.
+    small entries.
 
-    Each pass builds the complete-h tables to W + rows, W = 64 at first,
-    and takes its tail bounds from them (_series_tail_bound); W is then cut
-    to the first weight whose tail bound is below the rounding of the empty
+    Where one side has a single nonzero square (rows = 1, every rank-one
+    sweep point) _one_row_series sums the series term by term, at O(k + 1)
+    per weight (k entries outside the longest run of equal ones) after an
+    O(runs log n) set-up.  Otherwise set-up is O(n) for the scaled squares,
+    and a pass costs O((k + 1) W) for the tables plus its partitions: each
+    pass builds the complete-h tables to W + rows, W = 64 at first, and
+    takes its tail bounds from them (_series_tail_bound); W is then cut to
+    the first weight whose tail bound is below the rounding of the empty
     partition.  The pass sums partitions of weight <= W in weight order and
     returns after any complete layer whose tail bound is below both the
     rounding term and rel_tol.  Otherwise the tail beyond W certifies the
@@ -603,6 +690,17 @@ def _schur_fourier_series(
     x0, xi0 = xvals[0], xivals[0]
     if not (x0 and xi0):
         return EvalResult(1.0, 0.0, 1, "series")
+    log_x0, log_xi0 = math.log(x0), math.log(xi0)
+    half_logc = log_x0 + log_xi0 - math.log(2.0)
+    # Each log is within eps |log|, log 2 and each sum within eps/2 of its
+    # value (log x0 and log xi0 can cancel), so step t of a row's running
+    # sum of log coefficients is off by at most eps L + 1.5 eps log(d + t)
+    # + eps/2 |its result|, L = 1.5 (|log x0| + |log xi0|) + |half_logc| + 0.35.
+    fixed = _EPS * (1.5 * (abs(log_x0) + abs(log_xi0)) + abs(half_logc) + 0.35)
+    # a side whose second scaled square is zero or absent has one nonzero one
+    for one, many in ((xivals, xvals), (xvals, xivals)):
+        if len(one) < 2 or not (one[1] / one[0]) * (one[1] / one[0]):
+            return _one_row_series(many, n, half_logc, fixed, alternating, rel_tol)
     # Lam = x0^2 Lam^ and |Xi| = (xi0/2)^2 Xi^: entries are scaled before
     # they are squared, since a square can leave double range where the
     # products x_i xi_j do not.  Canonical entries descend, so the scaled
@@ -610,8 +708,6 @@ def _schur_fourier_series(
     lam_hat = list(takewhile(bool, ((v / x0) * (v / x0) for v in xvals)))
     xi_hat = list(takewhile(bool, ((v / xi0) * (v / xi0) for v in xivals)))
     rows = min(len(lam_hat), len(xi_hat))
-    log_x0, log_xi0 = math.log(x0), math.log(xi0)
-    half_logc = log_x0 + log_xi0 - math.log(2.0)
     rounding = 4.0 * _EPS
     log = math.log
 
@@ -622,22 +718,17 @@ def _schur_fourier_series(
         h_xi, k_xi = _h_table(xi_hat, top)
         # row i of a partition contributes m_i half_logc + log(d! / (m_i + d)!),
         # d = n-1-i: a running sum of half_logc - log(d + t), whose steps are
-        # small where the scale matches the dimension (the rank-one sweeps).
+        # small where the scale matches the dimension.
         # logs holds log(n-rows+1) .. log(n-1+top); row i reads them from
         # offset rows-1-i.  The last row, d = n - rows, has the largest
         # coefficients and feeds the tail bound up to weight top.
         logs = [log(k) for k in range(n - rows + 1, n + top)]
         last_row = list(accumulate([half_logc - v for v in logs[:top]], initial=0.0))
-        # Each log is within eps |log|, log 2 and each sum within eps/2 of
-        # its value (log x0 and log xi0 can cancel), so step t of a row's
-        # running sum is off by at most eps L + 1.5 eps log(d + t) + eps/2
-        # |its result|, L = 1.5 (|log x0| + |log xi0|) + |half_logc| + 0.35.
-        # For the tail, top times the largest such step bounds every
-        # last-row entry's error.  The scaled variables carry two roundings
-        # each (scale, square) and an entry h_j of a table with k folded
-        # variables k + 3j more (complete_h_table), so h_j is within
+        # For the tail, top times the largest log step (see fixed) bounds
+        # every last-row entry's error.  The scaled variables carry two
+        # roundings each (scale, square) and an entry h_j of a table with k
+        # folded variables k + 3j more (complete_h_table), so h_j is within
         # gamma_{k+5j} relative.
-        fixed = _EPS * (1.5 * (abs(log_x0) + abs(log_xi0)) + abs(half_logc) + 0.35)
         last_err = top * (fixed + _EPS * (1.5 * logs[top - 1] + 0.5 * max(map(abs, last_row))))
         slack = 2.0 * last_err + _gamma(k_lam + 5 * top) + _gamma(k_xi + 5 * top)
         tails = _series_tail_bound(last_row, h_lam, h_xi, slack, rows, W)
@@ -767,19 +858,22 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
 
     Handles coincident and zero entries (no Vandermonde division).  Zero
     entries cost nothing beyond input validation and a run of equal entries
-    costs what one entry does, so a rank-one sweep point (xi = (u, 0, ...,
-    0), x from lambda_sequence_for) costs O(W) per pass beyond its O(n)
-    set-up (validation, squares, scaling), whatever the dimension n; at
-    one row it loads no numpy.  The tail bound is read from the complete-h
-    tables of the pass (exact up to rounding at one row).  The initial
-    truncation weight 64 is doubled up to 240 until the tail bound certifies
-    rel_tol; failure to certify raises ConvergenceError with the partial sum
-    attached.  A pass stops before its truncation weight at the first
-    complete weight whose tail bound is below both the rounding term and
-    rel_tol.  abs_error is the tail bound plus the rounding term, which
-    covers the error each term takes from its log-factorial coefficient and
-    its complete-h entries as well as the summation, though not the
-    cancellation of a Jacobi-Trudi determinant of two or more rows.
+    costs what one entry does.  Where x or xi has one nonzero entry (a
+    rank-one sweep point: xi = (u, 0, ..., 0), x from lambda_sequence_for)
+    the series has one row and is summed term by term: O(k + 1) per term, k
+    the entries outside the longest run, after input validation and a
+    bisection for the runs, whatever the dimension n, and without numpy.
+    Its tail is closed geometrically after every term and the sum stops at
+    the first weight where that tail is below both the rounding term and
+    rel_tol, up to weight 240.  At two or more rows the tail bound is read
+    from the complete-h tables of a pass; the initial truncation weight 64
+    is doubled up to 240 until it certifies rel_tol, and a pass stops early
+    at the first complete weight whose tail bound is below both the rounding
+    term and rel_tol.  Failure to certify raises ConvergenceError with the
+    partial sum attached.  abs_error is the tail bound plus the rounding
+    term, which covers the error each term takes from its log-factorial
+    coefficient and its complete-h entries as well as the summation, though
+    not the cancellation of a Jacobi-Trudi determinant of two or more rows.
     rel_tol <= 0 raises DomainError; a term beyond double range raises
     RangeError.
     """

@@ -16,6 +16,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -124,6 +125,34 @@ def _h_table(vals: list[float], max_m: int) -> tuple[list[float], int]:
             prev = h[j] + xk * prev
             h[j] = prev
     return h, folds
+
+
+def _h_stream(runs: Sequence[tuple[float, int]]) -> tuple[int, Iterator[float]]:
+    """_h_table one weight at a time, with the same bits, for nonzero
+    variables given as runs (value, multiplicity) in decreasing order: the
+    number k of variables folded in, and an endless iterator over h_0, h_1,
+    ...  Each folded variable carries its own column h_{j-1}, so weight j
+    costs O(k + 1); a whole table is faster from _h_table."""
+    g, seed = 1, -1
+    for i, (_, m) in enumerate(runs):
+        if m > g:
+            g, seed = m, i
+    c = runs[seed][0] if g > 1 else 0.0
+    folded = [v for i, (v, m) in enumerate(runs) if i != seed for _ in range(m)]
+
+    def terms() -> Iterator[float]:
+        carried = [1.0] * len(folded)  # h_{j-1} of the first i + 1 folds
+        seeded = 1.0
+        yield 1.0
+        for j in count(1):
+            seeded = seeded * c * (j + g - 1) / j
+            h = seeded
+            for i, xk in enumerate(folded):
+                h = h + xk * carried[i]
+                carried[i] = h
+            yield h
+
+    return len(folded), terms()
 
 
 def complete_h(m: int, x: Sequence[float]) -> float:

@@ -151,6 +151,17 @@ def test_rank_one_tail_bound_is_tight_at_a_slowly_decaying_point():
     assert abs(r.value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
 
 
+def test_rank_one_sweep_sums_a_slowly_decaying_point_to_rounding():
+    # terms decay like 0.7^j; a sum cut where its tail first certified 1e-10
+    # returned this point 1.34e-12 from the one-row oracle after 65 terms
+    omega = OmegaParam([0.7762109494982836, 0.4173682715753764], 0.0)
+    u, n = 1.8953577607142993, 975
+    r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
+    (oracle,), _ = sweep_oracle(omega.to_json(), u, [n])
+    assert abs(r.value - oracle) <= 1e-14
+    assert abs(r.value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
+
+
 def _sweep_pool(seed, sweeps):
     """Sweeps shaped like the benchmark's rank-one pool: one or two atoms in
     [0.05, 0.8], gamma zero or in [0.05, 0.5], u in [0.5, 2]."""

@@ -463,7 +463,7 @@ SERIES_BITS = [
         1.1964041750656387e-15,
         83,
     ),
-    (spherical_series, (1.2, 0.0), (0.9, 0.4), 0.9155677392951213, 1.7282951920351118e-15, 8),
+    (spherical_series, (1.2, 0.0), (0.9, 0.4), 0.9155677392951213, 1.7186139993433952e-15, 8),
     (
         spherical_eval,
         (1.3, 1.3, 0.0),
@@ -653,6 +653,9 @@ def test_series_terms_beyond_double_range_raise_range_error():
     # below the 700 overflow guard of the determinant route
     with pytest.raises(RangeError):
         orbital_integral((25.0, 25.0), (25.0, 24.0), path="series")
+    # one row: the log coefficient itself leaves double range
+    with pytest.raises(RangeError):
+        spherical_series((30.0, 0.0), (30.0, 29.0))
     # "auto" never sums the series: past its order cap the Newton-basis
     # route certifies nothing
     for evaluate, x, xi in (
@@ -662,6 +665,48 @@ def test_series_terms_beyond_double_range_raise_range_error():
         with pytest.raises(ConvergenceError) as info:
             evaluate(x, xi)
         assert info.value.abs_error == math.inf
+
+
+RANK_ONE_POINTS = [
+    ((1.3, 0.0, 0.0), (0.9, 0.5, 0.5)),
+    ((1.7, 0.0), (1.2, 0.4)),
+    ((2.0, 1.1, 0.3, 0.3), (0.8, 0.0, 0.0, 0.0)),
+    ((3.0, 2.0, 2.0), (1.9, 0.0, 0.0)),
+    ((1.1, 0.0), (0.7, 0.0)),
+    ((1.5,), (0.8,)),
+]
+
+
+@pytest.mark.parametrize("x, xi", RANK_ONE_POINTS)
+def test_rank_one_series_is_exchange_symmetric_and_within_its_bound(x, xi):
+    # the one-entry side scales to exactly 1 and drops out of the one-row sum
+    for kind, evaluate in (("spherical", spherical_eval), ("orbital", orbital_integral)):
+        r = evaluate(x, xi, path="series")
+        assert evaluate(xi, x, path="series") == r
+        oracle = _oracle(kind, x, xi)
+        assert abs(r.value - oracle) <= r.abs_error <= 1e-13 * max(1.0, abs(oracle))
+
+
+def test_rank_one_points_skip_the_partition_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rank-one point left the one-row sum")
+
+    for name in ("_partition_tuples", "_jacobi_trudi_det", "_series_tail_bound"):
+        monkeypatch.setattr(spherical_module, name, refuse)
+    spherical_convergence(OmegaParam([0.5, 0.2], 0.3), 1.5, (25, 50, 100, 200))
+    for x, xi in RANK_ONE_POINTS:
+        spherical_series(x, xi)
+        orbital_integral(xi, x, path="series")
+
+
+def test_rank_one_series_past_the_weight_cap_raises_with_its_partial_sum():
+    # term ratios are about 0.99 (n / (n + j))^2: at n = 1e5 weight 240
+    # leaves a tail bound of about 3
+    with pytest.raises(ConvergenceError) as info:
+        spherical_convergence(OmegaParam([0.99], 0.0), 2.0, (10**5,))
+    partial, abs_error = info.value.partial, info.value.abs_error
+    assert 0.0 < partial < 1.0
+    assert 1e-10 * partial < abs_error < math.inf
 
 
 def test_series_refuses_a_nonpositive_tolerance():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import groupby, islice
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,7 @@ from spherica import (
     power_p,
     schur,
 )
-from spherica.symfunc import _jacobi_trudi_det, _partition_tuples
+from spherica.symfunc import _h_stream, _h_table, _jacobi_trudi_det, _partition_tuples
 
 
 def test_partition_trims_trailing_zeros():
@@ -271,3 +272,15 @@ def test_cauchy_agreement_on_random_small_points():
         q = max(x) * max(y)
         tail = q ** 21 / (1.0 - q) if q > 0 else 0.0
         assert abs(cauchy_lhs(x, y, 20) - cauchy_rhs(x, y)) <= tail + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_multiset_with_repeats(), st.integers(0, 30))
+def test_streamed_complete_h_matches_the_table_bitwise(x, max_m):
+    # the one-row series reads h_j one weight at a time; the table is the
+    # reference arithmetic
+    vals = sorted(x, reverse=True)
+    runs = [(v, len(list(group))) for v, group in groupby(vals) if v != 0.0]
+    k, stream = _h_stream(runs)
+    table, folds = _h_table(vals, max_m)
+    assert (_bits(islice(stream, max_m + 1)), k) == (_bits(table), folds)
