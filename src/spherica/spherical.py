@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -46,7 +45,7 @@ from .errors import (
 # bessel_j0, bessel_i0, hyper_f and complete_h_table go unused but stay:
 # perfbench/tracer.py patches them here by name
 from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
-from .symfunc import _h_stream, _h_table, _jacobi_trudi_det, _partition_tuples, complete_h_table
+from .symfunc import _h_stream, _h_table, _jacobi_trudi_det, _partition_tuples, _runs, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -574,7 +573,7 @@ def _one_row_series(
     gives the same bits.  Term j is (+-1)^j exp(2 c_j) h_j(Lam^), Lam^ the
     scaled squares of the canonical entries ``vals`` of the other side and
     c_j the running log coefficient.  Runs of equal entries are found by
-    bisection and scaled and squared once each, and h_j comes from
+    bisection and scaled and squared once each (_runs), and h_j comes from
     _h_stream, the recurrences of complete_h_table one weight at a time.
 
     v_j = exp(2 c_j) h_j raised by exp(slack_j) bounds the exact term; the
@@ -588,17 +587,7 @@ def _one_row_series(
     below both the rounding term and rel_tol; past weight 240 it need only
     meet rel_tol, or ConvergenceError is raised.
     """
-    v0 = vals[0]
-    runs = []  # (scaled square, multiplicity), descending
-    start = 0
-    while start < len(vals):
-        end = bisect_right(vals, -vals[start], start, key=operator.neg)
-        square = (vals[start] / v0) * (vals[start] / v0)
-        if not square:
-            break
-        runs.append((square, end - start))
-        start = end
-    k, hs = _h_stream(runs)
+    k, hs = _h_stream(_runs(vals, vals[0]))
     h_prev = next(hs)
     coef = big = log_err = 0.0
     total, comp, abs_sum, coef_sum, count = 1.0, 0.0, 1.0, 0.0, 1

@@ -16,7 +16,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -100,40 +100,36 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
 def _h_table(vals: list[float], max_m: int) -> tuple[list[float], int]:
     """complete_h_table of finite variables already in decreasing order,
     and the number k of variables it folds in (its error bound's k)."""
-    # equal entries are adjacent; find the longest nonzero run by bisection
-    g, seed, start = 1, 0, 0
+    k, hs = _h_stream(_runs(vals))
+    return list(islice(hs, max_m + 1)), k
+
+
+def _runs(vals: Sequence[float], scale: float | None = None) -> list[tuple[float, int]]:
+    """Runs (value, multiplicity) of the nonzero entries of ``vals``, which
+    are in decreasing order.  Equal entries are adjacent, so each run is
+    found by bisection: O(runs log n).  With ``scale`` (for nonnegative
+    ``vals``) a run's value is its scaled square (v / scale)^2, computed
+    once per run; the values then still descend."""
+    runs = []
+    start = 0
     while start < len(vals):
         end = bisect_right(vals, -vals[start], start, key=operator.neg)
-        if vals[start] != 0.0 and end - start > g:
-            g, seed = end - start, start
+        v = vals[start]
+        if scale is not None:
+            v = (v / scale) * (v / scale)
+        if v:
+            runs.append((v, end - start))
         start = end
-    h = [1.0] + [0.0] * max_m
-    if g >= 2:
-        c = vals[seed]
-        term = 1.0
-        for j in range(1, max_m + 1):
-            term = term * c * (j + g - 1) / j
-            h[j] = term
-        vals = vals[:seed] + vals[seed + g :]
-    folds = 0
-    for xk in vals:
-        if xk == 0.0:
-            continue  # h[j] += 0 * h[j-1] leaves the table unchanged
-        folds += 1
-        prev = 1.0  # h[j-1] after this variable's update, from h[0]
-        for j in range(1, max_m + 1):
-            prev = h[j] + xk * prev
-            h[j] = prev
-    return h, folds
+    return runs
 
 
 def _h_stream(runs: Sequence[tuple[float, int]]) -> tuple[int, Iterator[float]]:
-    """_h_table one weight at a time, with the same bits, for nonzero
-    variables given as runs (value, multiplicity) in decreasing order: the
-    number k of variables folded in, and an endless iterator over h_0, h_1,
-    ...  Each folded variable carries its own column h_{j-1}, so weight j
-    costs O(k + 1); a whole table is faster from _h_table."""
-    g, seed = 1, -1
+    """complete_h_table one weight at a time, for nonzero variables given as
+    runs (value, multiplicity) in decreasing order: the number k of
+    variables folded in, and an endless iterator over h_0, h_1, ...  Each
+    folded variable carries its own column h_{j-1}, so weight j costs
+    O(k + 1)."""
+    g, seed = 1, -1  # the longest run of g >= 2, the first (largest) on ties
     for i, (_, m) in enumerate(runs):
         if m > g:
             g, seed = m, i
@@ -141,7 +137,7 @@ def _h_stream(runs: Sequence[tuple[float, int]]) -> tuple[int, Iterator[float]]:
     folded = [v for i, (v, m) in enumerate(runs) if i != seed for _ in range(m)]
 
     def terms() -> Iterator[float]:
-        carried = [1.0] * len(folded)  # h_{j-1} of the first i + 1 folds
+        carried = [1.0] * len(folded)  # h_{j-1} of the seed and the first i + 1 folds
         seeded = 1.0
         yield 1.0
         for j in count(1):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import groupby, islice
+from itertools import groupby
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +22,7 @@ from spherica import (
     power_p,
     schur,
 )
-from spherica.symfunc import _h_stream, _h_table, _jacobi_trudi_det, _partition_tuples
+from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, _runs
 
 
 def test_partition_trims_trailing_zeros():
@@ -275,12 +275,13 @@ def test_cauchy_agreement_on_random_small_points():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_multiset_with_repeats(), st.integers(0, 30))
-def test_streamed_complete_h_matches_the_table_bitwise(x, max_m):
-    # the one-row series reads h_j one weight at a time; the table is the
-    # reference arithmetic
+@given(st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.25, 1.0, 3.0]), max_size=30))
+def test_runs_are_the_groups_of_nonzero_entries(x):
+    # the h tables and the one-row series see their variables as runs;
+    # zeros between the signs are skipped, and a scale maps each run's value
+    # to its scaled square
     vals = sorted(x, reverse=True)
     runs = [(v, len(list(group))) for v, group in groupby(vals) if v != 0.0]
-    k, stream = _h_stream(runs)
-    table, folds = _h_table(vals, max_m)
-    assert (_bits(islice(stream, max_m + 1)), k) == (_bits(table), folds)
+    assert _runs(vals) == runs
+    if vals and vals[-1] >= 0.0:
+        assert _runs(vals, 3.0) == [((v / 3.0) * (v / 3.0), m) for v, m in runs]
