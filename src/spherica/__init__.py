@@ -16,7 +16,9 @@ Layout:
 Only montecarlo needs numpy at import time, so it and its six names
 (McEstimate, RngStream, haar_unitary, mc_biinvariant_avg, mc_orbital_exp,
 mc_spherical) load on first use; the other modules import numpy inside
-the functions that build arrays.
+the functions that build arrays.  Evaluations on the "auto" route, the
+rank-one and power-sum sweeps, and the m = 1 Weyl sweep of the default
+observable build none.
 """
 
 import importlib

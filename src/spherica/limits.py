@@ -17,15 +17,15 @@ the randomness of the points that stay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import spherical
+from ._record import record
 from .errors import DomainError, ShapeError
 from .polya import OmegaParam, p_tilde, polya_eval
 # spherical_series goes unused but stays: perfbench/tracer.py patches it here
 # by name
-from .spherical import DiagonalPoint, _weyl_density, spherical_series
+from .spherical import _EPS, DiagonalPoint, _weyl_density, spherical_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,7 +41,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SweepReport:
     """Values of one finite-n quantity along a size grid, with its limit.
 
@@ -195,34 +195,62 @@ def spherical_convergence(
     )
 
 
-def _mean_cos_sq(theta: np.ndarray) -> float:
+def _mean_cos_sq(theta: np.ndarray) -> np.ndarray:
+    """The default observable on each row: the mean of cos^2 over the angles."""
     import numpy as np
 
-    c = np.cos(theta)
-    return float(np.mean(c * c))
+    return np.mean(np.cos(theta) ** 2, axis=-1)
 
 
 # nodes of the m = 1 rule: exact for polynomials in sin t up to degree 95
 _WEYL_NODES = 48
 
 
-def _weyl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-angles d_k = arccos(y_k) and weights w_k of the Gauss rule for
-    y^(2n-3) on [0, 1], by Golub-Welsch on I - J, J the Jacobi matrix
-    (alpha = 0, beta = 2n - 3) in x = 2y - 1.  The eigenvalues of I - J,
-    2(1 - y_k), are small where the weight concentrates and come out with
-    relative accuracy, where those of J would lose it to cancellation."""
-    import numpy as np
-
+def _weyl_rule(n: int) -> tuple[list[float], list[float]]:
+    """Half-angles d_k = arccos(y_k), ascending, and weights w_k of the Gauss
+    rule for y^(2n-3) on [0, 1], by Golub-Welsch on I - J, J the Jacobi
+    matrix (alpha = 0, beta = 2n - 3) in x = 2y - 1.  The eigenvalues of
+    I - J, 2(1 - y_k), are small where the weight concentrates, and implicit
+    QL with a deflation test relative to the neighbouring diagonal keeps them
+    to about 1e-13 relative, where those of J would lose it to cancellation.
+    Only the first row of the eigenvectors is rotated: its squares are the
+    weights."""
     b = 2.0 * n - 3.0
-    k = np.arange(_WEYL_NODES, dtype=float)
-    s = 2.0 * k + b
-    diag = (4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0)
-    k, s = k[1:], s[1:]
-    off = 2.0 * k * (k + b) / s / np.sqrt((s - 1.0) * (s + 1.0))
-    z, vecs = np.linalg.eigh(np.diag(diag) - np.diag(off, 1) - np.diag(off, -1))
-    # arccos(1 - u) = 2 arcsin(sqrt(u / 2)), with u = z / 2 = 1 - y
-    return 2.0 * np.arcsin(np.sqrt(z) / 2.0), vecs[0] ** 2
+    d, e = [], []
+    for k in range(_WEYL_NODES):
+        s = 2.0 * k + b
+        d.append((4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0))
+        if k:
+            e.append(2.0 * k * (k + b) / s / math.sqrt((s - 1.0) * (s + 1.0)))
+    e.append(0.0)
+    z = [1.0] + [0.0] * (_WEYL_NODES - 1)
+    # implicit QL with Wilkinson's shift (tqli); e[i] couples rows i and i + 1
+    for lo in range(_WEYL_NODES):
+        while True:
+            m = lo
+            while m < _WEYL_NODES - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f, h = s * e[i], c * e[i]
+                e[i + 1] = r = math.hypot(f, g)
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * h
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - h
+                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
+            d[lo] -= p
+            e[lo], e[m] = g, 0.0
+    # arccos(1 - u) = 2 arcsin(sqrt(u / 2)), with u = d_k / 2 = 1 - y_k
+    rule = sorted(zip(d, z))
+    return [2.0 * math.asin(math.sqrt(v) / 2.0) for v, _ in rule], [q * q for _, q in rule]
 
 
 def weyl_concentration_sweep(
@@ -235,6 +263,10 @@ def weyl_concentration_sweep(
     """Expectation of an angular observable under the (m, n) density along
     the grid, against its value at the concentration point (pi/2, ..., pi/2).
 
+    The default observable is the mean of cos^2 over the m angles, whose
+    expectation is m/n (Aomoto).  A custom observable is called with a numpy
+    array of the m angles and returns a float.
+
     m = 1 is deterministic, with no standard errors.  With y = sin t, and
     [pi/2, pi] folded onto [0, pi/2] by t -> pi - t, the density is
     2 y^(2n-3) dy on [0, 1].  A fixed 48-node Gauss-Jacobi rule for that
@@ -242,18 +274,25 @@ def weyl_concentration_sweep(
     sum_k w_k.  It is exact for polynomials in sin t up to degree 95 (so
     the default observable gives 1/n), accurate to rounding for smooth
     observables at every n, and a constant observable is exact.  At a
-    kink it is not: |t - 1| is about 1e-4 off at n <= 10.
+    kink it is not: |t - 1| is about 1e-4 off at n <= 10.  The default
+    observable runs here without numpy.
     m >= 2 uses self-normalized importance sampling from the uniform
-    proposal on [0, pi]^m, one derived seed per grid point.
+    proposal on [0, pi]^m, one derived seed per grid point; the default
+    observable is evaluated once per block of samples, a custom one once
+    per sample.
     """
-    import numpy as np
-
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
     grid = _check_grid(n_values, 2 * m)
-    obs = _mean_cos_sq if observable is None else observable
-    limit = float(obs(np.full(m, math.pi / 2.0)))
+    if m == 1 and observable is None:
+        c = math.cos(math.pi / 2.0)
+        limit = c * c
+    else:
+        import numpy as np
+
+        obs = _mean_cos_sq if observable is None else observable
+        limit = float(obs(np.full(m, math.pi / 2.0)))
     if m >= 2:
         from . import montecarlo
 
@@ -263,9 +302,13 @@ def weyl_concentration_sweep(
     for i, n in enumerate(grid):
         if m == 1:
             half, w = _weyl_rule(n)
-            f = lambda t: float(obs(np.array([t])))
-            folded = np.array([f(math.pi / 2.0 - d) + f(math.pi / 2.0 + d) for d in half])
-            values.append(math.fsum(w * folded) / (2.0 * math.fsum(w)))
+            if observable is None:
+                # cos^2 t = sin^2 d at both t = pi/2 -+ d
+                folded = [2.0 * math.sin(d) ** 2 for d in half]
+            else:
+                f = lambda t: float(obs(np.array([t])))
+                folded = [f(math.pi / 2.0 - d) + f(math.pi / 2.0 + d) for d in half]
+            values.append(math.fsum(a * b for a, b in zip(w, folded)) / (2.0 * math.fsum(w)))
         else:
             w_blocks: list[np.ndarray] = []
             f_blocks: list[np.ndarray] = []
@@ -273,7 +316,10 @@ def weyl_concentration_sweep(
                 stream = montecarlo.RngStream(seed + 1000003 * i, b)
                 th = stream.uniforms((take, m)) * math.pi
                 w_blocks.append(_weyl_density(m, n, th))
-                f_blocks.append(np.array([float(obs(row)) for row in th]))
+                if observable is None:
+                    f_blocks.append(_mean_cos_sq(th))
+                else:
+                    f_blocks.append(np.array([float(obs(row)) for row in th]))
             w_sum = math.fsum(float(np.sum(w)) for w in w_blocks)
             wf_sum = math.fsum(
                 float(np.sum(w * f)) for w, f in zip(w_blocks, f_blocks)

@@ -34,11 +34,11 @@ vectorise over and takes LAPACK QR plus the phase fix instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import record
 from .errors import DomainError, RangeError
 from .polya import OmegaParam
 from .spherical import _point_pair
@@ -94,7 +94,7 @@ class RngStream:
         return (z[0] + 1j * z[1]) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@record
 class McEstimate:
     """Sample mean with its standard error.
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .errors import DomainError, ShapeError, ValidationError
 from .symfunc import Partition, _jacobi_trudi_det, newton_h_from_p
 
@@ -33,7 +33,7 @@ def _read_json(path):
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@record
 class OmegaParam:
     """Canonical limit parameter: atoms sorted decreasing, zeros trimmed."""
 
@@ -79,7 +79,7 @@ class OmegaParam:
         return cls.from_json(_read_json(path))
 
 
-@dataclass(frozen=True)
+@record
 class MixtureParam:
     """Finite convex combination of limit parameters."""
 

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, combinations, takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from ._record import record
 from .errors import (
     ConvergenceError,
     DegeneracyError,
@@ -63,7 +63,7 @@ _REL_TOL = 1e-10
 _NEWTON_MAX_ORDER = 200
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalPoint:
     """Canonical singular-value vector.
 
@@ -85,7 +85,7 @@ class DiagonalPoint:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     """Value with provenance.
 

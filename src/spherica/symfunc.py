@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """A weakly decreasing tuple of nonnegative integers, trailing zeros trimmed.
 

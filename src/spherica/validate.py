@@ -9,9 +9,9 @@ reductions are ordered, so the report is identical run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import limits, polya, series, spherical, symfunc
+from ._record import record
 
 # first positive zero of the oscillatory kernel, standard constant
 _J0_FIRST_ZERO = 2.404825557695773
@@ -21,7 +21,7 @@ _J0_AT_20 = 0.16702466434058316
 _J0_AT_40 = 0.00736689058423729
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
@@ -384,6 +384,18 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
             f"values={[f'{v:.9e}' for v in rep3.values]}",
         )
     )
+    # Aomoto: E[mean cos^2] = m/n, sampled, within 6 standard errors
+    for m in (2, 3):
+        rep = limits.weyl_concentration_sweep(m, (2 * m, 4 * m), n_samples=samples, seed=seed)
+        zs = [(v - m / n) / se for v, n, se in zip(rep.values, rep.n_values, rep.std_errors)]
+        out.append(
+            CheckResult(
+                f"limits.angular_moment_law_m{m}",
+                all(abs(z) <= 6.0 for z in zs),
+                f"values={[f'{v:.9e}' for v in rep.values]}"
+                f" z={[f'{z:.3f}' for z in zs]}",
+            )
+        )
     return out
 
 

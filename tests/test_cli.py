@@ -548,6 +548,7 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         ["eval-mixture", "--mixture", mix, "--lam", "1,0.5"],
         ["sweep", "--kind", "powersum", "--omega", omega, "--m", "2", "--n-list", "8,16,32"],
         ["sweep", "--kind", "spherical", "--omega", omega, "--xi", "1.5", "--n-list", "8,64,512"],
+        ["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,8,16"],
         ["validate", "--suite", "special"],
         ["validate", "--suite", "symfunc"],
     ]
@@ -559,6 +560,18 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         "numpy_before": False,
         "numpy_after": True,
     }
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy(python_subprocess):
+    # each of these costs milliseconds of every command's cold start
+    child = (
+        "import json, sys\n"
+        "import spherica.cli\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules))))\n"
+    )
+    proc = python_subprocess(["-c", child])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout.decode()) == []
 
 
 # Runs in a fresh interpreter: at coincident points with large products the

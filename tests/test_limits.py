@@ -22,6 +22,7 @@ from spherica import (
     t_n_map,
     weyl_concentration_sweep,
 )
+from spherica.limits import _weyl_rule
 
 # the benchmark's mpmath oracle: the one-row sum of a rank-one sweep point
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -199,7 +200,39 @@ def test_angular_sweep_default_observable_follows_the_law():
     report = weyl_concentration_sweep(1, grid)
     assert abs(report.limit_value) <= 1e-30
     for n, value in zip(report.n_values, report.values):
-        assert value * n == pytest.approx(1.0, rel=1e-11, abs=0.0)
+        assert value * n == pytest.approx(1.0, rel=1e-13, abs=0.0)
+
+
+def _weyl_rule_eigh(n: int):
+    # the rule from numpy's eigh on the full I - J matrix, nodes ascending
+    b = 2.0 * n - 3.0
+    k = np.arange(48, dtype=float)
+    s = 2.0 * k + b
+    diag = (4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0)
+    k, s = k[1:], s[1:]
+    off = 2.0 * k * (k + b) / s / np.sqrt((s - 1.0) * (s + 1.0))
+    z, vecs = np.linalg.eigh(np.diag(diag) - np.diag(off, 1) - np.diag(off, -1))
+    return 2.0 * np.arcsin(np.sqrt(z) / 2.0), vecs[0] ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**5])
+def test_weyl_rule_integrates_every_power_up_to_95(n):
+    # the weight 2 y^(2n-3) dy on [0, 1] has moments (2n-2)/(2n-2+j)
+    half, w = _weyl_rule(n)
+    y = [math.cos(d) for d in half]
+    for j in range(96):
+        moment = math.fsum(wk * yk**j for wk, yk in zip(w, y)) / math.fsum(w)
+        assert moment == pytest.approx((2 * n - 2) / (2 * n - 2 + j), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**5])
+def test_weyl_rule_matches_numpy_eigh(n):
+    # half-angles lie in [0, pi/2] and the weights sum to 1
+    half, w = _weyl_rule(n)
+    ref_half, ref_w = _weyl_rule_eigh(n)
+    assert half == sorted(half)
+    assert np.max(np.abs(np.array(half) - ref_half)) <= 1e-13
+    assert np.max(np.abs(np.array(w) - ref_w)) <= 1e-13
 
 
 def _weyl_average_mp(f, n: int) -> float:
@@ -226,6 +259,30 @@ def test_angular_sweep_sampled_values_follow_aomoto(m, grid):
     report = weyl_concentration_sweep(m, grid, n_samples=20_000, seed=0)
     for n, value, se in zip(report.n_values, report.values, report.std_errors):
         assert abs(value - m / n) <= 4.0 * se
+
+
+# values before the default observable moved to one call per block
+SAMPLED_WEYL_BITS = [
+    ((2, (4, 8, 16, 32), 20_000, 5, None),
+     (0.5005095384575894, 0.25097072193626235, 0.12442199951395946, 0.06201281421109058),
+     (0.0010001878918263372, 0.001090622769351488, 0.0009133476804285953,
+      0.0007129391708659135)),
+    ((3, (6, 7), 8193, 2, None),
+     (0.5017941124317516, 0.42525891266870897),
+     (0.0013404424588840606, 0.0015172973397694035)),
+    ((2, (4, 8), 3000, 0, lambda th: float(np.sum(np.sin(th)))),
+     (1.298459003209338, 1.717007403637547),
+     (0.004695391897084249, 0.003371698139870384)),
+]
+
+
+@pytest.mark.parametrize("args, values, std_errors", SAMPLED_WEYL_BITS,
+                         ids=["m2", "m3-two-blocks", "m2-custom"])
+def test_sampled_angular_sweep_bits_are_pinned(args, values, std_errors):
+    m, grid, n_samples, seed, observable = args
+    report = weyl_concentration_sweep(m, grid, observable, n_samples, seed)
+    assert report.values == values
+    assert report.std_errors == std_errors
 
 
 def test_angular_sweep_constant_observable_is_exact():
