@@ -10,10 +10,18 @@ variable is
 and products of Pi over the entries of a vector are exactly the limits of the
 finite-dimensional spherical functions along the rescaled sequences built in
 :mod:`spherica.limits`.
+
+At a square matrix X the product over its singular values s_j depends on X
+only through X*X (a runs over the atoms):
+
+    prod_j Pi(omega, s_j) = exp(-gamma |X|_F^2/4) / prod_a det(I + (a/4) X*X),
+
+so phi_omega_matrix takes neither an SVD nor numpy (_det_i_plus_gram).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import Sequence
@@ -209,19 +217,62 @@ def phi_omega(omega: OmegaParam, xi: Sequence[float]) -> float:
     return acc
 
 
-def phi_omega_matrix(omega: OmegaParam, x) -> float:
-    """phi_omega at a full square complex matrix, through its singular values."""
-    import numpy as np
+def _det_i_plus_gram(rows, c):
+    """det(I + c X*X) for the square matrix X with these rows, as prod_k r_kk^2.
 
-    arr = np.asarray(x)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or (
-        np.iscomplexobj(arr) and not np.all(np.isfinite(arr.imag))
-    ):
+    R is the triangular factor of [I; sqrt(c) X].  It is built from R = I by
+    complex Givens rotations that fold in one row of sqrt(c) X at a time, so
+    X*X, whose rounding would square the condition number, is never formed.
+    Its diagonal stays real and >= 1, and each rotation adds |b|^2 to one
+    r_kk^2, so the squares are kept as sums of positive terms.  Only
+    arithmetic operators touch the entries, so they may be Python numbers or
+    numpy arrays over a sample axis.
+    """
+    n = len(rows)
+    t = c**0.5
+    d, d2 = [1.0] * n, [1.0] * n  # r_kk and r_kk^2
+    r = [[0.0] * n for _ in range(n)]  # strict upper triangle of R
+    for row in rows:
+        w = [t * v for v in row]
+        for k in range(n):
+            b = w[k]
+            d2[k] = d2[k] + (b.real * b.real + b.imag * b.imag)
+            h = d2[k] ** 0.5
+            cs, sn, d[k] = d[k] / h, b / h, h
+            snc, rk = sn.conjugate(), r[k]
+            for j in range(k + 1, n):
+                rk[j], w[j] = cs * rk[j] + snc * w[j], cs * w[j] - sn * rk[j]
+    return math.prod(d2)
+
+
+def _phi_omega_rows(omega: OmegaParam, rows, exp=math.exp):
+    """prod_j Pi(omega, s_j(X)) for the square matrix X with these rows, from
+
+        exp(-gamma |X|_F^2 / 4) / prod_a det(I + (a/4) X*X),
+
+    without singular values.  Entries as for _det_i_plus_gram; exp must
+    accept what the arithmetic on them returns.
+    """
+    fro = sum(v.real * v.real + v.imag * v.imag for row in rows for v in row)
+    acc = exp(-0.25 * omega.gamma * fro)
+    for a in omega.alpha:
+        acc = acc / _det_i_plus_gram(rows, 0.25 * a)
+    return acc
+
+
+def phi_omega_matrix(omega: OmegaParam, x) -> float:
+    """phi_omega at a full square complex matrix (a numpy array or nested
+    rows): prod_j Pi(omega, s_j(x)), which depends on x only through x*x."""
+    try:
+        rows = [[complex(v) for v in row] for row in x]
+    except TypeError:  # a number where a row or an entry belongs
+        rows = None
+    square = rows is not None and all(len(r) == len(rows) for r in rows)
+    if not square or getattr(x, "shape", (len(rows),) * 2) != (len(rows),) * 2:
+        raise ShapeError("expected a square matrix of numbers")
+    if not all(cmath.isfinite(v) for row in rows for v in row):
         raise DomainError("matrix entries must be finite")
-    s = np.linalg.svd(arr, compute_uv=False)
-    return phi_omega(omega, [float(v) for v in s])
+    return _phi_omega_rows(omega, rows)
 
 
 def mixture_eval(mixture: MixtureParam, xi: Sequence[float]) -> float:

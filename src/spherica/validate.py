@@ -199,8 +199,6 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
-    import numpy as np
-
     out = []
     om = polya.OmegaParam([4.0], 0.0)
     out.append(_close("polya.pointwise", polya.polya_eval(om, 1.0), 0.5, 0.0))
@@ -240,7 +238,7 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
     out.append(
         CheckResult(
             "polya.log_deriv_coeffs",
-            np.allclose(cs, [-2.0, 2.0, -2.0], rtol=0, atol=1e-12),
+            all(abs(c - e) <= 1e-12 for c, e in zip(cs, (-2.0, 2.0, -2.0))),
             f"coeffs={cs}",
         )
     )
@@ -252,12 +250,28 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
             "exact roundtrip",
         )
     )
-    xmat = np.diag([1.0 + 0.0j, 2.0 + 0.0j])
+    xmat = [[1.0 + 0.0j, 0.0j], [0.0j, 2.0 + 0.0j]]
     out.append(
         _close(
             "polya.matrix_agrees_with_diagonal",
             polya.phi_omega_matrix(om, xmat),
             polya.phi_omega(om, (1.0, 2.0)),
+            1e-14,
+        )
+    )
+    # a non-normal X, where every rotation is nontrivial: for 2 x 2,
+    # det(I + c X*X) = 1 + c |X|_F^2 + c^2 |det X|^2
+    xmat = [[1.0 + 0.5j, -0.7 + 1.2j], [0.3 - 0.4j, 0.6 + 0.9j]]
+    fro = sum(abs(v) ** 2 for row in xmat for v in row)
+    det2 = abs(xmat[0][0] * xmat[1][1] - xmat[0][1] * xmat[1][0]) ** 2
+    expected = math.exp(-0.25 * om2.gamma * fro)
+    for a in om2.alpha:
+        expected /= 1.0 + 0.25 * a * fro + (0.25 * a) ** 2 * det2
+    out.append(
+        _close(
+            "polya.matrix_off_diagonal",
+            polya.phi_omega_matrix(om2, xmat),
+            expected,
             1e-14,
         )
     )

@@ -522,13 +522,15 @@ def test_cli_commands_load_no_scipy(python_subprocess, tmp_path):
     assert report == {"codes": [0] * len(commands), "scipy": [], "special": True}
 
 
-# Runs in a fresh interpreter: the package, the CLI and the scalar commands
-# below never load numpy; the first Monte Carlo call does.
+# Runs in a fresh interpreter: the package, the CLI, the scalar commands
+# below and phi_omega_matrix on nested rows never load numpy; the first Monte
+# Carlo call does.
 _NO_NUMPY_CHILD = """
 import json, sys
 import spherica
 import spherica.cli
 codes = [spherica.cli.main(argv) for argv in json.loads(sys.argv[1])]
+spherica.phi_omega_matrix(spherica.OmegaParam([1.0], 0.5), [[1.0, 0.5j], [0.2, 2.0]])
 before = "numpy" in sys.modules
 spherica.mc_spherical((1.0, 0.5), (0.3, 0.2), n_samples=100)
 print(json.dumps({"codes": codes, "numpy_before": before, "numpy_after": "numpy" in sys.modules}))
@@ -551,6 +553,7 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         ["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,8,16"],
         ["validate", "--suite", "special"],
         ["validate", "--suite", "symfunc"],
+        ["validate", "--suite", "polya"],
     ]
     proc = python_subprocess(["-c", _NO_NUMPY_CHILD, json.dumps(commands)])
     assert proc.returncode == 0, proc.stderr.decode()

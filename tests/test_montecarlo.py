@@ -104,11 +104,15 @@ def test_haar_matrix_is_deterministic_per_stream():
 
 
 def test_haar_first_entry_second_moment():
+    # 100 000 n x n Haar unitaries in sampler blocks; haar_unitary draws the
+    # batch of one (test_haar_unitary_is_the_batch_of_one)
     n, samples = 4, 100_000
-    stream = RngStream(7, 0)
-    vals = np.empty(samples)
-    for i in range(samples):
-        vals[i] = abs(haar_unitary(n, stream)[0, 0]) ** 2
+    vals = np.concatenate(
+        [
+            np.abs(montecarlo._haar_isometry_batch(RngStream(7, b), take, n, n)[:, 0, 0]) ** 2
+            for b, take in montecarlo._blocks(samples)
+        ]
+    )
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(samples)
     assert abs(mean - 1.0 / n) <= 4.0 * se

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,72 @@ def test_matrix_argument_through_singular_values():
     assert got == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ShapeError):
         phi_omega_matrix(om, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [[1.0, 2.0], [3.0]],
+        np.array([[1.0, 2.0], [3.0]], dtype=object),
+        [1.0, 2.0],
+        np.array([1.0, 2.0]),
+        [[[1.0], [2.0]], [[3.0], [4.0]]],
+        np.ones((2, 2, 1)),
+        np.zeros((2, 3)),
+        np.zeros((0, 3)),
+        3.0,
+    ],
+)
+def test_matrix_argument_must_be_square(x):
+    with pytest.raises(ShapeError):
+        phi_omega_matrix(OmegaParam([1.0], 0.5), x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_matrix_argument_must_be_finite(bad):
+    for x in ([[1.0, bad], [0.0, 1.0]], np.array([[1.0, bad], [0.0, 1.0]])):
+        with pytest.raises(DomainError):
+            phi_omega_matrix(OmegaParam([1.0], 0.5), x)
+
+
+def test_matrix_argument_of_size_zero():
+    om = OmegaParam([1.0], 0.5)
+    assert phi_omega_matrix(om, []) == 1.0
+    assert phi_omega_matrix(om, np.zeros((0, 0), dtype=complex)) == 1.0
+
+
+def _mp_phi_omega_matrix(omega, x):
+    # exp(-gamma |X|_F^2/4) / prod_a det(I + (a/4) X*X) at 50 digits, on the
+    # exact values of the double entries
+    with mpmath.workdps(50):
+        xm = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in x])
+        gram = xm.H * xm
+        acc = mpmath.exp(-mpmath.mpf(omega.gamma) * sum(abs(v) ** 2 for v in xm) / 4)
+        for a in omega.alpha:
+            acc /= mpmath.re(mpmath.det(mpmath.eye(len(x)) + mpmath.mpf(a) / 4 * gram))
+        return float(acc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.01, 10.0), min_size=2, max_size=2),
+    st.floats(0.0, 1e-6),
+)
+def test_matrix_argument_matches_a_50_digit_evaluation(log_s, seed, alpha, gamma):
+    # X = U diag(s) V* with s spread over 1e-3..1e3, where rounding the Gram
+    # matrix X*X before the determinant costs digits and the R factor does not
+    n = len(log_s)
+    rng = np.random.default_rng(seed)
+    u, v = (
+        np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for _ in range(2)
+    )
+    x = (u * 10.0 ** np.array(log_s)) @ v.conj().T
+    om = OmegaParam(alpha, gamma)
+    ref = _mp_phi_omega_matrix(om, x)
+    assert abs(phi_omega_matrix(om, x) - ref) <= 1e-12 * ref
 
 
 def test_matrix_argument_unitary_invariance():
