@@ -15,7 +15,8 @@ U(n) x U(n) orbit by one of three routes:
   entries, which cancels the Vandermonde products exactly (valid
   everywhere, pure Python);
 * "series": a Schur-function series with a certified tail bound (valid
-  everywhere, the reference).
+  everywhere, the reference), summed one weight at a time by one loop for
+  every number of rows, its tail closed geometrically before each weight.
 
 Both determinants take their bound from one helper, _certified_det: the LU
 backward error and the entry errors, carried through a Hadamard bound.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, combinations, takewhile
+from itertools import combinations, groupby, islice, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._record import record
@@ -45,7 +46,7 @@ from .errors import (
 # bessel_j0, bessel_i0, hyper_f and complete_h_table go unused but stay:
 # perfbench/tracer.py patches them here by name
 from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
-from .symfunc import _h_stream, _h_table, _jacobi_trudi_det, _partition_tuples, _runs, complete_h_table
+from .symfunc import _h_stream, _jacobi_trudi_det, _partition_tuples, _runs, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,8 +55,7 @@ _EPS = 2.220446049250313e-16
 # relative squared gap below which "auto" leaves the Bessel determinant for
 # the Newton-basis route
 _DEGENERACY_TOL = 1e-6
-# partition weight of the series' first pass, and the cap of its doublings
-_FIRST_WEIGHT = 64
+# partition weight past which the series need only certify rel_tol, or raises
 _WEIGHT_CAP = 240
 # relative tolerance the series tail and the Newton-basis route must certify
 _REL_TOL = 1e-10
@@ -97,8 +97,8 @@ class EvalResult:
                 the gaps and the prefactor); for the series its tail bound
                 plus rounding
     terms_used  determinant: matrix order; newton: truncation order K of
-                the kernel expansion; series: partitions summed in the
-                returning pass, up to the weight where it stopped
+                the kernel expansion; series: partitions summed, up to the
+                weight where it stopped
     path        "determinant", "newton" or "series"
     """
 
@@ -476,162 +476,69 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
 _EXP_FLOOR = 1e-290
 
 
-def _gamma(m: int) -> float:
-    # gamma_m = m u / (1 - m u), u = 2^-53: m roundings, relative
-    unit = _EPS / 2.0
-    return m * unit / (1.0 - m * unit)
+def _series_tail_bound(bounds: list[list[float]], v: float, grow: float, floored: bool) -> float:
+    """One weight of the series' tail bound at rows >= 2; one row reads its
+    ratio from the coefficient step instead.
 
-
-def _series_tail_bound(
-    coef: Sequence[float],
-    h_lam: Sequence[float],
-    h_xi: Sequence[float],
-    slack: float,
-    rows: int,
-    max_weight: int,
-) -> list[float]:
-    """Upper bounds on the absolute sum of all series layers beyond each
-    weight, for rows >= 2 (one row takes _one_row_series): entry w of the
-    returned list (w = 0..max_weight) bounds the layers of weight > w, and
-    the list is non-increasing; +inf means "not certified".
+    bounds[0] holds the per-part bounds v_0..v_{w-1} and bounds[r] their
+    (r + 1)-fold convolution, r < rows.  v_j = max(exp(2 c_j), _EXP_FLOOR)
+    h_j(Lam^) h_j(Xi^) grow_j, with c_j the last row's log coefficient (the
+    scale folded in), h the complete-h entries of the scaled variables and
+    grow_j = exp(slack_j) (1 + 1e-10) their error factor, so v_j is at
+    least the exact value v*_j and at most grow_j^2 times it.  The call
+    appends v = v_w and extends every list by its entry w, so that
+    L = bounds[-1] reaches weight w, and returns an upper bound on the
+    absolute sum of the series layers of weight >= w; +inf means "not
+    certified".
 
     For nonnegative variables h_m = sum_mu K_{mu m} s_mu with Kostka numbers
-    K >= 0 and K_mm = 1 (Macdonald, I.6), so s_m <= prod_i h_{m_i}; each
-    row's coefficient d!/(m_i + d)! is largest in the last row, d = n - rows.
-    A partition of at most ``rows`` parts is therefore bounded by
-    prod_i v_{m_i}, with
-
-      v_j = exp(2 coef[j]) h_j(Lam^) h_j(Xi^),
-
-    ``coef`` the last row's log coefficient with the scale folded in and
-    h the tables of the scaled variables, read to J = len(coef) - 1.  The
-    weight-k layer is at most entry k of the rows-fold convolution of v.
-    The true v_j is within exp(slack) of the computed one (the coefficient's
-    log error and the tables' rounding) and the computed values are raised
-    by that.
-
-    Past J: h_j of nonnegative variables is a Polya frequency sequence, so
-    h_{j+1}/h_j does not increase, and neither does 1/(j + n - rows)^2; the
-    ratio rho = v_J / v_{J-1}, taken from the last coefficient step and
-    raised by exp(2 slack), bounds every later ratio, and the sum of v past
-    J is at most T = v_J rho / (1 - rho).  The convolution of the tables is
-    taken in full, to rows J, and every composition with a part beyond J is
-    at most rows T (S + T)^(rows-1), S = sum_{j<=J} v_j.  The sums are
-    raised by 1 + 1e-10 for their own rounding.
+    K >= 0 and K_mm = 1 (Macdonald, I.6), so s_m <= prod_i h_{m_i}, and each
+    row's coefficient d!/(m_i + d)! is largest in the last row,
+    d = n - rows: a partition of at most ``rows`` parts is at most
+    prod_i v*_{m_i}, and the weight-k layer at most L*_k, the same
+    convolution of v*.  h_j of nonnegative variables is a Polya frequency
+    sequence and exp(2 (c_{j+1} - c_j)) falls with j, so v* is log-concave,
+    and so is a convolution of positive log-concave sequences (Hoggar
+    1974): L*_{k+1}/L*_k never rises.  L_w >= L*_w, and since the slack
+    grows with j, L_{w-1} / grow_w^(2 rows) <= L*_{w-1} unless some v_j,
+    j < w, was raised to the floor (``floored``), which bounds from above
+    only.  Their quotient rho bounds every later ratio, and the layers from
+    weight w on sum to at most L_w / (1 - rho).  The 1e-10 in grow also
+    covers the rounding of the convolution sums and of the tail.
     """
-    W = max_weight
-    J = len(coef) - 1
-    uncertified = [math.inf] * (W + 1)
+    bounds[0].append(v)
+    back = bounds[0][::-1]
+    for prev, conv in zip(bounds, bounds[1:]):
+        conv.append(sum(map(operator.mul, prev, back)))
+    L = bounds[-1]
+    rho = L[-1] * grow ** (2 * len(bounds)) / L[-2]
+    if floored or not rho < 1.0:  # also nan, from overflowed sums
+        return math.inf
+    return L[-1] / (1.0 - rho)
+
+
+def _layer_terms(layer, coefs: list[list[float]], h_lam, h_xi, w: int) -> list[float]:
+    """Series terms, before the sign (-1)^w, of the partitions ``layer`` of
+    weight w, with the rows' log coefficients ``coefs``; partitions with a
+    zero Schur factor are skipped."""
+    jacobi_trudi = _jacobi_trudi_det
     exp = math.exp
-    grow = exp(slack) * (1.0 + 1e-10)
-    floor = _EXP_FLOOR
-    try:
-        e2 = map(exp, [c + c for c in coef])
-        v = [(e if e > floor else floor) * a * b * grow for e, a, b in zip(e2, h_lam, h_xi)]
-        step = exp(2.0 * (coef[J] - coef[J - 1]))
-    except OverflowError:
-        return uncertified
-    rho = step * (h_lam[J] / h_lam[J - 1]) * (h_xi[J] / h_xi[J - 1]) * grow * grow
-    if not rho < 1.0:  # also nan, from overflowed tables
-        return uncertified
-    beyond = v[J] * rho / (1.0 - rho)
-    import numpy as np
-
-    single = np.array(v)
-    conv = single
-    with np.errstate(over="ignore"):
-        for _ in range(rows - 1):
-            conv = np.convolve(conv, single)
-    try:
-        spill = rows * beyond * (sum(v) + beyond) ** (rows - 1)
-    except OverflowError:
-        return uncertified
-    beyond = float(np.sum(conv[J + 1 :])) + spill
-    v = conv[: J + 1].tolist()
-    # suffix sums from the top: entry w adds the layer bounds w+1..J
-    tails = [0.0] * (W + 1)
-    acc = sum(v[W + 1 :]) + beyond
-    for w in range(W, -1, -1):
-        tails[w] = acc * (1.0 + 1e-10)
-        acc += v[w]
-    if not math.isfinite(tails[0]):
-        return uncertified
-    return tails
-
-
-def _one_row_series(
-    vals: Sequence[float],
-    n: int,
-    half_logc: float,
-    fixed: float,
-    alternating: bool,
-    rel_tol: float,
-) -> EvalResult:
-    """_schur_fourier_series where one side has a single nonzero square.
-
-    That side scales to exactly 1 and drops out, so exchanging x and xi
-    gives the same bits.  Term j is (+-1)^j exp(2 c_j) h_j(Lam^), Lam^ the
-    scaled squares of the canonical entries ``vals`` of the other side and
-    c_j the running log coefficient.  Runs of equal entries are found by
-    bisection and scaled and squared once each (_runs), and h_j comes from
-    _h_stream, the recurrences of complete_h_table one weight at a time.
-
-    v_j = exp(2 c_j) h_j raised by exp(slack_j) bounds the exact term; the
-    slack is twice the log coefficient's error plus gamma_{k+10j} for h_j
-    and the scaled squares.  h_{j+1}/h_j of nonnegative variables does not
-    increase (a Polya frequency sequence), and neither does
-    exp(2 (c_{j+1} - c_j)) = (x0 xi0 / (2 (n + j)))^2, so rho_j =
-    v_j / v_{j-1}, from the coefficient step and raised by exp(2 slack_j),
-    bounds every later ratio: the layers from weight j on sum to at most
-    v_j / (1 - rho_j).  The sum stops before the first weight where that is
-    below both the rounding term and rel_tol; past weight 240 it need only
-    meet rel_tol, or ConvergenceError is raised.
-    """
-    k, hs = _h_stream(_runs(vals, vals[0]))
-    h_prev = next(hs)
-    coef = big = log_err = 0.0
-    total, comp, abs_sum, coef_sum, count = 1.0, 0.0, 1.0, 0.0, 1
-    rounding = 4.0 * _EPS
-    exp, log = math.exp, math.log
-    for w, h in zip(range(1, _WEIGHT_CAP + 2), hs):
-        log_d = log(n - 1 + w)
-        step = half_logc - log_d
-        coef += step
-        big = max(big, abs(coef))
-        log_err += fixed + 1.5 * _EPS * log_d + 0.5 * _EPS * big
-        slack = 2.0 * log_err + _gamma(k + 10 * w)
-        grow = exp(slack) * (1.0 + 1e-10)
+    terms = []
+    for parts in layer:
+        s_l = jacobi_trudi(parts, h_lam)
+        if s_l == 0.0:
+            continue
+        s_x = jacobi_trudi(parts, h_xi)
+        if s_x == 0.0:
+            continue
+        log_a = 0.0
+        for coef, mi in zip(coefs, parts):
+            log_a += coef[mi]
         try:
-            e = exp(2.0 * coef)
-            rho = exp(2.0 * step) * (h / h_prev) * grow * grow
+            terms.append(exp(2.0 * log_a) * s_l * s_x)
         except OverflowError:
-            # the steps fall and coef = step at w = 1, so e overflows first
-            e = math.inf
-        # the 1e-10 in grow also covers the rounding of v and of the tail
-        v = (e if e > _EXP_FLOOR else _EXP_FLOOR) * h * grow
-        if v == math.inf:
-            raise RangeError(f"series term at weight {w} exceeds double range")
-        tail = v / (1.0 - rho) if rho < 1.0 else math.inf
-        if tail <= rel_tol * abs(total) + 1e-14 and (
-            tail <= rounding * abs_sum or w > _WEIGHT_CAP
-        ):
-            err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
-            return EvalResult(total, err, count, "series")
-        if w > _WEIGHT_CAP:
-            raise ConvergenceError(
-                f"series tail not certified at max weight {_WEIGHT_CAP}",
-                partial=total,
-                abs_error=tail,
-            )
-        term = -e * h if alternating and w & 1 else e * h
-        count += 1
-        abs_sum += abs(term)
-        coef_sum += math.expm1(slack) * abs(term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        h_prev = h
+            raise RangeError(f"series term at weight {w} exceeds double range") from None
+    return terms
 
 
 def _schur_fourier_series(
@@ -646,27 +553,40 @@ def _schur_fourier_series(
     otherwise all terms are positive (I0-type).
 
     Zero squares add nothing to a Schur function, so only the nonzero
-    entries of Lam and Xi are kept; the dimension n enters through the
+    entries of Lam and Xi are kept, and a partition has at most ``rows``
+    parts, the smaller count of them; the dimension n enters through the
     coefficients alone.  Entries are divided by their largest ones before
     they are squared, so no square leaves double range on its own and
-    every table entry is at least 1, and the scale is folded into each
-    row's log coefficient, a running sum of log(scale) - log(d + t); the
-    routine stays in range and accurate for large dimensions and large or
-    small entries.
+    every complete-h entry is at least 1, and the scale is folded into
+    each row's log coefficient, a running sum of log(scale) - log(d + t);
+    the routine stays in range and accurate for large dimensions and large
+    or small entries.  Runs of equal entries are found by bisection and
+    scaled and squared once each (_runs), and h_j comes from _h_stream,
+    the recurrences of complete_h_table one weight at a time.  Where one
+    side has a single nonzero square (rows = 1, every rank-one sweep point)
+    that side scales to exactly 1 and drops out, so exchanging x and xi
+    gives the same bits.
 
-    Where one side has a single nonzero square (rows = 1, every rank-one
-    sweep point) _one_row_series sums the series term by term, at O(k + 1)
-    per weight (k entries outside the longest run of equal ones) after an
-    O(runs log n) set-up.  Otherwise set-up is O(n) for the scaled squares,
-    and a pass costs O((k + 1) W) for the tables plus its partitions: each
-    pass builds the complete-h tables to W + rows, W = 64 at first, and
-    takes its tail bounds from them (_series_tail_bound); W is then cut to
-    the first weight whose tail bound is below the rounding of the empty
-    partition.  The pass sums partitions of weight <= W in weight order and
-    returns after any complete layer whose tail bound is below both the
-    rounding term and rel_tol.  Otherwise the tail beyond W certifies the
-    sum or W doubles, up to 240.  A term beyond double range raises
-    RangeError.
+    One loop serves every row count, one weight per step: it advances both
+    complete-h streams and each row's log coefficient, closes the tail from
+    weight w on, then sums layer w, the single term exp(2 c_w) h_w at
+    rows = 1 and otherwise the weight-w partitions of _partition_tuples,
+    two Jacobi-Trudi determinants each.  v_j = exp(2 c_j) h_j(Lam^)
+    h_j(Xi^), c_j the last row's log coefficient, raised by exp(slack_j)
+    bounds one row of a term.  At rows = 1 the layer is v_w itself, and
+    rho = v_w / v_{w-1}, read from the coefficient step
+    (x0 xi0 / (2 (n - 1 + w)))^2 and raised by exp(2 slack), bounds every
+    later ratio: h_{j+1}/h_j of nonnegative variables does not increase (a
+    Polya frequency sequence), nor does the step.  The layers from weight w
+    on then sum to at most v_w / (1 - rho); at rows >= 2
+    _series_tail_bound closes the rows-fold convolution of v the same way.
+    Weight w costs O(k + rows) for the streams and coefficients (k entries
+    outside the longest run of equal ones), O(rows w) for the convolution
+    at rows >= 2, and its layer, after an O(runs log n) set-up.  The sum
+    stops before the first weight where the tail is below both the
+    rounding term and rel_tol; past weight 240 it need only meet rel_tol,
+    or ConvergenceError is raised with the partial sum.  A term, or its
+    bound v_w, beyond double range raises RangeError.
 
     The error returned is the tail bound plus a rounding term: 4 eps times
     the absolute sum of the terms, plus each layer's absolute sum times the
@@ -686,124 +606,115 @@ def _schur_fourier_series(
     # sum of log coefficients is off by at most eps L + 1.5 eps log(d + t)
     # + eps/2 |its result|, L = 1.5 (|log x0| + |log xi0|) + |half_logc| + 0.35.
     fixed = _EPS * (1.5 * (abs(log_x0) + abs(log_xi0)) + abs(half_logc) + 0.35)
-    # a side whose second scaled square is zero or absent has one nonzero one
-    for one, many in ((xivals, xvals), (xvals, xivals)):
-        if len(one) < 2 or not (one[1] / one[0]) * (one[1] / one[0]):
-            return _one_row_series(many, n, half_logc, fixed, alternating, rel_tol)
     # Lam = x0^2 Lam^ and |Xi| = (xi0/2)^2 Xi^: entries are scaled before
     # they are squared, since a square can leave double range where the
-    # products x_i xi_j do not.  Canonical entries descend, so the scaled
-    # squares do: keep them up to the first zero one.
-    lam_hat = list(takewhile(bool, ((v / x0) * (v / x0) for v in xvals)))
-    xi_hat = list(takewhile(bool, ((v / xi0) * (v / xi0) for v in xivals)))
-    rows = min(len(lam_hat), len(xi_hat))
+    # products x_i xi_j do not.
+    lam_runs, xi_runs = _runs(xvals, x0), _runs(xivals, xi0)
+    n_lam, n_xi = sum(m for _, m in lam_runs), sum(m for _, m in xi_runs)
+    rows = min(n_lam, n_xi)
+    # a single nonzero square scales to exactly 1, whose h_j are exactly 1
+    # and carry no rounding: that side is not streamed (x's side is kept
+    # where both have one)
+    k_lam, hs_lam = (0, repeat(1.0)) if n_lam == 1 < n_xi else _h_stream(lam_runs)
+    k_xi, hs_xi = (0, repeat(1.0)) if n_xi == 1 else _h_stream(xi_runs)
+    h_lam, h_xi = [next(hs_lam)], [next(hs_xi)]  # h_0 = 1
+    # A weight-w log coefficient is off by at most log_err + cross big, with
+    # big the largest |coefficient| so far (the rows are monotone in d, so
+    # the first and last rows hold it) and log_err the running sum of the
+    # step errors above at d = n - 1: they grow with t, so log_err bounds
+    # every split of w between the rows; the rows - 1 additions across rows
+    # add cross big.  A term exp(2 log a) then carries relative error
+    # expm1(2 (log_err + cross big)), and its h entries, at most rows per
+    # table with indices summing to w, gamma_{rows k + 5w} each: the scaled
+    # variables carry two roundings each (scale, square) and an entry h_j of
+    # a table with k folded variables k + 3j more (complete_h_table).  Their
+    # sum, slack, also bounds the error of v_w.
+    cross = 0.5 * _EPS * rows * (rows - 1)
+    k_rows = rows * (k_lam + k_xi)
+    if rows > 1:
+        # weight w reads h entries up to w + rows - 1
+        h_lam += islice(hs_lam, rows - 1)
+        h_xi += islice(hs_xi, rows - 1)
+        # Row i of a partition contributes m_i half_logc + log(d!/(m_i + d)!),
+        # d = n-1-i: a running sum of half_logc - log(d + t), whose steps
+        # are small where the scale matches the dimension.  The last row,
+        # d = n - rows, has the largest coefficients and feeds the tail.
+        coefs = [[0.0] for _ in range(rows)]
+        bounds = [[1.0] for _ in range(rows)]  # v and its convolution powers
+        floored = False  # whether some v_j, j < w, was raised to the floor
+        layers = groupby(_partition_tuples(_WEIGHT_CAP, rows), sum)
+        next(layers)  # the empty partition, summed below
+    coef = big = log_err = 0.0
+    h_prev = 1.0
+    total, comp, abs_sum, coef_sum, count = 1.0, 0.0, 1.0, 0.0, 1
     rounding = 4.0 * _EPS
-    log = math.log
-
-    W = _FIRST_WEIGHT
-    while True:
-        top = W + rows
-        h_lam, k_lam = _h_table(lam_hat, top)
-        h_xi, k_xi = _h_table(xi_hat, top)
-        # row i of a partition contributes m_i half_logc + log(d! / (m_i + d)!),
-        # d = n-1-i: a running sum of half_logc - log(d + t), whose steps are
-        # small where the scale matches the dimension.
-        # logs holds log(n-rows+1) .. log(n-1+top); row i reads them from
-        # offset rows-1-i.  The last row, d = n - rows, has the largest
-        # coefficients and feeds the tail bound up to weight top.
-        logs = [log(k) for k in range(n - rows + 1, n + top)]
-        last_row = list(accumulate([half_logc - v for v in logs[:top]], initial=0.0))
-        # For the tail, top times the largest log step (see fixed) bounds
-        # every last-row entry's error.  The scaled variables carry two
-        # roundings each (scale, square) and an entry h_j of a table with k
-        # folded variables k + 3j more (complete_h_table), so h_j is within
-        # gamma_{k+5j} relative.
-        last_err = top * (fixed + _EPS * (1.5 * logs[top - 1] + 0.5 * max(map(abs, last_row))))
-        slack = 2.0 * last_err + _gamma(k_lam + 5 * top) + _gamma(k_xi + 5 * top)
-        tails = _series_tail_bound(last_row, h_lam, h_xi, slack, rows, W)
-        # the empty partition makes sum |t| >= 1: layers past this weight
-        # cannot move the sum beyond the rounding term already claimed
-        W = next((w for w, t in enumerate(tails) if t <= rounding), W)
-        row_coef = [
-            list(accumulate([half_logc - v for v in logs[off : off + W]], initial=0.0))
-            for off in range(rows - 1, 0, -1)
-        ] + [last_row]
-        # A weight-w log coefficient is off by at most log_err[w] + cross big[w],
-        # with big[t] the largest |row_coef| up to t (the rows are monotone in
-        # d, so the first and last rows hold it) and the steps above summed:
-        # they grow with t, so their prefix sums log_err bound every split of
-        # w between the rows; the rows - 1 additions across rows add cross
-        # big[w].  A term exp(2 log a) then carries relative error
-        # expm1(2 (log_err[w] + cross big[w])), and its h entries, at most
-        # rows per table with indices summing to w, gamma_{rows k + 5w} each.
-        edges = map(max, map(abs, row_coef[0][: W + 1]), map(abs, last_row[: W + 1]))
-        big = list(accumulate(edges, max))
-        steps = (fixed + 1.5 * _EPS * v + 0.5 * _EPS * b for v, b in zip(logs[rows - 1 :], big[1:]))
-        log_err = list(accumulate(steps, initial=0.0))
-        cross = 0.5 * _EPS * rows * (rows - 1)
-        k_rows = rows * (k_lam + k_xi)
-        jacobi_trudi = _jacobi_trudi_det
-        exp = math.exp
-
-        total = 1.0  # empty partition
-        comp = 0.0
-        abs_sum = 1.0
-        coef_sum = 0.0  # per complete layer: its sum |t| times layer_err
-        layer_start = 1.0  # abs_sum before the current layer
-        layer_err = 0.0  # relative error of a term of this layer from its log
-        count = 1
-        layer = 0
-        partitions = _partition_tuples(W, rows)
-        next(partitions)  # the empty partition, summed above
-        for parts in partitions:
-            w = sum(parts)
-            if w != layer:
-                # layers 0..w-1 are complete
-                coef_sum += layer_err * (abs_sum - layer_start)
-                tail = tails[w - 1]
-                if tail <= rounding * abs_sum and tail <= rel_tol * abs(total) + 1e-14:
-                    err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
-                    return EvalResult(total, err, count, "series")
-                layer = w
-                layer_start = abs_sum
-                layer_err = math.expm1(
-                    2.0 * (log_err[w] + cross * big[w]) + _gamma(k_rows + 10 * w)
-                )
-                negate = alternating and (w & 1)
-            s_l = jacobi_trudi(parts, h_lam)
-            if s_l == 0.0:
-                continue
-            s_x = jacobi_trudi(parts, h_xi)
-            if s_x == 0.0:
-                continue
-            log_a = 0.0
-            for coef, mi in zip(row_coef, parts):
-                log_a += coef[mi]
-            try:
-                term = exp(2.0 * log_a) * s_l * s_x
-            except OverflowError:
-                raise RangeError(f"series term at weight {w} exceeds double range") from None
+    unit, log_eps, big_eps = _EPS / 2.0, 1.5 * _EPS, 0.5 * _EPS
+    exp, log, expm1, floor, inf = math.exp, math.log, math.expm1, _EXP_FLOOR, math.inf
+    for w, h_l, h_x in zip(range(1, _WEIGHT_CAP + 2), hs_lam, hs_xi):
+        log_d = log(n - 1 + w)
+        step = half_logc - log_d
+        if rows == 1:
+            coef += step
+            h = h_l * h_x
+        else:
+            h_lam.append(h_l)
+            h_xi.append(h_x)
+            for i, row in enumerate(coefs):
+                row.append(row[-1] + (half_logc - log(n - 1 - i + w)))
+            coef = coefs[-1][w]
+            big = max(big, abs(coefs[0][w]))
+            h = h_lam[w] * h_xi[w]
+        if abs(coef) > big:
+            big = abs(coef)
+        log_err += fixed + log_eps * log_d + big_eps * big
+        # gamma_m = m u / (1 - m u), u = 2^-53: m roundings, relative
+        gamma = (k_rows + 10 * w) * unit
+        slack = 2.0 * (log_err + cross * big) + gamma / (1.0 - gamma)
+        grow = exp(slack) * (1.0 + 1e-10)
+        try:
+            e = exp(2.0 * coef)
+        except OverflowError:
+            e = inf
+        # the 1e-10 in grow also covers the rounding of v and of the tail
+        v = (e if e > floor else floor) * h * grow
+        if v == inf:
+            raise RangeError(f"series term at weight {w} exceeds double range")
+        if rows == 1:
+            # the steps fall, so exp(2 step) is finite where e is
+            rho = exp(2.0 * step) * (h / h_prev) * grow * grow
+            tail = v / (1.0 - rho) if rho < 1.0 else inf
+        else:
+            tail = _series_tail_bound(bounds, v, grow, floored)
+            floored = floored or not e > floor
+        if tail <= rel_tol * abs(total) + 1e-14 and (
+            tail <= rounding * abs_sum or w > _WEIGHT_CAP
+        ):
+            err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
+            return EvalResult(total, err, count, "series")
+        if w > _WEIGHT_CAP:
+            raise ConvergenceError(
+                f"series tail not certified at max weight {_WEIGHT_CAP}",
+                partial=total,
+                abs_error=tail,
+            )
+        if rows == 1:
+            terms = (e * h,)
+        else:
+            terms = _layer_terms(next(layers)[1], coefs, h_lam, h_xi, w)
+        negate = alternating and w & 1
+        layer_abs = 0.0
+        for term in terms:
             if negate:
                 term = -term
             count += 1
-            abs_sum += abs(term)
+            layer_abs += abs(term)
             y = term - comp
             t = total + y
             comp = (t - total) - y
             total = t
-
-        coef_sum += layer_err * (abs_sum - layer_start)
-        tail = tails[W]
-        if tail <= rel_tol * abs(total) + 1e-14:
-            err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
-            return EvalResult(total, err, count, "series")
-        if W >= _WEIGHT_CAP:
-            raise ConvergenceError(
-                f"series tail not certified at max weight {W}",
-                partial=total,
-                abs_error=tail,
-            )
-        W = min(2 * W, _WEIGHT_CAP)
+        abs_sum += layer_abs
+        coef_sum += expm1(slack) * layer_abs
+        h_prev = h
 
 
 def _orbit_transform(
@@ -849,20 +760,18 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     entries cost nothing beyond input validation and a run of equal entries
     costs what one entry does.  Where x or xi has one nonzero entry (a
     rank-one sweep point: xi = (u, 0, ..., 0), x from lambda_sequence_for)
-    the series has one row and is summed term by term: O(k + 1) per term, k
-    the entries outside the longest run, after input validation and a
-    bisection for the runs, whatever the dimension n, and without numpy.
-    Its tail is closed geometrically after every term and the sum stops at
-    the first weight where that tail is below both the rounding term and
-    rel_tol, up to weight 240.  At two or more rows the tail bound is read
-    from the complete-h tables of a pass; the initial truncation weight 64
-    is doubled up to 240 until it certifies rel_tol, and a pass stops early
-    at the first complete weight whose tail bound is below both the rounding
-    term and rel_tol.  Failure to certify raises ConvergenceError with the
-    partial sum attached.  abs_error is the tail bound plus the rounding
-    term, which covers the error each term takes from its log-factorial
-    coefficient and its complete-h entries as well as the summation, though
-    not the cancellation of a Jacobi-Trudi determinant of two or more rows.
+    the series has one row and costs O(k + 1) per term, k the entries
+    outside the longest run, after input validation and a bisection for the
+    runs, whatever the dimension n.  At any number of rows the series is
+    summed one weight at a time, its tail closed geometrically before each
+    weight, and it stops at the first weight where that tail is below both
+    the rounding term and rel_tol; past weight 240 it raises
+    ConvergenceError with the partial sum attached unless the tail meets
+    rel_tol.  Up to three rows it loads no numpy.  abs_error is the tail
+    bound plus the rounding term, which covers the error each term takes
+    from its log-factorial coefficient and its complete-h entries as well
+    as the summation, though not the cancellation of a Jacobi-Trudi
+    determinant of two or more rows.
     rel_tol <= 0 raises DomainError; a term beyond double range raises
     RangeError.
     """

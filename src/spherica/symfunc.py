@@ -94,14 +94,8 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     """
     if max_m < 0:
         raise DomainError("max_m must be nonnegative")
-    return _h_table(_as_sorted_vars(x), max_m)[0]
-
-
-def _h_table(vals: list[float], max_m: int) -> tuple[list[float], int]:
-    """complete_h_table of finite variables already in decreasing order,
-    and the number k of variables it folds in (its error bound's k)."""
-    k, hs = _h_stream(_runs(vals))
-    return list(islice(hs, max_m + 1)), k
+    _, hs = _h_stream(_runs(_as_sorted_vars(x)))
+    return list(islice(hs, max_m + 1))
 
 
 def _runs(vals: Sequence[float], scale: float | None = None) -> list[tuple[float, int]]:

@@ -545,6 +545,9 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         ["eval-spherical", "--x", "1,1", "--xi", "0.5,1.5"],
         ["orbital", "--lam", "1,0.5", "--theta", "2,0.3"],
         ["orbital", "--lam", "1,1", "--theta", "0.5,1.5"],
+        # the Schur series at two and three rows
+        ["eval-spherical", "--path", "series", "--x", "1,1", "--xi", "0.5,1.5"],
+        ["orbital", "--path", "series", "--lam", "1,1,1", "--theta", "0.5,0.3,0.3"],
         ["heat-kernel", "--t", "0.5", "--lam", "1,0.5", "--theta", "1,0.2"],
         ["eval-polya", "--omega", omega, "--lam", "1,2"],
         ["eval-mixture", "--mixture", mix, "--lam", "1,0.5"],

@@ -39,7 +39,7 @@ from spherica import (
     weyl_density_mn,
 )
 import spherica.spherical as spherical_module
-from spherica.spherical import _EPS, _series_tail_bound
+from spherica.spherical import _EPS, _EXP_FLOOR, _WEIGHT_CAP, _series_tail_bound
 from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 # the benchmark's mpmath oracle: the closed determinant forms, with coincident
@@ -335,6 +335,35 @@ def _series_point(draw):
     return evaluate, x, xi
 
 
+def _streamed_tail(x, xi):
+    """The series' per-part bounds v_j at zero slack, fed one weight at a
+    time to _series_tail_bound: (rows, tails, L), tails[w] the bound on the
+    layers of weight >= w (w >= 1), L the rows-fold convolution of v, both
+    to weight 2W, W the first weight whose tail is below 4 eps."""
+    n = len(x)
+    lam = sorted((v * v for v in x if v), reverse=True)
+    xiq = sorted((v * v / 4.0 for v in xi if v), reverse=True)
+    rows = min(len(lam), len(xiq))
+    # tables of the variables scaled by their largest entries, and the last
+    # row's log coefficient
+    h_lam_hat = complete_h_table([v / lam[0] for v in lam], 2 * _WEIGHT_CAP)
+    h_xi_hat = complete_h_table([q / xiq[0] for q in xiq], 2 * _WEIGHT_CAP)
+    half_logc = 0.5 * (math.log(lam[0]) + math.log(xiq[0]))
+    d = n - rows
+    bounds = [[1.0] for _ in range(rows)]
+    tails = [math.inf]
+    W = None
+    for j in range(1, 2 * _WEIGHT_CAP + 1):
+        coef = j * half_logc + math.lgamma(d + 1) - math.lgamma(d + j + 1)
+        v = max(math.exp(2.0 * coef), _EXP_FLOOR) * h_lam_hat[j] * h_xi_hat[j]
+        tails.append(_series_tail_bound(bounds, v, 1.0, False))
+        if W is None and tails[j] <= 4.0 * _EPS:
+            W = j
+        if W is not None and j == 2 * W:
+            return rows, tails, bounds[-1]
+    raise AssertionError("the tail bound certified nothing")
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_series_point())
 # a run of three equal entries: h_{j+1}/h_j stays well above 1 at the cut
@@ -342,25 +371,15 @@ def _series_point(draw):
 def test_tail_table_bounds_every_weight(point):
     evaluate, x, xi = point
     assert evaluate(x, xi, path="series").path == "series"
+    assume(any(x) and any(xi))
+    # at rows = 1 the series closes its tail from the coefficient step; the
+    # convolution bound with one factor is checked here all the same
+    rows, tails, _ = _streamed_tail(x, xi)
+    W = (len(tails) - 1) // 2
+    # brute force: absolute sum of every layer up to weight 2W
     n = len(x)
     lam = sorted((v * v for v in x if v), reverse=True)
     xiq = sorted((v * v / 4.0 for v in xi if v), reverse=True)
-    rows = min(len(lam), len(xiq))
-    assume(rows > 0)
-    # the first pass's inputs: tables of the variables scaled by their
-    # largest entries, to 64 + rows, and the last row's log coefficient
-    top = 64 + rows
-    h_lam_hat = complete_h_table([v / lam[0] for v in lam], top)
-    h_xi_hat = complete_h_table([q / xiq[0] for q in xiq], top)
-    half_logc = 0.5 * (math.log(lam[0]) + math.log(xiq[0]))
-    d = n - rows
-    coef = [j * half_logc + math.lgamma(d + 1) - math.lgamma(d + j + 1) for j in range(top + 1)]
-    tails = _series_tail_bound(coef, h_lam_hat, h_xi_hat, 0.0, rows, 64)
-    assert len(tails) == 65
-    assert all(tails[w] >= tails[w + 1] for w in range(64))
-    # the weight the first pass is cut to, as the series picks it
-    W = next((w for w, t in enumerate(tails) if t <= 4.0 * _EPS), 64)
-    # brute force: absolute sum of every layer up to weight 2W
     h_lam = complete_h_table(lam, 2 * W + rows)
     h_xi = complete_h_table(xiq, 2 * W + rows)
     layers = [0.0] * (2 * W + 1)
@@ -368,17 +387,27 @@ def test_tail_table_bounds_every_weight(point):
         log_a = sum(math.lgamma(n - i) - math.lgamma(n - i + m) for i, m in enumerate(parts))
         schurs = _jacobi_trudi_det(parts, h_lam) * _jacobi_trudi_det(parts, h_xi)
         layers[sum(parts)] += abs(math.exp(2.0 * log_a) * schurs)
-    # at rows = 1 the bound is the layer itself: both sides are then one
-    # sum, rounded differently (scaled against unscaled tables)
-    for w in range(W + 1):
-        assert tails[w] >= (1.0 - 1e-12) * math.fsum(layers[w + 1 :])
-    # tables cut at weight W // 2 + rows: the geometric closure past the
-    # table, and at rows >= 2 the convolution past it, carry the tail
-    half = W // 2
-    J = half + rows
-    short = _series_tail_bound(coef[: J + 1], h_lam_hat[: J + 1], h_xi_hat[: J + 1], 0.0, rows, half)
-    for w in range(half + 1):
-        assert short[w] >= (1.0 - 1e-12) * math.fsum(layers[w + 1 :])
+    # at rows = 1 the bound at weight w starts with the layer itself: both
+    # sides are then one sum, rounded differently (scaled against unscaled
+    # tables)
+    for w in range(1, 2 * W + 1):
+        assert tails[w] >= (1.0 - 1e-12) * math.fsum(layers[w:])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_series_point())
+@example((orbital_integral, [1.9, 1.9, 1.9], [2.0, 0.0, 0.0]))
+@example((spherical_eval, [2.0, 2.0, 0.2], [2.0, 1.9, 1.9]))
+def test_layer_bound_ratios_do_not_rise(point):
+    # the tail closure divides L_w by L_{w-1}: it relies on L_{k+1}/L_k
+    # falling, true of the exact sequence (a convolution of log-concave ones)
+    # and of the computed one up to its rounding
+    _, x, xi = point
+    assume(any(x) and any(xi))
+    _, _, L = _streamed_tail(x, xi)
+    ratios = [b / a for a, b in zip(L, L[1:])]
+    for k in range(1, len(ratios)):
+        assert ratios[k] <= ratios[k - 1] * (1.0 + 1e-12)
 
 
 def _coincident_points(seed):
@@ -437,13 +466,13 @@ def test_series_route_within_its_bound_of_the_oracle(x, xi):
 # kernels and two points with a zero entry.  The ids name the points, not
 # the pinned numbers, so a re-pin keeps the test names.
 SERIES_BITS = [
-    (spherical_series, (1.0, 1.0), (0.5, 0.5), 0.9394195846867707, 1.241619104242047e-15, 30),
+    (spherical_series, (1.0, 1.0), (0.5, 0.5), 0.9394195846867707, 1.2416292336484866e-15, 30),
     (
         spherical_eval,
         (1.0, 1.0, 2.0),
         (0.7, 1.3, 0.2),
         0.6856009920101902,
-        4.86820236137724e-15,
+        4.870828941162762e-15,
         358,
     ),
     (
@@ -451,16 +480,16 @@ SERIES_BITS = [
         (1.5, 1.5, 0.5, 0.5),
         (0.8, 0.8, 0.3, 0.6),
         0.8731965241240933,
-        2.613679192678865e-15,
+        2.6137947468597823e-15,
         609,
     ),
-    (orbital_integral, (2.0, 2.0), (1.0, 0.5), 1.826249136106345, 5.178441429871674e-15, 72),
+    (orbital_integral, (2.0, 2.0), (1.0, 0.5), 1.826249136106345, 5.178845856674788e-15, 72),
     (
         orbital_integral,
         (1.0, 1.0, 1.0),
         (0.5, 0.3, 0.3),
         1.0364601322132925,
-        1.1964041750656387e-15,
+        1.1964093727321426e-15,
         83,
     ),
     (spherical_series, (1.2, 0.0), (0.9, 0.4), 0.9155677392951213, 1.7186139993433952e-15, 8),
@@ -469,7 +498,7 @@ SERIES_BITS = [
         (1.3, 1.3, 0.0),
         (0.6, 0.2, 0.9),
         0.8920777386416283,
-        1.8194620044344974e-15,
+        1.8198669963935026e-15,
         36,
     ),
 ]
@@ -707,6 +736,15 @@ def test_rank_one_series_past_the_weight_cap_raises_with_its_partial_sum():
     partial, abs_error = info.value.partial, info.value.abs_error
     assert 0.0 < partial < 1.0
     assert 1e-10 * partial < abs_error < math.inf
+
+
+def test_series_past_the_weight_cap_raises_at_two_rows():
+    # the terms reach about 1e165 before they fall: nothing certifies by
+    # weight 240, and the partial sum and the tail bound stay finite
+    with pytest.raises(ConvergenceError, match="max weight 240") as info:
+        spherical_series((14.0, 14.0), (14.0, 13.0))
+    assert math.isfinite(info.value.partial)
+    assert math.isfinite(info.value.abs_error)
 
 
 def test_series_refuses_a_nonpositive_tolerance():
