@@ -141,12 +141,16 @@ class MixtureParam:
 
 
 def polya_eval(omega: OmegaParam, u: float) -> float:
-    """Pi(omega, u) = e^{-gamma u^2/4} prod_j 1/(1 + alpha_j u^2/4)."""
+    """Pi(omega, u) = e^{-gamma u^2/4} prod_j 1/(1 + alpha_j u^2/4).
+
+    Where u^2/4 leaves double range the factors take their limits: the
+    Gaussian one 1 at gamma = 0 and 0 otherwise, each atom's 0."""
     u = float(u)
     if not math.isfinite(u):
         raise DomainError("polya_eval requires finite u")
     q = u * u / 4.0
-    acc = math.exp(-omega.gamma * q)
+    # gamma = 0 would give exp(-0 * inf) = nan where q overflows
+    acc = math.exp(-omega.gamma * q) if omega.gamma else 1.0
     for a in omega.alpha:
         acc /= 1.0 + a * q
     return acc
@@ -182,7 +186,7 @@ def log_deriv_coeffs(omega: OmegaParam, order: int) -> list[float]:
         raise DomainError("order must be >= 1")
     out = [-p_tilde(omega, 1) / 2.0]
     for m in range(2, order + 1):
-        out.append(((-1.0) ** m) * p_tilde(omega, m) / float(2 ** (2 * m - 1)))
+        out.append(math.ldexp(((-1.0) ** m) * p_tilde(omega, m), 1 - 2 * m))
     return out
 
 
@@ -254,7 +258,9 @@ def _phi_omega_rows(omega: OmegaParam, rows, exp=math.exp):
     accept what the arithmetic on them returns.
     """
     fro = sum(v.real * v.real + v.imag * v.imag for row in rows for v in row)
-    acc = exp(-0.25 * omega.gamma * fro)
+    # at gamma = 0, fro ** 0.0 is 1.0 in fro's shape, also where fro
+    # overflows and exp(-0 * inf) would be nan
+    acc = exp(-0.25 * omega.gamma * fro) if omega.gamma else fro**0.0
     for a in omega.alpha:
         acc = acc / _det_i_plus_gram(rows, 0.25 * a)
     return acc
@@ -272,7 +278,11 @@ def phi_omega_matrix(omega: OmegaParam, x) -> float:
         raise ShapeError("expected a square matrix of numbers")
     if not all(cmath.isfinite(v) for row in rows for v in row):
         raise DomainError("matrix entries must be finite")
-    return _phi_omega_rows(omega, rows)
+    value = _phi_omega_rows(omega, rows)
+    # nan only where an r_kk^2 of _det_i_plus_gram overflowed and a later
+    # Givens step divided inf by inf: that determinant then exceeds 1e308,
+    # so the value, at most its inverse, is 0 to double precision
+    return 0.0 if math.isnan(value) else value
 
 
 def mixture_eval(mixture: MixtureParam, xi: Sequence[float]) -> float:

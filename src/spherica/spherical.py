@@ -16,7 +16,9 @@ U(n) x U(n) orbit by one of three routes:
   everywhere, pure Python);
 * "series": a Schur-function series with a certified tail bound (valid
   everywhere, the reference), summed one weight at a time by one loop for
-  every number of rows, its tail closed geometrically before each weight.
+  every number of rows, its tail closed geometrically before each weight
+  by one rule: by Cauchy's identity a layer is at most a complete-h value
+  of the products of the squared entries times its largest coefficient.
 
 Both determinants take their bound from one helper, _certified_det: the LU
 backward error and the entry errors, carried through a Hadamard bound.
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import combinations, groupby, islice, repeat
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import combinations, groupby, islice
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._record import record
 from .errors import (
@@ -149,16 +151,15 @@ def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
 def _lu_full_pivot(a: list[list[float]]):
     """Elimination with full pivoting on a copy of ``a``.
 
-    Returns (sign, diagonal pivots, lu, rows, cols): P a Q = L U, where row
-    i of P a Q is row rows[i] of ``a`` and column j is column cols[j], lu
-    holds the multipliers of the unit lower L below its diagonal and U on
-    and above it, and sign is det(P) det(Q).  A zero pivot stops the
-    elimination; the block left below it is zero.
+    Returns (sign, diagonal pivots, lu, rows): P a Q = L U, where row i of
+    P a Q is row rows[i] of ``a``, lu holds the multipliers of the unit
+    lower L below its diagonal and U on and above it, and sign is
+    det(P) det(Q).  A zero pivot stops the elimination; the block left
+    below it is zero.
     """
     n = len(a)
     a = [row[:] for row in a]
     rows = list(range(n))
-    cols = list(range(n))
     sign = 1.0
     diag = []
     for k in range(n):
@@ -178,7 +179,6 @@ def _lu_full_pivot(a: list[list[float]]):
         if q != k:
             for row in a:
                 row[k], row[q] = row[q], row[k]
-            cols[k], cols[q] = cols[q], cols[k]
             sign = -sign
         piv = a[k][k]
         diag.append(piv)
@@ -188,7 +188,7 @@ def _lu_full_pivot(a: list[list[float]]):
             if f != 0.0:
                 for j in range(k + 1, n):
                     a[i][j] -= f * a[k][j]
-    return sign, diag, a, rows, cols
+    return sign, diag, a, rows
 
 
 def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]) -> float:
@@ -226,7 +226,7 @@ def _certified_det(matrix: list[list[float]], entry_err: list[list[float]]):
     arithmetic (nonnegative, O(n u) relative).
     """
     n = len(matrix)
-    sign, diag, lu, rows, _ = _lu_full_pivot(matrix)
+    sign, diag, lu, rows = _lu_full_pivot(matrix)
     mags = list(map(abs, diag))
     if not all(mags):
         return sign, mags, math.inf
@@ -476,45 +476,15 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
 _EXP_FLOOR = 1e-290
 
 
-def _series_tail_bound(bounds: list[list[float]], v: float, grow: float, floored: bool) -> float:
-    """One weight of the series' tail bound at rows >= 2; one row reads its
-    ratio from the coefficient step instead.
-
-    bounds[0] holds the per-part bounds v_0..v_{w-1} and bounds[r] their
-    (r + 1)-fold convolution, r < rows.  v_j = max(exp(2 c_j), _EXP_FLOOR)
-    h_j(Lam^) h_j(Xi^) grow_j, with c_j the last row's log coefficient (the
-    scale folded in), h the complete-h entries of the scaled variables and
-    grow_j = exp(slack_j) (1 + 1e-10) their error factor, so v_j is at
-    least the exact value v*_j and at most grow_j^2 times it.  The call
-    appends v = v_w and extends every list by its entry w, so that
-    L = bounds[-1] reaches weight w, and returns an upper bound on the
-    absolute sum of the series layers of weight >= w; +inf means "not
-    certified".
-
-    For nonnegative variables h_m = sum_mu K_{mu m} s_mu with Kostka numbers
-    K >= 0 and K_mm = 1 (Macdonald, I.6), so s_m <= prod_i h_{m_i}, and each
-    row's coefficient d!/(m_i + d)! is largest in the last row,
-    d = n - rows: a partition of at most ``rows`` parts is at most
-    prod_i v*_{m_i}, and the weight-k layer at most L*_k, the same
-    convolution of v*.  h_j of nonnegative variables is a Polya frequency
-    sequence and exp(2 (c_{j+1} - c_j)) falls with j, so v* is log-concave,
-    and so is a convolution of positive log-concave sequences (Hoggar
-    1974): L*_{k+1}/L*_k never rises.  L_w >= L*_w, and since the slack
-    grows with j, L_{w-1} / grow_w^(2 rows) <= L*_{w-1} unless some v_j,
-    j < w, was raised to the floor (``floored``), which bounds from above
-    only.  Their quotient rho bounds every later ratio, and the layers from
-    weight w on sum to at most L_w / (1 - rho).  The 1e-10 in grow also
-    covers the rounding of the convolution sums and of the tail.
-    """
-    bounds[0].append(v)
-    back = bounds[0][::-1]
-    for prev, conv in zip(bounds, bounds[1:]):
-        conv.append(sum(map(operator.mul, prev, back)))
-    L = bounds[-1]
-    rho = L[-1] * grow ** (2 * len(bounds)) / L[-2]
-    if floored or not rho < 1.0:  # also nan, from overflowed sums
-        return math.inf
-    return L[-1] / (1.0 - rho)
+def _series_tail_bound(lam_runs, xi_runs) -> tuple[int, Iterator[float]]:
+    """The set-up of the series' tail bound: _h_stream over the products
+    Lam^_i Xi^_j of the scaled squares, as runs (a b, ma mb) in decreasing
+    order.  By Cauchy's identity (Macdonald, I.4.3) its entry h_w is the
+    sum of s_m(Lam^) s_m(Xi^) over the partitions m of weight w.  Where one
+    side is a single square, which scales to exactly 1, the stream is the
+    other side's own."""
+    runs = [(a * b, ma * mb) for a, ma in lam_runs for b, mb in xi_runs]
+    return _h_stream(sorted(runs, reverse=True))
 
 
 def _layer_terms(layer, coefs: list[list[float]], h_lam, h_xi, w: int) -> list[float]:
@@ -567,26 +537,33 @@ def _schur_fourier_series(
     that side scales to exactly 1 and drops out, so exchanging x and xi
     gives the same bits.
 
-    One loop serves every row count, one weight per step: it advances both
-    complete-h streams and each row's log coefficient, closes the tail from
+    One loop serves every row count, one weight per step: it advances the
+    complete-h streams and the log coefficients, closes the tail from
     weight w on, then sums layer w, the single term exp(2 c_w) h_w at
     rows = 1 and otherwise the weight-w partitions of _partition_tuples,
-    two Jacobi-Trudi determinants each.  v_j = exp(2 c_j) h_j(Lam^)
-    h_j(Xi^), c_j the last row's log coefficient, raised by exp(slack_j)
-    bounds one row of a term.  At rows = 1 the layer is v_w itself, and
-    rho = v_w / v_{w-1}, read from the coefficient step
-    (x0 xi0 / (2 (n - 1 + w)))^2 and raised by exp(2 slack), bounds every
-    later ratio: h_{j+1}/h_j of nonnegative variables does not increase (a
-    Polya frequency sequence), nor does the step.  The layers from weight w
-    on then sum to at most v_w / (1 - rho); at rows >= 2
-    _series_tail_bound closes the rows-fold convolution of v the same way.
-    Weight w costs O(k + rows) for the streams and coefficients (k entries
-    outside the longest run of equal ones), O(rows w) for the convolution
-    at rows >= 2, and its layer, after an O(runs log n) set-up.  The sum
-    stops before the first weight where the tail is below both the
-    rounding term and rel_tol; past weight 240 it need only meet rel_tol,
-    or ConvergenceError is raised with the partial sum.  A term, or its
-    bound v_w, beyond double range raises RangeError.
+    two Jacobi-Trudi determinants each.  One tail rule serves every row
+    count.  For nonnegative variables every s_m is nonnegative, and by
+    Cauchy's identity the s_m(Lam^) s_m(Xi^) of weight w sum to
+    h_w(Lam^ Xi^), the complete-h entry of the products of the scaled
+    squares (_series_tail_bound); so layer w is at most
+    v_w = exp(2 C_w) h_w(Lam^ Xi^), C_w the largest log coefficient of
+    weight w.  A row's coefficient sums half_logc - log(d + s) over
+    s = 1..m_i, and its factors d + s rise, so C_w sums the same step over
+    the w smallest factors a_1 <= a_2 <= ... of all rows together
+    (n - rows + j occurs min(j, rows) times); at rows = 1, a_t = n - 1 + t
+    and v_w is the layer itself.  h_{j+1}/h_j of nonnegative variables does
+    not increase (a Polya frequency sequence), nor does the step, so
+    rho = exp(2 (half_logc - log a_w)) h_w / h_{w-1}, raised by exp(2 slack),
+    bounds every later ratio, and the layers from weight w on sum to at
+    most v_w / (1 - rho).  v_w is raised by exp(slack) for its rounding and
+    to _EXP_FLOOR where exp(2 C_w) is below it, which bounds from above
+    only.  Weight w costs O(k + rows) for the streams and coefficients (k
+    entries outside the longest run of equal ones) and its layer, after an
+    O(runs log n) set-up and one over the pairs of runs.  The sum stops
+    before the first weight where the tail is below both the rounding term
+    and rel_tol; past weight 240 it need only meet rel_tol, or
+    ConvergenceError is raised with the partial sum.  A term, or its bound
+    v_w, beyond double range raises RangeError.
 
     The error returned is the tail bound plus a rounding term: 4 eps times
     the absolute sum of the terms, plus each layer's absolute sum times the
@@ -610,65 +587,63 @@ def _schur_fourier_series(
     # they are squared, since a square can leave double range where the
     # products x_i xi_j do not.
     lam_runs, xi_runs = _runs(xvals, x0), _runs(xivals, xi0)
-    n_lam, n_xi = sum(m for _, m in lam_runs), sum(m for _, m in xi_runs)
-    rows = min(n_lam, n_xi)
-    # a single nonzero square scales to exactly 1, whose h_j are exactly 1
-    # and carry no rounding: that side is not streamed (x's side is kept
-    # where both have one)
-    k_lam, hs_lam = (0, repeat(1.0)) if n_lam == 1 < n_xi else _h_stream(lam_runs)
-    k_xi, hs_xi = (0, repeat(1.0)) if n_xi == 1 else _h_stream(xi_runs)
-    h_lam, h_xi = [next(hs_lam)], [next(hs_xi)]  # h_0 = 1
-    # A weight-w log coefficient is off by at most log_err + cross big, with
-    # big the largest |coefficient| so far (the rows are monotone in d, so
-    # the first and last rows hold it) and log_err the running sum of the
-    # step errors above at d = n - 1: they grow with t, so log_err bounds
-    # every split of w between the rows; the rows - 1 additions across rows
-    # add cross big.  A term exp(2 log a) then carries relative error
-    # expm1(2 (log_err + cross big)), and its h entries, at most rows per
-    # table with indices summing to w, gamma_{rows k + 5w} each: the scaled
-    # variables carry two roundings each (scale, square) and an entry h_j of
-    # a table with k folded variables k + 3j more (complete_h_table).  Their
-    # sum, slack, also bounds the error of v_w.
+    rows = min(sum(m for _, m in lam_runs), sum(m for _, m in xi_runs))
+    # h_w of the products bounds layer w; at rows = 1 it is the layer's own
+    k, hs = _series_tail_bound(lam_runs, xi_runs)
+    # A weight-w log coefficient, C_w or a term's, is off by at most
+    # log_err + cross big, with big the largest of |C_j| and the first
+    # row's |coefficient| so far (the other rows lie between them) and
+    # log_err the running sum of the step errors above at d = n - 1: every
+    # factor a_t or d + t of weight t is at most n - 1 + t, so log_err
+    # bounds C_w and every split of w between the rows; the rows - 1
+    # additions across rows add cross big.  exp(2 log a) then carries
+    # relative error expm1(2 (log_err + cross big)).  The scaled squares
+    # carry two roundings each (scale, square), and an entry h_j of a table
+    # with k folded variables k + 3j more (complete_h_table): a term's h
+    # entries, at most rows per table with indices summing to w, are within
+    # gamma_{rows k + 5w} each, and h_w of the products (three roundings
+    # more each, k_prod folded) within gamma_{k_prod + 8w}.  With
+    # k = max(k_prod, rows (k_lam + k_xi)), slack bounds both.
     cross = 0.5 * _EPS * rows * (rows - 1)
-    k_rows = rows * (k_lam + k_xi)
     if rows > 1:
+        k_lam, hs_lam = _h_stream(lam_runs)
+        k_xi, hs_xi = _h_stream(xi_runs)
+        k = max(k, rows * (k_lam + k_xi))
         # weight w reads h entries up to w + rows - 1
-        h_lam += islice(hs_lam, rows - 1)
-        h_xi += islice(hs_xi, rows - 1)
+        h_lam, h_xi = list(islice(hs_lam, rows)), list(islice(hs_xi, rows))
         # Row i of a partition contributes m_i half_logc + log(d!/(m_i + d)!),
         # d = n-1-i: a running sum of half_logc - log(d + t), whose steps
-        # are small where the scale matches the dimension.  The last row,
-        # d = n - rows, has the largest coefficients and feeds the tail.
+        # are small where the scale matches the dimension.
         coefs = [[0.0] for _ in range(rows)]
-        bounds = [[1.0] for _ in range(rows)]  # v and its convolution powers
-        floored = False  # whether some v_j, j < w, was raised to the floor
         layers = groupby(_partition_tuples(_WEIGHT_CAP, rows), sum)
         next(layers)  # the empty partition, summed below
+        # a_t, the t-th smallest factor d + s of the rows d = n - 1 - i: the
+        # value n - rows + j occurs min(j, rows) times (at one row,
+        # a_t = n - 1 + t)
+        factors = (
+            n - rows + j for j in range(1, _WEIGHT_CAP + 2) for _ in range(min(j, rows))
+        )
     coef = big = log_err = 0.0
-    h_prev = 1.0
+    h_prev = next(hs)  # h_0 = 1
     total, comp, abs_sum, coef_sum, count = 1.0, 0.0, 1.0, 0.0, 1
     rounding = 4.0 * _EPS
     unit, log_eps, big_eps = _EPS / 2.0, 1.5 * _EPS, 0.5 * _EPS
     exp, log, expm1, floor, inf = math.exp, math.log, math.expm1, _EXP_FLOOR, math.inf
-    for w, h_l, h_x in zip(range(1, _WEIGHT_CAP + 2), hs_lam, hs_xi):
+    for w, h in zip(range(1, _WEIGHT_CAP + 2), hs):
         log_d = log(n - 1 + w)
-        step = half_logc - log_d
-        if rows == 1:
-            coef += step
-            h = h_l * h_x
-        else:
-            h_lam.append(h_l)
-            h_xi.append(h_x)
+        step = half_logc - (log(next(factors)) if rows > 1 else log_d)
+        coef += step
+        if rows > 1:
+            h_lam.append(next(hs_lam))
+            h_xi.append(next(hs_xi))
             for i, row in enumerate(coefs):
                 row.append(row[-1] + (half_logc - log(n - 1 - i + w)))
-            coef = coefs[-1][w]
             big = max(big, abs(coefs[0][w]))
-            h = h_lam[w] * h_xi[w]
         if abs(coef) > big:
             big = abs(coef)
         log_err += fixed + log_eps * log_d + big_eps * big
         # gamma_m = m u / (1 - m u), u = 2^-53: m roundings, relative
-        gamma = (k_rows + 10 * w) * unit
+        gamma = (k + 10 * w) * unit
         slack = 2.0 * (log_err + cross * big) + gamma / (1.0 - gamma)
         grow = exp(slack) * (1.0 + 1e-10)
         try:
@@ -679,13 +654,9 @@ def _schur_fourier_series(
         v = (e if e > floor else floor) * h * grow
         if v == inf:
             raise RangeError(f"series term at weight {w} exceeds double range")
-        if rows == 1:
-            # the steps fall, so exp(2 step) is finite where e is
-            rho = exp(2.0 * step) * (h / h_prev) * grow * grow
-            tail = v / (1.0 - rho) if rho < 1.0 else inf
-        else:
-            tail = _series_tail_bound(bounds, v, grow, floored)
-            floored = floored or not e > floor
+        # the steps fall, so exp(2 step) is finite where e is
+        rho = exp(2.0 * step) * (h / h_prev) * grow * grow
+        tail = v / (1.0 - rho) if rho < 1.0 else inf
         if tail <= rel_tol * abs(total) + 1e-14 and (
             tail <= rounding * abs_sum or w > _WEIGHT_CAP
         ):
@@ -764,16 +735,17 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     outside the longest run, after input validation and a bisection for the
     runs, whatever the dimension n.  At any number of rows the series is
     summed one weight at a time, its tail closed geometrically before each
-    weight, and it stops at the first weight where that tail is below both
-    the rounding term and rel_tol; past weight 240 it raises
-    ConvergenceError with the partial sum attached unless the tail meets
-    rel_tol.  Up to three rows it loads no numpy.  abs_error is the tail
-    bound plus the rounding term, which covers the error each term takes
-    from its log-factorial coefficient and its complete-h entries as well
-    as the summation, though not the cancellation of a Jacobi-Trudi
-    determinant of two or more rows.
-    rel_tol <= 0 raises DomainError; a term beyond double range raises
-    RangeError.
+    weight from one bound (by Cauchy's identity, the weight's largest
+    coefficient times h_w of the products x_i^2 xi_j^2 / 4), and it stops
+    at the first weight where that tail is below both the rounding term
+    and rel_tol; past weight 240 it raises ConvergenceError with the
+    partial sum attached unless the tail meets rel_tol.  Up to three rows
+    it loads no numpy.  abs_error is the tail bound plus the rounding term,
+    which covers the error each term takes from its log-factorial
+    coefficient and its complete-h entries as well as the summation,
+    though not the cancellation of a Jacobi-Trudi determinant of two or
+    more rows.  rel_tol <= 0 raises DomainError; a term beyond double range
+    raises RangeError.
     """
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")

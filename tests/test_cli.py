@@ -96,6 +96,29 @@ def test_eval_mixture_value(capsys, tmp_path):
     assert len(payload["components"]) == 2
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_polya_commands_print_json_where_the_square_overflows(capsys, tmp_path):
+    # u^2/4 = inf at 1e200: the payloads hold the limits, never NaN
+    om = write_json(tmp_path, "om.json", {"alpha": [1.0], "gamma": 0})
+    code, out, _ = run_cli(capsys, ["eval-polya", "--omega", om, "--lam", "1e200"])
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert (payload["pi_values"], payload["phi_product"]) == ([0.0], 0.0)
+    mix = {
+        "components": [
+            {"weight": 0.5, "omega": {"alpha": [], "gamma": 0}},
+            {"weight": 0.5, "omega": {"alpha": [1.0], "gamma": 0}},
+        ]
+    }
+    mix = write_json(tmp_path, "mix.json", mix)
+    code, out, _ = run_cli(capsys, ["eval-mixture", "--mixture", mix, "--lam", "1e200"])
+    assert code == 0
+    assert json.loads(out, parse_constant=_refuse_constant)["value"] == 0.5
+
+
 def test_orbital_value_and_guard(capsys):
     code, out, _ = run_cli(capsys, ["orbital", "--lam", "1", "--theta", "2"])
     assert code == 0

@@ -99,6 +99,13 @@ def test_log_derivative_coefficients():
     assert log_deriv_coeffs(OmegaParam([], 2.0), 3) == [-1.0, 0.0, 0.0]
 
 
+def test_log_derivative_coefficients_past_order_512():
+    # 2^(2m - 1) leaves double range past m = 512; c_{2m-1} = (-1)^m 2^(1-m)
+    coeffs = log_deriv_coeffs(OmegaParam([2.0], 0.0), 600)
+    assert len(coeffs) == 600
+    assert coeffs[-2:] == [-(2.0**-598), 2.0**-599]
+
+
 def test_log_derivative_matches_finite_differences():
     om = OmegaParam([4.0], 0.0)
     u, h = 0.1, 1e-5
@@ -182,6 +189,27 @@ def test_matrix_argument_must_be_finite(bad):
     for x in ([[1.0, bad], [0.0, 1.0]], np.array([[1.0, bad], [0.0, 1.0]])):
         with pytest.raises(DomainError):
             phi_omega_matrix(OmegaParam([1.0], 0.5), x)
+
+
+def test_products_take_their_limits_where_the_square_overflows():
+    # u^2/4 = inf: at gamma = 0 the Gaussian factor once read exp(-0 * inf)
+    assert polya_eval(OmegaParam([1.0]), 1e200) == 0.0
+    assert polya_eval(OmegaParam([]), 1e200) == 1.0
+    assert polya_eval(OmegaParam([1.0], 0.5), -1e200) == 0.0
+    assert phi_omega(OmegaParam([1.0]), (1e200, 1.0)) == 0.0
+    mix = MixtureParam([(0.5, OmegaParam([])), (0.5, OmegaParam([1.0]))])
+    assert mixture_eval(mix, (1e200,)) == 0.5
+
+
+def test_matrix_argument_takes_its_limits_where_the_gram_overflows():
+    x = [[1e200, 0.0], [0.0, 1.0]]
+    # an r_kk^2 of the Givens factor overflows: inf / inf once gave nan
+    assert phi_omega_matrix(OmegaParam([1.0], 0.5), x) == 0.0
+    assert phi_omega_matrix(OmegaParam([1.0]), x) == 0.0
+    assert phi_omega_matrix(OmegaParam([]), x) == 1.0
+    # |X|_F^2 overflows but the determinant does not: 1/(1 + 2.5e-301 1e320)
+    got = phi_omega_matrix(OmegaParam([1e-300]), [[1e160, 0.0], [0.0, 1.0]])
+    assert got == pytest.approx(4e-20, rel=1e-12)
 
 
 def test_matrix_argument_of_size_zero():

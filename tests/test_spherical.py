@@ -39,7 +39,7 @@ from spherica import (
     weyl_density_mn,
 )
 import spherica.spherical as spherical_module
-from spherica.spherical import _EPS, _EXP_FLOOR, _WEIGHT_CAP, _series_tail_bound
+from spherica.spherical import _EPS, _EXP_FLOOR, _WEIGHT_CAP
 from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
 # the benchmark's mpmath oracle: the closed determinant forms, with coincident
@@ -336,31 +336,37 @@ def _series_point(draw):
 
 
 def _streamed_tail(x, xi):
-    """The series' per-part bounds v_j at zero slack, fed one weight at a
-    time to _series_tail_bound: (rows, tails, L), tails[w] the bound on the
-    layers of weight >= w (w >= 1), L the rows-fold convolution of v, both
-    to weight 2W, W the first weight whose tail is below 4 eps."""
+    """The series' layer bounds v_w = max(exp(2 C_w), _EXP_FLOOR) h_w(Lam^ Xi^)
+    at zero slack, closed as the series closes them: (rows, tails, v),
+    tails[w] the bound on the layers of weight >= w (w >= 1), both to weight
+    2W, W the first weight whose tail is below 4 eps."""
     n = len(x)
     lam = sorted((v * v for v in x if v), reverse=True)
     xiq = sorted((v * v / 4.0 for v in xi if v), reverse=True)
     rows = min(len(lam), len(xiq))
-    # tables of the variables scaled by their largest entries, and the last
-    # row's log coefficient
-    h_lam_hat = complete_h_table([v / lam[0] for v in lam], 2 * _WEIGHT_CAP)
-    h_xi_hat = complete_h_table([q / xiq[0] for q in xiq], 2 * _WEIGHT_CAP)
+    # Cauchy's identity: h of the products of the variables scaled by their
+    # largest entries sums s_m(Lam^) s_m(Xi^) over each weight
+    h_prod = complete_h_table(
+        [p / lam[0] * (q / xiq[0]) for p in lam for q in xiq], 2 * _WEIGHT_CAP
+    )
     half_logc = 0.5 * (math.log(lam[0]) + math.log(xiq[0]))
-    d = n - rows
-    bounds = [[1.0] for _ in range(rows)]
+    # every row's factors d + s, d = n - 1 - i, smallest first: C_w sums the
+    # first w steps, the largest coefficient of any split of w between rows
+    factors = sorted(n - i + s for i in range(rows) for s in range(2 * _WEIGHT_CAP))
+    coef = 0.0
+    v = [1.0]
     tails = [math.inf]
     W = None
     for j in range(1, 2 * _WEIGHT_CAP + 1):
-        coef = j * half_logc + math.lgamma(d + 1) - math.lgamma(d + j + 1)
-        v = max(math.exp(2.0 * coef), _EXP_FLOOR) * h_lam_hat[j] * h_xi_hat[j]
-        tails.append(_series_tail_bound(bounds, v, 1.0, False))
+        step = half_logc - math.log(factors[j - 1])
+        coef += step
+        v.append(max(math.exp(2.0 * coef), _EXP_FLOOR) * h_prod[j])
+        rho = math.exp(2.0 * step) * h_prod[j] / h_prod[j - 1]
+        tails.append(v[j] / (1.0 - rho) if rho < 1.0 else math.inf)
         if W is None and tails[j] <= 4.0 * _EPS:
             W = j
         if W is not None and j == 2 * W:
-            return rows, tails, bounds[-1]
+            return rows, tails, v
     raise AssertionError("the tail bound certified nothing")
 
 
@@ -372,8 +378,6 @@ def test_tail_table_bounds_every_weight(point):
     evaluate, x, xi = point
     assert evaluate(x, xi, path="series").path == "series"
     assume(any(x) and any(xi))
-    # at rows = 1 the series closes its tail from the coefficient step; the
-    # convolution bound with one factor is checked here all the same
     rows, tails, _ = _streamed_tail(x, xi)
     W = (len(tails) - 1) // 2
     # brute force: absolute sum of every layer up to weight 2W
@@ -399,13 +403,14 @@ def test_tail_table_bounds_every_weight(point):
 @example((orbital_integral, [1.9, 1.9, 1.9], [2.0, 0.0, 0.0]))
 @example((spherical_eval, [2.0, 2.0, 0.2], [2.0, 1.9, 1.9]))
 def test_layer_bound_ratios_do_not_rise(point):
-    # the tail closure divides L_w by L_{w-1}: it relies on L_{k+1}/L_k
-    # falling, true of the exact sequence (a convolution of log-concave ones)
-    # and of the computed one up to its rounding
+    # the tail closure bounds every later v_{k+1}/v_k by v_w/v_{w-1}: it
+    # relies on v being log-concave, true of the exact sequence (a Polya
+    # frequency sequence times falling coefficient steps) and of the
+    # computed one up to its rounding
     _, x, xi = point
     assume(any(x) and any(xi))
-    _, _, L = _streamed_tail(x, xi)
-    ratios = [b / a for a, b in zip(L, L[1:])]
+    _, _, v = _streamed_tail(x, xi)
+    ratios = [b / a for a, b in zip(v, v[1:])]
     for k in range(1, len(ratios)):
         assert ratios[k] <= ratios[k - 1] * (1.0 + 1e-12)
 
@@ -466,31 +471,31 @@ def test_series_route_within_its_bound_of_the_oracle(x, xi):
 # kernels and two points with a zero entry.  The ids name the points, not
 # the pinned numbers, so a re-pin keeps the test names.
 SERIES_BITS = [
-    (spherical_series, (1.0, 1.0), (0.5, 0.5), 0.9394195846867707, 1.2416292336484866e-15, 30),
+    (spherical_series, (1.0, 1.0), (0.5, 0.5), 0.9394195846867707, 1.2416744933109647e-15, 25),
     (
         spherical_eval,
         (1.0, 1.0, 2.0),
         (0.7, 1.3, 0.2),
         0.6856009920101902,
-        4.870828941162762e-15,
-        358,
+        4.284541142722188e-15,
+        204,
     ),
     (
         spherical_series,
         (1.5, 1.5, 0.5, 0.5),
         (0.8, 0.8, 0.3, 0.6),
         0.8731965241240933,
-        2.6137947468597823e-15,
-        609,
+        3.1105689792785944e-15,
+        155,
     ),
-    (orbital_integral, (2.0, 2.0), (1.0, 0.5), 1.826249136106345, 5.178845856674788e-15, 72),
+    (orbital_integral, (2.0, 2.0), (1.0, 0.5), 1.826249136106345, 5.61043611837426e-15, 56),
     (
         orbital_integral,
         (1.0, 1.0, 1.0),
         (0.5, 0.3, 0.3),
         1.0364601322132925,
-        1.1964093727321426e-15,
-        83,
+        1.3150050081524063e-15,
+        41,
     ),
     (spherical_series, (1.2, 0.0), (0.9, 0.4), 0.9155677392951213, 1.7186139993433952e-15, 8),
     (
@@ -498,8 +503,8 @@ SERIES_BITS = [
         (1.3, 1.3, 0.0),
         (0.6, 0.2, 0.9),
         0.8920777386416283,
-        1.8198669963935026e-15,
-        36,
+        1.7532653342715947e-15,
+        30,
     ),
 ]
 SERIES_BITS_IDS = [f"{row[0].__name__}-x{i}" for i, row in enumerate(SERIES_BITS)]
@@ -720,7 +725,7 @@ def test_rank_one_points_skip_the_partition_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("a rank-one point left the one-row sum")
 
-    for name in ("_partition_tuples", "_jacobi_trudi_det", "_series_tail_bound"):
+    for name in ("_partition_tuples", "_jacobi_trudi_det"):
         monkeypatch.setattr(spherical_module, name, refuse)
     spherical_convergence(OmegaParam([0.5, 0.2], 0.3), 1.5, (25, 50, 100, 200))
     for x, xi in RANK_ONE_POINTS:
