@@ -354,9 +354,7 @@ def _cmd_sweep(args) -> int:
         report = powersum_convergence(omega, m, n_list)
     else:
         (m,) = _ints([_float(args.m, "--m")], "--m")
-        report = weyl_concentration_sweep(
-            m, n_list, n_samples=_samples(args), seed=_seed(args)
-        )
+        report = weyl_concentration_sweep(m, n_list)
     std_errors = report.std_errors or (None,) * len(report.n_values)
     rows = [["n", "value", "limit", "abs_error", "std_error"]]
     rows += [

@@ -6,29 +6,27 @@ compares it against its closed-form limit:
 * power sums of the scaled squared parameters against the limiting moments,
 * spherical-function values at a one-dimensional test direction against the
   limiting positive-definite function Pi(omega, u),
-* angular-density observables against their concentration value at
-  theta = (pi/2, ..., pi/2).
+* the mean of cos^2 over the angles under the Weyl angular density against
+  its value at the concentration point theta = (pi/2, ..., pi/2), by one
+  Gauss rule at every number of angles.
 
-Monte Carlo sweeps give each grid point its own derived master seed
-(seed + 1000003 * point_index) so that changing the grid does not reshuffle
-the randomness of the points that stay.
+The Monte Carlo spherical sweep gives each grid point its own derived master
+seed (seed + 1000003 * point_index) so that changing the grid does not
+reshuffle the randomness of the points that stay.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 from . import spherical
 from ._record import record
-from .errors import DomainError, ShapeError
+from .errors import DomainError, RangeError, ShapeError
 from .polya import OmegaParam, p_tilde, polya_eval
 # spherical_series goes unused but stays: perfbench/tracer.py patches it here
 # by name
-from .spherical import _EPS, DiagonalPoint, _weyl_density, spherical_series
-
-if TYPE_CHECKING:
-    import numpy as np
+from .spherical import _EPS, DiagonalPoint, spherical_series
 
 
 def __getattr__(name):
@@ -123,7 +121,8 @@ def powersum_convergence(
     omega: OmegaParam, m: int, n_values: Sequence[int]
 ) -> SweepReport:
     """Power sums p_m of the scaled squared parameters along the grid,
-    against the limiting moment (gamma + p_1 for m = 1, p_m otherwise)."""
+    against the limiting moment (gamma + p_1 for m = 1, p_m otherwise).
+    RangeError where a power sum leaves double range."""
     m = int(m)
     if m < 1:
         raise DomainError("power-sum degree must be >= 1")
@@ -132,7 +131,10 @@ def powersum_convergence(
     values = []
     for n in grid:
         lam = lambda_sequence_for(omega, n)
-        values.append(math.fsum((v / n) ** (2 * m) for v in lam))
+        try:
+            values.append(math.fsum((v / n) ** (2 * m) for v in lam))
+        except OverflowError:
+            raise RangeError(f"power sum at n = {n} exceeds double range") from None
     return SweepReport(
         kind="powersum_convergence",
         params={"omega": omega.to_json(), "m": m},
@@ -195,15 +197,22 @@ def spherical_convergence(
     )
 
 
-def _mean_cos_sq(theta: np.ndarray) -> np.ndarray:
-    """The default observable on each row: the mean of cos^2 over the angles."""
-    import numpy as np
-
-    return np.mean(np.cos(theta) ** 2, axis=-1)
-
-
-# nodes of the m = 1 rule: exact for polynomials in sin t up to degree 95
+# nodes of the sweep's rule: exact for polynomials in sin t up to degree 95
 _WEYL_NODES = 48
+# the integrand (1 - y^2) K_m(y^2, y^2) has degree 4m - 2 in y
+_WEYL_MAX_M = (2 * _WEYL_NODES + 1) // 4
+
+
+def _jacobi_rows(b: float, count: int) -> tuple[list[float], list[float]]:
+    """Rows of I - J, J the Jacobi matrix of the weight (1 + s)^b on [-1, 1]
+    (alpha = 0, beta = b >= 0): the diagonal d_0..d_{count-1} and the
+    couplings e_0..e_{count-2}, e_k between rows k and k + 1."""
+    d, e = [2.0 / (b + 2.0)], []
+    for k in range(1, count):
+        s = 2.0 * k + b
+        d.append((4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0))
+        e.append(2.0 * k * (k + b) / s / math.sqrt((s - 1.0) * (s + 1.0)))
+    return d, e
 
 
 def _weyl_rule(n: int) -> tuple[list[float], list[float]]:
@@ -215,13 +224,7 @@ def _weyl_rule(n: int) -> tuple[list[float], list[float]]:
     to about 1e-13 relative, where those of J would lose it to cancellation.
     Only the first row of the eigenvectors is rotated: its squares are the
     weights."""
-    b = 2.0 * n - 3.0
-    d, e = [], []
-    for k in range(_WEYL_NODES):
-        s = 2.0 * k + b
-        d.append((4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0))
-        if k:
-            e.append(2.0 * k * (k + b) / s / math.sqrt((s - 1.0) * (s + 1.0)))
+    d, e = _jacobi_rows(2.0 * n - 3.0, _WEYL_NODES)
     e.append(0.0)
     z = [1.0] + [0.0] * (_WEYL_NODES - 1)
     # implicit QL with Wilkinson's shift (tqli); e[i] couples rows i and i + 1
@@ -253,96 +256,51 @@ def _weyl_rule(n: int) -> tuple[list[float], list[float]]:
     return [2.0 * math.asin(math.sqrt(v) / 2.0) for v, _ in rule], [q * q for _, q in rule]
 
 
-def weyl_concentration_sweep(
-    m: int,
-    n_values: Sequence[int],
-    observable: Callable[[np.ndarray], float] | None = None,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> SweepReport:
-    """Expectation of an angular observable under the (m, n) density along
-    the grid, against its value at the concentration point (pi/2, ..., pi/2).
+def weyl_concentration_sweep(m: int, n_values: Sequence[int]) -> SweepReport:
+    """E[mean of cos^2 over the m angles] under the (m, n) angular density
+    along the grid, against its value at the concentration point
+    (pi/2, ..., pi/2); the expectation is m/n (Aomoto).
 
-    The default observable is the mean of cos^2 over the m angles, whose
-    expectation is m/n (Aomoto).  A custom observable is called with a numpy
-    array of the m angles and returns a float.
-
-    m = 1 is deterministic, with no standard errors.  With y = sin t, and
-    [pi/2, pi] folded onto [0, pi/2] by t -> pi - t, the density is
-    2 y^(2n-3) dy on [0, 1].  A fixed 48-node Gauss-Jacobi rule for that
-    weight gives the value as sum_k w_k (f(t_k) + f(pi - t_k)) / 2 over
-    sum_k w_k.  It is exact for polynomials in sin t up to degree 95 (so
-    the default observable gives 1/n), accurate to rounding for smooth
-    observables at every n, and a constant observable is exact.  At a
-    kink it is not: |t - 1| is about 1e-4 off at n <= 10.  The default
-    observable runs here without numpy.
-    m >= 2 uses self-normalized importance sampling from the uniform
-    proposal on [0, pi]^m, one derived seed per grid point; the default
-    observable is evaluated once per block of samples, a custom one once
-    per sample.
+    With x = sin^2 t the density is the beta = 2 Jacobi ensemble
+    prod_{i<j} (x_i - x_j)^2 prod_i x_i^(n-2m) on [0, 1]^m, whose one-point
+    density is K_m(x, x) x^(n-2m) / m, K_m = sum_{k<m} p_k^2 over the
+    orthonormal polynomials of that weight (Christoffel-Darboux).  So the
+    value is the integral of (1 - x) K_m(x, x) x^(n-2m) over that of
+    K_m(x, x) x^(n-2m).  In y = sin t the weight is 2 y^(2(n-2m)+1) dy, the
+    rule of _weyl_rule(n - 2m + 2), on whose 48 nodes the integrand has
+    degree 4m - 2: exact for m <= 24, and larger m raise DomainError.  At
+    each node u = 1 - s = 2 sin^2 d (s = 2x - 1, d the half-angle) and
+    p_{k+1} = ((d_k - u) p_k - e_{k-1} p_{k-1}) / e_k from the rows of
+    I - J, which keeps the small differences s - alpha_k accurate where the
+    weight concentrates; the value is sum w K u / (2 sum w K).  At m = 1,
+    K = 1.  Deterministic at every m, with no standard errors, and no
+    numpy.
     """
     m = int(m)
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    if not 1 <= m <= _WEYL_MAX_M:
+        raise DomainError(f"m must lie in 1..{_WEYL_MAX_M}")
     grid = _check_grid(n_values, 2 * m)
-    if m == 1 and observable is None:
-        c = math.cos(math.pi / 2.0)
-        limit = c * c
-    else:
-        import numpy as np
-
-        obs = _mean_cos_sq if observable is None else observable
-        limit = float(obs(np.full(m, math.pi / 2.0)))
-    if m >= 2:
-        from . import montecarlo
-
-        n_samples = montecarlo._check_samples(n_samples)
+    c = math.cos(math.pi / 2.0)
     values: list[float] = []
-    std_errors: list[float] = []
-    for i, n in enumerate(grid):
-        if m == 1:
-            half, w = _weyl_rule(n)
-            if observable is None:
-                # cos^2 t = sin^2 d at both t = pi/2 -+ d
-                folded = [2.0 * math.sin(d) ** 2 for d in half]
-            else:
-                f = lambda t: float(obs(np.array([t])))
-                folded = [f(math.pi / 2.0 - d) + f(math.pi / 2.0 + d) for d in half]
-            values.append(math.fsum(a * b for a, b in zip(w, folded)) / (2.0 * math.fsum(w)))
-        else:
-            w_blocks: list[np.ndarray] = []
-            f_blocks: list[np.ndarray] = []
-            for b, take in montecarlo._blocks(n_samples):
-                stream = montecarlo.RngStream(seed + 1000003 * i, b)
-                th = stream.uniforms((take, m)) * math.pi
-                w_blocks.append(_weyl_density(m, n, th))
-                if observable is None:
-                    f_blocks.append(_mean_cos_sq(th))
-                else:
-                    f_blocks.append(np.array([float(obs(row)) for row in th]))
-            w_sum = math.fsum(float(np.sum(w)) for w in w_blocks)
-            wf_sum = math.fsum(
-                float(np.sum(w * f)) for w, f in zip(w_blocks, f_blocks)
-            )
-            est = wf_sum / w_sum
-            var = math.fsum(
-                float(np.sum((w / w_sum) ** 2 * (f - est) ** 2))
-                for w, f in zip(w_blocks, f_blocks)
-            )
-            values.append(est)
-            std_errors.append(math.sqrt(var))
-    params: dict = {
-        "m": m,
-        "observable": "mean_cos_sq" if observable is None else "custom",
-    }
-    if m >= 2:
-        params["n_samples"] = n_samples
-        params["seed"] = int(seed)
+    for n in grid:
+        half, w = _weyl_rule(n - 2 * m + 2)
+        d, e = _jacobi_rows(float(n - 2 * m), m)
+        wk, wku = [], []
+        for h, wt in zip(half, w):
+            # cos^2 t = sin^2 h at both t = pi/2 -+ h
+            u = 2.0 * math.sin(h) ** 2
+            p_prev, p, e_prev, kern = 0.0, 1.0, 0.0, 1.0
+            for dk, ek in zip(d, e):
+                p_prev, p = p, ((dk - u) * p - e_prev * p_prev) / ek
+                e_prev = ek
+                kern += p * p
+            wk.append(wt * kern)
+            wku.append(wt * kern * u)
+        values.append(math.fsum(wku) / (2.0 * math.fsum(wk)))
     return SweepReport(
         kind="weyl_concentration",
-        params=params,
+        params={"m": m, "observable": "mean_cos_sq"},
         n_values=grid,
         values=tuple(values),
-        limit_value=limit,
-        std_errors=tuple(std_errors) if m >= 2 else None,
+        limit_value=c * c,
     )

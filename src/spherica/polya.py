@@ -27,7 +27,7 @@ import math
 from typing import Sequence
 
 from ._record import record
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, RangeError, ShapeError, ValidationError
 from .symfunc import Partition, _jacobi_trudi_det, newton_h_from_p
 
 _WEIGHT_TOL = 1e-12
@@ -159,13 +159,17 @@ def polya_eval(omega: OmegaParam, u: float) -> float:
 def p_tilde(omega: OmegaParam, m: int) -> float:
     """Image of the power sum p_m under the limit morphism:
 
-    p~_1 = gamma + sum alpha_j,  p~_m = sum alpha_j^m for m >= 2.
+    p~_1 = gamma + sum alpha_j,  p~_m = sum alpha_j^m for m >= 2.  RangeError
+    where p~_m leaves double range.
     """
     if m < 1:
         raise DomainError("p_tilde is indexed from m = 1")
-    if m == 1:
-        return omega.gamma + math.fsum(omega.alpha)
-    return math.fsum(a**m for a in omega.alpha)
+    try:
+        if m == 1:
+            return omega.gamma + math.fsum(omega.alpha)
+        return math.fsum(a**m for a in omega.alpha)
+    except OverflowError:
+        raise RangeError(f"p~_{m} exceeds double range") from None
 
 
 def sigma_moment(omega: OmegaParam, m: int) -> float:

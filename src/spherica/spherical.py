@@ -563,7 +563,9 @@ def _schur_fourier_series(
     before the first weight where the tail is below both the rounding term
     and rel_tol; past weight 240 it need only meet rel_tol, or
     ConvergenceError is raised with the partial sum.  A term, or its bound
-    v_w, beyond double range raises RangeError.
+    v_w, beyond double range raises RangeError.  With ``alternating`` the
+    sum is a spherical function, bounded by 1, so a value whose bound
+    excludes [-1, 1] raises ConvergenceError with the value and the bound.
 
     The error returned is the tail bound plus a rounding term: 4 eps times
     the absolute sum of the terms, plus each layer's absolute sum times the
@@ -661,6 +663,14 @@ def _schur_fourier_series(
             tail <= rounding * abs_sum or w > _WEIGHT_CAP
         ):
             err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
+            if alternating and abs(total) - err > 1.0:
+                # a spherical function is bounded by 1: the bound missed the
+                # Jacobi-Trudi cancellation
+                raise ConvergenceError(
+                    f"series value {total:.17g} +- {err:.3g} excludes [-1, 1]",
+                    partial=total,
+                    abs_error=err,
+                )
             return EvalResult(total, err, count, "series")
         if w > _WEIGHT_CAP:
             raise ConvergenceError(
@@ -744,8 +754,10 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     which covers the error each term takes from its log-factorial
     coefficient and its complete-h entries as well as the summation,
     though not the cancellation of a Jacobi-Trudi determinant of two or
-    more rows.  rel_tol <= 0 raises DomainError; a term beyond double range
-    raises RangeError.
+    more rows; where that cancellation leaves a value whose bound excludes
+    [-1, 1] (|phi| <= 1), ConvergenceError is raised with the value and the
+    bound attached.  rel_tol <= 0 raises DomainError; a term beyond double
+    range raises RangeError.
     """
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")
@@ -788,14 +800,18 @@ def heat_kernel(t: float, lam, theta) -> float:
     Requires finite t > 0.  Coincident entries take the "auto" route of
     orbital_integral at (lam/2t, theta): the Newton-basis determinant, which
     raises ConvergenceError where it does not certify.  The orbital overflow
-    guard applies to (lam/2t, theta).
+    guard applies to (lam/2t, theta), and an entry of lam/2t beyond double
+    range raises RangeError as well.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError("heat_kernel requires finite t > 0")
     lam, theta = _point_pair(lam, theta)
     n = lam.dimension
-    orbital = orbital_integral([v / (2.0 * t) for v in lam.values], theta)
+    scaled = [v / (2.0 * t) for v in lam.values]
+    if scaled[0] == math.inf:
+        raise RangeError("heat_kernel overflow: lam/2t exceeds double range")
+    orbital = orbital_integral(scaled, theta)
     norm2 = math.fsum(v * v for v in lam.values) + math.fsum(
         v * v for v in theta.values
     )
@@ -911,24 +927,6 @@ def weyl_c_n(n: int) -> float:
     return math.exp(log_c)
 
 
-def _weyl_density(m: int, n: int, theta):
-    """Unnormalized angular density at theta, m angles, or on each row of an
-    array of shape (batch, m)."""
-    import numpy as np
-
-    if isinstance(theta, np.ndarray):
-        sin, cols = np.sin, [theta[:, i] for i in range(m)]
-    else:
-        sin, cols = math.sin, [float(v) for v in theta]
-    acc = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc = acc * (sin(cols[i] + cols[j]) * sin(cols[i] - cols[j])) ** 2
-    for c in cols:
-        acc = acc * (sin(2.0 * c) * sin(c) ** (2 * (n - 2 * m)))
-    return abs(acc)
-
-
 def _weyl_cmn(m: int, n: int) -> float:
     """c_{m,n} = 1 / (2^m S_m(n-2m+1, 1, 1)), S_m the Selberg integral: with
     x_i = sin^2 t_i the density is 2^m prod x_i^{n-2m} prod_{i<j} (x_i-x_j)^2
@@ -962,4 +960,10 @@ def weyl_density_mn(m: int, n: int, theta: Sequence[float]) -> float:
     for v in th:
         if not (0.0 <= v <= math.pi):
             raise DomainError("theta entries must lie in [0, pi]")
-    return _weyl_cmn(m, n) * _weyl_density(m, n, th)
+    acc = 1.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            acc *= (math.sin(th[i] + th[j]) * math.sin(th[i] - th[j])) ** 2
+    for v in th:
+        acc *= math.sin(2.0 * v) * math.sin(v) ** (2 * (n - 2 * m))
+    return _weyl_cmn(m, n) * abs(acc)

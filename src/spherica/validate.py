@@ -398,16 +398,16 @@ def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
             f"values={[f'{v:.9e}' for v in rep3.values]}",
         )
     )
-    # Aomoto: E[mean cos^2] = m/n, sampled, within 6 standard errors
+    # Aomoto: E[mean cos^2] = m/n, on the same rule at every m
     for m in (2, 3):
-        rep = limits.weyl_concentration_sweep(m, (2 * m, 4 * m), n_samples=samples, seed=seed)
-        zs = [(v - m / n) / se for v, n, se in zip(rep.values, rep.n_values, rep.std_errors)]
+        rep = limits.weyl_concentration_sweep(m, (2 * m, 4 * m))
+        rels = [abs(v * n / m - 1.0) for v, n in zip(rep.values, rep.n_values)]
         out.append(
             CheckResult(
                 f"limits.angular_moment_law_m{m}",
-                all(abs(z) <= 6.0 for z in zs),
+                max(rels) <= 1e-13,
                 f"values={[f'{v:.9e}' for v in rep.values]}"
-                f" z={[f'{z:.3f}' for z in zs]}",
+                f" rel_errors={[f'{r:.3e}' for r in rels]}",
             )
         )
     return out

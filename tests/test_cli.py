@@ -229,6 +229,50 @@ def test_sweep_weyl_concentrates(capsys):
     assert values[1] < values[0]
 
 
+def test_sweep_weyl_two_angles_bytes_are_pinned(capsys):
+    # m/n to rounding, deterministic: no standard errors
+    code, out, err = run_cli(
+        capsys, ["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4,8,16,32"]
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"abs_errors": [0.5000000000000001, 0.2500000000000001,'
+        ' 0.12500000000000006, 0.06250000000000004], "kind": "weyl_concentration",'
+        ' "limit_value": 3.749399456654644e-33, "n_values": [4, 8, 16, 32],'
+        ' "params": {"m": 2, "observable": "mean_cos_sq"}, "std_errors": null,'
+        ' "values": [0.5000000000000001, 0.2500000000000001, 0.12500000000000006,'
+        ' 0.06250000000000004]}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "omega, m",
+    [
+        ({"alpha": [1e200], "gamma": 0}, "2"),
+        ({"alpha": [], "gamma": 1e300}, "2"),
+        ({"alpha": [1e308, 1e308], "gamma": 0}, "1"),
+    ],
+    ids=["alpha_squared", "gamma_spread", "alpha_sum"],
+)
+def test_powersum_sweep_overflow_is_a_range_error(capsys, tmp_path, omega, m):
+    # p~_m of the atoms, or the power sums of the spread Gaussian part, leave
+    # double range
+    path = write_json(tmp_path, "omega.json", omega)
+    argv = ["sweep", "--kind", "powersum", "--omega", path, "--m", m, "--n-list", "4,8"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "range"
+
+
+def test_series_value_outside_the_unit_bound_is_a_convergence_error(capsys):
+    # the Jacobi-Trudi cancellation leaves 2.854 +- 0.011, which no spherical
+    # value can be
+    argv = ["eval-spherical", "--path", "series", "--x", "4,4", "--xi", "7,1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "convergence"
+
+
 def test_validate_table_output(capsys):
     code, out, err = run_cli(capsys, ["validate", "--suite", "special"])
     assert code == 0 and err == ""
@@ -395,7 +439,8 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "8,4"], 2, "domain"),
         # below the estimators' 100-sample floor: refused, not quietly raised to 100
         (["validate", "--suite", "mc", "--samples", "20"], 2, "domain"),
-        (["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4", "--samples", "0"], 2, "domain"),
+        # the Weyl sweep's rule is exact up to m = 24
+        (["sweep", "--kind", "weyl", "--m", "25", "--n-list", "50"], 2, "domain"),
         # integer flags: an infinite value or a fraction is a usage error
         (["sweep", "--kind", "weyl", "--m", "inf", "--n-list", "4,8"], 1, "usage"),
         (["sweep", "--kind", "weyl", "--m", "1.7", "--n-list", "4,8"], 1, "usage"),
@@ -411,7 +456,7 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         "io",
         "sweep_domain",
         "validate_samples",
-        "weyl_samples",
+        "weyl_m_above_24",
         "m_inf",
         "m_fraction",
         "n_list_inf",
@@ -577,9 +622,11 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         ["sweep", "--kind", "powersum", "--omega", omega, "--m", "2", "--n-list", "8,16,32"],
         ["sweep", "--kind", "spherical", "--omega", omega, "--xi", "1.5", "--n-list", "8,64,512"],
         ["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,8,16"],
+        ["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4,8"],
         ["validate", "--suite", "special"],
         ["validate", "--suite", "symfunc"],
         ["validate", "--suite", "polya"],
+        ["validate", "--suite", "limits"],
     ]
     proc = python_subprocess(["-c", _NO_NUMPY_CHILD, json.dumps(commands)])
     assert proc.returncode == 0, proc.stderr.decode()

@@ -21,6 +21,7 @@ from spherica import (
     spherical_series,
     t_n_map,
     weyl_concentration_sweep,
+    weyl_density_mn,
 )
 from spherica.limits import _weyl_rule
 
@@ -203,6 +204,30 @@ def test_angular_sweep_default_observable_follows_the_law():
         assert value * n == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("m", range(1, 25))
+def test_angular_sweep_follows_aomoto_at_every_m(m):
+    # E[mean cos^2] = m/n at every m the 48-node rule integrates exactly
+    grid = sorted({2 * m, 2 * m + 1, 3 * m, 10 * m, 1000, 10**5, 10**8})
+    report = weyl_concentration_sweep(m, grid)
+    assert report.std_errors is None
+    assert report.params == {"m": m, "observable": "mean_cos_sq"}
+    for n, value in zip(report.n_values, report.values):
+        assert value * n / m == pytest.approx(1.0, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_two_angle_sweep_matches_the_mpmath_integral_of_the_density(n):
+    # the normalized density on [0, pi]^2, split where sin 2t changes sign
+    with mp.workdps(20):
+        f = lambda t1, t2: (mp.cos(t1) ** 2 + mp.cos(t2) ** 2) / 2 * weyl_density_mn(
+            2, n, (float(t1), float(t2))
+        )
+        cuts = [0, mp.pi / 2, mp.pi]
+        expected = float(mp.quad(f, cuts, cuts, method="gauss-legendre", maxdegree=4))
+    value = weyl_concentration_sweep(2, (n,)).values[0]
+    assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def _weyl_rule_eigh(n: int):
     # the rule from numpy's eigh on the full I - J matrix, nodes ascending
     b = 2.0 * n - 3.0
@@ -246,62 +271,17 @@ def _weyl_average_mp(f, n: int) -> float:
 
 @pytest.mark.parametrize("n", [2, 3, 10, 400])
 def test_angular_sweep_smooth_observable_matches_mpmath(n):
-    report = weyl_concentration_sweep(
-        1, (n,), observable=lambda th: float(np.exp(np.sin(3.0 * th[0])))
-    )
-    expected = _weyl_average_mp(lambda t: mp.exp(mp.sin(3 * t)), n)
+    # m = 1 against the density's own integral, not the law
+    report = weyl_concentration_sweep(1, (n,))
+    expected = _weyl_average_mp(lambda t: mp.cos(t) ** 2, n)
     assert report.values[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("m, grid", [(2, (4, 8, 16, 32)), (3, (6, 12, 24))])
-def test_angular_sweep_sampled_values_follow_aomoto(m, grid):
-    # E[mean cos^2] = m/n exactly; each sampled value within 4 standard errors
-    report = weyl_concentration_sweep(m, grid, n_samples=20_000, seed=0)
-    for n, value, se in zip(report.n_values, report.values, report.std_errors):
-        assert abs(value - m / n) <= 4.0 * se
-
-
-# values before the default observable moved to one call per block
-SAMPLED_WEYL_BITS = [
-    ((2, (4, 8, 16, 32), 20_000, 5, None),
-     (0.5005095384575894, 0.25097072193626235, 0.12442199951395946, 0.06201281421109058),
-     (0.0010001878918263372, 0.001090622769351488, 0.0009133476804285953,
-      0.0007129391708659135)),
-    ((3, (6, 7), 8193, 2, None),
-     (0.5017941124317516, 0.42525891266870897),
-     (0.0013404424588840606, 0.0015172973397694035)),
-    ((2, (4, 8), 3000, 0, lambda th: float(np.sum(np.sin(th)))),
-     (1.298459003209338, 1.717007403637547),
-     (0.004695391897084249, 0.003371698139870384)),
-]
-
-
-@pytest.mark.parametrize("args, values, std_errors", SAMPLED_WEYL_BITS,
-                         ids=["m2", "m3-two-blocks", "m2-custom"])
-def test_sampled_angular_sweep_bits_are_pinned(args, values, std_errors):
-    m, grid, n_samples, seed, observable = args
-    report = weyl_concentration_sweep(m, grid, observable, n_samples, seed)
-    assert report.values == values
-    assert report.std_errors == std_errors
-
-
-def test_angular_sweep_constant_observable_is_exact():
-    report = weyl_concentration_sweep(1, (10, 50), observable=lambda th: 1.0)
-    assert report.abs_errors == (0.0, 0.0)
-
-
-def test_angular_sweep_mean_angle_is_centered():
-    report = weyl_concentration_sweep(1, (10, 50), observable=lambda th: float(th[0]))
-    assert report.limit_value == math.pi / 2.0
-    assert max(report.abs_errors) <= 1e-10
-
-
 def test_angular_sweep_two_angles_concentrates():
-    report = weyl_concentration_sweep(2, (8, 24), n_samples=20_000, seed=0)
-    assert report.std_errors is not None
-    slack = 4.0 * (report.std_errors[0] + report.std_errors[1])
-    assert report.values[1] + slack < report.values[0]
-    again = weyl_concentration_sweep(2, (8, 24), n_samples=20_000, seed=0)
+    report = weyl_concentration_sweep(2, (8, 24))
+    assert report.std_errors is None
+    assert report.values[1] < report.values[0]
+    again = weyl_concentration_sweep(2, (8, 24))
     assert again.values == report.values
 
 
@@ -310,12 +290,9 @@ def test_angular_sweep_validates_inputs():
         weyl_concentration_sweep(0, (10,))
     with pytest.raises(DomainError):
         weyl_concentration_sweep(2, (3, 8))
-
-
-@pytest.mark.parametrize("n_samples", [0, 1, 99])
-def test_sampled_angular_sweep_refuses_fewer_than_100_samples(n_samples):
-    with pytest.raises(DomainError, match="need at least 100 samples"):
-        weyl_concentration_sweep(2, (4, 8), n_samples=n_samples)
+    # beyond m = 24 the rule is no longer exact
+    with pytest.raises(DomainError, match="1..24"):
+        weyl_concentration_sweep(25, (50, 100))
 
 
 def test_coefficient_rescaling_approaches_one():

@@ -287,6 +287,13 @@ def test_heat_kernel_input_validation():
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_heat_kernel_rescaled_point_beyond_double_range_is_a_range_error():
+    # lam / 2t overflows at t = 1e-310; at t = 1e-300 the orbital guard refuses
+    for t in (1e-310, 1e-300):
+        with pytest.raises(RangeError):
+            heat_kernel(t, (1.0,), (1.0,))
+
+
 def _separated_point(n):
     # entries in [0.1, 2] whose squares differ by at least 5% of the largest
     def ok(v):
@@ -750,6 +757,17 @@ def test_series_past_the_weight_cap_raises_at_two_rows():
         spherical_series((14.0, 14.0), (14.0, 13.0))
     assert math.isfinite(info.value.partial)
     assert math.isfinite(info.value.abs_error)
+
+
+def test_series_value_whose_bound_excludes_the_unit_interval_raises():
+    # |phi| <= 1, but the Jacobi-Trudi cancellation at these two rows leaves
+    # 2.854 +- 0.011 (the Newton route gives -0.00383 +- 0.00016)
+    for evaluate in (spherical_series, lambda x, xi: spherical_eval(x, xi, path="series")):
+        with pytest.raises(ConvergenceError, match=r"excludes \[-1, 1\]") as info:
+            evaluate((4.0, 4.0), (7.0, 1.0))
+        partial, abs_error = info.value.partial, info.value.abs_error
+        assert partial == pytest.approx(2.854, abs=1e-3)
+        assert 0.0 < abs_error < abs(partial) - 1.0
 
 
 def test_series_refuses_a_nonpositive_tolerance():
