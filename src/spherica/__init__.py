@@ -16,7 +16,7 @@ Layout:
 Only montecarlo needs numpy at import time, so it and its six names
 (McEstimate, RngStream, haar_unitary, mc_biinvariant_avg, mc_orbital_exp,
 mc_spherical) load on first use; the other modules import numpy inside
-the functions that build arrays.  Evaluations on the "auto" route, the
+the functions that build arrays.  Evaluations on every route, the
 rank-one and power-sum sweeps, the Weyl sweep at every m, phi_omega_matrix
 (through det(I + (a/4) X*X), without singular values) and the special,
 symfunc, polya and limits validate suites build none.

@@ -20,8 +20,10 @@ U(n) x U(n) orbit by one of three routes:
   by one rule: by Cauchy's identity a layer is at most a complete-h value
   of the products of the squared entries times its largest coefficient.
 
-Both determinants take their bound from one helper, _certified_det: the LU
-backward error and the entry errors, carried through a Hadamard bound.
+Both determinants end in one engine, _certified_det: full-pivot
+elimination (symfunc's _lu_full_pivot), a Hadamard bound on the LU
+backward error and the entry errors, and one composition with the route's
+prefactor into the EvalResult.
 "det" and "series" can be forced; "auto" takes "det" at separated points
 and the Newton-basis determinant elsewhere, which must certify 1e-10
 relative or raise ConvergenceError; it never sums the series.  The J0
@@ -45,10 +47,11 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-# bessel_j0, bessel_i0, hyper_f and complete_h_table go unused but stay:
-# perfbench/tracer.py patches them here by name
+# perfbench/tracer.py patches these names here: bessel_j0, bessel_i0, hyper_f
+# and complete_h_table go unused, and _certified_det reads _lu_full_pivot here
 from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
-from .symfunc import _h_stream, _jacobi_trudi_det, _partition_tuples, _runs, complete_h_table
+from .symfunc import _h_stream, _jacobi_trudi_det, _lu_full_pivot, _partition_tuples
+from .symfunc import _runs, complete_h_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,12 +95,8 @@ class EvalResult:
     """Value with provenance.
 
     abs_error   certified bound on |value - exact value|: for both
-                determinants the entry errors (kernel estimate and argument
-                rounding, or truncation and entry rounding) and the LU
-                backward error through _certified_det, composed with the
-                rounding of the pivot product (for "determinant" also of
-                the gaps and the prefactor); for the series its tail bound
-                plus rounding
+                determinants from _certified_det; for the series its tail
+                bound plus rounding
     terms_used  determinant: matrix order; newton: truncation order K of
                 the kernel expansion; series: partitions summed, up to the
                 weight where it stopped
@@ -148,49 +147,6 @@ def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
     return (x.values, xi.values) if x.values >= xi.values else (xi.values, x.values)
 
 
-def _lu_full_pivot(a: list[list[float]]):
-    """Elimination with full pivoting on a copy of ``a``.
-
-    Returns (sign, diagonal pivots, lu, rows): P a Q = L U, where row i of
-    P a Q is row rows[i] of ``a``, lu holds the multipliers of the unit
-    lower L below its diagonal and U on and above it, and sign is
-    det(P) det(Q).  A zero pivot stops the elimination; the block left
-    below it is zero.
-    """
-    n = len(a)
-    a = [row[:] for row in a]
-    rows = list(range(n))
-    sign = 1.0
-    diag = []
-    for k in range(n):
-        p, q, best = k, k, -1.0
-        for i in range(k, n):
-            for j in range(k, n):
-                v = abs(a[i][j])
-                if v > best:
-                    best, p, q = v, i, j
-        if best == 0.0:
-            diag.extend([0.0] * (n - k))
-            break
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        if q != k:
-            for row in a:
-                row[k], row[q] = row[q], row[k]
-            sign = -sign
-        piv = a[k][k]
-        diag.append(piv)
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            a[i][k] = f
-            if f != 0.0:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-    return sign, diag, a, rows
-
-
 def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]) -> float:
     """Product of numerators over denominators, interleaved to keep the
     running value near 1 in magnitude (all inputs positive)."""
@@ -207,11 +163,15 @@ def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]
     return acc
 
 
-def _certified_det(matrix: list[list[float]], entry_err: list[list[float]]):
-    """(sign, |pivots|, rel) for the determinant of the exact matrix that
-    ``matrix`` approximates within ``entry_err`` entrywise:
-    |det(exact) - sign prod|pivots|| <= rel prod|pivots|, rel = inf when a
-    pivot is zero or the bound leaves double range.
+def _certified_det(
+    matrix, entry_err, oscillatory: bool, terms: int, path: str,
+    num=(), den=(), carried=0.0, roundings=0,
+) -> EvalResult:
+    """The EvalResult of both kernel determinants: s det(M) prod(num) /
+    prod(den), s = (-1)^{n(n-1)/2} for J0 (``oscillatory``), else 1, where
+    ``matrix`` is the n x n M within ``entry_err`` entrywise and the
+    prefactor is off by ``carried`` relative error and ``roundings``
+    roundings of its own; ``terms`` and ``path`` are passed through.
 
     Full-pivot elimination gives L^U^ = P fl(M) Q + dM with
     |dM| <= gamma_n |L^||U^| (Higham, Accuracy and Stability, Thm 9.3), so
@@ -222,16 +182,28 @@ def _certified_det(matrix: list[list[float]], entry_err: list[list[float]]):
     term by Hadamard gives |det(U^ + Z) - det U^| <= prod(|U_r| + |z_r|) -
     prod|U_r|; full pivoting keeps |U_r| <= sqrt(n - r) |u_rr|, so the bound
     tracks the perturbation of each pivot rather than the conditioning of M.
-    rel is raised by a factor 1 + 1e-10 that covers the rounding of its own
-    arithmetic (nonnegative, O(n u) relative).
+    rel, the bound over prod|u_rr|, is raised by a factor 1 + 1e-10 that
+    covers the rounding of its own arithmetic (nonnegative, O(n u) relative).
+
+    The value, _balanced_product of the pivot magnitudes and ``num`` over
+    ``den``, takes m = n + ``roundings`` roundings, so with
+    rest = carried + gamma_m (log1p(r) <= r) abs_error is
+    |value| ((1 + rel) e^rest - 1) = |value| (rel e^rest + expm1(rest)),
+    raised by 1 + 1e-10 for its own rounding.  A zero pivot gives 0.0, a
+    value beyond double range nan, and either, or an infinite rel or
+    ``carried``, abs_error inf.
     """
     n = len(matrix)
-    sign, diag, lu, rows = _lu_full_pivot(matrix)
+    lu_sign, diag, lu, rows = _lu_full_pivot(matrix)
     mags = list(map(abs, diag))
     if not all(mags):
-        return sign, mags, math.inf
+        return EvalResult(0.0, math.inf, terms, path)
+    sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
     # a product keeps its sign through underflow and overflow
-    sign = math.copysign(1.0, sign * math.prod(diag))
+    sign *= math.copysign(1.0, lu_sign * math.prod(diag))
+    value = sign * _balanced_product(mags + list(num), den)
+    if not math.isfinite(value):
+        return EvalResult(math.nan, math.inf, terms, path)
     unit = _EPS / 2.0
     gamma_n = n * unit / (1.0 - n * unit)
     hypot = math.hypot
@@ -245,8 +217,13 @@ def _certified_det(matrix: list[list[float]], entry_err: list[list[float]]):
         growth += math.log1p(z_r / u_r)
         ratio *= u_r / m_r
     # expm1 raises OverflowError past about 709
-    rel = math.expm1(growth) * ratio if growth < 700.0 else math.inf
-    return sign, mags, rel * (1.0 + 1e-10)
+    rel = math.expm1(growth) * ratio * (1.0 + 1e-10) if growth < 700.0 else math.inf
+    if rel == math.inf or carried == math.inf:
+        return EvalResult(value, math.inf, terms, path)
+    m = n + roundings
+    rest = carried + m * unit / (1.0 - m * unit)
+    abs_error = abs(value) * (rel * math.exp(rest) + math.expm1(rest)) * (1.0 + 1e-10)
+    return EvalResult(value, abs_error, terms, path)
 
 
 def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalResult:
@@ -255,23 +232,21 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
 
     (delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)),
 
-    times (-1)^{n(n-1)/2} for J0.  terms_used is n.  abs_error is
-    |value| times the composition prod(1 + r) - 1 of these relative errors:
+    times (-1)^{n(n-1)/2} for J0, through _certified_det with these errors:
 
-    * the determinant, from _certified_det, with entry errors the kernel's
-      own estimate (hyper_f_with_error) plus the rounding of its argument:
-      fl(a_i b_j) and its square move x = a_i b_j by at most eps x, and
-      |J0'| <= 1, I0' <= I0, so the entry moves by eps x (J0) or
-      eps x (value + estimate) (I0);
-    * each gap g = fl(s_i - s_j) of the computed squares s: s_i - s_j is
-      within E = eps (s_i + s_j) of the exact gap (a factor 2 to spare) and
-      g within u g of s_i - s_j, so g is within E / (g - E) + u of the exact
+    * the entries: the kernel's own estimate (hyper_f_with_error) plus the
+      rounding of its argument: fl(a_i b_j) and its square move
+      x = a_i b_j by at most eps x, and |J0'| <= 1, I0' <= I0, so the
+      entry moves by eps x (J0) or eps x (value + estimate) (I0);
+    * carried, the sum of the relative errors of the gaps: each gap
+      g = fl(s_i - s_j) of the computed squares s: s_i - s_j is within
+      E = eps (s_i + s_j) of the exact gap (a factor 2 to spare) and g
+      within u g of s_i - s_j, so g is within E / (g - E) + u of the exact
       gap, relative;
-    * the balanced product: gamma_m for its m roundings, counting the
-      factorials beyond 22!, which are rounded to double.
+    * roundings: the prefactor's factors and quotients, and the factorials
+      beyond 22!, which are rounded to double.
 
-    A zero pivot gives abs_error inf.  The total is raised by a factor
-    1 + 1e-10 for the rounding of the bound's own arithmetic.
+    terms_used is n.
     """
     a, b = _canonical_order(x, xi)
     n = len(a)
@@ -286,7 +261,6 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
             big = _EPS * (si + sj) + 1e-323
             den.append(g)
             gap_err += big / (g - big) if g > 1e6 * big else math.inf
-    sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
     # the call bessel_j0 / bessel_i0 make, with its error estimate
     z_sign = -1.0 if oscillatory else 1.0
     matrix, entry_err = [], []
@@ -299,19 +273,10 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
             err_row.append(e + _EPS * p * (1.0 if oscillatory else v + e))
         matrix.append(row)
         entry_err.append(err_row)
-    lu_sign, mags, rel = _certified_det(matrix, entry_err)
-    value = 0.0
-    if all(mags):
-        value = sign * lu_sign * _balanced_product(mags + num, den)
-    if rel == math.inf or gap_err == math.inf:
-        return EvalResult(value, math.inf, n, "determinant")
-    unit = _EPS / 2.0
-    roundings = len(mags) + len(num) + 2 * len(den) + 2 * max(0, n - 23)
-    # log1p(r) <= r for the gap terms, gamma_m >= the sum of the u terms, and
-    # (1 + rel) e^rest - 1 = rel e^rest + expm1(rest)
-    rest = gap_err + roundings * unit / (1.0 - roundings * unit)
-    abs_error = abs(value) * (rel * math.exp(rest) + math.expm1(rest)) * (1.0 + 1e-10)
-    return EvalResult(value, abs_error, n, "determinant")
+    roundings = len(num) + 2 * len(den) + 2 * max(0, n - 23)
+    return _certified_det(
+        matrix, entry_err, oscillatory, n, "determinant", num, den, gap_err, roundings
+    )
 
 
 def spherical_det(x, xi) -> EvalResult:
@@ -397,13 +362,9 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
       are summed from k = K down (for J0 even and odd k apart, then
       subtracted), so term k passes through at most k+2 additions: the
       entry is within u sum_k (9k+3)|t_k| (1 + O(Ku)).
-    * LU and Hadamard: _certified_det, with the two items above as the
-      entry errors; the product of the pivots is rounded within
-      gamma_n |value|.
-
-    The sum of the parts is raised by a factor 1 + 1e-10 that covers the
-    rounding of its own arithmetic and the O(Ku) factors above.  terms_used
-    is K.
+    * LU, pivot product and composition: _certified_det, with the two
+      items above as the entry errors and no prefactor; its factor
+      1 + 1e-10 also covers the O(Ku) factors above.  terms_used is K.
     """
     a, b = _canonical_order(x, xi)
     n = len(a)
@@ -452,19 +413,7 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
         entry_err.append(err_row)
     if not all(math.isfinite(v) for row in matrix for v in row):
         return EvalResult(math.nan, math.inf, K, "newton")
-
-    lu_sign, mags, rel = _certified_det(matrix, entry_err)
-    if oscillatory and (n * (n - 1) // 2) % 2:
-        lu_sign = -lu_sign
-    value = lu_sign * math.prod(mags)
-    if not math.isfinite(value):
-        return EvalResult(math.nan, math.inf, K, "newton")
-    if not math.isfinite(rel):
-        return EvalResult(value, math.inf, K, "newton")
-    # value is prod|pivots| rounded within gamma_n
-    gamma_n = n * unit / (1.0 - n * unit)
-    abs_error = abs(value) * (rel + gamma_n) * (1.0 + 1e-10)
-    return EvalResult(value, abs_error, K, "newton")
+    return _certified_det(matrix, entry_err, oscillatory, K, "newton")
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +513,9 @@ def _schur_fourier_series(
     and rel_tol; past weight 240 it need only meet rel_tol, or
     ConvergenceError is raised with the partial sum.  A term, or its bound
     v_w, beyond double range raises RangeError.  With ``alternating`` the
-    sum is a spherical function, bounded by 1, so a value whose bound
-    excludes [-1, 1] raises ConvergenceError with the value and the bound.
+    sum is a spherical function, bounded by 1, so a bound of 1 or more, or
+    one that excludes [-1, 1], raises ConvergenceError with the value and
+    the bound.
 
     The error returned is the tail bound plus a rounding term: 4 eps times
     the absolute sum of the terms, plus each layer's absolute sum times the
@@ -663,11 +613,12 @@ def _schur_fourier_series(
             tail <= rounding * abs_sum or w > _WEIGHT_CAP
         ):
             err = tail + rounding * abs_sum + coef_sum * (1.0 + 1e-10)
-            if alternating and abs(total) - err > 1.0:
-                # a spherical function is bounded by 1: the bound missed the
-                # Jacobi-Trudi cancellation
+            if alternating and (err >= 1.0 or abs(total) - err > 1.0):
+                # a spherical function is bounded by 1, so such a bound
+                # certifies nothing: it missed the Jacobi-Trudi cancellation
                 raise ConvergenceError(
-                    f"series value {total:.17g} +- {err:.3g} excludes [-1, 1]",
+                    f"series value {total:.17g} +- {err:.3g}: the bound is at least 1"
+                    " or excludes [-1, 1]",
                     partial=total,
                     abs_error=err,
                 )
@@ -749,15 +700,15 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     coefficient times h_w of the products x_i^2 xi_j^2 / 4), and it stops
     at the first weight where that tail is below both the rounding term
     and rel_tol; past weight 240 it raises ConvergenceError with the
-    partial sum attached unless the tail meets rel_tol.  Up to three rows
-    it loads no numpy.  abs_error is the tail bound plus the rounding term,
-    which covers the error each term takes from its log-factorial
-    coefficient and its complete-h entries as well as the summation,
-    though not the cancellation of a Jacobi-Trudi determinant of two or
-    more rows; where that cancellation leaves a value whose bound excludes
-    [-1, 1] (|phi| <= 1), ConvergenceError is raised with the value and the
-    bound attached.  rel_tol <= 0 raises DomainError; a term beyond double
-    range raises RangeError.
+    partial sum attached unless the tail meets rel_tol.  It loads no
+    numpy.  abs_error is the tail bound plus the rounding term, which
+    covers the error each term takes from its log-factorial coefficient
+    and its complete-h entries as well as the summation, though not the
+    cancellation of a Jacobi-Trudi determinant of two or more rows; where
+    that cancellation leaves a bound of 1 or more, or one that excludes
+    [-1, 1] (|phi| <= 1), ConvergenceError is raised with the value and
+    the bound attached.  rel_tol <= 0 raises DomainError; a term beyond
+    double range raises RangeError.
     """
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")
@@ -797,25 +748,28 @@ def heat_kernel(t: float, lam, theta) -> float:
                       = e^{-(|lam|^2+|theta|^2)/4t} * I(lam/2t, theta)
                         / (n! (2t)^n (4t)^{n(n-1)} (prod_{j<n} j!)^2).
 
-    Requires finite t > 0.  Coincident entries take the "auto" route of
-    orbital_integral at (lam/2t, theta): the Newton-basis determinant, which
-    raises ConvergenceError where it does not certify.  The orbital overflow
-    guard applies to (lam/2t, theta), and an entry of lam/2t beyond double
-    range raises RangeError as well.
+    Requires finite t > 0.  At theta = 0 the orbital integral is exactly 1
+    and lam/2t is not formed.  Otherwise coincident entries take the "auto"
+    route of orbital_integral at (lam/2t, theta): the Newton-basis
+    determinant, which raises ConvergenceError where it does not certify.
+    The orbital overflow guard applies to (lam/2t, theta), and an entry of
+    lam/2t beyond double range raises RangeError as well.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError("heat_kernel requires finite t > 0")
     lam, theta = _point_pair(lam, theta)
     n = lam.dimension
-    scaled = [v / (2.0 * t) for v in lam.values]
-    if scaled[0] == math.inf:
-        raise RangeError("heat_kernel overflow: lam/2t exceeds double range")
-    orbital = orbital_integral(scaled, theta)
+    orbital = 1.0
+    if theta.values[0]:
+        scaled = [v / (2.0 * t) for v in lam.values]
+        if scaled[0] == math.inf:
+            raise RangeError("heat_kernel overflow: lam/2t exceeds double range")
+        orbital = orbital_integral(scaled, theta).value
     norm2 = math.fsum(v * v for v in lam.values) + math.fsum(
         v * v for v in theta.values
     )
-    num = [orbital.value, math.exp(-norm2 / (4.0 * t))]
+    num = [orbital, math.exp(-norm2 / (4.0 * t))]
     # a running quotient: (4t)^{n(n-1)} alone can leave double range
     den = [float(math.factorial(n))] + [2.0 * t] * n + [4.0 * t] * (n * (n - 1))
     den += [float(math.factorial(j)) for j in range(n)] * 2

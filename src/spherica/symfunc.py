@@ -168,6 +168,49 @@ def newton_h_from_p(p: Sequence[float]) -> list[float]:
     return h
 
 
+def _lu_full_pivot(a: list[list[float]]):
+    """Elimination with full pivoting on a copy of ``a``.
+
+    Returns (sign, diagonal pivots, lu, rows): P a Q = L U, where row i of
+    P a Q is row rows[i] of ``a``, lu holds the multipliers of the unit
+    lower L below its diagonal and U on and above it, and sign is
+    det(P) det(Q).  A zero pivot stops the elimination; the block left
+    below it is zero.
+    """
+    n = len(a)
+    a = [row[:] for row in a]
+    rows = list(range(n))
+    sign = 1.0
+    diag = []
+    for k in range(n):
+        p, q, best = k, k, -1.0
+        for i in range(k, n):
+            for j in range(k, n):
+                v = abs(a[i][j])
+                if v > best:
+                    best, p, q = v, i, j
+        if best == 0.0:
+            diag.extend([0.0] * (n - k))
+            break
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        if q != k:
+            for row in a:
+                row[k], row[q] = row[q], row[k]
+            sign = -sign
+        piv = a[k][k]
+        diag.append(piv)
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            a[i][k] = f
+            if f != 0.0:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+    return sign, diag, a, rows
+
+
 def _jacobi_trudi_det(parts: tuple[int, ...], h: Sequence[float]) -> float:
     """det(h_{m_i - i + j})_{1<=i,j<=l} with h_k = 0 for k < 0.
 
@@ -175,7 +218,7 @@ def _jacobi_trudi_det(parts: tuple[int, ...], h: Sequence[float]) -> float:
     can be negative in the closed forms for l <= 3 is c - 2 of the last row
     when c = 1; it reads an explicit 0.0.  The closed forms multiply the same
     entries in the same order as a cofactor expansion along the first row.
-    Beyond three rows, LU with partial pivoting (numpy).
+    Beyond three rows, the signed pivot product of _lu_full_pivot.
     """
     l = len(parts)
     if l == 0:
@@ -195,10 +238,9 @@ def _jacobi_trudi_det(parts: tuple[int, ...], h: Sequence[float]) -> float:
             - h01 * (h10 * h22 - h12 * h20)
             + h02 * (h10 * h21 - h11 * h20)
         )
-    import numpy as np
-
     rows = [[h[k] if k >= 0 else 0.0 for k in range(p - i, p - i + l)] for i, p in enumerate(parts)]
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    sign, diag, _, _ = _lu_full_pivot(rows)
+    return sign * math.prod(diag)
 
 
 def schur(m: Partition | Sequence[int], x: Sequence[float]) -> float:

@@ -61,6 +61,15 @@ def test_eval_spherical_degenerate_determinant_exits_two(capsys):
     assert msg["error"] == "degeneracy"
 
 
+def test_eval_spherical_series_without_a_useful_bound_exits_two(capsys):
+    # the series gives -0.785 +- 2272 here, which certifies nothing for |phi| <= 1
+    code, out, err = run_cli(
+        capsys, ["eval-spherical", "--path", "series", "--x", "5,5", "--xi", "5,4"]
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "convergence"
+
+
 def test_eval_spherical_zero_argument(capsys):
     code, out, _ = run_cli(capsys, ["eval-spherical", "--x", "0,0", "--xi", "3,4"])
     assert code == 0
@@ -613,9 +622,10 @@ def test_scalar_commands_load_no_numpy(python_subprocess, tmp_path):
         ["eval-spherical", "--x", "1,1", "--xi", "0.5,1.5"],
         ["orbital", "--lam", "1,0.5", "--theta", "2,0.3"],
         ["orbital", "--lam", "1,1", "--theta", "0.5,1.5"],
-        # the Schur series at two and three rows
+        # the Schur series at two, three and four rows
         ["eval-spherical", "--path", "series", "--x", "1,1", "--xi", "0.5,1.5"],
         ["orbital", "--path", "series", "--lam", "1,1,1", "--theta", "0.5,0.3,0.3"],
+        ["eval-spherical", "--path", "series", "--x", "1,1,1,1", "--xi", "0.5,0.4,0.3,0.2"],
         ["heat-kernel", "--t", "0.5", "--lam", "1,0.5", "--theta", "1,0.2"],
         ["eval-polya", "--omega", omega, "--lam", "1,2"],
         ["eval-mixture", "--mixture", mix, "--lam", "1,0.5"],

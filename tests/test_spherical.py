@@ -294,6 +294,29 @@ def test_heat_kernel_rescaled_point_beyond_double_range_is_a_range_error():
             heat_kernel(t, (1.0,), (1.0,))
 
 
+# heat_kernel(1.5, (0.25, 0.5, ..., n/4), 0) for n = 1..8, as the orbital
+# route gave them (its factor is exactly 1.0 at these points)
+HEAT_AT_ZERO_THETA = [
+    0.32987913297166555,
+    0.001464891604012616,
+    2.858794118124368e-08,
+    1.2006300726957118e-15,
+    6.376582019777103e-26,
+    2.7962758922274977e-39,
+    7.082875116372341e-56,
+    7.611848045180538e-76,
+]
+
+
+def test_heat_kernel_at_zero_theta_takes_the_orbital_factor_as_one():
+    # the value underflows at both t, although lam / 2t overflows at 1e-310
+    for t in (1e-300, 1e-310):
+        assert heat_kernel(t, (1.0,), (0.0,)) == 0.0
+    for n, expected in enumerate(HEAT_AT_ZERO_THETA, 1):
+        lam = tuple(0.25 * (k + 1) for k in range(n))
+        assert heat_kernel(1.5, lam, (0.0,) * n) == expected
+
+
 def _separated_point(n):
     # entries in [0.1, 2] whose squares differ by at least 5% of the largest
     def ok(v):
@@ -637,11 +660,13 @@ def test_determinant_route_bits_are_pinned(evaluate, x, xi, value, abs_error):
 
 
 def test_certified_determinant_bound_beyond_double_range_is_infinite():
-    # entry errors far above the pivots: the bound leaves double range
-    sign, mags, rel = spherical_module._certified_det(
-        [[-1e-200, 0.0], [0.0, 1e-200]], [[1e100, 1e100], [1e100, 1e100]]
+    # entry errors far above the pivots: the bound leaves double range, and
+    # the value, -1e-400, keeps its sign through underflow
+    r = spherical_module._certified_det(
+        [[-1e-200, 0.0], [0.0, 1e-200]], [[1e100, 1e100], [1e100, 1e100]], False, 2, "newton"
     )
-    assert (sign, mags, rel) == (-1.0, [1e-200, 1e-200], math.inf)
+    assert (r.value, r.abs_error, r.terms_used, r.path) == (0.0, math.inf, 2, "newton")
+    assert math.copysign(1.0, r.value) == -1.0
 
 
 def _separated_points(seed):
@@ -768,6 +793,17 @@ def test_series_value_whose_bound_excludes_the_unit_interval_raises():
         partial, abs_error = info.value.partial, info.value.abs_error
         assert partial == pytest.approx(2.854, abs=1e-3)
         assert 0.0 < abs_error < abs(partial) - 1.0
+
+
+def test_series_bound_of_one_or_more_raises():
+    # |phi| <= 1, so these bounds certify nothing: the series gives
+    # -0.785 +- 2272 and 4.3e63 +- 1.3e66 (the Newton route at the first
+    # point: -0.0058 +- 1.4e-5)
+    for x, xi in (((5.0, 5.0), (5.0, 4.0)), ((10.0, 10.0), (10.0, 9.0))):
+        with pytest.raises(ConvergenceError, match="at least 1") as info:
+            spherical_series(x, xi)
+        assert math.isfinite(info.value.partial)
+        assert 1.0 <= info.value.abs_error < math.inf
 
 
 def test_series_refuses_a_nonpositive_tolerance():

@@ -214,10 +214,12 @@ def test_partition_order_matches_sorted_reference():
 @pytest.mark.parametrize(
     "parts",
     [(1,), (4,), (1, 1), (3, 1), (2, 2), (5, 3)]
-    + [(1, 1, 1), (3, 2, 1), (2, 2, 2), (4, 3, 2), (6, 1, 1)],
+    + [(1, 1, 1), (3, 2, 1), (2, 2, 2), (4, 3, 2), (6, 1, 1)]
+    + [(1, 1, 1, 1), (3, 2, 2, 1), (4, 4, 1, 1), (2, 2, 2, 2, 2), (5, 3, 2, 1, 1)],
 )
 def test_jacobi_trudi_closed_forms_match_numpy_det(parts):
-    # b = 1 reads h_0 and c = 1 reads h_{-1} = 0 in the last row
+    # b = 1 reads h_0 and c = 1 reads h_{-1} = 0 in the last row; four and
+    # five rows take the full-pivot elimination
     rng = np.random.default_rng(sum(parts) + 10 * len(parts))
     l = len(parts)
     for _ in range(20):
