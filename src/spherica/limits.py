@@ -83,14 +83,18 @@ def _check_grid(n_values: Sequence[int], minimum: int) -> tuple[int, ...]:
 
 def t_n_map(lam, n: int | None = None) -> OmegaParam:
     """Scaling map at size n: lam -> omega with alpha_j = (lam_j / n)^2 and
-    no Gaussian part."""
+    no Gaussian part; RangeError where an alpha_j leaves double range."""
     point = lam if isinstance(lam, DiagonalPoint) else DiagonalPoint(lam)
     size = point.dimension if n is None else int(n)
     if size != point.dimension:
         raise ShapeError(f"lam has {point.dimension} entries, expected {size}")
     if size == 0:
         raise DomainError("empty parameter vector")
-    return OmegaParam([(v / size) ** 2 for v in point.values], 0.0)
+    try:
+        alpha = [(v / size) ** 2 for v in point.values]
+    except OverflowError:
+        raise RangeError("t_n_map: (lam_j / n)^2 exceeds double range") from None
+    return OmegaParam(alpha, 0.0)
 
 
 def _min_size(omega: OmegaParam) -> int:

@@ -1,20 +1,43 @@
-"""Power-series primitives.
+"""Kernel scalars: J0, I0 and F(z) = sum_k z^k/(k!)^2 = J0 or I0 at 2 sqrt|z|.
 
-Everything in this package ultimately reduces to the entire function
+Both kernels are K(x) = (1/pi) int_0^pi f(x cos t) dt with f = cos (J0) or
+cosh (I0) (DLMF 10.9.1, 10.32.1), evaluated by one sum: the 2N-point
+trapezoidal rule on [0, 2 pi), folded by t -> 2 pi - t and t -> pi - t (f is
+even), with c_k = cos(pi k / N):
 
-    F(z) = sum_{k>=0} z^k / (k!)^2
+    K_N(x) = (f(x) + 2 sum_{k=1}^{floor((N-1)/2)} f(x c_k) + [N even]) / N.
 
-evaluated by its Taylor series with a certified truncation error.  The two
-classical Bessel functions of order zero are thin wrappers:
+Alias (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): by Jacobi-Anger
+f(x cos t) = K(x) + 2 sum_{m>=1} s_m K_{2m}(x) cos(2mt), s_m = (-1)^m for J0
+and 1 for I0, and the rule averages cos(2mt) to 1 where N divides m and to 0
+elsewhere, so K_N = K + 2 sum_{j>=1} s_{Nj} K_{2Nj}.  With b = (x/2)^{2N}/(2N)!,
+|J_nu(x)| <= (x/2)^nu/nu! (DLMF 10.14.4), I_nu(x) <= (x/2)^nu/nu! I0(x) (term
+by term in DLMF 10.25.2) and (2Nj)! >= ((2N)!)^j, the alias is at most
+2b/(1 - b), absolute for J0 and relative to I0 <= K_N for I0.  N is the least
+order with b <= 2^-61; the bound claims 2^-59, which also covers the
+rounding of that test.
 
-    J0(x) = F(-x^2/4)        I0(x) = F(+x^2/4)
+Rounding, u = 2^-53, assuming math.cos and math.sin within 1 ulp and
+math.cosh within 2 (k ulp of v is at most 2ku|v|):
+* nodes: c_k is cos(pi k/N) where k/N <= 1/4, else sin(pi (N - 2k)/(2N)),
+  an angle of at most pi/4 within 2.4u relative after three roundings, which
+  moves c_k by at most 2.4u (pi/4) sin(pi/4) < 1.4u; the function adds 2u and
+  the product fl(x c_k) u x, so every argument is within 4.4u x of x c_k.
+  |cos'| <= 1 and |cosh'| <= cosh: a node value moves by at most 4.4u x,
+  absolutely for J0, relative to itself (times 1 + 1e-12) for I0;
+* node values: 2u absolute for J0 (|cos| <= 1), 4u relative for I0;
+* the sum: math.fsum of the interior values, the two additions and the
+  division are four roundings, each at most u sum_k w_k |f_k| / N, which is
+  at most 1 for J0 and at most the value (positive terms) for I0.
+An argument r roundings from the exact one moves the kernel by r u x more
+(|J0'| = |J1| <= 1, I0' = I1 <= I0).  So the estimate is
 
-Terms are generated by the stable ratio recurrence t_{k+1} = t_k * z/(k+1)^2
-and accumulated with compensated (Kahan) summation, in one loop per sign of z.
-For z >= 0 the terms are positive and eventually strictly decreasing: the sum
-stops at the first small term and closes the tail geometrically.  For z < 0
-the series is alternating in the tail: the sum stops after two small terms in
-a row and the first omitted term bounds the error.
+    2^-59 + ((5 + r) x + 10) u,
+
+absolute for J0 and times the value for I0; the spare 0.6u x and 2u cover
+the second-order terms.  Arguments are limited to x <= 700, where I0 is
+about 1.5e302: beyond, I0 raises RangeError and J0, whose node table ends
+there, ConvergenceError.
 """
 
 from __future__ import annotations
@@ -23,120 +46,85 @@ import math
 
 from .errors import ConvergenceError, DomainError, RangeError
 
-# I0 grows like e^x; beyond this the partial sums leave double range.
-_I0_ARG_MAX = 700.0
-# relative tolerance of the stopping rule, and the cap on series terms
-_REL_TOL = 1e-15
-_MAX_TERMS = 200
-# k^2 as floats, k = 0.._MAX_TERMS + 2 (exact, so z / k^2 keeps its bits)
-_SQUARES = tuple(float(k * k) for k in range(_MAX_TERMS + 3))
+_UNIT = 2.0**-53
+# largest kernel argument: I0 stays in double range, J0's node table ends
+_ARG_MAX = 700.0
+# the order test, b <= 2^-61, and the alias it certifies
+_LOG_ALIAS = -61.0 * math.log(2.0)
+_ALIAS = 2.0**-59
+# order N -> (the largest x it serves, its nodes cos(pi k / N) for
+# k = 1 .. floor((N - 1)/2)): the only state
+_RULES: dict[int, tuple[float, tuple[float, ...]]] = {}
+
+
+def _rule(n: int) -> tuple[float, tuple[float, ...]]:
+    """The order-n entry of _RULES, built on first use.  b <= 2^-61 is
+    x <= x_n = 2 exp((lgamma(2n + 1) - 61 log 2) / (2n)); the computed x_n
+    is within about 1e-14 of it, which moves b by a factor below 1 + 1e-11."""
+    rule = _RULES.get(n)
+    if rule is None:
+        x_max = 2.0 * math.exp((math.lgamma(2 * n + 1) + _LOG_ALIAS) / (2 * n))
+        nodes = tuple(
+            math.cos(math.pi * k / n) if 4 * k <= n else math.sin(math.pi * (n - 2 * k) / (2 * n))
+            for k in range(1, (n + 1) // 2)
+        )
+        rule = _RULES[n] = (x_max, nodes)
+    return rule
+
+
+def _kernel(x: float, oscillatory: bool, roundings: int = 0) -> tuple[float, float, int]:
+    """(value, error estimate, order N) of J0(x) (``oscillatory``) or I0(x)
+    at x >= 0, where x is ``roundings`` roundings from the exact argument;
+    the rule and its bound are derived in the module docstring.
+
+    N is the least order whose x_N (see _rule) is at least x.  The walk
+    starts from the fit 39.5 / log1p(58 / x) - 1, which rises with x at the
+    slope e/4 of the least order; it never starts above the least order
+    (tests check both ends of every order's range) and, on a dense grid
+    over (0, 700], at most one below it.
+    """
+    if not x <= _ARG_MAX:
+        if not math.isfinite(x):
+            raise DomainError("kernel argument must be finite")
+        if oscillatory:
+            raise ConvergenceError(f"J0 beyond its node table: |x| > {_ARG_MAX:g}")
+        raise RangeError(f"I0 overflow guard: |x| > {_ARG_MAX:g}")
+    n = max(1, int(39.5 / math.log1p(58.0 / x) - 1.0)) if x else 1
+    x_max, nodes = _rule(n)
+    while x > x_max:
+        n += 1
+        x_max, nodes = _rule(n)
+    f = math.cos if oscillatory else math.cosh
+    value = (f(x) + 2.0 * math.fsum(map(f, map(x.__mul__, nodes))) + (n + 1) % 2) / n
+    rel = _ALIAS + ((5 + roundings) * x + 10.0) * _UNIT
+    return value, rel if oscillatory else rel * value, n
 
 
 def hyper_f(z: float) -> float:
-    """Evaluate F(z) = sum_k z^k/(k!)^2; the value of hyper_f_with_error.
-
-    Raises DomainError for non-finite input, RangeError if the partial sums
-    overflow, and ConvergenceError (carrying the partial sum) if the 200-term
-    cap is reached first.
-    """
+    """F(z) = sum_k z^k/(k!)^2; the value of hyper_f_with_error."""
     return hyper_f_with_error(z)[0]
 
 
 def hyper_f_with_error(z: float) -> tuple[float, float, int]:
-    """(value, error_estimate, terms_used) for F(z) = sum_k z^k/(k!)^2.
-
-    Stopping rule: for z >= 0 the terms are positive, and the sum stops at
-    the first term below 1e-15 * partial sum that the next term does not
-    exceed and after which the term ratio z/(k+2)^2 is below one; the tail is
-    then bounded by a geometric series.  For z < 0 (alternating tail) two
-    consecutive terms below 1e-15 * |partial sum| are required; the
-    truncation error is then at most the first omitted term.  The estimate
-    is that truncation bound plus a rounding term, which scales with
-    sum_k |t_k|: for z < 0 that sum exceeds |F(z)| by the cancellation.
-    """
+    """(value, error estimate, order N) for F(z): the kernel at x = 2 sqrt|z|,
+    J0 for z < 0 and I0 otherwise, its estimate counting the square root's
+    rounding.  Non-finite z raises DomainError, z > 122500 (x > 700)
+    RangeError and z < -122500 ConvergenceError."""
     z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("hyper_f requires finite z")
-
-    total = 1.0  # k = 0 term
-    comp = 0.0  # Kahan compensation
-    term = 1.0
-    truncation = None
-    squares = _SQUARES
-    # Once the partial sum is inf or nan the Kahan update keeps it so; it is
-    # checked once, after the loop.
-    if z >= 0.0:
-        for k in range(1, _MAX_TERMS + 1):
-            term *= z / squares[k]
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if term <= _REL_TOL * total:  # total > 0: no abs needed
-                next_mag = term * z / squares[k + 1]
-                ratio = z / squares[k + 2]
-                if next_mag <= term and ratio < 1.0:
-                    truncation = next_mag / (1.0 - ratio)
-                    break
-        abs_sum = total  # positive terms: sum |t_k| is the sum itself
-    else:
-        abs_sum = 1.0  # sum of |t_k|
-        mag_z = -z
-        small_streak = 0
-        for k in range(1, _MAX_TERMS + 1):
-            term *= z / squares[k]
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            mag = abs(term)
-            abs_sum += mag
-            if mag <= _REL_TOL * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
-                    next_mag = mag * mag_z / squares[k + 1]
-                    if next_mag <= mag:
-                        truncation = next_mag
-                        break
-            else:
-                small_streak = 0
-    if not math.isfinite(total):
-        raise RangeError("hyper_f partial sums overflowed double range")
-    if truncation is None:
-        raise ConvergenceError(
-            f"hyper_f did not converge within {_MAX_TERMS} terms",
-            partial=total,
-        )
-    rounding = 2.0 * k * 1.11e-16 * abs_sum
-    return total, truncation + rounding, k + 1
+    return _kernel(2.0 * math.sqrt(abs(z)), z < 0.0, 1)
 
 
 def bessel_j0(x: float) -> float:
-    """J0(x) via the shared series: J0(x) = F(-x^2/4).
-
-    Works on x*x, so J0(-x) == J0(x) bit for bit.
-    """
+    """J0(x), even in x bit for bit; the value of bessel_j0_with_error."""
     return bessel_j0_with_error(x)[0]
 
 
 def bessel_i0(x: float) -> float:
-    """I0(x) via the shared series: I0(x) = F(+x^2/4).
-
-    Even in x bit for bit.  Arguments with |x| > 700 are refused (RangeError):
-    I0 grows like e^|x| and would overflow.  The 200-term cap of the series
-    is reached first: |x| above about 262.3 raises ConvergenceError.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("bessel_i0 requires finite x")
-    if abs(x) > _I0_ARG_MAX:
-        raise RangeError(f"bessel_i0 overflow guard: |x| > {_I0_ARG_MAX:g}")
-    return hyper_f_with_error((x * x) / 4.0)[0]
+    """I0(x), even in x bit for bit; |x| > 700 raises RangeError."""
+    return _kernel(abs(float(x)), False)[0]
 
 
 def bessel_j0_with_error(x: float) -> tuple[float, float, int]:
-    """(value, error estimate, terms used) for J0."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("bessel_j0 requires finite x")
-    return hyper_f_with_error(-(x * x) / 4.0)
+    """(value, absolute error estimate, order N) for J0; |x| > 700 raises
+    ConvergenceError."""
+    return _kernel(abs(float(x)), True)

@@ -49,7 +49,7 @@ from .errors import (
 )
 # perfbench/tracer.py patches these names here: bessel_j0, bessel_i0, hyper_f
 # and complete_h_table go unused, and _certified_det reads _lu_full_pivot here
-from .series import bessel_i0, bessel_j0, hyper_f, hyper_f_with_error
+from .series import _kernel, bessel_i0, bessel_j0, hyper_f
 from .symfunc import _h_stream, _jacobi_trudi_det, _lu_full_pivot, _partition_tuples
 from .symfunc import _runs, complete_h_table
 
@@ -234,10 +234,8 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
 
     times (-1)^{n(n-1)/2} for J0, through _certified_det with these errors:
 
-    * the entries: the kernel's own estimate (hyper_f_with_error) plus the
-      rounding of its argument: fl(a_i b_j) and its square move
-      x = a_i b_j by at most eps x, and |J0'| <= 1, I0' <= I0, so the
-      entry moves by eps x (J0) or eps x (value + estimate) (I0);
+    * the entries: the kernel's own estimate (series._kernel), which
+      counts the one rounding of its argument fl(a_i b_j);
     * carried, the sum of the relative errors of the gaps: each gap
       g = fl(s_i - s_j) of the computed squares s: s_i - s_j is within
       E = eps (s_i + s_j) of the exact gap (a factor 2 to spare) and g
@@ -261,18 +259,9 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
             big = _EPS * (si + sj) + 1e-323
             den.append(g)
             gap_err += big / (g - big) if g > 1e6 * big else math.inf
-    # the call bessel_j0 / bessel_i0 make, with its error estimate
-    z_sign = -1.0 if oscillatory else 1.0
-    matrix, entry_err = [], []
-    for ai in a:
-        row, err_row = [], []
-        for bj in b:
-            p = ai * bj
-            v, e, _ = hyper_f_with_error(z_sign * (p * p) / 4.0)
-            row.append(v)
-            err_row.append(e + _EPS * p * (1.0 if oscillatory else v + e))
-        matrix.append(row)
-        entry_err.append(err_row)
+    cells = [[_kernel(ai * bj, oscillatory, 1) for bj in b] for ai in a]
+    matrix = [[c[0] for c in row] for row in cells]
+    entry_err = [[c[1] for c in row] for row in cells]
     roundings = len(num) + 2 * len(den) + 2 * max(0, n - 23)
     return _certified_det(
         matrix, entry_err, oscillatory, n, "determinant", num, den, gap_err, roundings
@@ -298,6 +287,7 @@ def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
     """Spherical function with explicit route selection.
 
     path "det" and "series" force the corresponding evaluator; "auto" takes
+    1.0 exactly (path "series", terms_used 1) where x or xi is all zero,
     the Bessel determinant when both arguments' squared entries are
     separated beyond 1e-6 relative to the largest square, and otherwise the
     Newton-basis determinant (result path "newton"), which must certify
@@ -660,15 +650,17 @@ def _orbit_transform(
     with K = J0 and the sign (-1)^{n(n-1)/2} when ``oscillatory`` (the
     spherical function), K = I0 otherwise (the exponential orbital integral).
     It only picks the route: ``path`` "series" takes the Schur series
-    (_schur_fourier_series); otherwise a separated pair takes this
-    determinant (_det_ratio), "det" raises DegeneracyError at any other
-    pair, and "auto" takes its Newton-basis form (_newton_transform), which
-    must certify 1e-10 relative or raise ConvergenceError with its value and
-    bound attached.
+    (_schur_fourier_series), and so does "auto" where x or xi is all zero:
+    there the series is its one term, the empty partition's 1, and returns
+    1.0 with abs_error 0.0, path "series" and terms_used 1.  Otherwise a
+    separated pair takes this determinant (_det_ratio), "det" raises
+    DegeneracyError at any other pair, and "auto" takes its Newton-basis
+    form (_newton_transform), which must certify 1e-10 relative or raise
+    ConvergenceError with its value and bound attached.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
-    if path == "series":
+    if path == "series" or (path == "auto" and not (x.values[0] and xi.values[0])):
         return _schur_fourier_series(x.values, xi.values, oscillatory, _REL_TOL)
     if _is_separated(x, xi):
         return _det_ratio(x, xi, oscillatory)
@@ -723,16 +715,16 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
                     / (D(lam) D(theta)),
 
     the two-sided unitary average of exp(Re tr(lam u theta v*)).  ``path`` is
-    "auto", "det" or "series", as in spherical_eval: "auto" takes the
-    determinant when separated, otherwise the Newton-basis determinant,
-    and raises ConvergenceError where that does not certify 1e-10
-    relative.  The Newton-basis determinant and the series handle
-    coincident and zero entries; theta = 0 gives 1 (exactly on the series).
+    "auto", "det" or "series", as in spherical_eval: "auto" gives 1.0
+    exactly where lam or theta is all zero, takes the determinant when
+    separated, otherwise the Newton-basis determinant, and raises
+    ConvergenceError where that does not certify 1e-10 relative.  The
+    Newton-basis determinant and the series handle coincident and zero
+    entries.
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
-    overflow guard).  On the determinant route the 200-term cap of the I0
-    series comes first: an entry product lam_i theta_j above about 262.3
-    raises ConvergenceError.
+    overflow guard); up to it every I0 entry of the determinant is
+    certified (series._kernel).
     """
     lam, theta = _point_pair(lam, theta)
     if lam.values[0] * theta.values[0] > 700.0:

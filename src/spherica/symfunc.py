@@ -19,7 +19,7 @@ from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 
 @record
@@ -67,10 +67,17 @@ def _as_sorted_vars(x: Sequence[float]) -> list[float]:
 
 
 def power_p(m: int, x: Sequence[float]) -> float:
-    """Power sum p_m(x) = sum_k x_k^m for m >= 1."""
+    """Power sum p_m(x) = sum_k x_k^m for m >= 1; RangeError where it
+    leaves double range."""
     if m < 1:
         raise DomainError("power sums are indexed from m = 1")
-    return float(sum(v**m for v in _as_sorted_vars(x)))
+    try:
+        total = float(sum(v**m for v in _as_sorted_vars(x)))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise RangeError(f"power sum p_{m} exceeds double range")
+    return total
 
 
 def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
@@ -247,7 +254,8 @@ def schur(m: Partition | Sequence[int], x: Sequence[float]) -> float:
     """Schur polynomial s_m(x) via the Jacobi-Trudi determinant.
 
     Returns 0.0 exactly when m has more nonzero parts than x has nonzero
-    entries (stability under zero variables).
+    entries (stability under zero variables).  RangeError where the
+    evaluation leaves double range.
     """
     part = m if isinstance(m, Partition) else Partition(m)
     vals = _as_sorted_vars(x)
@@ -258,7 +266,10 @@ def schur(m: Partition | Sequence[int], x: Sequence[float]) -> float:
         return 1.0
     max_index = part.parts[0] + part.length - 1
     h = complete_h_table(vals, max_index)
-    return _jacobi_trudi_det(part.parts, h)
+    value = _jacobi_trudi_det(part.parts, h)
+    if not math.isfinite(value):
+        raise RangeError(f"Schur polynomial s_{part.parts} exceeds double range")
+    return value
 
 
 def _partition_tuples(max_weight: int, max_length: int) -> Iterator[tuple[int, ...]]:

@@ -66,6 +66,7 @@ def _special_checks(samples: int, seed: int) -> list[CheckResult]:
             "special.j0_first_zero", series.bessel_j0(_J0_FIRST_ZERO), 0.0, 1e-12
         )
     )
+    out.append(_close("special.j0_at_40", series.bessel_j0(40.0), _J0_AT_40, 1e-13))
     value, est, terms = series.bessel_j0_with_error(5.0)
     # at x = 20 the estimate must cover the true error, not only be positive
     value20, est20, _ = series.bessel_j0_with_error(20.0)
@@ -122,7 +123,7 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
     out.append(
         _close("spherical.n1_reduces", one.value, series.bessel_j0(1.3 * 0.7), 1e-14)
     )
-    # the J0 entry cancels to a few digits; the bound must carry that
+    # the determinant route's bound must cover its J0(40) entry's error
     r40 = spherical.spherical_eval((10.0,), (4.0,))
     err40 = abs(r40.value - _J0_AT_40)
     out.append(

@@ -12,6 +12,7 @@ import pytest
 from spherica import (
     DomainError,
     OmegaParam,
+    RangeError,
     ShapeError,
     lambda_sequence_for,
     p_tilde,
@@ -54,6 +55,12 @@ def test_rescaling_map_zero_vector():
 def test_rescaling_map_checks_length():
     with pytest.raises(ShapeError):
         t_n_map((1.0, 2.0), n=3)
+
+
+def test_rescaling_map_beyond_double_range_is_a_range_error():
+    # (1e308 / 2)^2 overflows: float pow raised a bare OverflowError
+    with pytest.raises(RangeError):
+        t_n_map((1e308, 1e308))
 
 
 def test_realizing_sequence_single_atom():

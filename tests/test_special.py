@@ -1,38 +1,28 @@
-"""Power-series special functions: shared series F, J0, I0."""
+"""Kernel scalars: F, J0 and I0 from one trapezoidal sum."""
 
 import math
-import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherica import (
     ConvergenceError,
     DomainError,
     RangeError,
-    SphericaError,
     bessel_i0,
     bessel_j0,
     bessel_j0_with_error,
     hyper_f,
     hyper_f_with_error,
 )
+from spherica import series
 
 F_AT_ONE = 2.2795853023360673
 J0_AT_ONE = 0.7651976865579666
 I0_AT_ONE = 1.2660658777520084
 J0_FIRST_ZERO = 2.404825557695773
-
-
-def reference_sum(z: float, terms: int) -> float:
-    total, term = 1.0, 1.0
-    parts = [1.0]
-    for k in range(1, terms):
-        term *= z / (k * k)
-        parts.append(term)
-    return math.fsum(parts)
 
 
 def test_f_at_zero_is_one():
@@ -95,15 +85,14 @@ def test_i0_matches_f_of_quarter_square():
 
 
 def test_error_estimate_covers_reference_difference():
-    for k in range(41):
-        x = -10.0 + 0.5 * k
-        value, est, _ = bessel_j0_with_error(x)
-        assert abs(value - reference_sum(-x * x / 4.0, 60)) <= est
+    with mp.workdps(40):
+        for k in range(41):
+            x = -10.0 + 0.5 * k
+            value, est, _ = bessel_j0_with_error(x)
+            assert abs(mp.mpf(value) - mp.besselj(0, mp.mpf(x))) <= est
 
 
 def test_j0_error_estimate_bounds_the_true_error():
-    # the float reference above cancels like the series itself; past x ~ 10
-    # the cancellation, not the truncation, sets the error
     with mp.workdps(40):
         for k in range(2401):
             x = 0.025 * k
@@ -133,98 +122,76 @@ def test_overflow_guard_raises_range_error():
         hyper_f(1.0e6)
 
 
-def test_exhausted_term_budget_raises_with_partial_sum():
-    # the terms of F(-1e5) peak near k = 316, beyond the 200-term cap
-    with pytest.raises(ConvergenceError) as exc:
-        hyper_f(-1e5)
-    assert exc.value.partial is not None
-    assert math.isfinite(exc.value.partial)
+def test_f_at_minus_1e5_is_certified():
+    # J0 at x = 2 sqrt(1e5) = 632.46, near the 700 guard
+    value, est, _ = hyper_f_with_error(-1e5)
+    with mp.workdps(40):
+        assert abs(mp.mpf(value) - mp.hyp0f1(1, -100000)) <= est <= 1e-12
 
 
-def test_term_cap_is_reached_before_the_700_guards():
-    # the 200-term cap, not the |x| > 700 overflow guard, limits both kernels
-    assert math.isfinite(bessel_i0(262.0))
+def test_the_700_guard_decides_both_kernels():
+    assert math.isfinite(bessel_i0(700.0))
+    with pytest.raises(RangeError):
+        bessel_i0(math.nextafter(700.0, math.inf))
+    assert abs(bessel_j0(700.0)) <= 1.0
     with pytest.raises(ConvergenceError):
-        bessel_i0(263.0)
-    assert math.isfinite(bessel_j0(204.0))
+        bessel_j0(math.nextafter(700.0, math.inf))
+    # F(z) = J0 or I0 at 2 sqrt|z|, so the guard sits at |z| = 122500
+    assert math.isfinite(hyper_f(122500.0)) and abs(hyper_f(-122500.0)) <= 1.0
+    with pytest.raises(RangeError):
+        hyper_f(122501.0)
     with pytest.raises(ConvergenceError):
-        bessel_j0(205.0)
+        hyper_f(-122501.0)
 
 
-def _reference_f(z: float) -> tuple[float, float, int]:
-    """One Taylor loop for both signs of z, with every test run on every
-    term: the bit-identity reference for hyper_f_with_error."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("hyper_f requires finite z")
-
-    total = 1.0  # k = 0 term
-    comp = 0.0  # Kahan compensation
-    term = 1.0
-    small_streak = 0
-    abs_sum = 1.0  # sum of |t_k|, kept for z < 0 only
-    mag_z = abs(z)
-    for k in range(1, 200 + 1):
-        term *= z / (k * k)
-        # Kahan update
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if not math.isfinite(total):
-            raise RangeError("hyper_f partial sums overflowed double range")
-
-        threshold = 1e-15 * abs(total)
-        mag = abs(term)
-        next_mag = mag * mag_z / ((k + 1) * (k + 1))
-        if z >= 0.0:
-            if term <= threshold and next_mag <= mag:
-                ratio = mag_z / ((k + 2) * (k + 2))
-                if ratio < 1.0:
-                    truncation = next_mag / (1.0 - ratio)
-                    break
-        else:
-            abs_sum += mag
-            small_streak = small_streak + 1 if mag <= threshold else 0
-            if small_streak >= 2 and next_mag <= mag:
-                truncation = next_mag
-                break
-    else:
-        raise ConvergenceError("hyper_f did not converge within 200 terms", partial=total)
-    rounding = 2.0 * k * 1.11e-16 * (abs(total) if z >= 0.0 else abs_sum)
-    return total, truncation + rounding, k + 1
+def _audit(x):
+    """Each kernel at x against mpmath at 40 digits: the value is within its
+    estimate, J0 absolutely and I0 relative to the value; so is F at +-x^2/4,
+    whose estimate also counts the square root's rounding."""
+    with mp.workdps(40):
+        for oscillatory, exact in ((True, mp.besselj), (False, mp.besseli)):
+            value, est, _ = series._kernel(x, oscillatory)
+            assert abs(mp.mpf(value) - exact(0, mp.mpf(x))) <= est, (x, oscillatory)
+        for z in (-(x * x) / 4.0, (x * x) / 4.0):
+            value, est, _ = hyper_f_with_error(z)
+            assert abs(mp.mpf(value) - mp.hyp0f1(1, mp.mpf(z))) <= est, z
 
 
-def _outcome(f, z):
-    """repr of the result, or of the exception's type, message and partial
-    sum: repr tells -0.0 from 0.0 and round-trips every float."""
-    try:
-        return repr(f(z))
-    except SphericaError as exc:
-        return repr((type(exc), str(exc), getattr(exc, "partial", None)))
+def test_kernels_are_within_their_estimate_on_a_grid_to_700():
+    for k in range(701):
+        _audit(float(k))
 
 
-def _log_uniform_grid(count, seed):
-    rng = random.Random(seed)
-    top = math.log10(3e4)
-    return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, top) for _ in range(count)]
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.floats(0.0, 700.0, allow_nan=False))
+# J0(40); both sides of the old Taylor caps of J0 (204 | 205) and I0
+# (262 | 263); the kernel argument 270 of orbital_integral((1,), (270,));
+# the x of F(-1e5); the guard
+@example(40.0)
+@example(204.0)
+@example(205.0)
+@example(262.0)
+@example(263.0)
+@example(270.0)
+@example(632.4555320336759)
+@example(700.0)
+def test_kernels_are_within_their_estimate_anywhere_to_700(x):
+    _audit(x)
 
 
-# signed zeros, subnormals, overflow, non-finite input, and both sides of the
-# 200-term cap for I0 (x = 262 | 263) and J0 (x = 204 | 205)
-EDGE_Z = [
-    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308,
-    math.inf, -math.inf, math.nan,
-    262.0**2 / 4.0, 263.0**2 / 4.0, -(204.0**2) / 4.0, -(205.0**2) / 4.0,
-]
-
-
-def test_kernel_matches_the_reference_loop_bit_for_bit():
-    for z in EDGE_Z + _log_uniform_grid(2000, seed=13):
-        assert _outcome(hyper_f_with_error, z) == _outcome(_reference_f, z), z
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_kernel_matches_the_reference_loop_on_any_finite_float(z):
-    assert _outcome(hyper_f_with_error, z) == _outcome(_reference_f, z)
+def test_kernel_order_is_the_least_the_alias_test_allows():
+    # x_N, the largest x that order N serves, rises with N, and order 495
+    # ends the table at 700; the walk's start rises with x, so an order
+    # returned at both ends of every range (x_{N-1}, x_N] is returned
+    # throughout it
+    log_alias = -61.0 * math.log(2.0)
+    prev = 0.0
+    for n in range(1, 496):
+        x_n = series._rule(n)[0]
+        assert x_n > prev
+        q = 2.0 * math.log(0.5 * x_n)
+        assert n * q - math.lgamma(2 * n + 1) == pytest.approx(log_alias, abs=1e-9)
+        assert series._kernel(min(x_n, 700.0), True)[2] == n
+        assert series._kernel(math.nextafter(prev, math.inf), True)[2] == n
+        prev = x_n
+    assert series._rule(494)[0] < 700.0 <= prev

@@ -6,6 +6,7 @@ import os
 import random
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -213,6 +214,46 @@ def test_orbital_one_dimensional_matches_i0():
 
 def test_orbital_at_zero_is_exactly_one():
     assert orbital_integral((1.5, 0.5), (0.0, 0.0)).value == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zero_argument_is_exactly_one_under_auto(n):
+    # the Schur series' one term, where the Newton route rounded:
+    # orbital_integral((30, 20, 10), (0, 0, 0)) raised ConvergenceError
+    zero = (0.0,) * n
+    for x in (tuple(30.0 - 3.0 * k for k in range(n)), (30.0,) * n, (1e-3,) + zero[1:]):
+        for evaluate in (spherical_eval, orbital_integral):
+            for args in ((x, zero), (zero, x)):
+                r = evaluate(*args)
+                assert (r.value, r.abs_error, r.terms_used, r.path) == (1.0, 0.0, 1, "series")
+            if n >= 2:
+                with pytest.raises(DegeneracyError):
+                    evaluate(x, zero, path="det")
+
+
+def _i0(v):
+    return mp.besseli(0, mp.mpf(v))
+
+
+@pytest.mark.parametrize(
+    "evaluate, x, xi, exact, claim",
+    [
+        # the 2 x 2 expansion 4 (I0(600) I0(2) - I0(60) I0(20)) / (D(lam) D(theta));
+        # mp.det calls this matrix singular and returns 0.  The row bound of
+        # _certified_det charges I0(20)'s error against the pivot I0(2)
+        (orbital_integral, (30.0, 1.0), (20.0, 2.0),
+         lambda: 4 * (_i0(600) * _i0(2) - _i0(60) * _i0(20)) / ((900 - 1) * (400 - 4)), 1e-4),
+        (orbital_integral, (1.0,), (270.0,), lambda: _i0(270), 1e-12),
+        (spherical_eval, (10.0,), (4.0,), lambda: mp.besselj(0, 40), 1e-13),
+    ],
+    ids=["orbital-30-1-20-2", "orbital-1-270", "spherical-10-4"],
+)
+def test_determinant_route_certifies_past_the_old_taylor_caps(evaluate, x, xi, exact, claim):
+    r = evaluate(x, xi)
+    with mp.workdps(60):
+        err = abs(mp.mpf(r.value) - exact())
+    assert r.path == "determinant"
+    assert err <= r.abs_error <= claim * max(1.0, abs(r.value))
 
 
 def test_orbital_routes_agree():
@@ -635,20 +676,21 @@ DET_POINTS = [
     ((1.8, 1.3, 0.8, 0.3), (1.6, 1.0, 0.6, 0.2)),
 ]
 DET_BITS = [
-    (spherical_eval, 0.8034465294730335, 3.2627992883885096e-15),
-    (spherical_eval, 0.42380017221205923, 1.8479874558174132e-14),
-    (spherical_eval, 0.48320897928037226, 2.345449617441376e-13),
-    (spherical_eval, 0.7018890564958395, 1.8270356172553917e-10),
-    (orbital_integral, 1.2179895243513215, 3.2205577595626883e-15),
-    (orbital_integral, 2.070521140287063, 5.0085713225050265e-14),
-    (orbital_integral, 1.9718223085342774, 9.405283313642399e-13),
-    (orbital_integral, 1.414308573261254, 3.60240558433156e-10),
+    (spherical_eval, 0.8034465294730335, 2.0749414543651522e-15),
+    (spherical_eval, 0.4238001722120593, 6.477341247712965e-15),
+    (spherical_eval, 0.48320897928037226, 7.739572780453092e-14),
+    (spherical_eval, 0.7018890564957415, 1.0126197523072067e-10),
+    (orbital_integral, 1.2179895243513217, 2.633571942142592e-15),
+    (orbital_integral, 2.070521140287064, 4.405267300738551e-14),
+    (orbital_integral, 1.9718223085342803, 8.282727855685658e-13),
+    (orbital_integral, 1.4143085732615284, 3.1647648048473747e-10),
 ]
 
 
 @pytest.mark.parametrize(
     "evaluate, x, xi, value, abs_error",
     [(f, *DET_POINTS[k % 4], v, e) for k, (f, v, e) in enumerate(DET_BITS)],
+    ids=[f"{f.__name__}-n{k % 4 + 1}" for k, (f, _, _) in enumerate(DET_BITS)],
 )
 def test_determinant_route_bits_are_pinned(evaluate, x, xi, value, abs_error):
     r = evaluate(x, xi)
@@ -686,7 +728,7 @@ def _separated_points(seed):
 @pytest.mark.parametrize(
     "x, xi",
     _separated_points(17)
-    # J0 entries lose digits to Taylor cancellation: the kernel error counts
+    # kernel arguments 13.7 and 40, where the old Taylor sums cancelled
     + [((3.868076348036853,), (3.539758894315002,)), ((10.0,), (4.0,))],
 )
 def test_determinant_route_within_its_bound_of_the_oracle(x, xi):
@@ -698,7 +740,7 @@ def test_determinant_route_within_its_bound_of_the_oracle(x, xi):
 
 def test_heat_kernel_bits_are_pinned():
     assert heat_kernel(0.5, (1.0, 0.5), (0.8, 0.3)) == 0.04915755798323767
-    assert heat_kernel(0.7, (1.9, 1.1, 0.4), (1.5, 0.9, 0.2)) == 2.1838131941188243e-06
+    assert heat_kernel(0.7, (1.9, 1.1, 0.4), (1.5, 0.9, 0.2)) == 2.1838131941187917e-06
 
 
 def test_series_sweep_and_cauchy_bits_are_pinned():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spherica import (
     DomainError,
     Partition,
+    RangeError,
     cauchy_lhs,
     cauchy_rhs,
     complete_h,
@@ -48,6 +49,18 @@ def test_power_sum_examples():
 def test_power_sum_rejects_index_zero():
     with pytest.raises(DomainError):
         power_p(0, (1.0,))
+
+
+def test_power_sum_beyond_double_range_is_a_range_error():
+    # 10.0**400: float pow raised a bare OverflowError
+    with pytest.raises(RangeError):
+        power_p(400, (10.0,))
+
+
+def test_schur_beyond_double_range_is_a_range_error():
+    # h_300 h_200 - h_301 h_199 is inf - inf at (10, 9): it returned nan
+    with pytest.raises(RangeError):
+        schur((300, 200), (10.0, 9.0))
 
 
 def test_complete_h_examples():
