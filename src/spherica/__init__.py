@@ -13,10 +13,12 @@ Layout:
 * validate  — deterministic cross-check suite
 * cli       — `spherica` command-line driver
 
-Only montecarlo needs numpy at import time, so it and its six names
-(McEstimate, RngStream, haar_unitary, mc_biinvariant_avg, mc_orbital_exp,
-mc_spherical) load on first use; the other modules import numpy inside
-the functions that build arrays.  Evaluations on every route, the
+`import spherica` loads no submodule: each public name, and each
+submodule, loads on first access (PEP 562), so a caller compiles only the
+modules it calls into.  `spherica.spherical_eval` loads series, symfunc
+and spherical; `spherica.polya_eval` loads symfunc and polya.  Only
+montecarlo needs numpy at import time; the other modules import numpy
+inside the functions that build arrays.  Evaluations on every route, the
 rank-one and power-sum sweeps, the Weyl sweep at every m, phi_omega_matrix
 (through det(I + (a/4) X*X), without singular values) and the special,
 symfunc, polya and limits validate suites build none.
@@ -24,153 +26,55 @@ symfunc, polya and limits validate suites build none.
 
 import importlib
 
-from .errors import (
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    RangeError,
-    ShapeError,
-    SphericaError,
-    ValidationError,
-)
-from .limits import (
-    SweepReport,
-    lambda_sequence_for,
-    powersum_convergence,
-    spherical_convergence,
-    t_n_map,
-    weyl_concentration_sweep,
-)
-from .polya import (
-    MixtureParam,
-    OmegaParam,
-    h_tilde,
-    log_deriv_coeffs,
-    mixture_eval,
-    p_tilde,
-    phi_omega,
-    phi_omega_matrix,
-    polya_eval,
-    s_tilde,
-    second_deriv_identity,
-    sigma_moment,
-)
-from .series import (
-    bessel_i0,
-    bessel_j0,
-    bessel_j0_with_error,
-    hyper_f,
-    hyper_f_with_error,
-)
-from .spherical import (
-    DiagonalPoint,
-    EvalResult,
-    ambient_laplacian_fd,
-    heat_kernel,
-    orbital_integral,
-    radial_laplacian,
-    spherical_det,
-    spherical_eval,
-    spherical_series,
-    squared_gap_product,
-    weyl_c_n,
-    weyl_density_mn,
-)
-from .symfunc import (
-    Partition,
-    cauchy_lhs,
-    cauchy_rhs,
-    complete_h,
-    complete_h_table,
-    enumerate_partitions,
-    newton_h_from_p,
-    power_p,
-    schur,
-)
-from .validate import CheckResult, render_report, validate_all
-
 __version__ = "0.1.0"
 
-_MONTECARLO_NAMES = frozenset(
-    {
-        "McEstimate",
-        "RngStream",
-        "haar_unitary",
-        "mc_biinvariant_avg",
-        "mc_orbital_exp",
-        "mc_spherical",
-    }
-)
+# the public names by defining submodule; every submodule name resolves too
+_EXPORTS = {
+    "errors": (
+        "ConvergenceError", "DegeneracyError", "DomainError", "RangeError",
+        "ShapeError", "SphericaError", "ValidationError",
+    ),
+    "limits": (
+        "SweepReport", "lambda_sequence_for", "powersum_convergence",
+        "spherical_convergence", "t_n_map", "weyl_concentration_sweep",
+    ),
+    "montecarlo": (
+        "McEstimate", "RngStream", "haar_unitary", "mc_biinvariant_avg",
+        "mc_orbital_exp", "mc_spherical",
+    ),
+    "polya": (
+        "MixtureParam", "OmegaParam", "h_tilde", "log_deriv_coeffs", "mixture_eval",
+        "p_tilde", "phi_omega", "phi_omega_matrix", "polya_eval", "s_tilde",
+        "second_deriv_identity", "sigma_moment",
+    ),
+    "series": ("bessel_i0", "bessel_j0", "bessel_j0_with_error", "hyper_f", "hyper_f_with_error"),
+    "spherical": (
+        "DiagonalPoint", "EvalResult", "ambient_laplacian_fd", "heat_kernel",
+        "orbital_integral", "radial_laplacian", "spherical_det", "spherical_eval",
+        "spherical_series", "squared_gap_product", "weyl_c_n", "weyl_density_mn",
+    ),
+    "symfunc": (
+        "Partition", "cauchy_lhs", "cauchy_rhs", "complete_h", "complete_h_table",
+        "enumerate_partitions", "newton_h_from_p", "power_p", "schur",
+    ),
+    "validate": ("CheckResult", "render_report", "validate_all"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name):
-    # `from . import montecarlo` here would look the name up on this module
-    # first, and so call this function again
-    if name == "montecarlo" or name in _MONTECARLO_NAMES:
-        module = importlib.import_module(".montecarlo", __name__)
-        return module if name == "montecarlo" else getattr(module, name)
+    # `from . import x` here would look the name up on this module first,
+    # and so call this function again
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CheckResult",
-    "ConvergenceError",
-    "DegeneracyError",
-    "DiagonalPoint",
-    "DomainError",
-    "EvalResult",
-    "McEstimate",
-    "MixtureParam",
-    "OmegaParam",
-    "Partition",
-    "RangeError",
-    "RngStream",
-    "ShapeError",
-    "SphericaError",
-    "SweepReport",
-    "ValidationError",
-    "ambient_laplacian_fd",
-    "bessel_i0",
-    "bessel_j0",
-    "bessel_j0_with_error",
-    "cauchy_lhs",
-    "cauchy_rhs",
-    "complete_h",
-    "complete_h_table",
-    "enumerate_partitions",
-    "h_tilde",
-    "haar_unitary",
-    "heat_kernel",
-    "hyper_f",
-    "hyper_f_with_error",
-    "lambda_sequence_for",
-    "log_deriv_coeffs",
-    "mc_biinvariant_avg",
-    "mc_orbital_exp",
-    "mc_spherical",
-    "mixture_eval",
-    "newton_h_from_p",
-    "orbital_integral",
-    "p_tilde",
-    "phi_omega",
-    "phi_omega_matrix",
-    "polya_eval",
-    "power_p",
-    "powersum_convergence",
-    "radial_laplacian",
-    "render_report",
-    "s_tilde",
-    "schur",
-    "second_deriv_identity",
-    "sigma_moment",
-    "spherical_convergence",
-    "spherical_det",
-    "spherical_eval",
-    "spherical_series",
-    "squared_gap_product",
-    "t_n_map",
-    "validate_all",
-    "weyl_c_n",
-    "weyl_concentration_sweep",
-    "weyl_density_mn",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
-from . import spherical as sph
 from .errors import (
     ConvergenceError,
     DegeneracyError,
@@ -37,13 +38,31 @@ from .errors import (
     SphericaError,
     ValidationError,
 )
-from .limits import (
-    powersum_convergence,
-    spherical_convergence,
-    weyl_concentration_sweep,
-)
-from .polya import MixtureParam, OmegaParam, mixture_eval, phi_omega, polya_eval
-from .validate import render_report, validate_all
+
+# Names that load their submodule on first access (PEP 562), so a command
+# compiles only the modules it calls into.  Commands read them through
+# _here, the running module (``__main__`` under ``python -m``): a name
+# patched onto this module is the one called.
+_LAZY = {
+    "sph": "spherical",
+    "polya_eval": "polya",
+    "phi_omega": "polya",
+    "mixture_eval": "polya",
+    "powersum_convergence": "limits",
+    "spherical_convergence": "limits",
+    "weyl_concentration_sweep": "limits",
+    "validate_all": "validate",
+}
+_here = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LAZY[name], __package__)
+    value = module if name == "sph" else getattr(module, name)
+    globals()[name] = value
+    return value
 
 
 class _UsageError(Exception):
@@ -265,15 +284,17 @@ def _cmd_eval_spherical(args) -> int:
     x = _floats(args.x, "--x")
     xi = _floats(args.xi, "--xi")
     path = args.path or "auto"
-    _emit_eval_result(args, sph.spherical_eval(x, xi, path=path))
+    _emit_eval_result(args, _here.sph.spherical_eval(x, xi, path=path))
     return 0
 
 
 def _cmd_eval_polya(args) -> int:
+    from .polya import OmegaParam
+
     omega = OmegaParam.from_file(_require(args.omega, "--omega"))
     lam = _floats(args.lam, "--lam")
-    pi_values = [polya_eval(omega, v) for v in lam]
-    product = phi_omega(omega, lam)
+    pi_values = [_here.polya_eval(omega, v) for v in lam]
+    product = _here.phi_omega(omega, lam)
     rows = [("key", "value")]
     rows += [(f"lambda_{i}", v) for i, v in enumerate(lam)]
     rows += [(f"pi_{i}", v) for i, v in enumerate(pi_values)]
@@ -284,12 +305,14 @@ def _cmd_eval_polya(args) -> int:
 
 
 def _cmd_eval_mixture(args) -> int:
+    from .polya import MixtureParam
+
     mix = MixtureParam.from_file(_require(args.mixture, "--mixture"))
     lam = _floats(args.lam, "--lam")
     comps = [
-        {"weight": w, "value": phi_omega(om, lam)} for w, om in mix.components
+        {"weight": w, "value": _here.phi_omega(om, lam)} for w, om in mix.components
     ]
-    value = mixture_eval(mix, lam)
+    value = _here.mixture_eval(mix, lam)
     rows = [("key", "value")]
     rows += [(f"component_{i}_weight", c["weight"]) for i, c in enumerate(comps)]
     rows += [(f"component_{i}_value", c["value"]) for i, c in enumerate(comps)]
@@ -303,7 +326,7 @@ def _cmd_orbital(args) -> int:
     lam = _floats(args.lam, "--lam")
     theta = _floats(args.theta, "--theta")
     path = args.path or "auto"
-    _emit_eval_result(args, sph.orbital_integral(lam, theta, path=path))
+    _emit_eval_result(args, _here.sph.orbital_integral(lam, theta, path=path))
     return 0
 
 
@@ -311,7 +334,7 @@ def _cmd_heat_kernel(args) -> int:
     t = _float(args.t, "--t")
     lam = _floats(args.lam, "--lam")
     theta = _floats(args.theta, "--theta")
-    value = sph.heat_kernel(t, lam, theta)
+    value = _here.sph.heat_kernel(t, lam, theta)
     _emit(args, {"value": value}, [["value"], [value]])
     return 0
 
@@ -321,7 +344,9 @@ def _cmd_laplacian_check(args) -> int:
     xi = _floats(args.xi, "--xi")
     fd_step = 2e-3 if args.fd_step is None else _float(args.fd_step, "--fd-step")
     tol = 1e-3 if args.tol is None else _float(args.tol, "--tol")
-    lap, eigen = sph._eigen_identity(x, xi, fd_step)
+    if not 0.0 < tol < math.inf:  # False for nan as well
+        raise DomainError("tol must be positive and finite")
+    lap, eigen = _here.sph._eigen_identity(x, xi, fd_step)
     rel = abs(lap - eigen) / max(1.0, abs(eigen))
     passed = rel <= tol
     payload = {
@@ -339,22 +364,24 @@ def _cmd_laplacian_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .polya import OmegaParam
+
     kind = _require(args.kind, "--kind")
     n_list = _ints(args.n_list, "--n-list")
     if kind == "spherical":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
         u = _float(args.xi, "--xi")
         method = args.method or "series"
-        report = spherical_convergence(
+        report = _here.spherical_convergence(
             omega, u, n_list, method=method, n_samples=_samples(args), seed=_seed(args)
         )
     elif kind == "powersum":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
         (m,) = _ints([_float(args.m, "--m")], "--m")
-        report = powersum_convergence(omega, m, n_list)
+        report = _here.powersum_convergence(omega, m, n_list)
     else:
         (m,) = _ints([_float(args.m, "--m")], "--m")
-        report = weyl_concentration_sweep(m, n_list)
+        report = _here.weyl_concentration_sweep(m, n_list)
     std_errors = report.std_errors or (None,) * len(report.n_values)
     rows = [["n", "value", "limit", "abs_error", "std_error"]]
     rows += [
@@ -366,9 +393,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import render_report
+
     suite = args.suite or "all"
     names = None if suite == "all" else [suite]
-    results = validate_all(names, samples=_samples(args), seed=_seed(args))
+    results = _here.validate_all(names, samples=_samples(args), seed=_seed(args))
     payload = {
         "results": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results

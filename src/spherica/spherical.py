@@ -189,9 +189,9 @@ def _certified_det(
     ``den``, takes m = n + ``roundings`` roundings, so with
     rest = carried + gamma_m (log1p(r) <= r) abs_error is
     |value| ((1 + rel) e^rest - 1) = |value| (rel e^rest + expm1(rest)),
-    raised by 1 + 1e-10 for its own rounding.  A zero pivot gives 0.0, a
-    value beyond double range nan, and either, or an infinite rel or
-    ``carried``, abs_error inf.
+    raised by 1 + 1e-10 for its own rounding.  A zero pivot gives 0.0; it,
+    an infinite rel or an infinite ``carried`` gives abs_error inf.  A
+    value beyond double range raises RangeError.
     """
     n = len(matrix)
     lu_sign, diag, lu, rows = _lu_full_pivot(matrix)
@@ -203,7 +203,7 @@ def _certified_det(
     sign *= math.copysign(1.0, lu_sign * math.prod(diag))
     value = sign * _balanced_product(mags + list(num), den)
     if not math.isfinite(value):
-        return EvalResult(math.nan, math.inf, terms, path)
+        raise RangeError("the determinant's value exceeds double range")
     unit = _EPS / 2.0
     gamma_n = n * unit / (1.0 - n * unit)
     hypot = math.hypot
@@ -724,7 +724,8 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
     overflow guard); up to it every I0 entry of the determinant is
-    certified (series._kernel).
+    certified (series._kernel), and a determinant whose value exceeds
+    double range raises RangeError.
     """
     lam, theta = _point_pair(lam, theta)
     if lam.values[0] * theta.values[0] > 700.0:
@@ -745,7 +746,9 @@ def heat_kernel(t: float, lam, theta) -> float:
     route of orbital_integral at (lam/2t, theta): the Newton-basis
     determinant, which raises ConvergenceError where it does not certify.
     The orbital overflow guard applies to (lam/2t, theta), and an entry of
-    lam/2t beyond double range raises RangeError as well.
+    lam/2t beyond double range raises RangeError as well, as does an
+    orbital integral I(lam/2t, theta) beyond double range, even where H0
+    itself is within it.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):

@@ -3,14 +3,14 @@
 Every check wires two independent routes to the same number (series vs
 determinant, sampler vs closed form, finite difference vs algebraic
 identity) or pins an exactly known value.  All randomness is seeded, all
-reductions are ordered, so the report is identical run to run.
+reductions are ordered, so the report is identical run to run.  Each
+suite imports the modules it checks, so a single suite loads no others.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import limits, polya, series, spherical, symfunc
 from ._record import record
 
 # first positive zero of the oscillatory kernel, standard constant
@@ -39,6 +39,8 @@ def _close(name: str, value: float, expected: float, rel: float) -> CheckResult:
 
 
 def _special_checks(samples: int, seed: int) -> list[CheckResult]:
+    from . import series
+
     out = []
     out.append(_close("special.f_at_zero", series.hyper_f(0.0), 1.0, 0.0))
     out.append(
@@ -83,6 +85,8 @@ def _special_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _symfunc_checks(samples: int, seed: int) -> list[CheckResult]:
+    from . import symfunc
+
     out = []
     out.append(_close("symfunc.h2", symfunc.complete_h(2, (1.0, 1.0)), 3.0, 0.0))
     out.append(_close("symfunc.schur_row", symfunc.schur((3,), (1.0, 2.0)), 15.0, 0.0))
@@ -117,6 +121,8 @@ def _symfunc_checks(samples: int, seed: int) -> list[CheckResult]:
 
 def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
     from numpy.polynomial.legendre import leggauss
+
+    from . import series, spherical
 
     out = []
     one = spherical.spherical_det((1.3,), (0.7,))
@@ -200,6 +206,8 @@ def _spherical_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
+    from . import polya
+
     out = []
     om = polya.OmegaParam([4.0], 0.0)
     out.append(_close("polya.pointwise", polya.polya_eval(om, 1.0), 0.5, 0.0))
@@ -282,7 +290,7 @@ def _polya_checks(samples: int, seed: int) -> list[CheckResult]:
 def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
     import numpy as np
 
-    from . import montecarlo
+    from . import montecarlo, polya, series, spherical
 
     out = []
     e1 = montecarlo.mc_spherical((1.0,), (1.0,), samples, seed=seed + 3)
@@ -351,6 +359,8 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
 
 
 def _limits_checks(samples: int, seed: int) -> list[CheckResult]:
+    from . import limits, polya
+
     out = []
     lam = limits.lambda_sequence_for(polya.OmegaParam([], 1.0), 4)
     out.append(

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from spherica import bessel_i0, bessel_j0, hyper_f
+from spherica import bessel_i0, bessel_j0, cli, hyper_f
 from spherica.cli import main
 
 MIX_TWO_GAUSSIANS = {
@@ -457,6 +457,13 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         # config-file values get the same integer check as the flags
         (["validate", "--suite", "mc", "--config", "SAMPLES_INF"], 1, "usage"),
         (["validate", "--suite", "mc", "--config", "SEED_FRACTION"], 1, "usage"),
+        # below the 700 guard the determinant's value leaves double range; it
+        # once printed "value": NaN, which is not JSON, and exited 0
+        (["orbital", "--lam", "26,25", "--theta", "26,25.5"], 2, "range"),
+        # --tol nan once failed every check and --tol inf passed every one
+        (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "nan"], 2, "domain"),
+        (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "inf"], 2, "domain"),
+        (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "0"], 2, "domain"),
     ],
     ids=[
         "shape",
@@ -471,6 +478,10 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         "n_list_inf",
         "config_samples_inf",
         "config_seed_fraction",
+        "orbital_beyond_double_range",
+        "tol_nan",
+        "tol_inf",
+        "tol_zero",
     ],
 )
 def test_failure_kind_and_exit_code(capsys, tmp_path, argv, code, kind):
@@ -676,3 +687,90 @@ def test_uncertified_coincident_point_raises_at_once(python_subprocess):
     lines = proc.stdout.decode().splitlines()
     assert json.loads(lines[-1]) == {"code": 2, "numpy": False}
     assert json.loads(proc.stderr.decode())["error"] == "convergence"
+
+
+# Runs in a fresh interpreter: the spherica modules that `import spherica`
+# loads, then those that one command loads
+_LOADED_CHILD = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "spherica")
+import spherica
+bare = loaded()
+from spherica.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "bare": bare, "command": loaded()}))
+"""
+
+_EVALUATOR_SKIPS = {"polya", "limits", "validate", "montecarlo"}
+_POLYA_SKIPS = {"spherical", "series", "limits", "validate", "montecarlo"}
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"], _EVALUATOR_SKIPS),
+        (["orbital", "--lam", "1,0.5", "--theta", "2,0.3"], _EVALUATOR_SKIPS),
+        (["heat-kernel", "--t", "0.5", "--lam", "1,0.5", "--theta", "1,0.2"], _EVALUATOR_SKIPS),
+        (["eval-polya", "--omega", "OMEGA", "--lam", "1,2"], _POLYA_SKIPS),
+        (["eval-mixture", "--mixture", "MIX", "--lam", "1,0.5"], _POLYA_SKIPS),
+        (
+            ["sweep", "--kind", "powersum", "--omega", "OMEGA", "--m", "2", "--n-list", "8,16"],
+            {"validate", "montecarlo"},
+        ),
+        (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "4,8,16"], {"validate", "montecarlo"}),
+        (["validate", "--suite", "special"], {"spherical", "symfunc", "polya", "limits", "montecarlo"}),
+        (["validate", "--suite", "symfunc"], {"spherical", "series", "polya", "limits", "montecarlo"}),
+        (["validate", "--suite", "polya"], {"spherical", "series", "limits", "montecarlo"}),
+    ],
+    ids=[
+        "eval-spherical",
+        "orbital",
+        "heat-kernel",
+        "eval-polya",
+        "eval-mixture",
+        "sweep-powersum",
+        "sweep-weyl",
+        "validate-special",
+        "validate-symfunc",
+        "validate-polya",
+    ],
+)
+def test_each_command_loads_only_the_modules_it_calls(python_subprocess, tmp_path, argv, skipped):
+    files = {
+        "OMEGA": write_json(tmp_path, "omega.json", {"alpha": [0.5], "gamma": 0.25}),
+        "MIX": write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS),
+    }
+    argv = [files.get(a, a) for a in argv]
+    proc = python_subprocess(["-c", _LOADED_CHILD, json.dumps(argv)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert (report["code"], report["bare"]) == (0, ["spherica"])
+    loaded = {m.split(".", 1)[1] for m in report["command"] if "." in m}
+    assert loaded & skipped == set()
+
+
+def test_commands_call_the_names_patched_onto_the_cli_module(capsys, tmp_path, monkeypatch):
+    # the benchmark's tracer wraps these names the same way: getattr on
+    # spherica.cli, then setattr
+    calls = []
+
+    def recording(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("validate_all", "polya_eval", "spherical_convergence"):
+        monkeypatch.setattr(cli, name, recording(name))
+    atom = write_json(tmp_path, "atom.json", {"alpha": [4], "gamma": 0})
+    for argv in (
+        ["validate", "--suite", "special"],
+        ["eval-polya", "--omega", atom, "--lam", "1,2"],
+        ["sweep", "--kind", "spherical", "--omega", atom, "--xi", "1", "--n-list", "4,8"],
+    ):
+        code, _, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+    assert calls == ["validate_all", "polya_eval", "polya_eval", "spherical_convergence"]

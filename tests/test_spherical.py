@@ -268,6 +268,16 @@ def test_orbital_overflow_guard():
         orbital_integral((30.0,), (30.0,))
 
 
+def test_determinant_beyond_double_range_is_a_range_error():
+    # below the 700 guard, but the determinant's value is about e^1300: it
+    # once came back as nan with abs_error inf
+    with pytest.raises(RangeError, match="double range"):
+        orbital_integral((26.0, 25.0), (26.0, 25.5))
+    # the heat kernel at this point is in range, its orbital factor is not
+    with pytest.raises(RangeError, match="double range"):
+        heat_kernel(0.5, (26.0, 25.0), (26.0, 25.5))
+
+
 def test_orbital_determinant_refuses_coincident_entries():
     with pytest.raises(DegeneracyError):
         orbital_integral((1.0, 1.0), (0.5, 1.5), path="det")
