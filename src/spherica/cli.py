@@ -9,8 +9,10 @@ Conventions (stable contract):
   --format, validate prints its pass/fail table and every other command
   prints JSON.  --out writes the same bytes to a file instead of stdout.
 * --config FILE supplies defaults from a flat JSON object keyed by flag
-  names (dashes or underscores); explicit flags win, and values must be
-  among the flag's choices.
+  names (dashes or underscores); explicit flags win, and config values are
+  parsed as the flags' command-line text: each key becomes one
+  --flag=value token ahead of the real flags (a list joined by commas,
+  null left out), so one set of checks serves both.
 * sweep and validate take --seed (default 0) and --samples; identical argv
   (plus config) gives byte-identical output, independent of thread count.
 * Exit codes: 0 success, 1 usage or schema problem, 2 numeric/domain
@@ -81,31 +83,20 @@ def _print_error(kind: str, message) -> None:
     print(line, file=sys.stderr)
 
 
-def _number(value) -> float:
-    # float() takes JSON true/false from a config file as 1.0/0.0
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
-    return float(value)
-
-
 def _floats(value, flag: str) -> tuple[float, ...]:
     if value is None:
         raise _UsageError(f"missing required value for {flag}")
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [p for p in str(value).split(",") if p.strip() != ""]
+    items = [p for p in value.split(",") if p.strip() != ""]
     try:
-        out = tuple(_number(v) for v in items)
-    except (TypeError, ValueError):
+        out = tuple(float(v) for v in items)
+    except ValueError:
         raise _UsageError(f"{flag} expects a comma-separated list of numbers")
     if not out:
         raise _UsageError(f"{flag} must contain at least one number")
     return out
 
 
-def _ints(value, flag: str) -> tuple[int, ...]:
-    vals = _floats(value, flag)
+def _ints(vals: tuple[float, ...] | list[float], flag: str) -> tuple[int, ...]:
     if not all(v.is_integer() for v in vals):  # False for fractions, inf and nan
         raise _UsageError(f"{flag} expects integers")
     return tuple(int(v) for v in vals)
@@ -115,8 +106,8 @@ def _float(value, flag: str) -> float:
     if value is None:
         raise _UsageError(f"missing required value for {flag}")
     try:
-        return _number(value)
-    except (TypeError, ValueError):
+        return float(value)
+    except ValueError:
         raise _UsageError(f"{flag} expects a number")
 
 
@@ -152,24 +143,13 @@ def _emit(args, payload, rows, table: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-# allowed values by option; the config file is held to them as well
-_CHOICES = {
-    "format": ["json", "csv"],
-    "path": ["auto", "det", "series"],
-    "kind": ["spherical", "powersum", "weyl"],
-    "method": ["series", "mc"],
-    "suite": ["special", "symfunc", "spherical", "polya", "mc", "limits", "all"],
-}
-
-
 def _add_common(sp, samples_default=None):
-    sp.add_argument("--format", choices=_CHOICES["format"], default=None)
+    sp.add_argument("--format", choices=["json", "csv"], default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
     if samples_default:  # only the sampling commands; the others reject both flags
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.set_defaults(_samples_default=samples_default)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--samples", type=int, default=samples_default)
 
 
 def build_parser() -> _Parser:
@@ -183,7 +163,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval-spherical", help="spherical function at (x, xi)")
     sp.add_argument("--x", default=None)
     sp.add_argument("--xi", default=None)
-    sp.add_argument("--path", choices=_CHOICES["path"], default=None)
+    sp.add_argument("--path", choices=["auto", "det", "series"], default=None)
     _add_common(sp)
 
     sp = sub.add_parser("eval-polya", help="pointwise values and product")
@@ -199,7 +179,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("orbital", help="exponential orbital integral")
     sp.add_argument("--lam", default=None)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--path", choices=_CHOICES["path"], default=None)
+    sp.add_argument("--path", choices=["auto", "det", "series"], default=None)
     _add_common(sp)
 
     sp = sub.add_parser("heat-kernel", help="radial heat kernel value")
@@ -219,24 +199,25 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("sweep", help="finite-size to limit comparison")
-    sp.add_argument("--kind", choices=_CHOICES["kind"], default=None)
+    sp.add_argument("--kind", choices=["spherical", "powersum", "weyl"], default=None)
     sp.add_argument("--omega", default=None)
     sp.add_argument("--xi", default=None)
     sp.add_argument("--m", default=None)
     sp.add_argument("--n-list", dest="n_list", default=None)
-    sp.add_argument("--method", choices=_CHOICES["method"], default=None)
+    sp.add_argument("--method", choices=["series", "mc"], default=None)
     _add_common(sp, samples_default=100_000)
 
     sp = sub.add_parser("validate", help="built-in consistency suite")
-    sp.add_argument("--suite", choices=_CHOICES["suite"], default=None)
+    suites = ["special", "symfunc", "spherical", "polya", "mc", "limits", "all"]
+    sp.add_argument("--suite", choices=suites, default=None)
     _add_common(sp, samples_default=1000)
 
     return p
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The --config file as --flag=value tokens; the = form keeps a value
+    such as -1,2 from reading as a flag."""
     try:
         raw = Path(args.config).read_text()
     except OSError as exc:
@@ -247,31 +228,19 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise ValidationError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
-    known = vars(args)
+    tokens = []
     for key, value in cfg.items():
         dest = str(key).replace("-", "_")
-        if dest in ("command", "config") or dest not in known:
+        if dest in ("command", "config") or dest not in vars(args):
             raise _UsageError(f"unknown config field {key!r}")
-        if dest in _CHOICES and value not in _CHOICES[dest]:
-            raise _UsageError(f"config field {key!r} must be one of {_CHOICES[dest]}")
-        if known[dest] is None:
-            setattr(args, dest, value)
-
-
-def _int(value, flag: str) -> int:
-    # argparse ints pass exactly (seeds use 64 bits); config values are checked
-    if type(value) is int:
-        return value
-    return _ints([value], flag)[0]
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else _int(args.seed, "--seed")
-
-
-def _samples(args) -> int:
-    value = args._samples_default if args.samples is None else args.samples
-    return _int(value, "--samples")
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(json.dumps(v) for v in value)
+        elif not isinstance(value, str):
+            value = json.dumps(value)
+        tokens.append(f"--{dest.replace('_', '-')}={value}")
+    return tokens
 
 
 def _emit_eval_result(args, result) -> None:
@@ -367,13 +336,13 @@ def _cmd_sweep(args) -> int:
     from .polya import OmegaParam
 
     kind = _require(args.kind, "--kind")
-    n_list = _ints(args.n_list, "--n-list")
+    n_list = _ints(_floats(args.n_list, "--n-list"), "--n-list")
     if kind == "spherical":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
         u = _float(args.xi, "--xi")
         method = args.method or "series"
         report = _here.spherical_convergence(
-            omega, u, n_list, method=method, n_samples=_samples(args), seed=_seed(args)
+            omega, u, n_list, method=method, n_samples=args.samples, seed=args.seed
         )
     elif kind == "powersum":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
@@ -397,7 +366,7 @@ def _cmd_validate(args) -> int:
 
     suite = args.suite or "all"
     names = None if suite == "all" else [suite]
-    results = _here.validate_all(names, samples=_samples(args), seed=_seed(args))
+    results = _here.validate_all(names, samples=args.samples, seed=args.seed)
     payload = {
         "results": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -447,13 +416,15 @@ _FAILURES = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # argparse keeps a flag's last value: the real flags win
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _merge_config(args)
-        return _COMMANDS[args.command](args)
     except tuple(_FAILURES) as exc:
         kind, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
         _print_error(kind, exc)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that every
+integer argument (a size, degree, count or seed) passes."""
+
+import operator
 
 
 class SphericaError(Exception):
@@ -40,3 +43,18 @@ class ConvergenceError(SphericaError, RuntimeError):
 
 class ValidationError(SphericaError, ValueError):
     """A serialized parameter object violates its schema."""
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int.  Integers (anything ``operator.index`` takes,
+    numpy integers too) and floats with an integral value pass; a fraction,
+    inf or nan raises DomainError, as does a value below ``minimum``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, float) and value.is_integer()):
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        n = int(value)
+    if minimum is not None and n < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {n}")
+    return n

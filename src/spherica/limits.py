@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import spherical
 from ._record import record
-from .errors import DomainError, RangeError, ShapeError
+from .errors import DomainError, RangeError, ShapeError, _integer
 from .polya import OmegaParam, p_tilde, polya_eval
 # spherical_series goes unused but stays: perfbench/tracer.py patches it here
 # by name
@@ -71,13 +71,11 @@ class SweepReport:
 
 
 def _check_grid(n_values: Sequence[int], minimum: int) -> tuple[int, ...]:
-    grid = tuple(int(n) for n in n_values)
+    grid = tuple(_integer(n, "size grid entry n", minimum) for n in n_values)
     if not grid:
         raise DomainError("empty size grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("size grid must be strictly increasing")
-    if grid[0] < minimum:
-        raise DomainError(f"size grid must start at n >= {minimum}")
     return grid
 
 
@@ -85,7 +83,7 @@ def t_n_map(lam, n: int | None = None) -> OmegaParam:
     """Scaling map at size n: lam -> omega with alpha_j = (lam_j / n)^2 and
     no Gaussian part; RangeError where an alpha_j leaves double range."""
     point = lam if isinstance(lam, DiagonalPoint) else DiagonalPoint(lam)
-    size = point.dimension if n is None else int(n)
+    size = point.dimension if n is None else _integer(n, "n")
     if size != point.dimension:
         raise ShapeError(f"lam has {point.dimension} entries, expected {size}")
     if size == 0:
@@ -106,11 +104,8 @@ def lambda_sequence_for(omega: OmegaParam, n: int) -> tuple[float, ...]:
     """A size-n parameter vector whose image under t_n_map converges to
     omega: atoms alpha_j become entries n sqrt(alpha_j), and the Gaussian
     weight gamma is spread uniformly over the remaining n - k entries."""
-    n = int(n)
+    n = _integer(n, "n", _min_size(omega))
     k = len(omega.alpha)
-    need = _min_size(omega)
-    if n < need:
-        raise DomainError(f"need n >= {need} for this omega, got n = {n}")
     entries = [n * math.sqrt(a) for a in omega.alpha]
     rest = n - k
     if omega.gamma > 0.0:
@@ -127,9 +122,7 @@ def powersum_convergence(
     """Power sums p_m of the scaled squared parameters along the grid,
     against the limiting moment (gamma + p_1 for m = 1, p_m otherwise).
     RangeError where a power sum leaves double range."""
-    m = int(m)
-    if m < 1:
-        raise DomainError("power-sum degree must be >= 1")
+    m = _integer(m, "m", 1)
     grid = _check_grid(n_values, _min_size(omega))
     limit = p_tilde(omega, m)
     values = []
@@ -189,8 +182,8 @@ def spherical_convergence(
             std_errors.append(est.std_error)
     params: dict = {"omega": omega.to_json(), "u": u, "method": method}
     if method == "mc":
-        params["n_samples"] = int(n_samples)
-        params["seed"] = int(seed)
+        params["n_samples"] = _integer(n_samples, "n_samples")
+        params["seed"] = _integer(seed, "seed")
     return SweepReport(
         kind="spherical_convergence",
         params=params,
@@ -280,7 +273,7 @@ def weyl_concentration_sweep(m: int, n_values: Sequence[int]) -> SweepReport:
     K = 1.  Deterministic at every m, with no standard errors, and no
     numpy.
     """
-    m = int(m)
+    m = _integer(m, "m")
     if not 1 <= m <= _WEYL_MAX_M:
         raise DomainError(f"m must lie in 1..{_WEYL_MAX_M}")
     grid = _check_grid(n_values, 2 * m)

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from ._record import record
-from .errors import DomainError, RangeError
+from .errors import RangeError, _integer
 from .polya import OmegaParam, _phi_omega_rows
 from .spherical import _point_pair
 
@@ -60,8 +60,8 @@ class RngStream:
     """One reproducible substream: (master_seed, stream_id) -> Philox-4x64."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
+        self.master_seed = _integer(master_seed, "seed")
+        self.stream_id = _integer(stream_id, "stream_id")
         key = np.array(
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
@@ -116,8 +116,7 @@ def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
 
     Draws the same variates as _haar_isometry_batch(stream, 1, n, n).
     """
-    if n < 1:
-        raise DomainError("haar_unitary requires n >= 1")
+    n = _integer(n, "n", 1)
     q, r = np.linalg.qr(stream.complex_ginibre((n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -190,10 +189,7 @@ def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.n
 
 
 def _check_samples(n_samples: int) -> int:
-    n_samples = int(n_samples)
-    if n_samples < 100:
-        raise DomainError("need at least 100 samples")
-    return n_samples
+    return _integer(n_samples, "n_samples", 100)
 
 
 def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
@@ -213,7 +209,7 @@ def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
         return np.cos(z), np.sin(z)
 
     (mean, se), (imean, ise) = _block_estimates(n_samples, seed, sample)
-    return McEstimate(mean, se, n_samples, int(seed), imean, ise)
+    return McEstimate(mean, se, n_samples, _integer(seed, "seed"), imean, ise)
 
 
 def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
@@ -234,7 +230,7 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
         return (np.exp(_pairing(stream, take, tv, lv)),)
 
     [(mean, se)] = _block_estimates(n_samples, seed, sample)
-    return McEstimate(mean, se, n_samples, int(seed))
+    return McEstimate(mean, se, n_samples, _integer(seed, "seed"))
 
 
 def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
@@ -281,9 +277,7 @@ def mc_biinvariant_avg(
     """
     xs, ys = _point_pair(x, y)
     m = xs.dimension
-    n = int(n)
-    if n < 2 * m:
-        raise DomainError(f"need n >= 2m = {2 * m}, got n = {n}")
+    n = _integer(n, "n", 2 * m)
     n_samples = _check_samples(n_samples)
 
     def sample(stream, take):
@@ -294,4 +288,4 @@ def mc_biinvariant_avg(
         return (_phi_omega_rows(omega, rows, np.exp),)
 
     [(mean, se)] = _block_estimates(n_samples, seed, sample)
-    return McEstimate(mean, se, n_samples, int(seed))
+    return McEstimate(mean, se, n_samples, _integer(seed, "seed"))

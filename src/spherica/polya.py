@@ -27,7 +27,7 @@ import math
 from typing import Sequence
 
 from ._record import record
-from .errors import DomainError, RangeError, ShapeError, ValidationError
+from .errors import DomainError, RangeError, ShapeError, ValidationError, _integer
 from .symfunc import Partition, _jacobi_trudi_det, newton_h_from_p
 
 _WEIGHT_TOL = 1e-12
@@ -162,8 +162,7 @@ def p_tilde(omega: OmegaParam, m: int) -> float:
     p~_1 = gamma + sum alpha_j,  p~_m = sum alpha_j^m for m >= 2.  RangeError
     where p~_m leaves double range.
     """
-    if m < 1:
-        raise DomainError("p_tilde is indexed from m = 1")
+    m = _integer(m, "m", 1)
     try:
         if m == 1:
             return omega.gamma + math.fsum(omega.alpha)
@@ -175,9 +174,7 @@ def p_tilde(omega: OmegaParam, m: int) -> float:
 def sigma_moment(omega: OmegaParam, m: int) -> float:
     """Even moments of the representing measure: M_0 = gamma + p_1(alpha),
     M_m = p_{m+1}(alpha) for m >= 1."""
-    if m < 0:
-        raise DomainError("sigma_moment is indexed from m = 0")
-    return p_tilde(omega, m + 1)
+    return p_tilde(omega, _integer(m, "m", 0) + 1)
 
 
 def log_deriv_coeffs(omega: OmegaParam, order: int) -> list[float]:
@@ -186,8 +183,7 @@ def log_deriv_coeffs(omega: OmegaParam, order: int) -> list[float]:
     c_1 = -(gamma + p_1(alpha))/2 and c_{2m-1} = (-1)^m p_m(alpha)/2^{2m-1}
     for m >= 2.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    order = _integer(order, "order", 1)
     out = [-p_tilde(omega, 1) / 2.0]
     for m in range(2, order + 1):
         out.append(math.ldexp(((-1.0) ** m) * p_tilde(omega, m), 1 - 2 * m))
@@ -198,9 +194,7 @@ def h_tilde(omega: OmegaParam, max_m: int) -> list[float]:
     """[h~_0 .. h~_max_m]: complete homogeneous images via Newton recursion
     from the p~ values.  These are the Taylor coefficients of Pi:
     Pi(omega, u) = sum_m h~_m (-u^2/4)^m inside |u| < 2/sqrt(max alpha)."""
-    if max_m < 0:
-        raise DomainError("max_m must be nonnegative")
-    p = [p_tilde(omega, m) for m in range(1, max_m + 1)]
+    p = [p_tilde(omega, m) for m in range(1, _integer(max_m, "max_m", 0) + 1)]
     return newton_h_from_p(p)
 
 

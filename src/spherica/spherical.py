@@ -46,6 +46,7 @@ from .errors import (
     DomainError,
     RangeError,
     ShapeError,
+    _integer,
 )
 # perfbench/tracer.py patches these names here: bessel_j0, bessel_i0, hyper_f
 # and complete_h_table go unused, and _certified_det reads _lu_full_pivot here
@@ -785,7 +786,8 @@ def radial_laplacian(
          + 2 sum_{i<j} (d_iF + d_jF)/(l_i + l_j).
 
     Entries must be nonzero and squared entries pairwise separated (the
-    divided differences blow up otherwise).  Default step 1e-4 * (1 + |lam|).
+    divided differences blow up otherwise).  Default step 1e-4 * (1 + |lam|);
+    a step that is not positive and finite raises DomainError.
     """
     import numpy as np
 
@@ -797,8 +799,8 @@ def radial_laplacian(
     if _is_degenerate(lam.values) or v[-1] == 0.0:
         raise DegeneracyError("radial_laplacian needs nonzero, separated entries")
     h = float(fd_step) if fd_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(v)))
-    if not (h > 0.0):
-        raise DomainError("fd_step must be positive")
+    if not 0.0 < h < math.inf:  # False for nan as well
+        raise DomainError("fd_step must be positive and finite")
 
     f0 = float(F(v))
     grad = np.empty(n)
@@ -862,9 +864,7 @@ def weyl_c_n(n: int) -> float:
     n around 31+ (the constant genuinely leaves double range).  n > 50 is
     refused.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("weyl_c_n requires n >= 1")
+    n = _integer(n, "n", 1)
     if n > 50:
         raise RangeError("weyl_c_n is out of double range beyond n = 50")
     log_c = (
@@ -895,14 +895,12 @@ def weyl_density_mn(m: int, n: int, theta: Sequence[float]) -> float:
     D_{m,n}(theta) = c_{m,n} | prod_{i<j} sin^2(t_i+t_j) sin^2(t_i-t_j)
                      * prod_i sin(2 t_i) sin^{2(n-2m)}(t_i) |.
 
-    Requires n >= 2m >= 2.  The constant c_{m,n} is the Selberg closed form,
-    computed exactly and rounded once; RangeError if it leaves double range.
+    The constant c_{m,n} is the Selberg closed form, computed exactly and
+    rounded once; RangeError if it leaves double range.
     Mass concentrates at theta = (pi/2, ..., pi/2) as n grows.
     """
-    m = int(m)
-    n = int(n)
-    if not (n >= 2 * m >= 2):
-        raise DomainError("weyl_density_mn requires n >= 2m >= 2")
+    m = _integer(m, "m", 1)
+    n = _integer(n, "n", 2 * m)
     th = [float(v) for v in theta]
     if len(th) != m:
         raise ShapeError(f"theta must have length {m}")

@@ -19,7 +19,7 @@ from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _integer
 
 
 @record
@@ -35,9 +35,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        cleaned = tuple(int(p) for p in parts)
-        if any(p < 0 for p in cleaned):
-            raise DomainError(f"partition parts must be nonnegative: {cleaned}")
+        cleaned = tuple(_integer(p, "partition part", 0) for p in parts)
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
             raise DomainError(f"partition parts must be weakly decreasing: {cleaned}")
         while cleaned and cleaned[-1] == 0:
@@ -69,8 +67,7 @@ def _as_sorted_vars(x: Sequence[float]) -> list[float]:
 def power_p(m: int, x: Sequence[float]) -> float:
     """Power sum p_m(x) = sum_k x_k^m for m >= 1; RangeError where it
     leaves double range."""
-    if m < 1:
-        raise DomainError("power sums are indexed from m = 1")
+    m = _integer(m, "m", 1)
     try:
         total = float(sum(v**m for v in _as_sorted_vars(x)))
     except OverflowError:
@@ -99,8 +96,7 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     the number of folded variables.  Mixed signs can cancel, and then no
     relative bound holds.
     """
-    if max_m < 0:
-        raise DomainError("max_m must be nonnegative")
+    max_m = _integer(max_m, "max_m", 0)
     _, hs = _h_stream(_runs(_as_sorted_vars(x)))
     return list(islice(hs, max_m + 1))
 
@@ -154,8 +150,7 @@ def _h_stream(runs: Sequence[tuple[float, int]]) -> tuple[int, Iterator[float]]:
 
 def complete_h(m: int, x: Sequence[float]) -> float:
     """Complete homogeneous sum h_m(x); h_0 = 1, h_m(()) = 0 for m >= 1."""
-    if m < 0:
-        raise DomainError("complete_h is indexed from m = 0")
+    m = _integer(m, "m", 0)
     return complete_h_table(x, m)[m]
 
 
@@ -316,8 +311,8 @@ def enumerate_partitions(max_weight: int, max_length: int) -> Iterator[Partition
     Schur series route sums in it, and its compensated sum's bits depend on
     the order of the terms.
     """
-    if max_weight < 0 or max_length < 0:
-        raise DomainError("max_weight and max_length must be nonnegative")
+    max_weight = _integer(max_weight, "max_weight", 0)
+    max_length = _integer(max_length, "max_length", 0)
     for parts in _partition_tuples(max_weight, max_length):
         yield Partition(parts)
 

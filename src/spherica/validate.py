@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
+from .errors import _integer
 
 # first positive zero of the oscillatory kernel, standard constant
 _J0_FIRST_ZERO = 2.404825557695773
@@ -438,11 +439,12 @@ def validate_all(
     suites: list[str] | None = None, samples: int = 1000, seed: int = 0
 ) -> list[CheckResult]:
     names = list(_SUITES) if suites is None else suites
+    samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
     results: list[CheckResult] = []
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        results.extend(_SUITES[name](int(samples), int(seed)))
+        results.extend(_SUITES[name](samples, seed))
     return results
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +385,72 @@ def test_config_file_booleans_are_not_numbers(capsys, tmp_path, argv, field):
     assert (code, out, json.loads(err)["error"]) == (1, "", "usage")
 
 
+# every flag of a command, keyed as in a config file (dashes or underscores);
+# ATOM, GAUSS and MIX name parameter files, OUT an output file
+_ALL_FLAGS = {
+    # a negative list entry needs the --flag=value form on the command line
+    "eval-spherical": {"x": [-1, 2], "xi": [0.5, 1.5], "path": "auto", "format": "csv"},
+    "eval-polya": {"omega": "ATOM", "lam": [1, 2.5], "format": "json"},
+    "eval-mixture": {"mixture": "MIX", "lam": [1.0, -0.5], "format": "csv"},
+    "orbital": {"lam": [1, 1], "theta": [0.5, 1.5], "path": "series", "format": "json"},
+    "heat-kernel": {"t": 0.5, "lam": [1], "theta": [0.7], "format": "csv", "out": "OUT"},
+    "laplacian-check": {"x": [1, 2], "xi": [0.5, 1.5], "fd-step": 0.002, "tol": 1e-4,
+                        "format": "json"},
+    "sweep-spherical": {"kind": "spherical", "omega": "ATOM", "xi": 1.0, "n_list": [25, 50],
+                        "method": "series", "format": "csv"},
+    "sweep-spherical-mc": {"kind": "spherical", "omega": "ATOM", "xi": -1.0, "n-list": [2, 4],
+                           "method": "mc", "samples": 200, "seed": 3, "format": "json"},
+    "sweep-powersum": {"kind": "powersum", "omega": "GAUSS", "m": 2, "n_list": [25, 50],
+                       "format": "csv"},
+    # a null value counts as absent
+    "sweep-weyl": {"kind": "weyl", "m": 2, "n_list": [4, 8], "method": None},
+    "validate": {"suite": "polya", "samples": 100, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALL_FLAGS))
+def test_config_file_and_flags_give_the_same_bytes(capsys, tmp_path, case):
+    files = {
+        "ATOM": write_json(tmp_path, "atom.json", {"alpha": [1.0], "gamma": 0.0}),
+        "GAUSS": write_json(tmp_path, "gauss.json", {"alpha": [], "gamma": 1.0}),
+        "MIX": write_json(tmp_path, "mix.json", MIX_TWO_GAUSSIANS),
+        "OUT": str(tmp_path / "out.txt"),
+    }
+    flags = {
+        k: files.get(v, v) if isinstance(v, str) else v for k, v in _ALL_FLAGS[case].items()
+    }
+    command = case if case in cli._COMMANDS else case.split("-")[0]
+    argv = [command]
+    for key, value in flags.items():
+        if value is None:
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        flag = "--" + key.replace("_", "-")
+        argv += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
+
+    def run(argv):
+        code, out, err = run_cli(capsys, argv)
+        if "out" in flags:
+            out = Path(flags["out"]).read_bytes()
+            Path(flags["out"]).unlink()
+        return code, out, err
+
+    direct = run(argv)
+    assert direct[0] == 0 and direct[1]
+    cfg = write_json(tmp_path, "cfg.json", flags)
+    assert run([command, "--config", cfg]) == direct
+
+
+def test_every_option_is_spelled_after_its_dest():
+    # a config key k becomes the token --k with underscores as dashes
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(cli._COMMANDS)
+    for name, sp in subparsers.items():
+        for action in sp._actions:
+            if action.dest != "help":
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")], name
+
+
 def test_output_file_written(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(
@@ -464,6 +531,8 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "nan"], 2, "domain"),
         (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "inf"], 2, "domain"),
         (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "0"], 2, "domain"),
+        # an infinite step was refused as "diagonal entries must be finite"
+        (["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--fd-step", "inf"], 2, "domain"),
     ],
     ids=[
         "shape",
@@ -482,6 +551,7 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         "tol_nan",
         "tol_inf",
         "tol_zero",
+        "fd_step_inf",
     ],
 )
 def test_failure_kind_and_exit_code(capsys, tmp_path, argv, code, kind):

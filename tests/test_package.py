@@ -1,14 +1,18 @@
 """The package namespace: every exported name and every submodule resolves
 on first access, each name to the object its defining submodule holds, and
-`dir` lists the names before they load."""
+`dir` lists the names before they load.  Every integer argument of the
+public functions passes one rule."""
 
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
 
 import spherica
-from spherica import limits, montecarlo
+from spherica import DomainError, OmegaParam, RngStream, limits, montecarlo
+from spherica.validate import validate_all
 
 
 def test_every_exported_name_resolves():
@@ -59,3 +63,75 @@ def test_unknown_name_raises_attribute_error(module):
 
 def test_limits_keeps_its_monte_carlo_names():
     assert limits.mc_spherical is montecarlo.mc_spherical
+
+
+_ATOM = OmegaParam([0.5], 0.0)
+
+# (call with the integer argument k, a valid k)
+_INTEGER_ARGUMENTS = {
+    "limits.spherical_convergence n_values": (
+        lambda k: spherica.spherical_convergence(_ATOM, 0.5, (k, 4)), 2),
+    "limits.spherical_convergence n_samples": (
+        lambda k: spherica.spherical_convergence(_ATOM, 0.5, (2,), "mc", k), 150),
+    "limits.spherical_convergence seed": (
+        lambda k: spherica.spherical_convergence(_ATOM, 0.5, (2,), "mc", 150, k), 2),
+    "limits.t_n_map": (lambda k: spherica.t_n_map((1.0, 2.0), k), 2),
+    "limits.lambda_sequence_for": (lambda k: spherica.lambda_sequence_for(_ATOM, k), 2),
+    "limits.powersum_convergence m": (
+        lambda k: spherica.powersum_convergence(_ATOM, k, (2, 4)), 2),
+    "limits.powersum_convergence n_values": (
+        lambda k: spherica.powersum_convergence(_ATOM, 2, (k, 4)), 2),
+    "limits.weyl_concentration_sweep m": (
+        lambda k: spherica.weyl_concentration_sweep(k, (4, 8)), 2),
+    "limits.weyl_concentration_sweep n_values": (
+        lambda k: spherica.weyl_concentration_sweep(1, (k, 8)), 2),
+    "montecarlo.RngStream master_seed": (lambda k: RngStream(k).uniforms(3).tolist(), 2),
+    "montecarlo.RngStream stream_id": (lambda k: RngStream(0, k).uniforms(3).tolist(), 2),
+    "montecarlo.haar_unitary": (
+        lambda k: spherica.haar_unitary(k, RngStream(0)).tolist(), 2),
+    "montecarlo.mc_spherical n_samples": (
+        lambda k: spherica.mc_spherical((0.5,), (0.5,), k), 150),
+    "montecarlo.mc_spherical seed": (
+        lambda k: spherica.mc_spherical((0.5,), (0.5,), 150, k), 2),
+    "montecarlo.mc_orbital_exp n_samples": (
+        lambda k: spherica.mc_orbital_exp((0.5,), (0.5,), k), 150),
+    "montecarlo.mc_orbital_exp seed": (
+        lambda k: spherica.mc_orbital_exp((0.5,), (0.5,), 150, k), 2),
+    "montecarlo.mc_biinvariant_avg n": (
+        lambda k: spherica.mc_biinvariant_avg(_ATOM, (1.0,), (0.5,), k, 150), 2),
+    "montecarlo.mc_biinvariant_avg n_samples": (
+        lambda k: spherica.mc_biinvariant_avg(_ATOM, (1.0,), (0.5,), 2, k), 150),
+    "montecarlo.mc_biinvariant_avg seed": (
+        lambda k: spherica.mc_biinvariant_avg(_ATOM, (1.0,), (0.5,), 2, 150, k), 2),
+    "polya.p_tilde": (lambda k: spherica.p_tilde(_ATOM, k), 2),
+    "polya.sigma_moment": (lambda k: spherica.sigma_moment(_ATOM, k), 2),
+    "polya.log_deriv_coeffs": (lambda k: spherica.log_deriv_coeffs(_ATOM, k), 2),
+    "polya.h_tilde": (lambda k: spherica.h_tilde(_ATOM, k), 2),
+    "symfunc.Partition": (lambda k: spherica.Partition((k, 1)), 2),
+    "symfunc.power_p": (lambda k: spherica.power_p(k, [1.0, 2.0]), 2),
+    "symfunc.complete_h_table": (lambda k: spherica.complete_h_table([1.0, 2.0], k), 2),
+    "symfunc.complete_h": (lambda k: spherica.complete_h(k, [1.0, 2.0]), 2),
+    "symfunc.enumerate_partitions max_weight": (
+        lambda k: list(spherica.enumerate_partitions(k, 2)), 2),
+    "symfunc.enumerate_partitions max_length": (
+        lambda k: list(spherica.enumerate_partitions(2, k)), 2),
+    "spherical.weyl_c_n": (lambda k: spherica.weyl_c_n(k), 2),
+    "spherical.weyl_density_mn m": (
+        lambda k: spherica.weyl_density_mn(k, 4, (1.0, 1.2)), 2),
+    "spherical.weyl_density_mn n": (lambda k: spherica.weyl_density_mn(1, k, (1.0,)), 2),
+    "validate.validate_all samples": (lambda k: validate_all(["mc"], samples=k), 150),
+    "validate.validate_all seed": (lambda k: validate_all(["mc"], 150, seed=k), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_follow_one_rule(name):
+    # a fraction, inf or nan is refused, never truncated to another object;
+    # an integral float or a numpy integer is the integer itself
+    call, k = _INTEGER_ARGUMENTS[name]
+    for bad in (k + 0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            call(bad)
+    expected = call(k)
+    assert call(float(k)) == expected
+    assert call(np.int64(k)) == expected

@@ -917,6 +917,13 @@ def test_radial_laplacian_rejects_singular_points():
         radial_laplacian(F, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1e-3])
+def test_radial_laplacian_rejects_a_step_not_positive_and_finite(step):
+    # an infinite step once gave 0.0 for every F
+    with pytest.raises(DomainError, match="fd_step must be positive and finite"):
+        radial_laplacian(lambda v: 1.0, (1.0, 0.5), fd_step=step)
+
+
 def test_polar_constant_small_cases():
     assert weyl_c_n(1) == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert weyl_c_n(2) == pytest.approx(2.0 * math.pi**4, rel=1e-14)
