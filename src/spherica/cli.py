@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval-spherical", help="spherical function at (x, xi)")
     sp.add_argument("--x", default=None)
     sp.add_argument("--xi", default=None)
-    sp.add_argument("--path", choices=["auto", "det", "series"], default=None)
+    sp.add_argument("--path", choices=["auto", "det", "series"], default="auto")
     _add_common(sp)
 
     sp = sub.add_parser("eval-polya", help="pointwise values and product")
@@ -179,7 +179,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("orbital", help="exponential orbital integral")
     sp.add_argument("--lam", default=None)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--path", choices=["auto", "det", "series"], default=None)
+    sp.add_argument("--path", choices=["auto", "det", "series"], default="auto")
     _add_common(sp)
 
     sp = sub.add_parser("heat-kernel", help="radial heat kernel value")
@@ -194,8 +194,8 @@ def build_parser() -> _Parser:
     )
     sp.add_argument("--x", default=None)
     sp.add_argument("--xi", default=None)
-    sp.add_argument("--fd-step", dest="fd_step", default=None)
-    sp.add_argument("--tol", default=None)
+    sp.add_argument("--fd-step", dest="fd_step", type=float, default=2e-3)
+    sp.add_argument("--tol", type=float, default=1e-3)
     _add_common(sp)
 
     sp = sub.add_parser("sweep", help="finite-size to limit comparison")
@@ -204,12 +204,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--xi", default=None)
     sp.add_argument("--m", default=None)
     sp.add_argument("--n-list", dest="n_list", default=None)
-    sp.add_argument("--method", choices=["series", "mc"], default=None)
+    sp.add_argument("--method", choices=["series", "mc"], default="series")
     _add_common(sp, samples_default=100_000)
 
     sp = sub.add_parser("validate", help="built-in consistency suite")
     suites = ["special", "symfunc", "spherical", "polya", "mc", "limits", "all"]
-    sp.add_argument("--suite", choices=suites, default=None)
+    sp.add_argument("--suite", choices=suites, default="all")
     _add_common(sp, samples_default=1000)
 
     return p
@@ -252,8 +252,7 @@ def _emit_eval_result(args, result) -> None:
 def _cmd_eval_spherical(args) -> int:
     x = _floats(args.x, "--x")
     xi = _floats(args.xi, "--xi")
-    path = args.path or "auto"
-    _emit_eval_result(args, _here.sph.spherical_eval(x, xi, path=path))
+    _emit_eval_result(args, _here.sph.spherical_eval(x, xi, path=args.path))
     return 0
 
 
@@ -294,8 +293,7 @@ def _cmd_eval_mixture(args) -> int:
 def _cmd_orbital(args) -> int:
     lam = _floats(args.lam, "--lam")
     theta = _floats(args.theta, "--theta")
-    path = args.path or "auto"
-    _emit_eval_result(args, _here.sph.orbital_integral(lam, theta, path=path))
+    _emit_eval_result(args, _here.sph.orbital_integral(lam, theta, path=args.path))
     return 0
 
 
@@ -311,11 +309,10 @@ def _cmd_heat_kernel(args) -> int:
 def _cmd_laplacian_check(args) -> int:
     x = _floats(args.x, "--x")
     xi = _floats(args.xi, "--xi")
-    fd_step = 2e-3 if args.fd_step is None else _float(args.fd_step, "--fd-step")
-    tol = 1e-3 if args.tol is None else _float(args.tol, "--tol")
+    tol = args.tol
     if not 0.0 < tol < math.inf:  # False for nan as well
         raise DomainError("tol must be positive and finite")
-    lap, eigen = _here.sph._eigen_identity(x, xi, fd_step)
+    lap, eigen = _here.sph._eigen_identity(x, xi, args.fd_step)
     rel = abs(lap - eigen) / max(1.0, abs(eigen))
     passed = rel <= tol
     payload = {
@@ -340,9 +337,8 @@ def _cmd_sweep(args) -> int:
     if kind == "spherical":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
         u = _float(args.xi, "--xi")
-        method = args.method or "series"
         report = _here.spherical_convergence(
-            omega, u, n_list, method=method, n_samples=args.samples, seed=args.seed
+            omega, u, n_list, method=args.method, n_samples=args.samples, seed=args.seed
         )
     elif kind == "powersum":
         omega = OmegaParam.from_file(_require(args.omega, "--omega"))
@@ -364,8 +360,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from .validate import render_report
 
-    suite = args.suite or "all"
-    names = None if suite == "all" else [suite]
+    names = None if args.suite == "all" else [args.suite]
     results = _here.validate_all(names, samples=args.samples, seed=args.seed)
     payload = {
         "results": [

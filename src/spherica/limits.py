@@ -7,8 +7,8 @@ compares it against its closed-form limit:
 * spherical-function values at a one-dimensional test direction against the
   limiting positive-definite function Pi(omega, u),
 * the mean of cos^2 over the angles under the Weyl angular density against
-  its value at the concentration point theta = (pi/2, ..., pi/2), by one
-  Gauss rule at every number of angles.
+  its value at the concentration point theta = (pi/2, ..., pi/2), in closed
+  form by Aomoto's integral.
 
 The Monte Carlo spherical sweep gives each grid point its own derived master
 seed (seed + 1000003 * point_index) so that changing the grid does not
@@ -26,7 +26,7 @@ from .errors import DomainError, RangeError, ShapeError, _integer
 from .polya import OmegaParam, p_tilde, polya_eval
 # spherical_series goes unused but stays: perfbench/tracer.py patches it here
 # by name
-from .spherical import _EPS, DiagonalPoint, spherical_series
+from .spherical import DiagonalPoint, spherical_series
 
 
 def __getattr__(name):
@@ -194,110 +194,26 @@ def spherical_convergence(
     )
 
 
-# nodes of the sweep's rule: exact for polynomials in sin t up to degree 95
-_WEYL_NODES = 48
-# the integrand (1 - y^2) K_m(y^2, y^2) has degree 4m - 2 in y
-_WEYL_MAX_M = (2 * _WEYL_NODES + 1) // 4
-
-
-def _jacobi_rows(b: float, count: int) -> tuple[list[float], list[float]]:
-    """Rows of I - J, J the Jacobi matrix of the weight (1 + s)^b on [-1, 1]
-    (alpha = 0, beta = b >= 0): the diagonal d_0..d_{count-1} and the
-    couplings e_0..e_{count-2}, e_k between rows k and k + 1."""
-    d, e = [2.0 / (b + 2.0)], []
-    for k in range(1, count):
-        s = 2.0 * k + b
-        d.append((4.0 * k * (k + b + 1.0) + 2.0 * b) / s / (s + 2.0))
-        e.append(2.0 * k * (k + b) / s / math.sqrt((s - 1.0) * (s + 1.0)))
-    return d, e
-
-
-def _weyl_rule(n: int) -> tuple[list[float], list[float]]:
-    """Half-angles d_k = arccos(y_k), ascending, and weights w_k of the Gauss
-    rule for y^(2n-3) on [0, 1], by Golub-Welsch on I - J, J the Jacobi
-    matrix (alpha = 0, beta = 2n - 3) in x = 2y - 1.  The eigenvalues of
-    I - J, 2(1 - y_k), are small where the weight concentrates, and implicit
-    QL with a deflation test relative to the neighbouring diagonal keeps them
-    to about 1e-13 relative, where those of J would lose it to cancellation.
-    Only the first row of the eigenvectors is rotated: its squares are the
-    weights."""
-    d, e = _jacobi_rows(2.0 * n - 3.0, _WEYL_NODES)
-    e.append(0.0)
-    z = [1.0] + [0.0] * (_WEYL_NODES - 1)
-    # implicit QL with Wilkinson's shift (tqli); e[i] couples rows i and i + 1
-    for lo in range(_WEYL_NODES):
-        while True:
-            m = lo
-            while m < _WEYL_NODES - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == lo:
-                break
-            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
-            g = d[m] - d[lo] + e[lo] / (g + math.copysign(math.hypot(g, 1.0), g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, lo - 1, -1):
-                f, h = s * e[i], c * e[i]
-                e[i + 1] = r = math.hypot(f, g)
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * h
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - h
-                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
-            d[lo] -= p
-            e[lo], e[m] = g, 0.0
-    # arccos(1 - u) = 2 arcsin(sqrt(u / 2)), with u = d_k / 2 = 1 - y_k
-    rule = sorted(zip(d, z))
-    return [2.0 * math.asin(math.sqrt(v) / 2.0) for v, _ in rule], [q * q for _, q in rule]
-
-
 def weyl_concentration_sweep(m: int, n_values: Sequence[int]) -> SweepReport:
     """E[mean of cos^2 over the m angles] under the (m, n) angular density
     along the grid, against its value at the concentration point
-    (pi/2, ..., pi/2); the expectation is m/n (Aomoto).
+    (pi/2, ..., pi/2).
 
-    With x = sin^2 t the density is the beta = 2 Jacobi ensemble
-    prod_{i<j} (x_i - x_j)^2 prod_i x_i^(n-2m) on [0, 1]^m, whose one-point
-    density is K_m(x, x) x^(n-2m) / m, K_m = sum_{k<m} p_k^2 over the
-    orthonormal polynomials of that weight (Christoffel-Darboux).  So the
-    value is the integral of (1 - x) K_m(x, x) x^(n-2m) over that of
-    K_m(x, x) x^(n-2m).  In y = sin t the weight is 2 y^(2(n-2m)+1) dy, the
-    rule of _weyl_rule(n - 2m + 2), on whose 48 nodes the integrand has
-    degree 4m - 2: exact for m <= 24, and larger m raise DomainError.  At
-    each node u = 1 - s = 2 sin^2 d (s = 2x - 1, d the half-angle) and
-    p_{k+1} = ((d_k - u) p_k - e_{k-1} p_{k-1}) / e_k from the rows of
-    I - J, which keeps the small differences s - alpha_k accurate where the
-    weight concentrates; the value is sum w K u / (2 sum w K).  At m = 1,
-    K = 1.  Deterministic at every m, with no standard errors, and no
-    numpy.
+    With x = sin^2 t the density is the Selberg (beta = 2 Jacobi) ensemble
+    prod_{i<j} (x_i - x_j)^2 prod_i x_i^(n-2m) on [0, 1]^m, parameters
+    alpha = n - 2m + 1 and beta = gamma = 1, and Aomoto's integral
+    (K. Aomoto, SIAM J. Math. Anal. 18 (1987) 545) gives E[x_1] =
+    (n - m)/n.  So E[mean cos^2] = 1 - E[x_1] = m/n at every grid point,
+    correctly rounded, at every m >= 1; deterministic, with no standard
+    errors.
     """
-    m = _integer(m, "m")
-    if not 1 <= m <= _WEYL_MAX_M:
-        raise DomainError(f"m must lie in 1..{_WEYL_MAX_M}")
+    m = _integer(m, "m", 1)
     grid = _check_grid(n_values, 2 * m)
     c = math.cos(math.pi / 2.0)
-    values: list[float] = []
-    for n in grid:
-        half, w = _weyl_rule(n - 2 * m + 2)
-        d, e = _jacobi_rows(float(n - 2 * m), m)
-        wk, wku = [], []
-        for h, wt in zip(half, w):
-            # cos^2 t = sin^2 h at both t = pi/2 -+ h
-            u = 2.0 * math.sin(h) ** 2
-            p_prev, p, e_prev, kern = 0.0, 1.0, 0.0, 1.0
-            for dk, ek in zip(d, e):
-                p_prev, p = p, ((dk - u) * p - e_prev * p_prev) / ek
-                e_prev = ek
-                kern += p * p
-            wk.append(wt * kern)
-            wku.append(wt * kern * u)
-        values.append(math.fsum(wku) / (2.0 * math.fsum(wk)))
     return SweepReport(
         kind="weyl_concentration",
         params={"m": m, "observable": "mean_cos_sq"},
         n_values=grid,
-        values=tuple(values),
+        values=tuple(m / n for n in grid),
         limit_value=c * c,
     )

@@ -36,8 +36,9 @@ An argument r roundings from the exact one moves the kernel by r u x more
 
 absolute for J0 and times the value for I0; the spare 0.6u x and 2u cover
 the second-order terms.  Arguments are limited to x <= 700, where I0 is
-about 1.5e302: beyond, I0 raises RangeError and J0, whose node table ends
-there, ConvergenceError.
+about 1.5e302: beyond, I0 raises RangeError and J0, which shares I0's cap
+(its rules are built per order on demand and would serve larger x),
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import math
 from .errors import ConvergenceError, DomainError, RangeError
 
 _UNIT = 2.0**-53
-# largest kernel argument: I0 stays in double range, J0's node table ends
+# largest kernel argument: I0 stays in double range, and J0 shares the cap
 _ARG_MAX = 700.0
 # the order test, b <= 2^-61, and the alias it certifies
 _LOG_ALIAS = -61.0 * math.log(2.0)
@@ -87,7 +88,7 @@ def _kernel(x: float, oscillatory: bool, roundings: int = 0) -> tuple[float, flo
         if not math.isfinite(x):
             raise DomainError("kernel argument must be finite")
         if oscillatory:
-            raise ConvergenceError(f"J0 beyond its node table: |x| > {_ARG_MAX:g}")
+            raise ConvergenceError(f"J0 beyond the kernels' shared cap: |x| > {_ARG_MAX:g}")
         raise RangeError(f"I0 overflow guard: |x| > {_ARG_MAX:g}")
     n = max(1, int(39.5 / math.log1p(58.0 / x) - 1.0)) if x else 1
     x_max, nodes = _rule(n)

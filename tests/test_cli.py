@@ -240,19 +240,26 @@ def test_sweep_weyl_concentrates(capsys):
 
 
 def test_sweep_weyl_two_angles_bytes_are_pinned(capsys):
-    # m/n to rounding, deterministic: no standard errors
+    # m/n, correctly rounded, deterministic: no standard errors
     code, out, err = run_cli(
         capsys, ["sweep", "--kind", "weyl", "--m", "2", "--n-list", "4,8,16,32"]
     )
     assert (code, err) == (0, "")
     assert out == (
-        '{"abs_errors": [0.5000000000000001, 0.2500000000000001,'
-        ' 0.12500000000000006, 0.06250000000000004], "kind": "weyl_concentration",'
+        '{"abs_errors": [0.5, 0.25, 0.125, 0.0625], "kind": "weyl_concentration",'
         ' "limit_value": 3.749399456654644e-33, "n_values": [4, 8, 16, 32],'
         ' "params": {"m": 2, "observable": "mean_cos_sq"}, "std_errors": null,'
-        ' "values": [0.5000000000000001, 0.2500000000000001, 0.12500000000000006,'
-        ' 0.06250000000000004]}\n'
+        ' "values": [0.5, 0.25, 0.125, 0.0625]}\n'
     )
+
+
+def test_sweep_weyl_serves_m_above_24(capsys):
+    # the closed form serves every m >= 1
+    code, out, err = run_cli(
+        capsys, ["sweep", "--kind", "weyl", "--m", "30", "--n-list", "60,100"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [0.5, 0.3]
 
 
 @pytest.mark.parametrize(
@@ -515,8 +522,6 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         (["sweep", "--kind", "weyl", "--m", "1", "--n-list", "8,4"], 2, "domain"),
         # below the estimators' 100-sample floor: refused, not quietly raised to 100
         (["validate", "--suite", "mc", "--samples", "20"], 2, "domain"),
-        # the Weyl sweep's rule is exact up to m = 24
-        (["sweep", "--kind", "weyl", "--m", "25", "--n-list", "50"], 2, "domain"),
         # integer flags: an infinite value or a fraction is a usage error
         (["sweep", "--kind", "weyl", "--m", "inf", "--n-list", "4,8"], 1, "usage"),
         (["sweep", "--kind", "weyl", "--m", "1.7", "--n-list", "4,8"], 1, "usage"),
@@ -541,7 +546,6 @@ def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path, argv, flag):
         "io",
         "sweep_domain",
         "validate_samples",
-        "weyl_m_above_24",
         "m_inf",
         "m_fraction",
         "n_list_inf",
