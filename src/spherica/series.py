@@ -7,6 +7,9 @@ even), with c_k = cos(pi k / N):
 
     K_N(x) = (f(x) + 2 sum_{k=1}^{floor((N-1)/2)} f(x c_k) + [N even]) / N.
 
+One loop, _kernel_matrix, sums it at every product a_i b_j of a determinant
+in one pass; the scalars are its 1 x 1 case, with the same bits and order.
+
 Alias (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): by Jacobi-Anger
 f(x cos t) = K(x) + 2 sum_{m>=1} s_m K_{2m}(x) cos(2mt), s_m = (-1)^m for J0
 and 1 for I0, and the rule averages cos(2mt) to 1 where N divides m and to 0
@@ -73,32 +76,55 @@ def _rule(n: int) -> tuple[float, tuple[float, ...]]:
     return rule
 
 
+def _kernel_matrix(a, b, oscillatory: bool, roundings: int) -> tuple[list, list, int]:
+    """(values, estimates, order): J0 (``oscillatory``) or I0 at every
+    x = fl(a_i b_j) >= 0 in one pass, as rows, each estimate counting
+    ``roundings`` roundings of the argument, and the largest order; the first
+    product in row-major order beyond 700 or not finite raises.  An order N
+    is the least whose x_N (see _rule) is at least x: the walk starts from
+    the fit 39.5 / log1p(58 / x) - 1, which rises with x at the slope e/4 of
+    the least order, never above it (tests check both ends of every order's
+    range) and, on a dense grid over (0, 700], at most one below it."""
+    f = math.cos if oscillatory else math.cosh
+    fsum, log1p, rules = math.fsum, math.log1p, _RULES.get
+    k = 5 + roundings
+    values, estimates, top = [], [], 0
+    for ai in a:
+        row, row_est = [], []
+        for bj in b:
+            x = ai * bj
+            if not x <= _ARG_MAX:
+                if not math.isfinite(x):
+                    raise DomainError("kernel argument must be finite")
+                if oscillatory:
+                    raise ConvergenceError(f"J0 beyond the kernels' shared cap: |x| > {_ARG_MAX:g}")
+                raise RangeError(f"I0 overflow guard: |x| > {_ARG_MAX:g}")
+            n = max(1, int(39.5 / log1p(58.0 / x) - 1.0)) if x else 1
+            x_max, nodes = rules(n) or _rule(n)
+            while x > x_max:
+                n += 1
+                x_max, nodes = rules(n) or _rule(n)
+            # a plain loop costs less here than map or a comprehension
+            interior = []
+            for c in nodes:
+                interior.append(f(x * c))
+            value = (f(x) + 2.0 * fsum(interior) + (n + 1) % 2) / n
+            est = _ALIAS + (k * x + 10.0) * _UNIT
+            row.append(value)
+            row_est.append(est if oscillatory else est * value)
+            if n > top:
+                top = n
+        values.append(row)
+        estimates.append(row_est)
+    return values, estimates, top
+
+
 def _kernel(x: float, oscillatory: bool, roundings: int = 0) -> tuple[float, float, int]:
     """(value, error estimate, order N) of J0(x) (``oscillatory``) or I0(x)
-    at x >= 0, where x is ``roundings`` roundings from the exact argument;
-    the rule and its bound are derived in the module docstring.
-
-    N is the least order whose x_N (see _rule) is at least x.  The walk
-    starts from the fit 39.5 / log1p(58 / x) - 1, which rises with x at the
-    slope e/4 of the least order; it never starts above the least order
-    (tests check both ends of every order's range) and, on a dense grid
-    over (0, 700], at most one below it.
-    """
-    if not x <= _ARG_MAX:
-        if not math.isfinite(x):
-            raise DomainError("kernel argument must be finite")
-        if oscillatory:
-            raise ConvergenceError(f"J0 beyond the kernels' shared cap: |x| > {_ARG_MAX:g}")
-        raise RangeError(f"I0 overflow guard: |x| > {_ARG_MAX:g}")
-    n = max(1, int(39.5 / math.log1p(58.0 / x) - 1.0)) if x else 1
-    x_max, nodes = _rule(n)
-    while x > x_max:
-        n += 1
-        x_max, nodes = _rule(n)
-    f = math.cos if oscillatory else math.cosh
-    value = (f(x) + 2.0 * math.fsum(map(f, map(x.__mul__, nodes))) + (n + 1) % 2) / n
-    rel = _ALIAS + ((5 + roundings) * x + 10.0) * _UNIT
-    return value, rel if oscillatory else rel * value, n
+    at x >= 0, ``roundings`` roundings from the exact argument: the 1 x 1
+    _kernel_matrix, whose one product x * 1.0 is x."""
+    values, estimates, n = _kernel_matrix((x,), (1.0,), oscillatory, roundings)
+    return values[0][0], estimates[0][0], n
 
 
 def hyper_f(z: float) -> float:

@@ -48,9 +48,9 @@ from .errors import (
     ShapeError,
     _integer,
 )
-# perfbench/tracer.py patches these names here: bessel_j0, bessel_i0, hyper_f
-# and complete_h_table go unused, and _certified_det reads _lu_full_pivot here
-from .series import _kernel, bessel_i0, bessel_j0, hyper_f
+# perfbench/tracer.py patches names here: bessel_j0, bessel_i0, hyper_f and
+# complete_h_table are imported for it alone; the others it patches are used here
+from .series import _kernel_matrix, bessel_i0, bessel_j0, hyper_f
 from .symfunc import _h_stream, _jacobi_trudi_det, _lu_full_pivot, _partition_tuples
 from .symfunc import _runs, complete_h_table
 
@@ -235,8 +235,9 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
 
     times (-1)^{n(n-1)/2} for J0, through _certified_det with these errors:
 
-    * the entries: the kernel's own estimate (series._kernel), which
-      counts the one rounding of its argument fl(a_i b_j);
+    * the entries: the kernel's own estimate, which counts the one
+      rounding of its argument fl(a_i b_j), from series._kernel_matrix,
+      the one pass that builds the values and estimates of all n^2 entries;
     * carried, the sum of the relative errors of the gaps: each gap
       g = fl(s_i - s_j) of the computed squares s: s_i - s_j is within
       E = eps (s_i + s_j) of the exact gap (a factor 2 to spare) and g
@@ -260,9 +261,7 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
             big = _EPS * (si + sj) + 1e-323
             den.append(g)
             gap_err += big / (g - big) if g > 1e6 * big else math.inf
-    cells = [[_kernel(ai * bj, oscillatory, 1) for bj in b] for ai in a]
-    matrix = [[c[0] for c in row] for row in cells]
-    entry_err = [[c[1] for c in row] for row in cells]
+    matrix, entry_err, _ = _kernel_matrix(a, b, oscillatory, 1)
     roundings = len(num) + 2 * len(den) + 2 * max(0, n - 23)
     return _certified_det(
         matrix, entry_err, oscillatory, n, "determinant", num, den, gap_err, roundings
@@ -725,8 +724,8 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
     overflow guard); up to it every I0 entry of the determinant is
-    certified (series._kernel), and a determinant whose value exceeds
-    double range raises RangeError.
+    certified (series._kernel_matrix, the scalar's bound), and a
+    determinant whose value exceeds double range raises RangeError.
     """
     lam, theta = _point_pair(lam, theta)
     if lam.values[0] * theta.values[0] > 700.0:

@@ -11,6 +11,7 @@ from spherica import (
     ConvergenceError,
     DomainError,
     RangeError,
+    SphericaError,
     bessel_i0,
     bessel_j0,
     bessel_j0_with_error,
@@ -195,3 +196,102 @@ def test_kernel_order_is_the_least_the_alias_test_allows():
         assert series._kernel(math.nextafter(prev, math.inf), True)[2] == n
         prev = x_n
     assert series._rule(494)[0] < 700.0 <= prev
+
+
+def _entrywise_kernel(x, oscillatory, roundings):
+    """The reference: the scalar kernel written for one entry, with its
+    guard, order walk and node sum spelled out."""
+    if not x <= 700.0:
+        if not math.isfinite(x):
+            raise DomainError("kernel argument must be finite")
+        if oscillatory:
+            raise ConvergenceError("J0 beyond the kernels' shared cap: |x| > 700")
+        raise RangeError("I0 overflow guard: |x| > 700")
+    n = max(1, int(39.5 / math.log1p(58.0 / x) - 1.0)) if x else 1
+    while x > series._rule(n)[0]:
+        n += 1
+    f, nodes = (math.cos if oscillatory else math.cosh), series._rule(n)[1]
+    value = (f(x) + 2.0 * math.fsum(map(f, map(x.__mul__, nodes))) + (n + 1) % 2) / n
+    est = 2.0**-59 + ((5 + roundings) * x + 10.0) * 2.0**-53
+    return value, est if oscillatory else est * value, n
+
+
+def _per_entry(kernel, a, b, oscillatory, roundings):
+    """What ``kernel`` gives entry by entry in row-major order: the bits of
+    each value and estimate, and the largest order, or the class and
+    message of the first refusal."""
+    try:
+        cells = [[kernel(ai * bj, oscillatory, roundings) for bj in b] for ai in a]
+    except SphericaError as exc:
+        return type(exc), str(exc)
+    values = [[c[0].hex() for c in row] for row in cells]
+    estimates = [[c[1].hex() for c in row] for row in cells]
+    return values, estimates, max(c[2] for row in cells for c in row)
+
+
+def _one_pass(a, b, oscillatory, roundings):
+    """The same from one call of the matrix builder, checked against the
+    scalar kernel and the reference entry by entry."""
+    try:
+        values, estimates, order = series._kernel_matrix(a, b, oscillatory, roundings)
+        got = *([[v.hex() for v in row] for row in m] for m in (values, estimates)), order
+    except SphericaError as exc:
+        got = type(exc), str(exc)
+    assert got == _per_entry(series._kernel, a, b, oscillatory, roundings)
+    assert got == _per_entry(_entrywise_kernel, a, b, oscillatory, roundings)
+    return got
+
+
+# the ends x_N of a few orders' ranges, halved so that a factor 2 in the
+# other argument lands the product on them, and the next float above
+_ENDS = [series._rule(n)[0] for n in (1, 2, 3, 7, 12, 25, 26)]
+_ON_ENDS = [x / 2.0 for x in _ENDS] + [math.nextafter(x, math.inf) / 2.0 for x in _ENDS]
+_ENTRIES = st.one_of(st.floats(0.0, 13.0), st.sampled_from([0.0, 0.5, 1.0, 2.0, *_ON_ENDS]))
+
+
+@st.composite
+def _matrix_args(draw, entries=_ENTRIES):
+    n = draw(st.integers(1, 8))
+    pair = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2)]
+    # repeated entries: one side is sometimes the other, reversed
+    if draw(st.booleans()):
+        pair[1] = pair[0][::-1]
+    return pair
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_matrix_args(), st.booleans(), st.integers(0, 1))
+@example([[0.0, 0.0], [1.0, 0.0]], True, 1)
+@example([[2.0, 2.0, 2.0], [_ENDS[5] / 2.0, 1.0, _ENDS[5] / 2.0]], False, 0)
+def test_kernel_matrix_is_the_scalar_kernel_bit_for_bit(args, oscillatory, roundings):
+    assert len(_one_pass(*args, oscillatory, roundings)) == 3
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 494), st.booleans(), st.lists(st.floats(0.0, 1.0), max_size=7),
+       st.booleans(), st.integers(0, 1))
+def test_kernel_matrix_meets_the_end_of_every_order(n, above, rest, oscillatory, roundings):
+    # a_0 b_0 is x_N, the end of order N's range, or the next float, where
+    # order N + 1 begins; every other product is at most a_0 b_0
+    x_n = series._rule(n)[0]
+    end = math.nextafter(x_n, math.inf) if above else x_n
+    a = [end, *(r * end for r in rest)]
+    b = [1.0, *rest]
+    assert _one_pass(a, b, oscillatory, roundings)[2] == n + above
+
+
+_REFUSED = st.one_of(
+    st.floats(0.0, 40.0), st.sampled_from([0.0, 1.0, 700.0, 701.0, 1e308, math.inf, math.nan])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_matrix_args(_REFUSED), st.booleans(), st.integers(0, 1))
+@example([[30.0], [30.0]], True, 0)
+@example([[30.0], [30.0]], False, 0)
+@example([[1.0, math.inf], [0.0, 1.0]], True, 1)
+@example([[1.0, math.nan], [1.0, 1.0]], False, 1)
+def test_kernel_matrix_refuses_as_the_scalar_kernel_does(args, oscillatory, roundings):
+    # products beyond 700, infinite (1e308 squared) or nan (0 times inf):
+    # the first in row-major order decides the class and the message
+    _one_pass(*args, oscillatory, roundings)

@@ -40,6 +40,7 @@ from spherica import (
     weyl_density_mn,
 )
 import spherica.spherical as spherical_module
+from spherica import series
 from spherica.spherical import _EPS, _EXP_FLOOR, _WEIGHT_CAP
 from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, complete_h_table
 
@@ -746,6 +747,25 @@ def test_determinant_route_within_its_bound_of_the_oracle(x, xi):
         r = evaluate(x, xi)
         assert r.path == "determinant"
         assert abs(r.value - _oracle(kind, x, xi)) <= r.abs_error
+
+
+def test_separated_points_build_the_kernel_matrix_in_one_pass(monkeypatch):
+    # no scalar kernel call per entry: one matrix build per evaluation
+    calls, builds = [], []
+
+    def count(kernel, log):
+        return lambda *args: log.append(args) or kernel(*args)
+
+    monkeypatch.setattr(series, "_kernel", count(series._kernel, calls))
+    for name in ("bessel_j0", "bessel_i0", "hyper_f"):
+        monkeypatch.setattr(spherical_module, name, count(getattr(series, name), calls))
+    monkeypatch.setattr(
+        spherical_module, "_kernel_matrix", count(spherical_module._kernel_matrix, builds)
+    )
+    x, xi = (2.0, 1.5, 1.0, 0.5), (1.8, 1.2, 0.7, 0.3)
+    for evaluate in (spherical_eval, orbital_integral):
+        assert evaluate(x, xi).path == "determinant"
+    assert calls == [] and len(builds) == 2
 
 
 def test_heat_kernel_bits_are_pinned():
