@@ -304,9 +304,9 @@ def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
 
 
 def _newton_rows(v: Sequence[float], top: int) -> list[list[float]]:
-    """Row i, entry m: g_m(v; i) = i!/(i+m)! h_m(v_0..v_i), m = 0..top-i,
-    by the subtraction-free recurrence g_m(i) = (i g_m(i-1) + v_i g_{m-1}(i))
-    / (i+m) from g_0 = 1 (nonnegative v)."""
+    """Row i lists g_{k-i}(v; i) = i!/k! h_{k-i}(v_0..v_i) for k = top, ..., i
+    (entry p at k = top - p), by the subtraction-free recurrence
+    g_m(i) = (i g_m(i-1) + v_i g_{m-1}(i)) / (i+m) from g_0 = 1 (v >= 0)."""
     rows = []
     prev = [0.0] * (top + 1)
     for i, vi in enumerate(v):
@@ -315,7 +315,7 @@ def _newton_rows(v: Sequence[float], top: int) -> list[list[float]]:
         for m in range(1, top - i + 1):
             g = (i * prev[m] + vi * g) / (i + m)
             row.append(g)
-        rows.append(row)
+        rows.append(row[::-1])
         prev = row
     return rows
 
@@ -342,10 +342,18 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
       0 <= g_m(v; i) <= v_0^m/m!, term k is at most
       t_k = lam_0^{k-i}/(k-i)! mu_0^{k-j}/(k-j)!, and for k > K
       t_{k+1}/t_k <= rho = lam_0 mu_0/((K+2-i)(K+2-j)); the tail is at most
-      t_{K+1}/(1 - rho).  K is the least order >= n-1 where rho <= 1/2 and
-      every t_{K+1} <= 2^-60, far below the rounding of a diagonal entry
-      (whose terms sum to >= 1 in magnitude).  Past _NEWTON_MAX_ORDER the
-      route gives up: value nan, abs_error inf.
+      t_{K+1}/(1 - rho).  K is the least order >= n-1 where (A) every
+      t_{K+1} <= 2^-60, far below the rounding of a diagonal entry (whose
+      terms sum to >= 1 in magnitude), tested as fl(max pl max pm) <= 2^-60
+      over m = K+2-n..K+1, pl[m] = lam_0^m/m!, pm[m] = mu_0^m/m! (0 where a
+      maximum is 0), and (B) 2 lam_0 mu_0 <= (K+3-n)^2: rho <= 1/2 at
+      i = j = n-1.  A is tested only where two exact lower bounds hold: B,
+      monotone in K, and fl(pl[K+1] pm[K+1]) <= 2^-60 or nan (a window's
+      maximum is at least its last entry, rounding is monotone, and a zero
+      maximum makes that product 0, or nan against an inf).  Where no order
+      up to the cap max(n-1, _NEWTON_MAX_ORDER) passes (at once where B
+      fails there), the route gives up: value nan, abs_error inf,
+      terms_used the cap; overflowed entries give the same at order K.
     * entry rounding: v_i = fl(a_i^2) (or fl(b_i^2)/4) is one rounding and a
       recurrence step three more, so g_m(i) is within gamma_{4m+3i}
       relative (induction on m+i) and term k within gamma_{8k+1}.  The terms
@@ -362,21 +370,28 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
     mu = [v * v / 4.0 for v in b]
     lam0, mu0 = lam[0], mu[0]
     product = lam0 * mu0
+    cap = max(n - 1, _NEWTON_MAX_ORDER)
+    if not 2.0 * product <= (cap + 3 - n) ** 2:  # B fails at the cap, or product is inf or nan
+        return EvalResult(math.nan, math.inf, cap, "newton")
     # pl[m] = lam_0^m/m!, pm[m] = mu_0^m/m!: bounds on g_m of every prefix
     pl, pm = [1.0], [1.0]
-    K = n - 1
-    while True:
-        for m in range(len(pl), K + 2):
-            pl.append(pl[-1] * lam0 / m)
-            pm.append(pm[-1] * mu0 / m)
-        first_l = max(pl[K + 2 - n :])
-        first_m = max(pm[K + 2 - n :])
+    p = q = 1.0
+    for m in range(1, cap + 2):
+        p = p * lam0 / m
+        q = q * mu0 / m
+        pl.append(p)
+        pm.append(q)
+        # order K = m - 1: the two lower bounds, then A itself
+        if m < n or p * q > 2.0**-60 or 2.0 * product > (m + 2 - n) ** 2:
+            continue
+        first_l = max(pl[m + 1 - n :])
+        first_m = max(pm[m + 1 - n :])
         first = first_l * first_m if first_l and first_m else 0.0
-        if first <= 2.0**-60 and 2.0 * product <= (K + 3 - n) ** 2:
+        if first <= 2.0**-60:
             break
-        if K >= _NEWTON_MAX_ORDER:
-            return EvalResult(math.nan, math.inf, K, "newton")
-        K += 1
+    else:
+        return EvalResult(math.nan, math.inf, cap, "newton")
+    K = m - 1
 
     g_lam = _newton_rows(lam, K)
     g_mu = _newton_rows(mu, K)
@@ -386,8 +401,7 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
         row, err_row = [], []
         for j, gj in enumerate(g_mu):
             lo = max(i, j)
-            terms = list(map(operator.mul, gi[lo - i :], gj[lo - j :]))
-            terms.reverse()  # k = K, K-1, ..., lo
+            terms = list(map(operator.mul, gi, gj))  # k = K, K-1, ..., lo
             if oscillatory:
                 total = sum(terms[::2]) - sum(terms[1::2])
                 if K & 1:
@@ -656,7 +670,8 @@ def _orbit_transform(
     separated pair takes this determinant (_det_ratio), "det" raises
     DegeneracyError at any other pair, and "auto" takes its Newton-basis
     form (_newton_transform), which must certify 1e-10 relative or raise
-    ConvergenceError with its value and bound attached.
+    ConvergenceError with its value and bound attached; where that route
+    gives up, the message names the order cap or the overflowed entries.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
@@ -669,9 +684,14 @@ def _orbit_transform(
     r = _newton_transform(x, xi, oscillatory)
     if r.abs_error <= _REL_TOL * abs(r.value):
         return r
+    if not math.isnan(r.value):
+        why = f"certifies {r.abs_error:.3g} absolute at value {r.value:.17g}, not 1e-10 relative"
+    elif r.terms_used < max(len(x.values) - 1, _NEWTON_MAX_ORDER):
+        why = f"overflows: its kernel entries leave double range at truncation order {r.terms_used}"
+    else:
+        why = f"finds no truncation order below its cap {r.terms_used} that bounds the tail"
     raise ConvergenceError(
-        f"Newton-basis determinant certifies {r.abs_error:.3g} absolute at value"
-        f" {r.value:.17g}, not 1e-10 relative; path 'series' sums the Schur series",
+        f"Newton-basis determinant {why}; path 'series' sums the Schur series",
         partial=r.value,
         abs_error=r.abs_error,
     )

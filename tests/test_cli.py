@@ -71,6 +71,23 @@ def test_eval_spherical_series_without_a_useful_bound_exits_two(capsys):
     assert json.loads(err)["error"] == "convergence"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-spherical", "--x", "30,30", "--xi", "30,29"],
+        ["orbital", "--lam", "25,25", "--theta", "25,24"],
+    ],
+    ids=["eval-spherical", "orbital"],
+)
+def test_newton_route_at_its_order_cap_exits_two(capsys, argv):
+    # the message names the cause, not "certifies inf absolute at value nan"
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    msg = json.loads(err)
+    assert msg["error"] == "convergence"
+    assert "no truncation order below its cap 200" in msg["message"]
+
+
 def test_eval_spherical_zero_argument(capsys):
     code, out, _ = run_cli(capsys, ["eval-spherical", "--x", "0,0", "--xi", "3,4"])
     assert code == 0

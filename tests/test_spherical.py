@@ -678,6 +678,92 @@ def test_newton_route_refuses_what_it_cannot_certify():
     assert 1e-10 * abs(r.value) < r.abs_error < math.inf
 
 
+@pytest.mark.parametrize(
+    "evaluate, x, xi, order, cause",
+    [
+        # products 2.0e5 and 9.4e4: the tail test fails at every order up to
+        # the cap 200, so the route gives up there
+        (spherical_eval, (30.0, 30.0), (30.0, 29.0), 200, "no truncation order below its cap 200"),
+        (orbital_integral, (25.0, 25.0), (25.0, 24.0), 200, "no truncation order below its cap"),
+        # lam_0 mu_0 = 0.25, but lam_0^3/3! overflows and mu_0^3/3! underflows:
+        # order 2 passes and the Newton entries leave double range
+        (spherical_eval, (1e100, 1e100), (1e-100, 1e-100), 2, "overflows"),
+    ],
+)
+def test_newton_refusal_names_its_cause(evaluate, x, xi, order, cause):
+    r = _newton(evaluate, x, xi)
+    assert math.isnan(r.value)
+    assert (r.abs_error, r.terms_used, r.path) == (math.inf, order, "newton")
+    with pytest.raises(ConvergenceError, match=cause) as info:
+        evaluate(x, xi)
+    assert "path 'series'" in str(info.value)
+    assert math.isnan(info.value.partial) and info.value.abs_error == math.inf
+
+
+def _one_step_order(x, xi):
+    """(K, passed) by the Newton route's one-step order search, restated:
+    the least K >= n-1 whose windows of lam_0^m/m! and mu_0^m/m!,
+    m = K+2-n..K+1, have a product of maxima <= 2^-60 and where
+    2 lam_0 mu_0 <= (K+3-n)^2, tried one order at a time up to the cap."""
+    a, b = spherical_module._canonical_order(*spherical_module._point_pair(x, xi))
+    n = len(a)
+    lam0, mu0 = a[0] * a[0], b[0] * b[0] / 4.0
+    pl, pm = [1.0], [1.0]
+    for K in range(n - 1, max(n - 1, 200) + 1):
+        while len(pl) < K + 2:
+            pl.append(pl[-1] * lam0 / len(pl))
+            pm.append(pm[-1] * mu0 / len(pm))
+        first_l, first_m = max(pl[K + 2 - n :]), max(pm[K + 2 - n :])
+        first = first_l * first_m if first_l and first_m else 0.0
+        if first <= 2.0**-60 and 2.0 * (lam0 * mu0) <= (K + 3 - n) ** 2:
+            return K, True
+    return K, False
+
+
+@st.composite
+def _newton_search_point(draw):
+    """Pairs for the order search: n = 1..8, entries up to 20 (many reach
+    the cap), near 1e-170 (their squares underflow), up to 1e160 (their
+    squares overflow), or x scaled up and xi down by 10^e (inf times 0 in
+    the tail products), with coincident and zero entries."""
+    n = draw(st.integers(1, 8))
+    plain = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+    regime = draw(st.sampled_from(("plain", "tiny", "huge", "reciprocal")))
+    entry = {
+        "plain": plain,
+        "tiny": st.one_of(plain, st.floats(1e-175, 1e-165)),
+        "huge": st.one_of(plain, st.floats(1e60, 1e160)),
+        "reciprocal": plain,
+    }[regime]
+
+    def vector():
+        v = draw(st.lists(entry, min_size=n, max_size=n))
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            v[j] = v[i]
+        return v
+
+    x, xi = vector(), vector()
+    if regime == "reciprocal":
+        e = draw(st.floats(40.0, 160.0))
+        x, xi = [v * 10.0**e for v in x], [v * 10.0**-e for v in xi]
+    return x, xi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_newton_search_point(), st.booleans())
+@example(((1e100, 1e100), (1e-100, 1e-100)), True)
+@example(([1.0] * 202, [0.5] * 202), False)  # n - 1 above the cap
+@example(([30.0] * 205, [30.0] * 205), True)
+def test_newton_order_is_the_one_step_search_order(point, oscillatory):
+    x, xi = point
+    r = spherical_module._newton_transform(*spherical_module._point_pair(x, xi), oscillatory)
+    order, passed = _one_step_order(x, xi)
+    assert (r.terms_used, r.path) == (order, "newton")
+    if not passed:
+        assert math.isnan(r.value) and r.abs_error == math.inf
+
+
 # Determinant-route results pinned bit for bit: (evaluator, x, xi, value,
 # abs_error) at separated points for n = 1, 2, 3, 4; terms_used is n.
 DET_POINTS = [
