@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import json
 import math
@@ -41,28 +40,18 @@ from .errors import (
     ValidationError,
 )
 
-# Names that load their submodule on first access (PEP 562), so a command
-# compiles only the modules it calls into.  Commands read them through
-# _here, the running module (``__main__`` under ``python -m``): a name
-# patched onto this module is the one called.
-_LAZY = {
-    "sph": "spherical",
-    "polya_eval": "polya",
-    "phi_omega": "polya",
-    "mixture_eval": "polya",
-    "powersum_convergence": "limits",
-    "spherical_convergence": "limits",
-    "weyl_concentration_sweep": "limits",
-    "validate_all": "validate",
-}
+# The package's public names and sph (its spherical module) load on first
+# access (PEP 562), so a command compiles only the modules it calls into.
+# Commands read them through _here, the running module (``__main__`` under
+# ``python -m``): a name patched onto this module is the one called.
 _here = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    package = sys.modules[__package__]
+    if name != "sph" and name not in package._ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module("." + _LAZY[name], __package__)
-    value = module if name == "sph" else getattr(module, name)
+    value = getattr(package, "spherical" if name == "sph" else name)
     globals()[name] = value
     return value
 

@@ -10,14 +10,14 @@ Reproducibility contract
   inverse normal CDF (scipy.special.ndtri).  No ziggurat, no rejection, so
   the stream consumption per sample is fixed and platform independent.
 * Estimators consume samples in fixed-size blocks of 8192; block b draws all
-  of its variates from stream (master_seed, b) in a documented order.  Each
-  block keeps two scalars per quantity: its sum and its sum of squares
-  centred on its own mean.  The mean is the exact sum (math.fsum, index
-  order) of the block sums over n_samples; the variance adds the centred
-  sums to the between-block spread sum_b take_b (mean_b - mean)^2
-  (Chan-Golub-LeVeque merge), so a spread small against the mean is not
-  lost to cancellation.  The estimate therefore depends only on
-  (master_seed, n_samples), not on any parallel execution plan.
+  of its variates from stream (master_seed, b) in a documented order.  The
+  one path from (n_samples, master_seed) to the McEstimate is _estimate.
+  Per quantity, each block keeps its sum and its sum of squares about its
+  own mean.  The mean is the exact sum (math.fsum, index order) of the block
+  sums over n_samples; the variance adds the centred sums to the spread
+  sum_b take_b (mean_b - mean)^2 (Chan-Golub-LeVeque merge), so a spread
+  small against the mean is not lost to cancellation.  The estimate depends
+  only on (master_seed, n_samples), not on any parallel execution plan.
 
 Haar isometries: the first m columns of an n x n Haar unitary are the Q of
 an n x m complex Ginibre slab whose R has a positive real diagonal (without
@@ -87,12 +87,6 @@ class RngStream:
         """Standard normals by the inverse CDF applied to uniforms()."""
         return ndtri(self.uniforms(shape))
 
-    def complex_ginibre(self, shape) -> np.ndarray:
-        """iid CN(0,1) entries: one normals() call of shape (2, *shape),
-        first slab real parts, second slab imaginary parts."""
-        z = self.normals((2,) + tuple(shape))
-        return (z[0] + 1j * z[1]) / math.sqrt(2.0)
-
 
 @record
 class McEstimate:
@@ -117,7 +111,8 @@ def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
     Draws the same variates as _haar_isometry_batch(stream, 1, n, n).
     """
     n = _integer(n, "n", 1)
-    q, r = np.linalg.qr(stream.complex_ginibre((n, n)))
+    z = stream.normals((2, n, n))
+    q, r = np.linalg.qr((z[0] + 1j * z[1]) / math.sqrt(2.0))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -151,14 +146,14 @@ def _blocks(n_samples: int):
         yield b, min(_BLOCK, n_samples - start)
 
 
-def _block_estimates(
-    n_samples: int, seed: int, sample: Callable[[RngStream, int], tuple[np.ndarray, ...]]
-) -> list[tuple[float, float]]:
-    """(mean, standard error) of each quantity sampled over the fixed blocks.
-
-    sample(stream, take) draws block b from RngStream(seed, b) and returns one
-    array of take per-sample values per quantity.
+def _estimate(n_samples: int, seed: int, sample: Callable[[RngStream, int], tuple]) -> McEstimate:
+    """The McEstimate of n_samples draws, with n_samples (an integer >= 100)
+    and seed checked before any block is drawn.  sample(RngStream(seed, b),
+    take) draws block b and returns one array of take values per quantity:
+    the first gives mean and std_error, a second imag_mean and imag_std_error.
     """
+    n_samples = _integer(n_samples, "n_samples", 100)
+    seed = _integer(seed, "seed")
     blocks = []
     for b, take in _blocks(n_samples):
         stats = []
@@ -166,13 +161,12 @@ def _block_estimates(
             s = float(np.sum(v))
             stats.append((take, s, float(np.sum((v - s / take) ** 2))))
         blocks.append(stats)
-    estimates = []
+    moments = []
     for quantity in zip(*blocks):
         mean = math.fsum(s for _, s, _ in quantity) / n_samples
         m2 = math.fsum(c + take * (s / take - mean) ** 2 for take, s, c in quantity)
-        var = m2 / (n_samples - 1)
-        estimates.append((mean, math.sqrt(var / n_samples)))
-    return estimates
+        moments += mean, math.sqrt(m2 / (n_samples - 1) / n_samples)
+    return McEstimate(*moments[:2], n_samples, seed, *moments[2:])
 
 
 def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,10 +182,6 @@ def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.n
     return np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v.conj()).real @ b
 
 
-def _check_samples(n_samples: int) -> int:
-    return _integer(n_samples, "n_samples", 100)
-
-
 def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
     """Haar average of exp(i <xi, U x V*>): mean of cos over samples of
     z = sum_j xi_j Re (U diag(x) V*)_{jj}, with the sin component reported as
@@ -200,7 +190,6 @@ def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
     Per block and sample the draw order is: U slab, then V slab.
     """
     x, xi = _point_pair(x, xi)
-    n_samples = _check_samples(n_samples)
     xv = np.array(x.values)
     xiv = np.array(xi.values)
 
@@ -208,8 +197,7 @@ def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
         z = _pairing(stream, take, xv, xiv)
         return np.cos(z), np.sin(z)
 
-    (mean, se), (imean, ise) = _block_estimates(n_samples, seed, sample)
-    return McEstimate(mean, se, n_samples, _integer(seed, "seed"), imean, ise)
+    return _estimate(n_samples, seed, sample)
 
 
 def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
@@ -220,7 +208,6 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
     useless at any affordable sample count.
     """
     lam, theta = _point_pair(lam, theta)
-    n_samples = _check_samples(n_samples)
     lv = np.array(lam.values)
     tv = np.array(theta.values)
     if float(np.linalg.norm(lv)) * float(np.linalg.norm(tv)) > 10.0:
@@ -229,8 +216,7 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
     def sample(stream, take):
         return (np.exp(_pairing(stream, take, tv, lv)),)
 
-    [(mean, se)] = _block_estimates(n_samples, seed, sample)
-    return McEstimate(mean, se, n_samples, _integer(seed, "seed"))
+    return _estimate(n_samples, seed, sample)
 
 
 def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
@@ -278,7 +264,6 @@ def mc_biinvariant_avg(
     xs, ys = _point_pair(x, y)
     m = xs.dimension
     n = _integer(n, "n", 2 * m)
-    n_samples = _check_samples(n_samples)
 
     def sample(stream, take):
         v1 = _haar_isometry_batch(stream, take, n, m)
@@ -287,5 +272,4 @@ def mc_biinvariant_avg(
         rows = [list(row) for row in k.transpose(1, 2, 0)]
         return (_phi_omega_rows(omega, rows, np.exp),)
 
-    [(mean, se)] = _block_estimates(n_samples, seed, sample)
-    return McEstimate(mean, se, n_samples, _integer(seed, "seed"))
+    return _estimate(n_samples, seed, sample)

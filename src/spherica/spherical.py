@@ -50,7 +50,7 @@ from .errors import (
 )
 # perfbench/tracer.py patches names here: bessel_j0, bessel_i0, hyper_f and
 # complete_h_table are imported for it alone; the others it patches are used here
-from .series import _kernel_matrix, bessel_i0, bessel_j0, hyper_f
+from .series import _ARG_MAX, _kernel_matrix, bessel_i0, bessel_j0, hyper_f
 from .symfunc import _h_stream, _jacobi_trudi_det, _lu_full_pivot, _partition_tuples
 from .symfunc import _runs, complete_h_table
 
@@ -748,8 +748,8 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
     determinant whose value exceeds double range raises RangeError.
     """
     lam, theta = _point_pair(lam, theta)
-    if lam.values[0] * theta.values[0] > 700.0:
-        raise RangeError("orbital_integral overflow guard: max(lam)*max(theta) > 700")
+    if lam.values[0] * theta.values[0] > _ARG_MAX:
+        raise RangeError(f"orbital_integral overflow guard: max(lam)*max(theta) > {_ARG_MAX:g}")
     return _orbit_transform(lam, theta, False, path)
 
 

@@ -194,6 +194,33 @@ def test_sample_count_floor():
         mc_spherical((1.0,), (1.0,), 99, seed=0)
 
 
+_ESTIMATORS = {
+    "spherical": lambda k, seed: mc_spherical((1.0, 0.5), (0.8, 0.3), k, seed=seed),
+    "orbital_exp": lambda k, seed: mc_orbital_exp((1.0, 0.5), (0.8, 0.3), k, seed=seed),
+    "biinvariant": lambda k, seed: mc_biinvariant_avg(
+        OmegaParam([2.0, 0.5], 0.3), (0.7,), (1.1,), 3, k, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+@pytest.mark.parametrize("n_samples, seed", [(99, 0), (1000, 0.5)])
+def test_counts_are_checked_before_any_stream_is_built(name, n_samples, seed, monkeypatch):
+    built = []
+
+    class Counting(RngStream):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(montecarlo, "RngStream", Counting)
+    with pytest.raises(DomainError):
+        _ESTIMATORS[name](n_samples, seed)
+    assert built == []
+    _ESTIMATORS[name](1000, 0)
+    assert built == [(0, 0)]
+
+
 def test_exponential_estimate_at_zero_is_exact():
     est = mc_orbital_exp((1.5, 0.5), (0.0, 0.0), 1000, seed=0)
     assert est.mean == 1.0
@@ -293,10 +320,10 @@ def test_biinvariant_average_matches_a_full_svd_estimator(m, n, n_samples):
         s = np.linalg.svd(_translate(v1, v2, x, y), compute_uv=False)
         return (montecarlo._phi_omega_singvals(om, s),)
 
-    [(mean, se)] = montecarlo._block_estimates(n_samples, 5, sample)
+    ref = montecarlo._estimate(n_samples, 5, sample)
     est = mc_biinvariant_avg(om, x, y, n, n_samples, seed=5)
-    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
-    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+    assert est.mean == pytest.approx(ref.mean, rel=1e-12, abs=0.0)
+    assert est.std_error == pytest.approx(ref.std_error, rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -391,6 +418,49 @@ def test_full_rank_estimates_keep_their_values(n):
     assert (est.mean, est.std_error) == pytest.approx(sph, rel=1e-12, abs=0.0)
     est = mc_orbital_exp(x, xi, 20_000, seed=0)
     assert (est.mean, est.std_error) == pytest.approx(orb, rel=1e-12, abs=0.0)
+
+
+_OM = OmegaParam([2.0, 0.5], 0.3)
+
+# every field of each estimate, bit for bit (a float's repr round-trips):
+# seed 3 at 1000 samples (one partial block), seed 11 at 9000 samples (a full
+# block and a partial one)
+_PINNED = [
+    (mc_spherical, ((1.0, 0.5), (0.8, 0.3), 1000, 3),
+     "McEstimate(mean=0.9431185268506932, std_error=0.0020809539470937138, n_samples=1000, "
+     "master_seed=3, imag_mean=0.004045706893944098, imag_std_error=0.010309768616949965)"),
+    (mc_spherical, ((1.2, 0.7, 0.2), (0.9, 0.4, 0.1), 9000, 11),
+     "McEstimate(mean=0.9469124556063762, std_error=0.0007145051446442952, n_samples=9000, "
+     "master_seed=11, imag_mean=0.0034916409200990467, imag_std_error=0.0033126262735866507)"),
+    (mc_orbital_exp, ((1.0, 0.5), (0.8, 0.3), 1000, 3),
+     "McEstimate(mean=1.0614961674579464, std_error=0.0115777170313057, n_samples=1000, "
+     "master_seed=3, imag_mean=None, imag_std_error=None)"),
+    (mc_orbital_exp, ((0.6, 0.4, 0.2), (0.5, 0.3, 0.1), 9000, 11),
+     "McEstimate(mean=1.0066724765166644, std_error=0.00111513448219134, n_samples=9000, "
+     "master_seed=11, imag_mean=None, imag_std_error=None)"),
+    (mc_biinvariant_avg, (_OM, (0.7,), (1.1,), 3, 1000, 3),
+     "McEstimate(mean=0.3855659192948615, std_error=0.0020759017887318656, n_samples=1000, "
+     "master_seed=3, imag_mean=None, imag_std_error=None)"),
+    (mc_biinvariant_avg, (_OM, (0.7, 0.4), (1.1, 0.5), 5, 9000, 11),
+     "McEstimate(mean=0.2921719889875018, std_error=0.0004210646734512783, n_samples=9000, "
+     "master_seed=11, imag_mean=None, imag_std_error=None)"),
+]
+
+
+@pytest.mark.parametrize("fn, args, want", _PINNED)
+def test_estimates_keep_their_bits(fn, args, want):
+    assert repr(fn(*args[:-1], seed=args[-1])) == want
+
+
+def test_haar_unitary_keeps_its_bits():
+    got = haar_unitary(3, RngStream(1, 0)).ravel().tolist()
+    assert repr(got) == (
+        "[(-0.21705562060055492-0.4045463317130162j), (0.5382545824471952-0.6592913318914392j), "
+        "(0.04385898696646505+0.2508434900349882j), (-0.7872168903341009+0.2675033334013653j), "
+        "(0.247704835942472+0.2110621052053685j), (-0.42377276920539686-0.15245745724249174j), "
+        "(0.2782444272918633-0.1433202565450497j), (-0.22013446260248934-0.34821382014376157j), "
+        "(-0.8041787856006993-0.2926154086343877j)]"
+    )
 
 
 _FULL_8 = (2.0, 1.7, 1.5, 1.2, 1.0, 0.7, 0.5, 0.2)
