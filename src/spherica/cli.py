@@ -23,7 +23,6 @@ Conventions (stable contract):
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -117,6 +116,8 @@ def _emit(args, payload, rows, table: str | None = None) -> None:
     line, CSV ``rows`` (header first), or ``table`` when the command has one
     and no --format was given."""
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [_cell(v) for v in row] for row in rows

@@ -9,6 +9,8 @@ even), with c_k = cos(pi k / N):
 
 One loop, _kernel_matrix, sums it at every product a_i b_j of a determinant
 in one pass; the scalars are its 1 x 1 case, with the same bits and order.
+Each entry's order comes from one bisection in the table _XMAX of the ends
+x_N of the orders' ranges, and each order's nodes are built on its first use.
 
 Alias (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): by Jacobi-Anger
 f(x cos t) = K(x) + 2 sum_{m>=1} s_m K_{2m}(x) cos(2mt), s_m = (-1)^m for J0
@@ -40,13 +42,13 @@ An argument r roundings from the exact one moves the kernel by r u x more
 absolute for J0 and times the value for I0; the spare 0.6u x and 2u cover
 the second-order terms.  Arguments are limited to x <= 700, where I0 is
 about 1.5e302: beyond, I0 raises RangeError and J0, which shares I0's cap
-(its rules are built per order on demand and would serve larger x),
-ConvergenceError.
+(a longer table would serve larger x), ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import ConvergenceError, DomainError, RangeError
 
@@ -56,24 +58,26 @@ _ARG_MAX = 700.0
 # the order test, b <= 2^-61, and the alias it certifies
 _LOG_ALIAS = -61.0 * math.log(2.0)
 _ALIAS = 2.0**-59
-# order N -> (the largest x it serves, its nodes cos(pi k / N) for
-# k = 1 .. floor((N - 1)/2)): the only state
-_RULES: dict[int, tuple[float, tuple[float, ...]]] = {}
+# _XMAX[N - 1] is x_N, the largest x that order N serves, for N = 1..495,
+# rising with N; order 495 is the first whose x_N reaches _ARG_MAX.
+# b <= 2^-61 is x <= x_N = 2 exp((lgamma(2N + 1) - 61 log 2) / (2N)); the
+# computed x_N is within about 1e-14 of it, which moves b by a factor below
+# 1 + 1e-11.  _NODES[N - 1] holds order N's nodes once an entry has used them.
+_XMAX = [2.0 * math.exp((math.lgamma(2 * n + 1) + _LOG_ALIAS) / (2 * n)) for n in range(1, 496)]
+_NODES: list[tuple[float, ...] | None] = [None] * len(_XMAX)
 
 
 def _rule(n: int) -> tuple[float, tuple[float, ...]]:
-    """The order-n entry of _RULES, built on first use.  b <= 2^-61 is
-    x <= x_n = 2 exp((lgamma(2n + 1) - 61 log 2) / (2n)); the computed x_n
-    is within about 1e-14 of it, which moves b by a factor below 1 + 1e-11."""
-    rule = _RULES.get(n)
-    if rule is None:
-        x_max = 2.0 * math.exp((math.lgamma(2 * n + 1) + _LOG_ALIAS) / (2 * n))
-        nodes = tuple(
+    """(x_n, nodes cos(pi k / n) for k = 1 .. floor((n - 1)/2)) of order
+    n = 1..495, the nodes built on first use (a repeated first use stores
+    the same tuple)."""
+    nodes = _NODES[n - 1]
+    if nodes is None:
+        nodes = _NODES[n - 1] = tuple(
             math.cos(math.pi * k / n) if 4 * k <= n else math.sin(math.pi * (n - 2 * k) / (2 * n))
             for k in range(1, (n + 1) // 2)
         )
-        rule = _RULES[n] = (x_max, nodes)
-    return rule
+    return _XMAX[n - 1], nodes
 
 
 def _kernel_matrix(a, b, oscillatory: bool, roundings: int) -> tuple[list, list, int]:
@@ -81,12 +85,10 @@ def _kernel_matrix(a, b, oscillatory: bool, roundings: int) -> tuple[list, list,
     x = fl(a_i b_j) >= 0 in one pass, as rows, each estimate counting
     ``roundings`` roundings of the argument, and the largest order; the first
     product in row-major order beyond 700 or not finite raises.  An order N
-    is the least whose x_N (see _rule) is at least x: the walk starts from
-    the fit 39.5 / log1p(58 / x) - 1, which rises with x at the slope e/4 of
-    the least order, never above it (tests check both ends of every order's
-    range) and, on a dense grid over (0, 700], at most one below it."""
+    is the least whose x_N is at least x, found by bisection in _XMAX; the
+    guard comes first, since bisection would put nan at order 1."""
     f = math.cos if oscillatory else math.cosh
-    fsum, log1p, rules = math.fsum, math.log1p, _RULES.get
+    fsum, xmax, slots = math.fsum, _XMAX, _NODES
     k = 5 + roundings
     values, estimates, top = [], [], 0
     for ai in a:
@@ -99,11 +101,10 @@ def _kernel_matrix(a, b, oscillatory: bool, roundings: int) -> tuple[list, list,
                 if oscillatory:
                     raise ConvergenceError(f"J0 beyond the kernels' shared cap: |x| > {_ARG_MAX:g}")
                 raise RangeError(f"I0 overflow guard: |x| > {_ARG_MAX:g}")
-            n = max(1, int(39.5 / log1p(58.0 / x) - 1.0)) if x else 1
-            x_max, nodes = rules(n) or _rule(n)
-            while x > x_max:
-                n += 1
-                x_max, nodes = rules(n) or _rule(n)
+            n = bisect_left(xmax, x) + 1
+            nodes = slots[n - 1]
+            if nodes is None:
+                nodes = _rule(n)[1]
             # a plain loop costs less here than map or a comprehension
             interior = []
             for c in nodes:

@@ -671,7 +671,9 @@ def _orbit_transform(
     DegeneracyError at any other pair, and "auto" takes its Newton-basis
     form (_newton_transform), which must certify 1e-10 relative or raise
     ConvergenceError with its value and bound attached; where that route
-    gives up, the message names the order cap or the overflowed entries.
+    gives up, the message names the order cap, the overflowed entries, or
+    an overflowed lam_0 mu_0 (inf, or nan where the other square underflows
+    to 0), which fails the tail test at every order.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
@@ -684,8 +686,12 @@ def _orbit_transform(
     r = _newton_transform(x, xi, oscillatory)
     if r.abs_error <= _REL_TOL * abs(r.value):
         return r
+    a, b = _canonical_order(x, xi)
+    product = a[0] * a[0] * (b[0] * b[0] / 4.0)  # _newton_transform's lam_0 mu_0
     if not math.isnan(r.value):
         why = f"certifies {r.abs_error:.3g} absolute at value {r.value:.17g}, not 1e-10 relative"
+    elif not math.isfinite(product):
+        why = f"overflows: squaring its largest entries gives lam_0 mu_0 = {product}"
     elif r.terms_used < max(len(x.values) - 1, _NEWTON_MAX_ORDER):
         why = f"overflows: its kernel entries leave double range at truncation order {r.terms_used}"
     else:

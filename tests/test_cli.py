@@ -762,6 +762,31 @@ def test_cli_import_loads_no_dataclasses_inspect_or_numpy(python_subprocess):
     assert json.loads(proc.stdout.decode()) == []
 
 
+# Runs in a fresh interpreter: JSON output, by default or by --format json,
+# loads no csv module; the first --format csv command does
+_NO_CSV_CHILD = """
+import json, sys
+from spherica.cli import main
+before = "csv" in sys.modules
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+after_json = "csv" in sys.modules
+codes.append(main(["orbital", "--lam", "1", "--theta", "2", "--format", "csv"]))
+print(json.dumps({"codes": codes, "csv": [before, after_json, "csv" in sys.modules]}))
+"""
+
+
+def test_json_commands_load_no_csv(python_subprocess):
+    commands = [
+        ["eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"],
+        ["orbital", "--lam", "1,0.5", "--theta", "2,0.3", "--format", "json"],
+        ["validate", "--suite", "special", "--format", "json"],
+    ]
+    proc = python_subprocess(["-c", _NO_CSV_CHILD, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report == {"codes": [0] * 4, "csv": [False, False, True]}
+
+
 # Runs in a fresh interpreter: at coincident points with large products the
 # Newton-basis route does not certify, and "auto" raises at once instead of
 # summing a six-row Schur series

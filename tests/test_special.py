@@ -1,5 +1,6 @@
 """Kernel scalars: F, J0 and I0 from one trapezoidal sum."""
 
+import json
 import math
 
 import mpmath as mp
@@ -295,3 +296,53 @@ def test_kernel_matrix_refuses_as_the_scalar_kernel_does(args, oscillatory, roun
     # products beyond 700, infinite (1e308 squared) or nan (0 times inf):
     # the first in row-major order decides the class and the message
     _one_pass(*args, oscillatory, roundings)
+
+
+# Runs in a fresh interpreter: the node slots an import fills, those one
+# scalar call fills, and four threads' first calls over orders that no
+# call has built yet, started together and switching often
+_NODE_SLOTS_CHILD = """
+import json, sys, threading
+from spherica import series
+filled = lambda: [n for n, nodes in enumerate(series._NODES, 1) if nodes is not None]
+report = {"import": filled()}
+series.bessel_j0(16.0)
+report["j0_16"] = filled()
+xs = json.loads(sys.argv[1])
+start = threading.Barrier(4)
+results = [None] * 4
+
+def first_calls(t):
+    start.wait()
+    out = {}
+    for x in xs[10 * t :] + xs[: 10 * t]:
+        out[repr(x)] = [[v.hex(), e.hex(), n] for v, e, n in
+                        (series._kernel(x, True), series._kernel(x, False))]
+    results[t] = out
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_calls, args=(t,)) for t in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+report["threads"] = results
+report["after"] = filled()
+print(json.dumps(report))
+"""
+
+
+def test_node_slots_fill_on_first_use_and_agree_across_threads(python_subprocess):
+    # orders 300..339: the end x_N of each range and a point inside it
+    orders = range(300, 340)
+    xs = [x for n in orders for x in (series._XMAX[n - 1], sum(series._XMAX[n - 2 : n]) / 2.0)]
+    proc = python_subprocess(["-c", _NODE_SLOTS_CHILD, json.dumps(xs)], timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode())
+    assert report["import"] == [] and report["j0_16"] == [25]
+    assert report["after"] == [25, *orders]
+    serial = {
+        repr(x): [[v.hex(), e.hex(), n] for v, e, n in (series._kernel(x, True), series._kernel(x, False))]
+        for x in xs
+    }
+    assert report["threads"] == [serial] * 4

@@ -688,6 +688,9 @@ def test_newton_route_refuses_what_it_cannot_certify():
         # lam_0 mu_0 = 0.25, but lam_0^3/3! overflows and mu_0^3/3! underflows:
         # order 2 passes and the Newton entries leave double range
         (spherical_eval, (1e100, 1e100), (1e-100, 1e-100), 2, "overflows"),
+        # entry products at most 2, but a_0^2 overflows and b_0^2/4
+        # underflows: lam_0 mu_0 is nan, so the tail test fails at the cap
+        (spherical_eval, (1e-200, 2e-200), (1e200, 3e199), 200, "lam_0 mu_0 = nan"),
     ],
 )
 def test_newton_refusal_names_its_cause(evaluate, x, xi, order, cause):
