@@ -26,7 +26,7 @@ from .errors import DomainError, RangeError, ShapeError, _integer
 from .polya import OmegaParam, p_tilde, polya_eval
 # spherical_series goes unused but stays: perfbench/tracer.py patches it here
 # by name
-from .spherical import DiagonalPoint, spherical_series
+from .spherical import spherical_series
 
 
 def __getattr__(name):
@@ -82,7 +82,7 @@ def _check_grid(n_values: Sequence[int], minimum: int) -> tuple[int, ...]:
 def t_n_map(lam, n: int | None = None) -> OmegaParam:
     """Scaling map at size n: lam -> omega with alpha_j = (lam_j / n)^2 and
     no Gaussian part; RangeError where an alpha_j leaves double range."""
-    point = lam if isinstance(lam, DiagonalPoint) else DiagonalPoint(lam)
+    point = spherical._as_point(lam)
     size = point.dimension if n is None else _integer(n, "n")
     if size != point.dimension:
         raise ShapeError(f"lam has {point.dimension} entries, expected {size}")

@@ -20,10 +20,10 @@ U(n) x U(n) orbit by one of three routes:
   by one rule: by Cauchy's identity a layer is at most a complete-h value
   of the products of the squared entries times its largest coefficient.
 
-Both determinants end in one engine, _certified_det: full-pivot
-elimination (symfunc's _lu_full_pivot), a Hadamard bound on the LU
-backward error and the entry errors, and one composition with the route's
-prefactor into the EvalResult.
+Both determinants read one balanced pair (_canonical_order) and end in one
+engine, _certified_det: full-pivot elimination (symfunc's _lu_full_pivot),
+a Hadamard bound on the LU backward error and the entry errors, and one
+composition with the route's prefactor into the EvalResult.
 "det" and "series" can be forced; "auto" takes "det" at separated points
 and the Newton-basis determinant elsewhere, which must certify 1e-10
 relative or raise ConvergenceError; it never sums the series.  The J0
@@ -126,9 +126,10 @@ def _point_pair(x, xi) -> tuple[DiagonalPoint, DiagonalPoint]:
 
 
 def squared_gap_product(values: Sequence[float]) -> float:
-    """D(v) = prod_{i<j} (v_i^2 - v_j^2)."""
-    squares = [float(v) * float(v) for v in values]
-    return math.prod((si - sj for si, sj in combinations(squares, 2)), start=1.0)
+    """D(v) = prod_{i<j} (v_i^2 - v_j^2), each factor (v_i - v_j)(v_i + v_j):
+    three roundings, no cancellation, inf where the product overflows."""
+    v = list(map(float, values))
+    return math.prod(((vi - vj) * (vi + vj) for vi, vj in combinations(v, 2)), start=1.0)
 
 
 def _is_degenerate(values: Sequence[float]) -> bool:
@@ -138,14 +139,16 @@ def _is_degenerate(values: Sequence[float]) -> bool:
     return any(sq[i] - sq[i + 1] <= _DEGENERACY_TOL * scale for i in range(len(sq) - 1))
 
 
-def _is_separated(x: DiagonalPoint, xi: DiagonalPoint) -> bool:
-    return not (_is_degenerate(x.values) or _is_degenerate(xi.values))
-
-
 def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
-    # the kernel determinants are symmetric in their two arguments; one fixed
-    # evaluation order makes that symmetry hold bitwise
-    return (x.values, xi.values) if x.values >= xi.values else (xi.values, x.values)
+    # one fixed order makes the kernel determinants' symmetry in their two
+    # arguments hold bitwise; the balance (a 2^e, b 2^-e), e half the exponent
+    # of b_0 less a_0's rounded toward zero, keeps each product a_i b_j (short
+    # of subnormals) and puts lam_0 = a_0^2 and mu_0 = b_0^2/4 within 64x
+    a, b = (x.values, xi.values) if x.values >= xi.values else (xi.values, x.values)
+    e = int((math.frexp(b[0])[1] - math.frexp(a[0])[1]) / 2) if a[0] and b[0] else 0
+    if e:
+        a, b = tuple(math.ldexp(v, e) for v in a), tuple(math.ldexp(v, -e) for v in b)
+    return a, b
 
 
 def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]) -> float:
@@ -227,9 +230,9 @@ def _certified_det(
     return EvalResult(value, abs_error, terms, path)
 
 
-def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalResult:
-    """The Bessel route of _orbit_transform at a separated pair: with (a, b)
-    from _canonical_order and K = J0 (``oscillatory``) or I0,
+def _det_ratio(a: Sequence[float], b: Sequence[float], oscillatory: bool) -> EvalResult:
+    """The Bessel route of _orbit_transform at a separated pair (a, b) from
+    _canonical_order: with K = J0 (``oscillatory``) or I0,
 
     (delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)),
 
@@ -248,7 +251,6 @@ def _det_ratio(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalRe
 
     terms_used is n.
     """
-    a, b = _canonical_order(x, xi)
     n = len(a)
     num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
     # the gaps, positive at a separated pair, and the sum of their relative
@@ -320,7 +322,7 @@ def _newton_rows(v: Sequence[float], top: int) -> list[list[float]]:
     return rows
 
 
-def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) -> EvalResult:
+def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool) -> EvalResult:
     """The orbit transform of _orbit_transform as a determinant with no gap
     division, valid at coincident and zero entries.
 
@@ -364,7 +366,6 @@ def _newton_transform(x: DiagonalPoint, xi: DiagonalPoint, oscillatory: bool) ->
       items above as the entry errors and no prefactor; its factor
       1 + 1e-10 also covers the O(Ku) factors above.  terms_used is K.
     """
-    a, b = _canonical_order(x, xi)
     n = len(a)
     lam = [v * v for v in a]
     mu = [v * v / 4.0 for v in b]
@@ -666,33 +667,30 @@ def _orbit_transform(
     It only picks the route: ``path`` "series" takes the Schur series
     (_schur_fourier_series), and so does "auto" where x or xi is all zero:
     there the series is its one term, the empty partition's 1, and returns
-    1.0 with abs_error 0.0, path "series" and terms_used 1.  Otherwise a
-    separated pair takes this determinant (_det_ratio), "det" raises
-    DegeneracyError at any other pair, and "auto" takes its Newton-basis
+    1.0 with abs_error 0.0, path "series" and terms_used 1.  Otherwise the
+    routes read the balanced pair (a, b) of _canonical_order: a separated
+    one takes this determinant (_det_ratio), "det" raises
+    DegeneracyError at any other, and "auto" takes its Newton-basis
     form (_newton_transform), which must certify 1e-10 relative or raise
     ConvergenceError with its value and bound attached; where that route
-    gives up, the message names the order cap, the overflowed entries, or
-    an overflowed lam_0 mu_0 (inf, or nan where the other square underflows
-    to 0), which fails the tail test at every order.
+    gives up, the message names the order cap (or lam_0 mu_0 overflowed) or
+    the overflowed entries.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
     if path == "series" or (path == "auto" and not (x.values[0] and xi.values[0])):
         return _schur_fourier_series(x.values, xi.values, oscillatory, _REL_TOL)
-    if _is_separated(x, xi):
-        return _det_ratio(x, xi, oscillatory)
+    a, b = _canonical_order(x, xi)
+    if not (_is_degenerate(a) or _is_degenerate(b)):
+        return _det_ratio(a, b, oscillatory)
     if path == "det":
         raise DegeneracyError("coincident squared entries; use path 'auto' or 'series'")
-    r = _newton_transform(x, xi, oscillatory)
+    r = _newton_transform(a, b, oscillatory)
     if r.abs_error <= _REL_TOL * abs(r.value):
         return r
-    a, b = _canonical_order(x, xi)
-    product = a[0] * a[0] * (b[0] * b[0] / 4.0)  # _newton_transform's lam_0 mu_0
     if not math.isnan(r.value):
         why = f"certifies {r.abs_error:.3g} absolute at value {r.value:.17g}, not 1e-10 relative"
-    elif not math.isfinite(product):
-        why = f"overflows: squaring its largest entries gives lam_0 mu_0 = {product}"
-    elif r.terms_used < max(len(x.values) - 1, _NEWTON_MAX_ORDER):
+    elif r.terms_used < max(len(a) - 1, _NEWTON_MAX_ORDER):
         why = f"overflows: its kernel entries leave double range at truncation order {r.terms_used}"
     else:
         why = f"finds no truncation order below its cap {r.terms_used} that bounds the tail"

@@ -78,6 +78,25 @@ def test_squared_gap_product_values():
     assert squared_gap_product(()) == 1.0
 
 
+@pytest.mark.parametrize(
+    "values",
+    [(1.0 + 2.0**-30, 1.0), (3.0, 1.0 + 2.0**-40, 1.0), (1e150, 3e-100), (2.5, -0.7, 0.1, 1.9)],
+)
+def test_squared_gap_product_is_accurate_to_a_few_roundings(values):
+    # each factor (v_i - v_j)(v_i + v_j) takes three roundings and no
+    # cancellation of squares, so the product is within 3m + m roundings
+    m = len(values) * (len(values) - 1) // 2
+    with mp.workdps(50):
+        exact = mp.mpf(1)
+        for i in range(len(values)):
+            for j in range(i + 1, len(values)):
+                exact *= mp.mpf(values[i]) ** 2 - mp.mpf(values[j]) ** 2
+        got = squared_gap_product(values)
+        assert abs(got - exact) <= 4 * m * _EPS / 2 * abs(exact)
+    # a product beyond double range is inf, not inf - inf
+    assert squared_gap_product((1e200, 5e199)) == math.inf
+
+
 def test_one_dimensional_case_reduces_to_j0():
     r = spherical_det((1.0,), (1.0,))
     assert r.value == pytest.approx(J0_AT_ONE, abs=1e-12)
@@ -608,7 +627,8 @@ def _newton(evaluate, x, xi):
     # the Newton-basis route forced, for spherical_eval's J0 or
     # orbital_integral's I0 kernel; "auto" takes it only where it certifies
     oscillatory = evaluate is spherical_eval
-    return spherical_module._newton_transform(*spherical_module._point_pair(x, xi), oscillatory)
+    pair = spherical_module._canonical_order(*spherical_module._point_pair(x, xi))
+    return spherical_module._newton_transform(*pair, oscillatory)
 
 
 @pytest.mark.parametrize(
@@ -685,12 +705,6 @@ def test_newton_route_refuses_what_it_cannot_certify():
         # the cap 200, so the route gives up there
         (spherical_eval, (30.0, 30.0), (30.0, 29.0), 200, "no truncation order below its cap 200"),
         (orbital_integral, (25.0, 25.0), (25.0, 24.0), 200, "no truncation order below its cap"),
-        # lam_0 mu_0 = 0.25, but lam_0^3/3! overflows and mu_0^3/3! underflows:
-        # order 2 passes and the Newton entries leave double range
-        (spherical_eval, (1e100, 1e100), (1e-100, 1e-100), 2, "overflows"),
-        # entry products at most 2, but a_0^2 overflows and b_0^2/4
-        # underflows: lam_0 mu_0 is nan, so the tail test fails at the cap
-        (spherical_eval, (1e-200, 2e-200), (1e200, 3e199), 200, "lam_0 mu_0 = nan"),
     ],
 )
 def test_newton_refusal_names_its_cause(evaluate, x, xi, order, cause):
@@ -701,6 +715,63 @@ def test_newton_refusal_names_its_cause(evaluate, x, xi, order, cause):
         evaluate(x, xi)
     assert "path 'series'" in str(info.value)
     assert math.isnan(info.value.partial) and info.value.abs_error == math.inf
+
+
+@st.composite
+def _scaled_twins(draw):
+    """A pair and its twin (2^k x, 2^-k xi) with k within the normal range:
+    n = 1..6, entries from a small pool in [0.2, 2] plus zero, so coincident
+    and zero entries are common."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(0.2, 2.0), min_size=1, max_size=n)) + [0.0]
+    entry = st.sampled_from(pool)
+    x = draw(st.lists(entry, min_size=n, max_size=n))
+    xi = draw(st.lists(entry, min_size=n, max_size=n))
+    k = draw(st.integers(-1000, 1000))
+    return (x, xi), ([math.ldexp(v, k) for v in x], [math.ldexp(v, -k) for v in xi])
+
+
+def _outcome(evaluate, x, xi, path):
+    # (route, value, abs_error); a Newton refusal carries the route's value
+    # and bound, and that route's bound depends on which side the fixed
+    # order puts first, so a pair and its twin can fall on either side of
+    # the 1e-10 gate
+    try:
+        r = evaluate(x, xi, path=path)
+    except DegeneracyError:
+        return "degenerate", math.nan, math.inf
+    except ConvergenceError as e:
+        assert str(e).startswith("Newton-basis determinant")
+        return "newton", e.partial, e.abs_error
+    return r.path, r.value, r.abs_error
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_scaled_twins())
+# the products of these pairs are (about) those of their unit-scale twins,
+# whose squares stay in double range
+@example((((1e100, 1e100), (1e-100, 1e-100)), ((1.0, 1.0), (1.0, 1.0))))
+@example((((1e-200, 2e-200), (1e200, 3e199)), ((2.0, 1.0), (1.0, 0.3))))
+@example((((1e200, 5e199), (1e-200, 3e-201)), ((1.0, 0.5), (1.0, 0.3))))
+@example((((1e155, 1e155), (1e-154, 2e-154)), ((10.0, 10.0), (1.0, 2.0))))
+def test_determinant_routes_depend_on_the_products_alone(twins):
+    pair, twin = twins
+    for evaluate in (spherical_eval, orbital_integral):
+        for path in ("auto", "det"):
+            p, v, e = _outcome(evaluate, *pair, path)
+            q, w, f = _outcome(evaluate, *twin, path)
+            assert p == q
+            assert e == f == math.inf or abs(v - w) <= e + f
+
+
+@pytest.mark.parametrize("x, xi", [((1e155, 1e155), (1e-154, 2e-154)), ((2.7, 2.7), (3.7, 7.4))])
+def test_scaled_coincident_pair_is_refused_like_its_twin(x, xi):
+    # products 10 and 20 at a coincident pair whose squares overflow
+    # unscaled: "det" refuses it, and the Newton bound misses 1e-10 relative
+    with pytest.raises(DegeneracyError):
+        spherical_eval(x, xi, path="det")
+    with pytest.raises(ConvergenceError, match="^Newton-basis determinant certifies"):
+        spherical_eval(x, xi)
 
 
 def _one_step_order(x, xi):
@@ -727,8 +798,8 @@ def _one_step_order(x, xi):
 def _newton_search_point(draw):
     """Pairs for the order search: n = 1..8, entries up to 20 (many reach
     the cap), near 1e-170 (their squares underflow), up to 1e160 (their
-    squares overflow), or x scaled up and xi down by 10^e (inf times 0 in
-    the tail products), with coincident and zero entries."""
+    squares overflow), or x scaled up and xi down by 10^e (which
+    _canonical_order balances back), with coincident and zero entries."""
     n = draw(st.integers(1, 8))
     plain = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
     regime = draw(st.sampled_from(("plain", "tiny", "huge", "reciprocal")))
@@ -760,7 +831,8 @@ def _newton_search_point(draw):
 @example(([30.0] * 205, [30.0] * 205), True)
 def test_newton_order_is_the_one_step_search_order(point, oscillatory):
     x, xi = point
-    r = spherical_module._newton_transform(*spherical_module._point_pair(x, xi), oscillatory)
+    pair = spherical_module._canonical_order(*spherical_module._point_pair(x, xi))
+    r = spherical_module._newton_transform(*pair, oscillatory)
     order, passed = _one_step_order(x, xi)
     assert (r.terms_used, r.path) == (order, "newton")
     if not passed:
