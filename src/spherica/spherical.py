@@ -354,8 +354,14 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
       maximum is at least its last entry, rounding is monotone, and a zero
       maximum makes that product 0, or nan against an inf).  Where no order
       up to the cap max(n-1, _NEWTON_MAX_ORDER) passes (at once where B
-      fails there), the route gives up: value nan, abs_error inf,
-      terms_used the cap; overflowed entries give the same at order K.
+      fails there, or lam_0 mu_0 is inf or nan), the route gives up: value
+      nan, abs_error inf, terms_used the cap.  No entry overflows where
+      neither side is all zero (_orbit_transform sends no other pair): B at
+      an order up to the cap gives lam_0 mu_0 <= 20402 (n <= 201) or <= 2
+      (n > 201), and the balanced pair keeps lam_0/mu_0 inside (1/4, 64), so
+      lam_0 < 1143 and mu_0 < 286, every g_m with m <= 201 is below e^547
+      (lam_0^m/m!; every g_m is below e^12 where n > 201), and every entry,
+      with its error term, stays below e^573.
     * entry rounding: v_i = fl(a_i^2) (or fl(b_i^2)/4) is one rounding and a
       recurrence step three more, so g_m(i) is within gamma_{4m+3i}
       relative (induction on m+i) and term k within gamma_{8k+1}.  The terms
@@ -372,12 +378,10 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
     lam0, mu0 = lam[0], mu[0]
     product = lam0 * mu0
     cap = max(n - 1, _NEWTON_MAX_ORDER)
-    if not 2.0 * product <= (cap + 3 - n) ** 2:  # B fails at the cap, or product is inf or nan
-        return EvalResult(math.nan, math.inf, cap, "newton")
     # pl[m] = lam_0^m/m!, pm[m] = mu_0^m/m!: bounds on g_m of every prefix
     pl, pm = [1.0], [1.0]
     p = q = 1.0
-    for m in range(1, cap + 2):
+    for m in range(1, cap + 2) if 2.0 * product <= (cap + 3 - n) ** 2 else ():
         p = p * lam0 / m
         q = q * mu0 / m
         pl.append(p)
@@ -416,8 +420,6 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
             err_row.append(unit * weighted + tail / (1.0 - rho))
         matrix.append(row)
         entry_err.append(err_row)
-    if not all(math.isfinite(v) for row in matrix for v in row):
-        return EvalResult(math.nan, math.inf, K, "newton")
     return _certified_det(matrix, entry_err, oscillatory, K, "newton")
 
 
@@ -673,8 +675,7 @@ def _orbit_transform(
     DegeneracyError at any other, and "auto" takes its Newton-basis
     form (_newton_transform), which must certify 1e-10 relative or raise
     ConvergenceError with its value and bound attached; where that route
-    gives up, the message names the order cap (or lam_0 mu_0 overflowed) or
-    the overflowed entries.
+    gives up (value nan), the message names the order cap.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
@@ -688,12 +689,10 @@ def _orbit_transform(
     r = _newton_transform(a, b, oscillatory)
     if r.abs_error <= _REL_TOL * abs(r.value):
         return r
-    if not math.isnan(r.value):
-        why = f"certifies {r.abs_error:.3g} absolute at value {r.value:.17g}, not 1e-10 relative"
-    elif r.terms_used < max(len(a) - 1, _NEWTON_MAX_ORDER):
-        why = f"overflows: its kernel entries leave double range at truncation order {r.terms_used}"
-    else:
+    if math.isnan(r.value):
         why = f"finds no truncation order below its cap {r.terms_used} that bounds the tail"
+    else:
+        why = f"certifies {r.abs_error:.3g} absolute at value {r.value:.17g}, not 1e-10 relative"
     raise ConvergenceError(
         f"Newton-basis determinant {why}; path 'series' sums the Schur series",
         partial=r.value,

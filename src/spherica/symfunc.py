@@ -337,6 +337,7 @@ def cauchy_lhs(x: Sequence[float], y: Sequence[float], max_weight: int) -> float
     Truncation of the Cauchy identity; partitions longer than either variable
     list contribute 0 and are skipped.
     """
+    max_weight = _integer(max_weight, "max_weight", 0)
     xs = _as_sorted_vars(x)
     ys = _as_sorted_vars(y)
     max_len = min(len(xs), len(ys))

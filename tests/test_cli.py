@@ -504,6 +504,60 @@ def test_unknown_flag_is_usage_error(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (["eval-spherical", "--xi", "1"], "usage", "missing required value for --x"),
+        (["eval-spherical", "--x", ",", "--xi", "1"], "usage",
+         "--x must contain at least one number"),
+        (["heat-kernel", "--lam", "1", "--theta", "1"], "usage",
+         "missing required value for --t"),
+        (["eval-spherical", "--config", "MISSING"], "usage", "cannot read config file: "),
+        (["eval-spherical", "--config", "NOT_JSON"], "schema",
+         "config file is not valid JSON: "),
+        (["eval-spherical", "--config", "NOT_OBJECT"], "schema",
+         "config file must hold a JSON object"),
+        (["eval-polya", "--omega", "NOT_JSON", "--lam", "1"], "schema", "invalid JSON in "),
+    ],
+    ids=["missing_x", "empty_x", "missing_t", "config_unreadable", "config_not_json",
+         "config_not_object", "omega_not_json"],
+)
+def test_usage_and_schema_errors_exit_one(capsys, tmp_path, argv, kind, message):
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    files = {
+        "MISSING": str(tmp_path / "missing.json"),
+        "NOT_JSON": str(tmp_path / "bad.json"),
+        "NOT_OBJECT": write_json(tmp_path, "list.json", [1, 2]),
+    }
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == kind
+    assert error["message"].startswith(message)
+
+
+def test_laplacian_check_failure_prints_its_payload_and_exits_two(capsys):
+    argv = ["laplacian-check", "--x", "1,2", "--xi", "0.5,1.5", "--tol", "1e-300"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["passed"] is False and payload["tol"] == 1e-300
+    assert payload["rel_error"] > payload["tol"]
+    assert json.loads(err)["error"] == "check_failed"
+
+
+def test_validate_failure_prints_its_table_and_exits_two(capsys, monkeypatch):
+    from spherica.validate import CheckResult
+
+    failing = CheckResult("stub", False, "value=1 expected=2")
+    monkeypatch.setattr(cli, "validate_all", lambda names, samples, seed: [failing])
+    code, out, err = run_cli(capsys, ["validate", "--suite", "special"])
+    assert code == 2
+    assert out == "FAIL stub: value=1 expected=2\n0/1 checks passed\n"
+    assert json.loads(err) == {"error": "checks_failed", "message": "1 of 1 checks failed"}
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--samples"])
 @pytest.mark.parametrize(
     "argv",

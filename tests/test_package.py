@@ -1,7 +1,7 @@
 """The package namespace: every exported name and every submodule resolves
 on first access, each name to the object its defining submodule holds, and
 `dir` lists the names before they load.  Every integer argument of the
-public functions passes one rule."""
+public functions passes one rule, and each refusal names its cause."""
 
 import json
 import math
@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import spherica
-from spherica import DomainError, OmegaParam, RngStream, limits, montecarlo
+from spherica import (
+    DomainError,
+    MixtureParam,
+    OmegaParam,
+    RangeError,
+    RngStream,
+    ShapeError,
+    ValidationError,
+    limits,
+    montecarlo,
+)
 from spherica.validate import validate_all
 
 
@@ -111,6 +121,8 @@ _INTEGER_ARGUMENTS = {
     "symfunc.power_p": (lambda k: spherica.power_p(k, [1.0, 2.0]), 2),
     "symfunc.complete_h_table": (lambda k: spherica.complete_h_table([1.0, 2.0], k), 2),
     "symfunc.complete_h": (lambda k: spherica.complete_h(k, [1.0, 2.0]), 2),
+    "symfunc.cauchy_lhs max_weight": (
+        lambda k: spherica.cauchy_lhs((0.3, 0.2), (0.4,), k), 2),
     "symfunc.enumerate_partitions max_weight": (
         lambda k: list(spherica.enumerate_partitions(k, 2)), 2),
     "symfunc.enumerate_partitions max_length": (
@@ -135,3 +147,60 @@ def test_integer_arguments_follow_one_rule(name):
     expected = call(k)
     assert call(float(k)) == expected
     assert call(np.int64(k)) == expected
+
+
+# (call, exception class, message) of the library's refusals that no other
+# test reaches
+_REFUSALS = {
+    "polya.polya_eval infinite u": (
+        lambda: spherica.polya_eval(_ATOM, math.inf), DomainError,
+        "polya_eval requires finite u"),
+    "polya.OmegaParam.from_json gamma": (
+        lambda: OmegaParam.from_json({"alpha": [0.5], "gamma": "0"}), ValidationError,
+        '"gamma" must be a number'),
+    "polya.MixtureParam component": (
+        lambda: MixtureParam([(1.0, {"alpha": [0.5], "gamma": 0.0})]), ValidationError,
+        "mixture components must pair weight and omega"),
+    "polya.MixtureParam.from_json keys": (
+        lambda: MixtureParam.from_json({"components": [], "weights": []}), ValidationError,
+        'mixture must be an object with key "components"'),
+    "polya.MixtureParam.from_json component keys": (
+        lambda: MixtureParam.from_json({"components": [{"weight": 1.0}]}), ValidationError,
+        'each component must have keys "weight" and "omega"'),
+    "polya.MixtureParam.from_json weight": (
+        lambda: MixtureParam.from_json(
+            {"components": [{"weight": "1", "omega": _ATOM.to_json()}]}),
+        ValidationError, '"weight" must be a number'),
+    "limits.powersum_convergence empty grid": (
+        lambda: spherica.powersum_convergence(_ATOM, 1, ()), DomainError,
+        "empty size grid"),
+    "limits.t_n_map empty vector": (
+        lambda: spherica.t_n_map(()), DomainError, "empty parameter vector"),
+    "limits.spherical_convergence infinite u": (
+        lambda: spherica.spherical_convergence(_ATOM, math.inf, (4,)), DomainError,
+        "u must be finite"),
+    "spherical.radial_laplacian empty point": (
+        lambda: spherica.radial_laplacian(lambda v: 0.0, ()), DomainError,
+        "empty diagonal point"),
+    "spherical.ambient_laplacian_fd shape": (
+        lambda: spherica.ambient_laplacian_fd(lambda x: 0.0, [[1, 2, 3]]), ShapeError,
+        "expected a square matrix, got shape (1, 3)"),
+    "spherical.weyl_density_mn theta length": (
+        lambda: spherica.weyl_density_mn(2, 6, [0.1]), ShapeError,
+        "theta must have length 2"),
+    "spherical.weyl_density_mn theta range": (
+        lambda: spherica.weyl_density_mn(1, 6, [4.0]), DomainError,
+        "theta entries must lie in [0, pi]"),
+    "spherical.spherical_series term overflow": (
+        lambda: spherica.spherical_series((30.0,), (30.0,)), RangeError,
+        "series term at weight 196 exceeds double range"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_refusals_name_their_cause(name):
+    call, error, message = _REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

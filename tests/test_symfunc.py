@@ -274,6 +274,12 @@ def test_cauchy_empty_arguments():
     assert cauchy_rhs((), (0.4,)) == 1.0
 
 
+def test_cauchy_sum_rejects_a_negative_weight():
+    # a negative max_weight once summed no partition and returned 0.0
+    with pytest.raises(DomainError, match="max_weight must be >= 0, got -1"):
+        cauchy_lhs((0.3,), (0.2,), -1)
+
+
 def test_cauchy_product_rejects_unit_products():
     with pytest.raises(DomainError):
         cauchy_rhs((2.0,), (0.5,))
