@@ -100,20 +100,35 @@ def _min_size(omega: OmegaParam) -> int:
     return max(len(omega.alpha) + (omega.gamma > 0.0), 1)
 
 
+def _lambda_runs(omega: OmegaParam, n: int) -> list[tuple[float, int]]:
+    """The runs (value, multiplicity) of the nonzero entries of
+    lambda_sequence_for(omega, n), in decreasing order, equal values
+    merged, as symfunc._runs returns them: O(len(alpha) + 1), whatever the
+    size n, which must be at least _min_size(omega)."""
+    k = len(omega.alpha)
+    entries = [(n * math.sqrt(a), 1) for a in omega.alpha]
+    if omega.gamma > 0.0:
+        entries.append((n * math.sqrt(omega.gamma / (n - k)), n - k))
+    runs: list[tuple[float, int]] = []
+    for v, m in sorted(entries, reverse=True):
+        if runs and runs[-1][0] == v:
+            runs[-1] = (v, runs[-1][1] + m)
+        elif v:
+            runs.append((v, m))
+    return runs
+
+
 def lambda_sequence_for(omega: OmegaParam, n: int) -> tuple[float, ...]:
     """A size-n parameter vector whose image under t_n_map converges to
     omega: atoms alpha_j become entries n sqrt(alpha_j), and the Gaussian
-    weight gamma is spread uniformly over the remaining n - k entries."""
+    weight gamma is spread uniformly over the remaining n - k entries, in
+    decreasing order.  The entries are the runs of _lambda_runs, padded
+    with zeros to size n; building them costs O(n)."""
     n = _integer(n, "n", _min_size(omega))
-    k = len(omega.alpha)
-    entries = [n * math.sqrt(a) for a in omega.alpha]
-    rest = n - k
-    if omega.gamma > 0.0:
-        entries.extend([n * math.sqrt(omega.gamma / rest)] * rest)
-    else:
-        entries.extend([0.0] * rest)
-    entries.sort(reverse=True)
-    return tuple(entries)
+    entries: list[float] = []
+    for v, m in _lambda_runs(omega, n):
+        entries += [v] * m
+    return tuple(entries + [0.0] * (n - len(entries)))
 
 
 def powersum_convergence(
@@ -153,7 +168,10 @@ def spherical_convergence(
     (u, 0, ..., 0), with parameters lambda_sequence_for(omega, n), against
     the limit Pi(omega, u).
 
-    method "series" is deterministic; "mc" uses the Haar sampler with an
+    method "series" is deterministic and costs O(len(alpha) + 1) per grid
+    point, whatever n: it hands the runs of _lambda_runs and of (|u|,) to
+    the one-row series without building the size-n vectors, with the bits
+    spherical_series gives at them.  "mc" uses the Haar sampler with an
     independent derived seed per grid point and reports standard errors.
     """
     u = float(u)
@@ -165,17 +183,20 @@ def spherical_convergence(
     limit = polya_eval(omega, u)
     values: list[float] = []
     std_errors: list[float] = []
+    # the zero entries of xi = (u, 0, ..., 0) add nothing to the series
+    u_runs = [(abs(u), 1)] if u else []
     for i, n in enumerate(grid):
-        lam = lambda_sequence_for(omega, n)
         if method == "series":
-            # lam is canonical, and so is (|u|,): the zero entries of xi add
-            # nothing to the series.  Looked up on the module at call time, so
-            # a patched _schur_fourier_series is the one called.
-            r = spherical._schur_fourier_series(lam, (abs(u),), True, spherical._REL_TOL)
+            # Looked up on the module at call time, so a patched
+            # _schur_fourier_series is the one called.
+            r = spherical._schur_fourier_series(
+                n, _lambda_runs(omega, n), u_runs, True, spherical._REL_TOL
+            )
             values.append(r.value)
         else:
             from . import montecarlo
 
+            lam = lambda_sequence_for(omega, n)
             xi = (u,) + (0.0,) * (n - 1)
             est = montecarlo.mc_spherical(lam, xi, n_samples, seed + 1000003 * i)
             values.append(est.mean)

@@ -167,6 +167,13 @@ def _balanced_product(numerators: Sequence[float], denominators: Sequence[float]
     return acc
 
 
+def _refuse_non_finite(matrix) -> None:
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise DomainError(f"kernel matrix entry ({i}, {j}) is {v!r}, not finite")
+
+
 def _certified_det(
     matrix, entry_err, oscillatory: bool, terms: int, path: str,
     num=(), den=(), carried=0.0, roundings=0,
@@ -195,18 +202,23 @@ def _certified_det(
     |value| ((1 + rel) e^rest - 1) = |value| (rel e^rest + expm1(rest)),
     raised by 1 + 1e-10 for its own rounding.  A zero pivot gives 0.0; it,
     an infinite rel or an infinite ``carried`` gives abs_error inf.  A
-    value beyond double range raises RangeError.
+    value beyond double range raises RangeError.  A non-finite entry of
+    ``matrix`` raises DomainError naming it instead: the pivot search skips
+    nan, so such an entry ends in one of those three branches, and only
+    they look for it.
     """
     n = len(matrix)
     lu_sign, diag, lu, rows = _lu_full_pivot(matrix)
     mags = list(map(abs, diag))
     if not all(mags):
+        _refuse_non_finite(matrix)
         return EvalResult(0.0, math.inf, terms, path)
     sign = -1.0 if oscillatory and (n * (n - 1) // 2) % 2 else 1.0
     # a product keeps its sign through underflow and overflow
     sign *= math.copysign(1.0, lu_sign * math.prod(diag))
     value = sign * _balanced_product(mags + list(num), den)
     if not math.isfinite(value):
+        _refuse_non_finite(matrix)
         raise RangeError("the determinant's value exceeds double range")
     unit = _EPS / 2.0
     gamma_n = n * unit / (1.0 - n * unit)
@@ -223,6 +235,7 @@ def _certified_det(
     # expm1 raises OverflowError past about 709
     rel = math.expm1(growth) * ratio * (1.0 + 1e-10) if growth < 700.0 else math.inf
     if rel == math.inf or carried == math.inf:
+        _refuse_non_finite(matrix)
         return EvalResult(value, math.inf, terms, path)
     m = n + roundings
     rest = carried + m * unit / (1.0 - m * unit)
@@ -361,7 +374,9 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
       (n > 201), and the balanced pair keeps lam_0/mu_0 inside (1/4, 64), so
       lam_0 < 1143 and mu_0 < 286, every g_m with m <= 201 is below e^547
       (lam_0^m/m!; every g_m is below e^12 where n > 201), and every entry,
-      with its error term, stays below e^573.
+      with its error term, stays below e^573.  At an all-zero side an
+      overflowed g_m times a zero one leaves nan entries, which
+      _certified_det refuses with DomainError.
     * entry rounding: v_i = fl(a_i^2) (or fl(b_i^2)/4) is one rounding and a
       recurrence step three more, so g_m(i) is within gamma_{4m+3i}
       relative (induction on m+i) and term k within gamma_{8k+1}.  The terms
@@ -432,6 +447,12 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
 _EXP_FLOOR = 1e-290
 
 
+def _scaled_squares(runs, scale: float) -> list[tuple[float, int]]:
+    """``runs`` (decreasing) with each value v replaced by (v / scale)^2;
+    a run whose square underflows to 0 is dropped."""
+    return [(s, m) for v, m in runs if (s := (v / scale) * (v / scale))]
+
+
 def _series_tail_bound(lam_runs, xi_runs) -> tuple[int, Iterator[float]]:
     """The set-up of the series' tail bound: _h_stream over the products
     Lam^_i Xi^_j of the scaled squares, as runs (a b, ma mb) in decreasing
@@ -468,30 +489,37 @@ def _layer_terms(layer, coefs: list[list[float]], h_lam, h_xi, w: int) -> list[f
 
 
 def _schur_fourier_series(
-    xvals: Sequence[float],
-    xivals: Sequence[float],
+    n: int,
+    x_runs: Sequence[tuple[float, int]],
+    xi_runs: Sequence[tuple[float, int]],
     alternating: bool,
     rel_tol: float,
 ) -> EvalResult:
     """sum over partitions m of (delta!/(m+delta)!)^2 s_m(Lam) s_m(Xi) with
-    Lam = x^2 and |Xi| = xi^2/4, for canonical (nonnegative, descending)
-    entries; ``alternating`` attaches (-1)^{|m|} (the J0-type kernel),
-    otherwise all terms are positive (I0-type).
+    Lam = x^2 and |Xi| = xi^2/4, for two size-n points given by n and the
+    runs (value, multiplicity) of their nonzero entries, in decreasing
+    order, as symfunc._runs returns them (``x_runs``, ``xi_runs``; an
+    empty list is an all-zero point); ``alternating`` attaches
+    (-1)^{|m|} (the J0-type kernel), otherwise all terms are positive
+    (I0-type).
 
     Zero squares add nothing to a Schur function, so only the nonzero
     entries of Lam and Xi are kept, and a partition has at most ``rows``
     parts, the smaller count of them; the dimension n enters through the
-    coefficients alone.  Entries are divided by their largest ones before
-    they are squared, so no square leaves double range on its own and
-    every complete-h entry is at least 1, and the scale is folded into
-    each row's log coefficient, a running sum of log(scale) - log(d + t);
-    the routine stays in range and accurate for large dimensions and large
-    or small entries.  Runs of equal entries are found by bisection and
-    scaled and squared once each (_runs), and h_j comes from _h_stream,
-    the recurrences of complete_h_table one weight at a time.  Where one
-    side has a single nonzero square (rows = 1, every rank-one sweep point)
-    that side scales to exactly 1 and drops out, so exchanging x and xi
-    gives the same bits.
+    coefficients alone, and where a side has no nonzero entry the series
+    is its one term, 1.0 exactly.  Entries are divided by their largest
+    ones before they are squared, so no square leaves double range on its
+    own and every complete-h entry is at least 1, and the scale is folded
+    into each row's log coefficient, a running sum of
+    log(scale) - log(d + t); the routine stays in range and accurate for
+    large dimensions and large or small entries.  Each run is scaled and
+    squared once (_scaled_squares), and a run whose square underflows to
+    0 is dropped; h_j comes from _h_stream, the recurrences of
+    complete_h_table one weight at a time.  Nothing here reads n entries,
+    so a point of one run and k others costs the same at every n.  Where
+    one side has a single nonzero square (rows = 1, every rank-one sweep
+    point) that side scales to exactly 1 and drops out, so exchanging x
+    and xi gives the same bits.
 
     One loop serves every row count, one weight per step: it advances the
     complete-h streams and the log coefficients, closes the tail from
@@ -531,10 +559,9 @@ def _schur_fourier_series(
     entries it reads.  At rows >= 2 the latter counts the entries' errors,
     not the cancellation of the Jacobi-Trudi determinant.
     """
-    n = len(xvals)
-    x0, xi0 = xvals[0], xivals[0]
-    if not (x0 and xi0):
+    if not (x_runs and xi_runs):
         return EvalResult(1.0, 0.0, 1, "series")
+    x0, xi0 = x_runs[0][0], xi_runs[0][0]
     log_x0, log_xi0 = math.log(x0), math.log(xi0)
     half_logc = log_x0 + log_xi0 - math.log(2.0)
     # Each log is within eps |log|, log 2 and each sum within eps/2 of its
@@ -545,7 +572,7 @@ def _schur_fourier_series(
     # Lam = x0^2 Lam^ and |Xi| = (xi0/2)^2 Xi^: entries are scaled before
     # they are squared, since a square can leave double range where the
     # products x_i xi_j do not.
-    lam_runs, xi_runs = _runs(xvals, x0), _runs(xivals, xi0)
+    lam_runs, xi_runs = _scaled_squares(x_runs, x0), _scaled_squares(xi_runs, xi0)
     rows = min(sum(m for _, m in lam_runs), sum(m for _, m in xi_runs))
     # h_w of the products bounds layer w; at rows = 1 it is the layer's own
     k, hs = _series_tail_bound(lam_runs, xi_runs)
@@ -590,14 +617,15 @@ def _schur_fourier_series(
     exp, log, expm1, floor, inf = math.exp, math.log, math.expm1, _EXP_FLOOR, math.inf
     for w, h in zip(range(1, _WEIGHT_CAP + 2), hs):
         log_d = log(n - 1 + w)
-        step = half_logc - (log(next(factors)) if rows > 1 else log_d)
-        coef += step
+        step = half_logc - log_d
         if rows > 1:
+            step = half_logc - log(next(factors))
             h_lam.append(next(hs_lam))
             h_xi.append(next(hs_xi))
             for i, row in enumerate(coefs):
                 row.append(row[-1] + (half_logc - log(n - 1 - i + w)))
             big = max(big, abs(coefs[0][w]))
+        coef += step
         if abs(coef) > big:
             big = abs(coef)
         log_err += fixed + log_eps * log_d + big_eps * big
@@ -636,21 +664,27 @@ def _schur_fourier_series(
                 partial=total,
                 abs_error=tail,
             )
-        if rows == 1:
-            terms = (e * h,)
-        else:
-            terms = _layer_terms(next(layers)[1], coefs, h_lam, h_xi, w)
         negate = alternating and w & 1
-        layer_abs = 0.0
-        for term in terms:
-            if negate:
-                term = -term
+        if rows == 1:
+            # the layer is its one term
+            term = -e * h if negate else e * h
+            layer_abs = abs(term)
             count += 1
-            layer_abs += abs(term)
             y = term - comp
             t = total + y
             comp = (t - total) - y
             total = t
+        else:
+            layer_abs = 0.0
+            for term in _layer_terms(next(layers)[1], coefs, h_lam, h_xi, w):
+                if negate:
+                    term = -term
+                count += 1
+                layer_abs += abs(term)
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
         abs_sum += layer_abs
         coef_sum += expm1(slack) * layer_abs
         h_prev = h
@@ -680,7 +714,9 @@ def _orbit_transform(
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
     if path == "series" or (path == "auto" and not (x.values[0] and xi.values[0])):
-        return _schur_fourier_series(x.values, xi.values, oscillatory, _REL_TOL)
+        return _schur_fourier_series(
+            len(x.values), _runs(x.values), _runs(xi.values), oscillatory, _REL_TOL
+        )
     a, b = _canonical_order(x, xi)
     if not (_is_degenerate(a) or _is_degenerate(b)):
         return _det_ratio(a, b, oscillatory)
@@ -709,7 +745,9 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     rank-one sweep point: xi = (u, 0, ..., 0), x from lambda_sequence_for)
     the series has one row and costs O(k + 1) per term, k the entries
     outside the longest run, after input validation and a bisection for the
-    runs, whatever the dimension n.  At any number of rows the series is
+    runs, whatever the dimension n; validating and sorting the two size-n
+    arguments is O(n log n), which spherical_convergence skips by building
+    the runs from omega.  At any number of rows the series is
     summed one weight at a time, its tail closed geometrically before each
     weight from one bound (by Cauchy's identity, the weight's largest
     coefficient times h_w of the products x_i^2 xi_j^2 / 4), and it stops
@@ -728,7 +766,7 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     if not rel_tol > 0.0:
         raise DomainError("rel_tol must be positive")
     x, xi = _point_pair(x, xi)
-    return _schur_fourier_series(x.values, xi.values, True, rel_tol)
+    return _schur_fourier_series(len(x.values), _runs(x.values), _runs(xi.values), True, rel_tol)
 
 
 def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:

@@ -101,19 +101,15 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     return list(islice(hs, max_m + 1))
 
 
-def _runs(vals: Sequence[float], scale: float | None = None) -> list[tuple[float, int]]:
+def _runs(vals: Sequence[float]) -> list[tuple[float, int]]:
     """Runs (value, multiplicity) of the nonzero entries of ``vals``, which
     are in decreasing order.  Equal entries are adjacent, so each run is
-    found by bisection: O(runs log n).  With ``scale`` (for nonnegative
-    ``vals``) a run's value is its scaled square (v / scale)^2, computed
-    once per run; the values then still descend."""
+    found by bisection: O(runs log n)."""
     runs = []
     start = 0
     while start < len(vals):
         end = bisect_right(vals, -vals[start], start, key=operator.neg)
         v = vals[start]
-        if scale is not None:
-            v = (v / scale) * (v / scale)
         if v:
             runs.append((v, end - start))
         start = end

@@ -7,8 +7,11 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spherica import (
+    ConvergenceError,
     DomainError,
     OmegaParam,
     RangeError,
@@ -23,6 +26,9 @@ from spherica import (
     weyl_concentration_sweep,
     weyl_density_mn,
 )
+from spherica import limits
+from spherica.limits import _lambda_runs
+from spherica.symfunc import _runs
 
 # the benchmark's mpmath oracle: the one-row sum of a rank-one sweep point
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -191,6 +197,90 @@ def test_rank_one_sweep_points_are_within_their_bound(omega, u):
         r = spherical_series(lambda_sequence_for(omega, n), (u,) + (0.0,) * (n - 1))
         assert value == r.value
         assert abs(value - oracle) <= r.abs_error <= 1e-12 * abs(oracle)
+
+
+# repr of the values of four series sweeps, pinned bit for bit: two atoms
+# and a Gaussian part up to n = 1e5, gamma alone, two equal atoms, and an
+# atom equal to the Gaussian entry at n = 4 (one merged run of four)
+SWEEP_BITS = [
+    (
+        OmegaParam([0.5, 0.2], 0.3), 1.3, (10, 100, 1000, 10**5),
+        "(0.659663940494504, 0.6694908070675516, 0.6705251733061559, 0.6706394243438375)",
+    ),
+    (
+        PURE_GAUSSIAN, 0.7, (1, 4, 16, 64),
+        "(0.8812008886074053, 0.8833419234218887, 0.884311931483076, 0.8846035332785859)",
+    ),
+    (
+        OmegaParam([0.25, 0.25], 0.0), -2.0, (2, 3, 50),
+        "(0.5767248077568734, 0.5937489517930105, 0.6369310688857622)",
+    ),
+    (
+        OmegaParam([0.25], 0.75), 2.5, (2, 4, 9),
+        "(0.09833728237473874, 0.1400951925556486, 0.1848913191653336)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "omega, u, grid, bits", SWEEP_BITS, ids=["two-atoms-gauss", "gauss", "equal-atoms", "tie"]
+)
+def test_spherical_sweep_bits_are_pinned(omega, u, grid, bits):
+    assert repr(spherical_convergence(omega, u, grid).values) == bits
+
+
+def _outcome(call):
+    """The value of ``call``, or its error with the partial sum and bound."""
+    try:
+        return call()
+    except ConvergenceError as e:
+        return type(e), str(e), e.partial, e.abs_error
+    except RangeError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _sweep_point(draw):
+    """(omega, u, n), n <= 2000: atoms drawn with repeats, gamma zero or not,
+    and at times an atom moved onto the Gaussian entry n sqrt(gamma/(n-k))."""
+    value = st.sampled_from([0.25, 0.5, 1.0, 1e-300, 1e100]) | st.floats(1e-6, 4.0)
+    alpha = draw(st.lists(value, max_size=3))
+    gamma = draw(st.sampled_from([0.0, 0.75, 1e-300, 5e-324]) | st.floats(0.0, 4.0))
+    omega = OmegaParam(alpha, gamma)
+    n = draw(st.integers(limits._min_size(omega), 2000))
+    k = len(omega.alpha)
+    if k and gamma and draw(st.booleans()) and gamma / (n - k):
+        omega = OmegaParam(omega.alpha[1:] + (gamma / (n - k),), gamma)
+    u = draw(st.sampled_from([0.0, -0.0, 1.3, 30.0, 1e-50]) | st.floats(-5.0, 5.0))
+    return omega, u, n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sweep_point())
+@example((OmegaParam([0.25], 0.75), 2.5, 4))  # the atom is the Gaussian entry
+@example((OmegaParam([0.5, 0.5, 0.5], 0.0), 1.0, 3))  # equal atoms, no zeros
+@example((OmegaParam([], 0.0), 1.0, 1))  # no entries: the series is 1
+@example((OmegaParam([1e100], 1e-300), 1e-50, 10))  # the Gaussian squares underflow
+@example((OmegaParam([0.5], 0.3), 0.0, 7))  # u = 0
+def test_sweep_runs_are_the_runs_of_the_realizing_sequence(point):
+    # the sweep builds each point's runs from omega, in O(len(alpha) + 1),
+    # and takes the bits, errors and partial sums of the series at the
+    # size-n vectors
+    omega, u, n = point
+    lam = lambda_sequence_for(omega, n)
+    assert _lambda_runs(omega, n) == _runs(lam)
+    sweep = _outcome(lambda: spherical_convergence(omega, u, (n,)).values[0])
+    series = _outcome(lambda: spherical_series(lam, (u,) + (0.0,) * (n - 1)).value)
+    assert repr(sweep) == repr(series)
+
+
+def test_series_sweep_never_builds_the_size_n_vector(monkeypatch):
+    def refuse(omega, n):
+        raise AssertionError("the series sweep built a size-n vector")
+
+    monkeypatch.setattr(limits, "lambda_sequence_for", refuse)
+    report = spherical_convergence(OmegaParam([0.5, 0.2], 0.3), 1.3, (10**7,))
+    assert abs(report.values[0] - report.limit_value) <= 1e-6
 
 
 def test_spherical_sweep_validates_inputs():

@@ -23,6 +23,7 @@ from spherica import (
     power_p,
     schur,
 )
+from spherica.spherical import _scaled_squares
 from spherica.symfunc import _jacobi_trudi_det, _partition_tuples, _runs
 
 
@@ -299,10 +300,10 @@ def test_cauchy_agreement_on_random_small_points():
 @given(st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.25, 1.0, 3.0]), max_size=30))
 def test_runs_are_the_groups_of_nonzero_entries(x):
     # the h tables and the one-row series see their variables as runs;
-    # zeros between the signs are skipped, and a scale maps each run's value
-    # to its scaled square
+    # zeros between the signs are skipped, and the series maps each run's
+    # value to its scaled square
     vals = sorted(x, reverse=True)
     runs = [(v, len(list(group))) for v, group in groupby(vals) if v != 0.0]
     assert _runs(vals) == runs
     if vals and vals[-1] >= 0.0:
-        assert _runs(vals, 3.0) == [((v / 3.0) * (v / 3.0), m) for v, m in runs]
+        assert _scaled_squares(_runs(vals), 3.0) == [((v / 3.0) * (v / 3.0), m) for v, m in runs]
