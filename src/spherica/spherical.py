@@ -8,8 +8,8 @@ One core, ``_orbit_transform``, evaluates the Fourier transform of a
 U(n) x U(n) orbit by one of three routes:
 
 * "det": the closed determinant form with Bessel kernel entries over
-  squared Vandermonde products (valid when all squared entries are well
-  separated);
+  squared Vandermonde products (valid where every squared gap
+  (v_i - v_j)(v_i + v_j) is a normal double above 1e-6 v_0^2);
 * the Newton-basis determinant (result path "newton"): the same
   determinant with the kernel expanded in the Newton basis of the squared
   entries, which cancels the Vandermonde products exactly (valid
@@ -125,18 +125,24 @@ def _point_pair(x, xi) -> tuple[DiagonalPoint, DiagonalPoint]:
     return x, xi
 
 
+def _squared_gaps(v: Sequence[float]) -> list[float]:
+    # v_i^2 - v_j^2 for i < j within three roundings: no cancellation
+    return [(vi - vj) * (vi + vj) for vi, vj in combinations(v, 2)]
+
+
 def squared_gap_product(values: Sequence[float]) -> float:
     """D(v) = prod_{i<j} (v_i^2 - v_j^2), each factor (v_i - v_j)(v_i + v_j):
     three roundings, no cancellation, inf where the product overflows."""
-    v = list(map(float, values))
-    return math.prod(((vi - vj) * (vi + vj) for vi, vj in combinations(v, 2)), start=1.0)
+    return math.prod(_squared_gaps(list(map(float, values))), start=1.0)
 
 
-def _is_degenerate(values: Sequence[float]) -> bool:
-    # nonempty canonical input: squares descend, so adjacent gaps are minimal
-    sq = [v * v for v in values]
-    scale = sq[0]
-    return any(sq[i] - sq[i + 1] <= _DEGENERACY_TOL * scale for i in range(len(sq) - 1))
+def _separated_gaps(v: Sequence[float]) -> list[float] | None:
+    """The squared gaps of a nonempty canonical side where it is separated,
+    every gap (the adjacent ones are the least) above 1e-6 v_0^2 and above
+    2^-1022, so a normal double; otherwise None."""
+    gaps = _squared_gaps(v)
+    floor = max(_DEGENERACY_TOL * (v[0] * v[0]), 2.0**-1022)
+    return gaps if not gaps or min(gaps) > floor else None
 
 
 def _canonical_order(x: DiagonalPoint, xi: DiagonalPoint):
@@ -176,36 +182,36 @@ def _refuse_non_finite(matrix) -> None:
 
 def _certified_det(
     matrix, entry_err, oscillatory: bool, terms: int, path: str,
-    num=(), den=(), carried=0.0, roundings=0,
+    num=(), den=(), roundings=0,
 ) -> EvalResult:
     """The EvalResult of both kernel determinants: s det(M) prod(num) /
     prod(den), s = (-1)^{n(n-1)/2} for J0 (``oscillatory``), else 1, where
     ``matrix`` is the n x n M within ``entry_err`` entrywise and the
-    prefactor is off by ``carried`` relative error and ``roundings``
-    roundings of its own; ``terms`` and ``path`` are passed through.
+    prefactor is off by ``roundings`` roundings of its own, nothing else;
+    ``terms`` and ``path`` are passed through.
 
     Full-pivot elimination gives L^U^ = P fl(M) Q + dM with
     |dM| <= gamma_n |L^||U^| (Higham, Accuracy and Stability, Thm 9.3), so
     P M Q = L^(U^ + Z) with L^ Z = D, |D| <= W = |P E Q| + gamma_n |L^||U^|.
     Forward substitution without cancellation bounds the row norms of Z:
     |z_r| <= |E_r| + gamma_n |U_r| + sum_{k<r} |l_rk| (gamma_n |U_k| + |z_k|),
-    O(n^2) after the LU.  Expanding det(U^ + Z) in its rows and bounding each
-    term by Hadamard gives |det(U^ + Z) - det U^| <= prod(|U_r| + |z_r|) -
-    prod|U_r|; full pivoting keeps |U_r| <= sqrt(n - r) |u_rr|, so the bound
-    tracks the perturbation of each pivot rather than the conditioning of M.
+    O(n^2) after the LU (the sum over k < r by math.fsum).  Expanding
+    det(U^ + Z) in its rows and bounding each term by Hadamard gives
+    |det(U^ + Z) - det U^| <= prod(|U_r| + |z_r|) - prod|U_r|; full pivoting
+    keeps |U_r| <= sqrt(n - r) |u_rr|, so the bound tracks the perturbation
+    of each pivot rather than the conditioning of M.
     rel, the bound over prod|u_rr|, is raised by a factor 1 + 1e-10 that
     covers the rounding of its own arithmetic (nonnegative, O(n u) relative).
 
     The value, _balanced_product of the pivot magnitudes and ``num`` over
-    ``den``, takes m = n + ``roundings`` roundings, so with
-    rest = carried + gamma_m (log1p(r) <= r) abs_error is
+    ``den``, takes m = n + ``roundings`` roundings, so with rest = gamma_m
+    (log1p(r) <= r) abs_error is
     |value| ((1 + rel) e^rest - 1) = |value| (rel e^rest + expm1(rest)),
-    raised by 1 + 1e-10 for its own rounding.  A zero pivot gives 0.0; it,
-    an infinite rel or an infinite ``carried`` gives abs_error inf.  A
-    value beyond double range raises RangeError.  A non-finite entry of
-    ``matrix`` raises DomainError naming it instead: the pivot search skips
-    nan, so such an entry ends in one of those three branches, and only
-    they look for it.
+    raised by 1 + 1e-10 for its own rounding.  A zero pivot gives 0.0; it
+    or an infinite rel gives abs_error inf.  A value beyond double range
+    raises RangeError.  A non-finite entry of ``matrix`` raises DomainError
+    naming it instead: the pivot search skips nan, so such an entry ends in
+    one of those three branches, and only they look for it.
     """
     n = len(matrix)
     lu_sign, diag, lu, rows = _lu_full_pivot(matrix)
@@ -222,30 +228,31 @@ def _certified_det(
         raise RangeError("the determinant's value exceeds double range")
     unit = _EPS / 2.0
     gamma_n = n * unit / (1.0 - n * unit)
-    hypot = math.hypot
+    hypot, fsum = math.hypot, math.fsum
     w = []  # w[k] = gamma_n |U_k| + |z_k|
     growth, ratio = 0.0, 1.0
     for r, (lu_r, m_r) in enumerate(zip(lu, mags)):
         u_r = hypot(*lu_r[r:])
         z_r = hypot(*entry_err[rows[r]]) + gamma_n * u_r
-        z_r += sum(map(operator.mul, map(abs, lu_r[:r]), w))
+        z_r += fsum(map(operator.mul, map(abs, lu_r[:r]), w))
         w.append(gamma_n * u_r + z_r)
         growth += math.log1p(z_r / u_r)
         ratio *= u_r / m_r
     # expm1 raises OverflowError past about 709
     rel = math.expm1(growth) * ratio * (1.0 + 1e-10) if growth < 700.0 else math.inf
-    if rel == math.inf or carried == math.inf:
+    if rel == math.inf:
         _refuse_non_finite(matrix)
         return EvalResult(value, math.inf, terms, path)
     m = n + roundings
-    rest = carried + m * unit / (1.0 - m * unit)
+    rest = m * unit / (1.0 - m * unit)
     abs_error = abs(value) * (rel * math.exp(rest) + math.expm1(rest)) * (1.0 + 1e-10)
     return EvalResult(value, abs_error, terms, path)
 
 
-def _det_ratio(a: Sequence[float], b: Sequence[float], oscillatory: bool) -> EvalResult:
+def _det_ratio(a, b, gaps: list[float], oscillatory: bool) -> EvalResult:
     """The Bessel route of _orbit_transform at a separated pair (a, b) from
-    _canonical_order: with K = J0 (``oscillatory``) or I0,
+    _canonical_order, with ``gaps`` the squared gaps of a and then of b
+    (_separated_gaps): with K = J0 (``oscillatory``) or I0,
 
     (delta!)^2 4^{n(n-1)/2} det(K(a_i b_j)) / (D(a) D(b)),
 
@@ -254,33 +261,22 @@ def _det_ratio(a: Sequence[float], b: Sequence[float], oscillatory: bool) -> Eva
     * the entries: the kernel's own estimate, which counts the one
       rounding of its argument fl(a_i b_j), from series._kernel_matrix,
       the one pass that builds the values and estimates of all n^2 entries;
-    * carried, the sum of the relative errors of the gaps: each gap
-      g = fl(s_i - s_j) of the computed squares s: s_i - s_j is within
-      E = eps (s_i + s_j) of the exact gap (a factor 2 to spare) and g
-      within u g of s_i - s_j, so g is within E / (g - E) + u of the exact
-      gap, relative;
-    * roundings: the prefactor's factors and quotients, and the factorials
-      beyond 22!, which are rounded to double.
+    * roundings: the prefactor's factors and quotients, the factorials
+      beyond 22!, which are rounded to double, and three per gap: of
+      exact inputs a sum or difference is exact where subnormal and within
+      u relative otherwise, and a separated gap is a normal product.  An
+      entry a_j that _canonical_order's ldexp rounded below 2^-1022 moves
+      by at most 2^-1075, and a normal gap needs a_i^2 >= 2^-1022 (a_i
+      normal, scaled exactly), so a_i^2 - a_j^2 moves by less than 2^-1073
+      of itself, far inside the O(u^2) slack of gamma_m.
 
     terms_used is n.
     """
     n = len(a)
     num = [float(math.factorial(j)) for j in range(n)] * 2 + [4.0] * (n * (n - 1) // 2)
-    # the gaps, positive at a separated pair, and the sum of their relative
-    # errors; 1e-323 covers subnormal squares, the one case where a
-    # separated gap is not beyond 1e6 E
-    den, gap_err = [], 0.0
-    for v in (a, b):
-        for si, sj in combinations([t * t for t in v], 2):
-            g = si - sj
-            big = _EPS * (si + sj) + 1e-323
-            den.append(g)
-            gap_err += big / (g - big) if g > 1e6 * big else math.inf
     matrix, entry_err, _ = _kernel_matrix(a, b, oscillatory, 1)
-    roundings = len(num) + 2 * len(den) + 2 * max(0, n - 23)
-    return _certified_det(
-        matrix, entry_err, oscillatory, n, "determinant", num, den, gap_err, roundings
-    )
+    roundings = len(num) + 4 * len(gaps) + 2 * max(0, n - 23)
+    return _certified_det(matrix, entry_err, oscillatory, n, "determinant", num, gaps, roundings)
 
 
 def spherical_det(x, xi) -> EvalResult:
@@ -289,10 +285,11 @@ def spherical_det(x, xi) -> EvalResult:
     phi_x(xi) = (delta!)^2 (-4)^{n(n-1)/2} det(J0(x_j xi_k)) / (D(x) D(xi)),
     delta = (n-1, ..., 1, 0), D(v) = prod_{i<j}(v_i^2 - v_j^2).
 
-    Requires all squared entries of x (and of xi) to be pairwise separated
-    beyond 1e-6 relative to the largest square; otherwise a
-    DegeneracyError directs the caller to the other routes.  The formula is
-    symmetric under exchanging x and xi, and the implementation evaluates in a
+    Requires x and xi to be separated: every squared gap (v_i - v_j)(v_i + v_j)
+    of each, once the pair is balanced by a power of two, a normal double
+    above 1e-6 times its largest square; otherwise a DegeneracyError
+    directs the caller to the other routes.  The formula is symmetric
+    under exchanging x and xi, and the implementation evaluates in a
     canonical argument order so the symmetry holds bitwise.
     """
     return _orbit_transform(*_point_pair(x, xi), True, "det")
@@ -303,13 +300,14 @@ def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
 
     path "det" and "series" force the corresponding evaluator; "auto" takes
     1.0 exactly (path "series", terms_used 1) where x or xi is all zero,
-    the Bessel determinant when both arguments' squared entries are
-    separated beyond 1e-6 relative to the largest square, and otherwise the
-    Newton-basis determinant (result path "newton"), which must certify
-    1e-10 relative: where it does not (coincident points with large entry
-    products), ConvergenceError carries its value as ``partial`` and its
-    bound as ``abs_error``, and path "series" sums the Schur series.  "det"
-    raises DegeneracyError at unseparated points.
+    the Bessel determinant where both are separated (every squared gap a
+    normal double above 1e-6 times the largest square, as in
+    spherical_det), and otherwise the Newton-basis determinant (result path
+    "newton"), which must certify 1e-10 relative: where it does not
+    (coincident points with large entry products), ConvergenceError
+    carries its value as ``partial`` and its bound as ``abs_error``, and
+    path "series" sums the Schur series.  "det" raises DegeneracyError at
+    unseparated points.
     """
     return _orbit_transform(*_point_pair(x, xi), True, path)
 
@@ -380,9 +378,10 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
     * entry rounding: v_i = fl(a_i^2) (or fl(b_i^2)/4) is one rounding and a
       recurrence step three more, so g_m(i) is within gamma_{4m+3i}
       relative (induction on m+i) and term k within gamma_{8k+1}.  The terms
-      are summed from k = K down (for J0 even and odd k apart, then
-      subtracted), so term k passes through at most k+2 additions: the
-      entry is within u sum_k (9k+3)|t_k| (1 + O(Ku)).
+      are summed by math.fsum (for J0 even and odd k apart, then
+      subtracted): a correctly rounded sum is within u of its exact value,
+      so the sums add at most 2u sum_k |t_k|, and the entry is within
+      u sum_k (9k+3)|t_k| (1 + O(Ku)).
     * LU, pivot product and composition: _certified_det, with the two
       items above as the entry errors and no prefactor; its factor
       1 + 1e-10 also covers the O(Ku) factors above.  terms_used is K.
@@ -415,20 +414,20 @@ def _newton_transform(a: Sequence[float], b: Sequence[float], oscillatory: bool)
 
     g_lam = _newton_rows(lam, K)
     g_mu = _newton_rows(mu, K)
-    unit = _EPS / 2.0
+    unit, fsum = _EPS / 2.0, math.fsum
+    weights = [9.0 * k + 3.0 for k in range(K, -1, -1)]  # 9k + 3 for k = K, ..., 0
     matrix, entry_err = [], []
     for i, gi in enumerate(g_lam):
         row, err_row = [], []
         for j, gj in enumerate(g_mu):
-            lo = max(i, j)
-            terms = list(map(operator.mul, gi, gj))  # k = K, K-1, ..., lo
+            terms = list(map(operator.mul, gi, gj))  # k = K, K-1, ..., max(i, j)
             if oscillatory:
-                total = sum(terms[::2]) - sum(terms[1::2])
+                total = fsum(terms[::2]) - fsum(terms[1::2])
                 if K & 1:
                     total = -total
             else:
-                total = sum(terms)
-            weighted = sum(map(operator.mul, terms, range(9 * K + 3, 9 * lo, -9)))
+                total = fsum(terms)
+            weighted = fsum(map(operator.mul, terms, weights))
             rho = product / ((K + 2 - i) * (K + 2 - j))
             tail = pl[K + 1 - i] * pm[K + 1 - j] if first else 0.0
             row.append(total)
@@ -718,10 +717,11 @@ def _orbit_transform(
             len(x.values), _runs(x.values), _runs(xi.values), oscillatory, _REL_TOL
         )
     a, b = _canonical_order(x, xi)
-    if not (_is_degenerate(a) or _is_degenerate(b)):
-        return _det_ratio(a, b, oscillatory)
+    gaps_a, gaps_b = _separated_gaps(a), _separated_gaps(b)
+    if gaps_a is not None and gaps_b is not None:
+        return _det_ratio(a, b, gaps_a + gaps_b, oscillatory)
     if path == "det":
-        raise DegeneracyError("coincident squared entries; use path 'auto' or 'series'")
+        raise DegeneracyError("unseparated squared entries; use path 'auto' or 'series'")
     r = _newton_transform(a, b, oscillatory)
     if r.abs_error <= _REL_TOL * abs(r.value):
         return r
@@ -856,7 +856,7 @@ def radial_laplacian(
     n = len(v)
     if n == 0:
         raise DomainError("empty diagonal point")
-    if _is_degenerate(lam.values) or v[-1] == 0.0:
+    if _separated_gaps(lam.values) is None or v[-1] == 0.0:
         raise DegeneracyError("radial_laplacian needs nonzero, separated entries")
     h = float(fd_step) if fd_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(v)))
     if not 0.0 < h < math.inf:  # False for nan as well

@@ -861,13 +861,13 @@ DET_POINTS = [
 ]
 DET_BITS = [
     (spherical_eval, 0.8034465294730335, 2.0749414543651522e-15),
-    (spherical_eval, 0.4238001722120593, 6.477341247712965e-15),
-    (spherical_eval, 0.48320897928037226, 7.739572780453092e-14),
-    (spherical_eval, 0.7018890564957415, 1.0126197523072067e-10),
+    (spherical_eval, 0.4238001722120593, 6.3910805843821835e-15),
+    (spherical_eval, 0.48320897928037226, 7.717540942732858e-14),
+    (spherical_eval, 0.7018890564957418, 1.012608081710581e-10),
     (orbital_integral, 1.2179895243513217, 2.633571942142592e-15),
-    (orbital_integral, 2.070521140287064, 4.405267300738551e-14),
-    (orbital_integral, 1.9718223085342803, 8.282727855685658e-13),
-    (orbital_integral, 1.4143085732615284, 3.1647648048473747e-10),
+    (orbital_integral, 2.070521140287064, 4.363123729614139e-14),
+    (orbital_integral, 1.9718223085342803, 8.273737362756598e-13),
+    (orbital_integral, 1.4143085732615286, 3.1647412885598475e-10),
 ]
 
 
@@ -926,17 +926,55 @@ def _separated_points(seed):
     return [(separated(n), separated(n)) for n in range(1, 7) for _ in range(4)]
 
 
+def _squeezed_points(seed):
+    """Separated pairs (entries U(0.1, 4), n = 2..5, 15 each) with one
+    adjacent pair of one side squeezed to a relative squared gap
+    10^U(-5.99, -3): just above the 1e-6 separation threshold, the closest
+    pairs the Bessel route takes."""
+    rng = random.Random(seed)
+    points = []
+    for k in range(60):
+        n = 2 + k % 4
+        pair = []
+        for _ in range(2):
+            while True:
+                v = sorted((rng.uniform(0.1, 4.0) for _ in range(n)), reverse=True)
+                if all(v[i] ** 2 - v[i + 1] ** 2 > 0.01 * v[0] ** 2 for i in range(n - 1)):
+                    pair.append(v)
+                    break
+        v = rng.choice(pair)
+        i = rng.randrange(n - 1)
+        v[i + 1] = math.sqrt(v[i] ** 2 - 10.0 ** rng.uniform(-5.99, -3.0) * v[0] ** 2)
+        points.append(tuple(pair))
+    return points
+
+
 @pytest.mark.parametrize(
     "x, xi",
     _separated_points(17)
     # kernel arguments 13.7 and 40, where the old Taylor sums cancelled
-    + [((3.868076348036853,), (3.539758894315002,)), ((10.0,), (4.0,))],
+    + [((3.868076348036853,), (3.539758894315002,)), ((10.0,), (4.0,))]
+    + _squeezed_points(37),
 )
 def test_determinant_route_within_its_bound_of_the_oracle(x, xi):
     for kind, evaluate in (("spherical", spherical_eval), ("orbital", orbital_integral)):
         r = evaluate(x, xi)
         assert r.path == "determinant"
         assert abs(r.value - _oracle(kind, x, xi)) <= r.abs_error
+
+
+@pytest.mark.parametrize(
+    "x, xi",
+    [((1e-160, 5e-161), (1e-160, 5e-161)), ((3e-160, 1e-160, 5e-161), (2e-160, 1e-160, 4e-161))],
+)
+def test_pairs_with_subnormal_squared_gaps_take_the_newton_route(x, xi):
+    # the squares are subnormal and the kernel matrix all ones, whose first
+    # pivot is zero: the Bessel route returned 0.0 +- inf here
+    for evaluate in (spherical_eval, orbital_integral):
+        r = evaluate(x, xi)
+        assert r.path == "newton" and abs(r.value - 1.0) <= r.abs_error
+        with pytest.raises(DegeneracyError):
+            evaluate(x, xi, path="det")
 
 
 def test_separated_points_build_the_kernel_matrix_in_one_pass(monkeypatch):
@@ -959,7 +997,7 @@ def test_separated_points_build_the_kernel_matrix_in_one_pass(monkeypatch):
 
 
 def test_heat_kernel_bits_are_pinned():
-    assert heat_kernel(0.5, (1.0, 0.5), (0.8, 0.3)) == 0.04915755798323767
+    assert heat_kernel(0.5, (1.0, 0.5), (0.8, 0.3)) == 0.04915755798323769
     assert heat_kernel(0.7, (1.9, 1.1, 0.4), (1.5, 0.9, 0.2)) == 2.1838131941187917e-06
 
 
