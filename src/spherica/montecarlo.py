@@ -9,6 +9,8 @@ Reproducibility contract
   uniform on [0, 2^53)), kept below 1 at k = 2^53 - 1, mapped through the
   inverse normal CDF (scipy.special.ndtri).  No ziggurat, no rejection, so
   the stream consumption per sample is fixed and platform independent.
+  The uniforms are Generator.random() plus 2^-54: random() is k * 2^-53
+  for the same k, and fl(k * 2^-53 + 2^-54) = fl(k + 1/2) * 2^-53 exactly.
 * Estimators consume samples in fixed-size blocks of 8192; block b draws all
   of its variates from stream (master_seed, b) in a documented order.  The
   one path from (n_samples, master_seed) to the McEstimate is _estimate.
@@ -29,6 +31,17 @@ phase is fixed without a separate step.  The first r rows of a Haar unitary
 have the law of the transpose of an n x r Haar isometry, so estimators draw
 only n x min(rank) slabs.  A single matrix (haar_unitary) has no batch to
 vectorise over and takes LAPACK QR plus the phase fix instead.
+
+A slab's draw is fused with its layout: the uniforms of its real parts, in
+draw order (count, n, m), fill one flat scratch plane, and ndtri writes them
+straight into the real plane of the batch-last slab; then the same for the
+imaginary parts.  That plane, and every Gram-Schmidt temporary (written
+through out=), live in a _Scratch that an estimator creates per call and
+reuses across its blocks and slabs, so a slab allocates only the array it
+returns, and nothing returned is a view of the scratch.  Each complex product
+keeps the operand order of its defining formula: numpy may evaluate
+Re(a b) as fma(a_r, b_r, -a_i b_i) where the CPU has FMA, so a * b and b * a
+can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -45,15 +58,16 @@ from .spherical import _point_pair
 
 _BLOCK = 8192
 _MASK64 = (1 << 64) - 1
-_INV53 = 2.0**-53
+_HALF_ULP = 2.0**-54
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
-def ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse normal CDF; scipy.special is loaded on the first call."""
+def ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse normal CDF, written into out if given; scipy.special is
+    loaded on the first call."""
     from scipy.special import ndtri as _ndtri
 
-    return _ndtri(u)
+    return _ndtri(u, out=out)
 
 
 class RngStream:
@@ -67,19 +81,18 @@ class RngStream:
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, shape) -> np.ndarray:
-        """Open-interval (0,1) uniforms with exactly 53 random bits each.
+    def uniforms(self, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """Open-interval (0,1) uniforms with exactly 53 random bits each,
+        written into out (C-contiguous float64 of that shape) if given.
 
-        k is the top 53 bits of one raw Philox word, bit for bit
-        integers(0, 2^53): Lemire's method for a range of 2^53 takes the
-        high word of x 2^53 and never rejects.  (k + 1/2) 2^-53 rounds to 1.0
-        at k = 2^53 - 1, so the result is clamped to 1 - 2^-53.
+        Generator.random() is k 2^-53 with k the top 53 bits of one raw
+        Philox word, bit for bit integers(0, 2^53): Lemire's method for a
+        range of 2^53 takes the high word of x 2^53 and never rejects.  Adding
+        2^-54 gives (k + 1/2) 2^-53 correctly rounded, which is 1.0 at
+        k = 2^53 - 1, so the result is clamped to 1 - 2^-53.
         """
-        k = self._gen.bit_generator.random_raw(shape)
-        k >>= np.uint64(11)
-        u = k.astype(np.float64)
-        u += 0.5
-        u *= _INV53
+        u = self._gen.random(shape, out=out)
+        u += _HALF_ULP
         np.minimum(u, _BELOW_ONE, out=u)
         return u
 
@@ -117,28 +130,63 @@ def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _orthonormalise(q: np.ndarray) -> np.ndarray:
+class _Scratch:
+    """Scratch memory for one estimator call: a flat complex buffer, grown
+    on demand, whose leading part each sampler stage carves into its
+    temporaries.  Growing drops the old buffer before allocating the new
+    one, so the two are never held together."""
+
+    def __init__(self):
+        self._buf = np.empty(0, dtype=complex)
+
+    def __call__(self, size: int) -> np.ndarray:
+        if len(self._buf) < size:
+            self._buf = None
+            self._buf = np.empty(size, dtype=complex)
+        return self._buf[:size]
+
+
+def _orthonormalise(q: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     # in place on a batch-last (m, n, count) complex slab, column k = q[k]:
     # classical Gram-Schmidt, two passes per column, so Q R = slab with R
-    # upper-triangular and its diagonal (the final norms) positive
-    for k in range(len(q)):
+    # upper-triangular and its diagonal (the final norms) positive.  work is
+    # flat complex scratch of (n + m - 1) count entries: the product t, whose
+    # memory later holds the squared parts, and the coefficients c
+    m, n, count = q.shape
+    if not m:  # the empty slab of a zero argument
+        return q
+    if work is None:
+        work = np.empty((n + m - 1) * count, dtype=complex)
+    t = work[: n * count].reshape(n, count)
+    c = work[n * count : (n + m - 1) * count].reshape(m - 1, count)
+    re2, im2 = work[: n * count].view(np.float64).reshape(2, n, count)
+    norm = im2[0]
+    for k in range(m):
         v = q[k]
         for _ in range(2 if k else 0):
-            c = [np.sum(q[i].conj() * v, axis=0) for i in range(k)]
             for i in range(k):
-                v -= q[i] * c[i]
-        v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
+                np.sum(np.multiply(np.conjugate(q[i], out=t), v, out=t), axis=0, out=c[i])
+            for i in range(k):
+                v -= np.multiply(q[i], c[i], out=t)
+        np.square(v.real, out=re2)
+        re2 += np.square(v.imag, out=im2)
+        v /= np.sqrt(np.sum(re2, axis=0, out=norm), out=norm)
     return q
 
 
-def _haar_isometry_batch(stream: RngStream, count: int, n: int, m: int) -> np.ndarray:
+def _haar_isometry_batch(
+    stream: RngStream, count: int, n: int, m: int, scratch: _Scratch | None = None
+) -> np.ndarray:
     # (count, n, m): first m columns of count Haar unitaries, the Q of an
-    # n x m Ginibre slab (real parts, then imaginary parts) with positive R
-    z = stream.normals((2, count, n, m))
+    # n x m Ginibre slab (real parts, then imaginary parts) with positive R;
+    # the array returned is the slab's own, the rest lives in scratch
     q = np.empty((m, n, count), dtype=complex)
-    q.real = z[0].T
-    q.imag = z[1].T
-    return _orthonormalise(q).T
+    size = count * n * m
+    work = (scratch or _Scratch())(max((size + 1) // 2, (n + m - 1) * count))
+    plane = work.view(np.float64)[:size].reshape(count, n, m)
+    for part in (q.real, q.imag):
+        ndtri(stream.uniforms(plane.shape, out=plane).T, out=part)
+    return _orthonormalise(q, work).T
 
 
 def _blocks(n_samples: int):
@@ -169,7 +217,9 @@ def _estimate(n_samples: int, seed: int, sample: Callable[[RngStream, int], tupl
     return McEstimate(*moments[:2], n_samples, seed, *moments[2:])
 
 
-def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pairing(
+    stream: RngStream, take: int, a: np.ndarray, b: np.ndarray, scratch: _Scratch | None = None
+) -> np.ndarray:
     # per sample: sum_{j,k} b_j a_k Re U_jk conj(V_jk), U slab drawn before V
     # slab.  Canonical points put zeros last, so only columns k < rank a and
     # rows j < rank b enter; (U, V) -> (U^T, V^T) keeps the Haar law and swaps
@@ -177,9 +227,10 @@ def _pairing(stream: RngStream, take: int, a: np.ndarray, b: np.ndarray) -> np.n
     if np.count_nonzero(b) < np.count_nonzero(a):
         a, b = b, a
     n, r = len(a), np.count_nonzero(a)
-    u = _haar_isometry_batch(stream, take, n, r)
-    v = _haar_isometry_batch(stream, take, n, r)
-    return np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v.conj()).real @ b
+    u = _haar_isometry_batch(stream, take, n, r, scratch)
+    v = _haar_isometry_batch(stream, take, n, r, scratch)
+    np.conjugate(v, out=v)
+    return np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v).real @ b
 
 
 def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
@@ -192,9 +243,10 @@ def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
     x, xi = _point_pair(x, xi)
     xv = np.array(x.values)
     xiv = np.array(xi.values)
+    scratch = _Scratch()
 
     def sample(stream, take):
-        z = _pairing(stream, take, xv, xiv)
+        z = _pairing(stream, take, xv, xiv, scratch)
         return np.cos(z), np.sin(z)
 
     return _estimate(n_samples, seed, sample)
@@ -212,9 +264,10 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
     tv = np.array(theta.values)
     if float(np.linalg.norm(lv)) * float(np.linalg.norm(tv)) > 10.0:
         raise RangeError("mc_orbital_exp variance guard: |lam|*|theta| > 10")
+    scratch = _Scratch()
 
     def sample(stream, take):
-        return (np.exp(_pairing(stream, take, tv, lv)),)
+        return (np.exp(_pairing(stream, take, tv, lv, scratch)),)
 
     return _estimate(n_samples, seed, sample)
 
@@ -230,19 +283,33 @@ def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _core_factor(v: np.ndarray, m: int, scratch: _Scratch | None = None) -> np.ndarray:
+    # W (batch, 2m, m) of one (batch, n, m) isometry slab V, for _rank_core:
+    # the top m rows of V on R = Q* S, with Q the bottom n - m rows S
+    # orthonormalised in a copy that lives in scratch
+    batch, n, _ = v.shape
+    s = v[:, m:].T  # batch-last (m, n - m, batch)
+    work = (scratch or _Scratch())(s.size + (n - 1) * batch)
+    q = work[: s.size].reshape(s.shape)
+    np.copyto(q, s)
+    _orthonormalise(q, work[s.size :])
+    r = np.einsum("ilb,jlb->bij", np.conjugate(q, out=q), s)
+    return np.concatenate([v[:, :m], r], axis=1)
+
+
+def _core(w1: np.ndarray, w2: np.ndarray, x, y) -> np.ndarray:
+    # K = X + W1 Y W2* from the two slabs' factors; conjugates w2 in place
+    m = len(x)
+    np.conjugate(w2, out=w2)
+    return np.einsum("bim,m,bjm->bij", w1, y, w2) + np.pad(np.diag(x), (0, m))
+
+
 def _rank_core(v1: np.ndarray, v2: np.ndarray, x, y) -> np.ndarray:
     # X + V1 Y V2* = B1 K B2* with the 2m x 2m core K = X + W1 Y W2*: W_k stacks
     # the top m rows of V_k on R_k = Q_k* S_k, where Q_k is the orthonormalised
     # bottom n - m rows S_k, and B_k = blockdiag(I_m, Q_k) has orthonormal columns
     m = len(x)
-
-    def r_factor(s):
-        s = s.T  # batch-last (m, n - m, batch)
-        q = _orthonormalise(s.copy())
-        return np.einsum("ilb,jlb->bij", q.conj(), s)
-
-    w1, w2 = (np.concatenate([v[:, :m], r_factor(v[:, m:])], axis=1) for v in (v1, v2))
-    return np.einsum("bim,m,bjm->bij", w1, y, w2.conj()) + np.pad(np.diag(x), (0, m))
+    return _core(_core_factor(v1, m), _core_factor(v2, m), x, y)
 
 
 def mc_biinvariant_avg(
@@ -256,7 +323,8 @@ def mc_biinvariant_avg(
     n x n matrix (n >= 2m).  Only the first m columns of each Haar unitary
     matter, so the samplers draw n x m isometries: V1 slab then V2 slab.
     The translate has rank <= 2m, so each sample (the same draws as for the
-    n x n form) reduces to an exact 2m x 2m core K, in O(n m^2) (_rank_core);
+    n x n form) reduces to an exact 2m x 2m core K, in O(n m^2) (_rank_core,
+    with each slab's factor taken as soon as it is drawn);
     the n - 2m zero singular values left out each contribute Pi(omega, 0) = 1.
     phi_omega(K) = exp(-gamma |K|_F^2/4) / prod_a det(I + (a/4) K*K) is then
     taken without an SVD, by polya's Givens routine on arrays of samples.
@@ -264,11 +332,13 @@ def mc_biinvariant_avg(
     xs, ys = _point_pair(x, y)
     m = xs.dimension
     n = _integer(n, "n", 2 * m)
+    scratch = _Scratch()
 
     def sample(stream, take):
-        v1 = _haar_isometry_batch(stream, take, n, m)
-        v2 = _haar_isometry_batch(stream, take, n, m)
-        k = _rank_core(v1, v2, xs.values, ys.values)
+        # V1's factor is taken before V2 is drawn, so one slab is held at a time
+        w1 = _core_factor(_haar_isometry_batch(stream, take, n, m, scratch), m, scratch)
+        w2 = _core_factor(_haar_isometry_batch(stream, take, n, m, scratch), m, scratch)
+        k = _core(w1, w2, xs.values, ys.values)
         rows = [list(row) for row in k.transpose(1, 2, 0)]
         return (_phi_omega_rows(omega, rows, np.exp),)
 

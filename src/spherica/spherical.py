@@ -25,8 +25,9 @@ engine, _certified_det: full-pivot elimination (symfunc's _lu_full_pivot),
 a Hadamard bound on the LU backward error and the entry errors, and one
 composition with the route's prefactor into the EvalResult.
 "det" and "series" can be forced; "auto" takes "det" at separated points
-and the Newton-basis determinant elsewhere, which must certify 1e-10
-relative or raise ConvergenceError; it never sums the series.  The J0
+(unless its bound is infinite there and the Newton-basis determinant
+certifies) and the Newton-basis determinant elsewhere, which must certify
+1e-10 relative or raise ConvergenceError; it never sums the series.  The J0
 kernel gives the spherical function, I0 (positive instead of negative
 squared variables) the exponential orbital integral, and the radial heat
 kernel is the orbital integral at a rescaled point times a Gaussian factor.
@@ -302,8 +303,9 @@ def spherical_eval(x, xi, path: str = "auto") -> EvalResult:
     1.0 exactly (path "series", terms_used 1) where x or xi is all zero,
     the Bessel determinant where both are separated (every squared gap a
     normal double above 1e-6 times the largest square, as in
-    spherical_det), and otherwise the Newton-basis determinant (result path
-    "newton"), which must certify 1e-10 relative: where it does not
+    spherical_det) unless its bound is infinite there and the Newton-basis
+    determinant certifies, and otherwise the Newton-basis determinant
+    (result path "newton"), which must certify 1e-10 relative: where it does not
     (coincident points with large entry products), ConvergenceError
     carries its value as ``partial`` and its bound as ``abs_error``, and
     path "series" sums the Schur series.  "det" raises DegeneracyError at
@@ -708,7 +710,11 @@ def _orbit_transform(
     DegeneracyError at any other, and "auto" takes its Newton-basis
     form (_newton_transform), which must certify 1e-10 relative or raise
     ConvergenceError with its value and bound attached; where that route
-    gives up (value nan), the message names the order cap.
+    gives up (value nan), the message names the order cap.  Where the
+    determinant's bound is infinite at a separated pair (a tiny one, whose
+    kernel entries all round to 1, has a zero pivot), "auto" returns the
+    Newton-basis form instead if that certifies 1e-10 relative, and the
+    determinant's result otherwise.
     """
     if path not in ("auto", "det", "series"):
         raise DomainError(f"unknown path {path!r}")
@@ -719,7 +725,11 @@ def _orbit_transform(
     a, b = _canonical_order(x, xi)
     gaps_a, gaps_b = _separated_gaps(a), _separated_gaps(b)
     if gaps_a is not None and gaps_b is not None:
-        return _det_ratio(a, b, gaps_a + gaps_b, oscillatory)
+        r = _det_ratio(a, b, gaps_a + gaps_b, oscillatory)
+        if r.abs_error < math.inf or path == "det":
+            return r
+        newton = _newton_transform(a, b, oscillatory)
+        return newton if newton.abs_error <= _REL_TOL * abs(newton.value) else r
     if path == "det":
         raise DegeneracyError("unseparated squared entries; use path 'auto' or 'series'")
     r = _newton_transform(a, b, oscillatory)
@@ -778,10 +788,11 @@ def orbital_integral(lam, theta, path: str = "auto") -> EvalResult:
     the two-sided unitary average of exp(Re tr(lam u theta v*)).  ``path`` is
     "auto", "det" or "series", as in spherical_eval: "auto" gives 1.0
     exactly where lam or theta is all zero, takes the determinant when
-    separated, otherwise the Newton-basis determinant, and raises
-    ConvergenceError where that does not certify 1e-10 relative.  The
-    Newton-basis determinant and the series handle coincident and zero
-    entries.
+    separated (the Newton-basis one where the determinant's bound is
+    infinite and that one certifies), otherwise the Newton-basis
+    determinant, and raises ConvergenceError where that does not certify
+    1e-10 relative.  The Newton-basis determinant and the series handle
+    coincident and zero entries.
 
     Arguments with max(lam) * max(theta) > 700 are refused (RangeError, I0
     overflow guard); up to it every I0 entry of the determinant is

@@ -1,6 +1,8 @@
 """Reproducible Haar-unitary Monte Carlo oracles."""
 
+import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,11 +78,9 @@ def test_uniforms_keep_the_bits_of_bounded_integers_across_calls(seed):
 def test_uniforms_stay_below_one_at_the_largest_integer():
     # (2^53 - 1 + 1/2) 2^-53 rounds to 1.0, where ndtri is inf
     assert ((2**53 - 1) + 0.5) * 2.0**-53 == 1.0
-    top = np.iinfo(np.uint64).max  # a raw word whose 53 top bits are all set
+    top = (2**53 - 1) * 2.0**-53  # random() of a raw word whose 53 top bits are all set
     stream = RngStream(0)
-    stream._gen = SimpleNamespace(
-        bit_generator=SimpleNamespace(random_raw=lambda shape: np.full(shape, top, dtype=np.uint64))
-    )
+    stream._gen = SimpleNamespace(random=lambda shape, out=None: np.full(shape, top))
     u = stream.uniforms((3,))
     assert np.array_equal(u, np.full(3, 1.0 - 2.0**-53))
     assert np.all(np.isfinite(stream.normals((3,))))
@@ -424,7 +424,8 @@ _OM = OmegaParam([2.0, 0.5], 0.3)
 
 # every field of each estimate, bit for bit (a float's repr round-trips):
 # seed 3 at 1000 samples (one partial block), seed 11 at 9000 samples (a full
-# block and a partial one)
+# block and a partial one), and seed 2 at the benchmark's shapes: n = 4 at
+# 16384 samples (two full blocks) and n = 40, m = 1 at 2000 samples
 _PINNED = [
     (mc_spherical, ((1.0, 0.5), (0.8, 0.3), 1000, 3),
      "McEstimate(mean=0.9431185268506932, std_error=0.0020809539470937138, n_samples=1000, "
@@ -444,12 +445,65 @@ _PINNED = [
     (mc_biinvariant_avg, (_OM, (0.7, 0.4), (1.1, 0.5), 5, 9000, 11),
      "McEstimate(mean=0.2921719889875018, std_error=0.0004210646734512783, n_samples=9000, "
      "master_seed=11, imag_mean=None, imag_std_error=None)"),
+    (mc_spherical, ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1), 16384, 2),
+     "McEstimate(mean=0.941662872574864, std_error=0.0005997444758807859, n_samples=16384, "
+     "master_seed=2, imag_mean=-0.007017366445713606, imag_std_error=0.0025595386453304402)"),
+    (mc_orbital_exp, ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1), 16384, 2),
+     "McEstimate(mean=1.0535124410350727, std_error=0.0029180277805183753, n_samples=16384, "
+     "master_seed=2, imag_mean=None, imag_std_error=None)"),
+    (mc_biinvariant_avg, (_OM, (1.2,), (0.9,), 40, 2000, 2),
+     "McEstimate(mean=0.2709570643640717, std_error=9.543956036948997e-05, n_samples=2000, "
+     "master_seed=2, imag_mean=None, imag_std_error=None)"),
 ]
 
 
 @pytest.mark.parametrize("fn, args, want", _PINNED)
 def test_estimates_keep_their_bits(fn, args, want):
     assert repr(fn(*args[:-1], seed=args[-1])) == want
+
+
+# sha256 of the bytes of _haar_isometry_batch(RngStream(5, 2), count, n, m)
+_BATCH_SHA256 = {
+    (1, 1, 1): "3fe7ef2f23da956d7f0c42a8a4a6f906dd0a9e9a2c6ac7e1594de04074b9e644",
+    (7, 6, 3): "60a853f5c62d86c3a343184c7e19a9a6d52a1a6a5a0f73e623f182c541b415a9",
+    (8192, 4, 4): "94fc49d9143c180d3f3aa599278a0dc1aae62c886477b84991685c6d50c3f637",
+    (2000, 40, 1): "c458203a0a257f6d25f3969ed49006e8dbc3700bc8209fb5c1ef1d20f02c77be",
+}
+
+
+@pytest.mark.parametrize("count, n, m", sorted(_BATCH_SHA256))
+def test_isometry_batch_keeps_its_bits(count, n, m):
+    q = montecarlo._haar_isometry_batch(RngStream(5, 2), count, n, m)
+    assert q.shape == (count, n, m)
+    assert hashlib.sha256(q.tobytes()).hexdigest() == _BATCH_SHA256[count, n, m]
+
+
+def test_successive_isometry_batches_share_no_memory():
+    stream = RngStream(5, 2)
+    u = montecarlo._haar_isometry_batch(stream, 300, 4, 4)
+    v = montecarlo._haar_isometry_batch(stream, 300, 4, 4)
+    assert not np.shares_memory(u, v)
+
+
+# traced peak of one warm call, in MiB, as measured at the sampler that
+# allocated its temporaries per slab: the sampler may not need more
+_PEAK_MIB = [
+    (lambda: mc_spherical(*_FULL_RANK[4][:2], 20_000, seed=0), 7.32),
+    (lambda: mc_orbital_exp(*_FULL_RANK[3][:2], 16_384, seed=0), 4.32),
+    (lambda: mc_biinvariant_avg(_OM, (0.7,), (1.1,), 40, 2000, seed=0), 4.92),
+]
+
+
+@pytest.mark.parametrize("call, limit", _PEAK_MIB)
+def test_estimator_memory_peak_stays_at_most_the_per_slab_samplers(call, limit):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2**20
 
 
 def test_haar_unitary_keeps_its_bits():
@@ -474,9 +528,9 @@ def test_rank_one_argument_draws_one_column_and_matches_the_series(x, xi, monkey
     shapes = []
     batch = montecarlo._haar_isometry_batch
 
-    def recording(stream, count, n, m):
+    def recording(stream, count, n, m, scratch=None):
         shapes.append((n, m))
-        return batch(stream, count, n, m)
+        return batch(stream, count, n, m, scratch)
 
     monkeypatch.setattr(montecarlo, "_haar_isometry_batch", recording)
     est = mc_spherical(x, xi, 20_000, seed=0)
@@ -490,14 +544,17 @@ def test_rank_one_argument_draws_one_column_and_matches_the_series(x, xi, monkey
 # thread counts, the digests must agree byte for byte.
 _THREADS_CHILD = """
 import hashlib, json
-from spherica import OmegaParam, RngStream, mc_biinvariant_avg, mc_spherical
+from spherica import OmegaParam, RngStream, mc_biinvariant_avg, mc_orbital_exp, mc_spherical
 from spherica.montecarlo import _haar_isometry_batch
 h = hashlib.sha256()
+x4, xi4 = (1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1)
 for n, m in ((4, 4), (25, 25), (40, 1)):
     h.update(_haar_isometry_batch(RngStream(3, 1), 300, n, m).tobytes())
 for x, xi in (((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1)), ((1.2, 0.8, 0.3), (1.0, 0.0, 0.0))):
     e = mc_spherical(x, xi, 9000, seed=4)
     h.update(json.dumps([e.mean, e.std_error, e.imag_mean, e.imag_std_error]).encode())
+for e in (mc_spherical(x4, xi4, 16384, seed=2), mc_orbital_exp(x4, xi4, 16384, seed=2)):
+    h.update(repr(e).encode())
 e = mc_biinvariant_avg(OmegaParam([2.0], 0.3), [1.0], [0.8], 40, 2000, seed=4)
 h.update(json.dumps([e.mean, e.std_error]).encode())
 print(h.hexdigest())

@@ -977,6 +977,16 @@ def test_pairs_with_subnormal_squared_gaps_take_the_newton_route(x, xi):
             evaluate(x, xi, path="det")
 
 
+@pytest.mark.parametrize("x", [(1e-5, 5e-6), (1e-100, 5e-101)])
+def test_tiny_separated_pairs_fall_back_to_the_newton_route(x):
+    # separated, but every kernel entry rounds to 1, so the Bessel route's
+    # first pivot is zero and its bound infinite; auto returned that 0.0 +- inf
+    for evaluate in (spherical_eval, orbital_integral):
+        assert evaluate(x, x, path="det").abs_error == math.inf
+        r = evaluate(x, x)
+        assert r.path == "newton" and abs(r.value - 1.0) <= r.abs_error <= 1e-14
+
+
 def test_separated_points_build_the_kernel_matrix_in_one_pass(monkeypatch):
     # no scalar kernel call per entry: one matrix build per evaluation
     calls, builds = [], []
