@@ -27,10 +27,12 @@ that phase condition Q is not Haar distributed).  Blocks orthonormalise the
 slab by classical Gram-Schmidt run twice per column, vectorised over the
 sample axis in a batch-last (m, n, count) layout: two passes are orthonormal
 to working precision, and the R they imply has a positive diagonal, so the
-phase is fixed without a separate step.  The first r rows of a Haar unitary
-have the law of the transpose of an n x r Haar isometry, so estimators draw
-only n x min(rank) slabs.  A single matrix (haar_unitary) has no batch to
-vectorise over and takes LAPACK QR plus the phase fix instead.
+phase is fixed without a separate step.  mc_spherical and mc_orbital_exp are
+one pairing estimator (_pairing_estimate) of z = Re tr(diag(b) U diag(a) V*),
+which draws the U slab, then the V slab; the first r rows of a Haar unitary
+have the law of the transpose of an n x r Haar isometry, so both are
+n x min(rank) slabs.  A single matrix (haar_unitary) has no batch to vectorise
+over and takes LAPACK QR plus the phase fix instead.
 
 A slab's draw is fused with its layout: the uniforms of its real parts, in
 draw order (count, n, m), fill one flat scratch plane, and ndtri writes them
@@ -146,7 +148,7 @@ class _Scratch:
         return self._buf[:size]
 
 
-def _orthonormalise(q: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _orthonormalise(q: np.ndarray, work: np.ndarray) -> np.ndarray:
     # in place on a batch-last (m, n, count) complex slab, column k = q[k]:
     # classical Gram-Schmidt, two passes per column, so Q R = slab with R
     # upper-triangular and its diagonal (the final norms) positive.  work is
@@ -155,8 +157,6 @@ def _orthonormalise(q: np.ndarray, work: np.ndarray | None = None) -> np.ndarray
     m, n, count = q.shape
     if not m:  # the empty slab of a zero argument
         return q
-    if work is None:
-        work = np.empty((n + m - 1) * count, dtype=complex)
     t = work[: n * count].reshape(n, count)
     c = work[n * count : (n + m - 1) * count].reshape(m - 1, count)
     re2, im2 = work[: n * count].view(np.float64).reshape(2, n, count)
@@ -217,20 +217,23 @@ def _estimate(n_samples: int, seed: int, sample: Callable[[RngStream, int], tupl
     return McEstimate(*moments[:2], n_samples, seed, *moments[2:])
 
 
-def _pairing(
-    stream: RngStream, take: int, a: np.ndarray, b: np.ndarray, scratch: _Scratch | None = None
-) -> np.ndarray:
-    # per sample: sum_{j,k} b_j a_k Re U_jk conj(V_jk), U slab drawn before V
-    # slab.  Canonical points put zeros last, so only columns k < rank a and
-    # rows j < rank b enter; (U, V) -> (U^T, V^T) keeps the Haar law and swaps
-    # the roles of a and b, so n x min(rank a, rank b) isometries suffice
+def _pairing_estimate(a, b, n_samples: int, seed: int, values: Callable) -> McEstimate:
+    # the McEstimate of values(z), z = sum_{j,k} b_j a_k Re U_jk conj(V_jk) per
+    # sample, for canonical points a, b: their zeros come last, so only columns
+    # k < rank a and rows j < rank b enter, and (U, V) -> (U^T, V^T) swaps a, b
+    a, b = np.array(a.values), np.array(b.values)
     if np.count_nonzero(b) < np.count_nonzero(a):
         a, b = b, a
     n, r = len(a), np.count_nonzero(a)
-    u = _haar_isometry_batch(stream, take, n, r, scratch)
-    v = _haar_isometry_batch(stream, take, n, r, scratch)
-    np.conjugate(v, out=v)
-    return np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v).real @ b
+    scratch = _Scratch()
+
+    def sample(stream, take):
+        u = _haar_isometry_batch(stream, take, n, r, scratch)
+        v = _haar_isometry_batch(stream, take, n, r, scratch)
+        np.conjugate(v, out=v)
+        return values(np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v).real @ b)
+
+    return _estimate(n_samples, seed, sample)
 
 
 def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
@@ -241,15 +244,7 @@ def mc_spherical(x, xi, n_samples: int, seed: int = 0) -> McEstimate:
     Per block and sample the draw order is: U slab, then V slab.
     """
     x, xi = _point_pair(x, xi)
-    xv = np.array(x.values)
-    xiv = np.array(xi.values)
-    scratch = _Scratch()
-
-    def sample(stream, take):
-        z = _pairing(stream, take, xv, xiv, scratch)
-        return np.cos(z), np.sin(z)
-
-    return _estimate(n_samples, seed, sample)
+    return _pairing_estimate(x, xi, n_samples, seed, lambda z: (np.cos(z), np.sin(z)))
 
 
 def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
@@ -260,16 +255,9 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
     useless at any affordable sample count.
     """
     lam, theta = _point_pair(lam, theta)
-    lv = np.array(lam.values)
-    tv = np.array(theta.values)
-    if float(np.linalg.norm(lv)) * float(np.linalg.norm(tv)) > 10.0:
+    if float(np.linalg.norm(lam.values)) * float(np.linalg.norm(theta.values)) > 10.0:
         raise RangeError("mc_orbital_exp variance guard: |lam|*|theta| > 10")
-    scratch = _Scratch()
-
-    def sample(stream, take):
-        return (np.exp(_pairing(stream, take, tv, lv, scratch)),)
-
-    return _estimate(n_samples, seed, sample)
+    return _pairing_estimate(theta, lam, n_samples, seed, lambda z: (np.exp(z),))
 
 
 def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
@@ -283,13 +271,13 @@ def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _core_factor(v: np.ndarray, m: int, scratch: _Scratch | None = None) -> np.ndarray:
-    # W (batch, 2m, m) of one (batch, n, m) isometry slab V, for _rank_core:
+def _core_factor(v: np.ndarray, m: int, scratch: _Scratch) -> np.ndarray:
+    # W (batch, 2m, m) of one (batch, n, m) isometry slab V, for _core:
     # the top m rows of V on R = Q* S, with Q the bottom n - m rows S
     # orthonormalised in a copy that lives in scratch
     batch, n, _ = v.shape
     s = v[:, m:].T  # batch-last (m, n - m, batch)
-    work = (scratch or _Scratch())(s.size + (n - 1) * batch)
+    work = scratch(s.size + (n - 1) * batch)
     q = work[: s.size].reshape(s.shape)
     np.copyto(q, s)
     _orthonormalise(q, work[s.size :])
@@ -298,18 +286,11 @@ def _core_factor(v: np.ndarray, m: int, scratch: _Scratch | None = None) -> np.n
 
 
 def _core(w1: np.ndarray, w2: np.ndarray, x, y) -> np.ndarray:
-    # K = X + W1 Y W2* from the two slabs' factors; conjugates w2 in place
+    # X + V1 Y V2* = B1 K B2*, K = X + W1 Y W2* the 2m x 2m core of the slabs'
+    # factors, B_k = blockdiag(I_m, Q_k) with orthonormal columns; conjugates w2 in place
     m = len(x)
     np.conjugate(w2, out=w2)
     return np.einsum("bim,m,bjm->bij", w1, y, w2) + np.pad(np.diag(x), (0, m))
-
-
-def _rank_core(v1: np.ndarray, v2: np.ndarray, x, y) -> np.ndarray:
-    # X + V1 Y V2* = B1 K B2* with the 2m x 2m core K = X + W1 Y W2*: W_k stacks
-    # the top m rows of V_k on R_k = Q_k* S_k, where Q_k is the orthonormalised
-    # bottom n - m rows S_k, and B_k = blockdiag(I_m, Q_k) has orthonormal columns
-    m = len(x)
-    return _core(_core_factor(v1, m), _core_factor(v2, m), x, y)
 
 
 def mc_biinvariant_avg(
@@ -323,7 +304,7 @@ def mc_biinvariant_avg(
     n x n matrix (n >= 2m).  Only the first m columns of each Haar unitary
     matter, so the samplers draw n x m isometries: V1 slab then V2 slab.
     The translate has rank <= 2m, so each sample (the same draws as for the
-    n x n form) reduces to an exact 2m x 2m core K, in O(n m^2) (_rank_core,
+    n x n form) reduces to an exact 2m x 2m core K, in O(n m^2) (_core,
     with each slab's factor taken as soon as it is drawn);
     the n - 2m zero singular values left out each contribute Pi(omega, 0) = 1.
     phi_omega(K) = exp(-gamma |K|_F^2/4) / prod_a det(I + (a/4) K*K) is then

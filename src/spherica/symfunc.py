@@ -13,9 +13,7 @@ entry h_m is within about (k + 3m) 2^-53 relative of the exact sum.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
-from itertools import count, islice
+from itertools import count, groupby, islice
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -94,26 +92,29 @@ def complete_h_table(x: Sequence[float], max_m: int) -> list[float]:
     so every monomial of h_m passes at most k + 3m roundings and h_m has
     relative error at most gamma_{k+3m} (about (k + 3m) 2^-53), k <= len(x)
     the number of folded variables.  Mixed signs can cancel, and then no
-    relative bound holds.
+    relative bound holds.  RangeError where an entry leaves double range.
     """
-    max_m = _integer(max_m, "max_m", 0)
-    _, hs = _h_stream(_runs(_as_sorted_vars(x)))
+    return _finite_h(x, _integer(max_m, "max_m", 0), "complete_h_table")
+
+
+def _h_table(vals: Sequence[float], max_m: int) -> list[float]:
+    # complete_h_table of sorted variables, entries past double range kept
+    _, hs = _h_stream(_runs(vals))
     return list(islice(hs, max_m + 1))
+
+
+def _finite_h(x: Sequence[float], max_m: int, name: str) -> list[float]:
+    table = _h_table(_as_sorted_vars(x), max_m)
+    for j, h in enumerate(table):
+        if not math.isfinite(h):
+            raise RangeError(f"{name}: h_{j} exceeds double range")
+    return table
 
 
 def _runs(vals: Sequence[float]) -> list[tuple[float, int]]:
     """Runs (value, multiplicity) of the nonzero entries of ``vals``, which
-    are in decreasing order.  Equal entries are adjacent, so each run is
-    found by bisection: O(runs log n)."""
-    runs = []
-    start = 0
-    while start < len(vals):
-        end = bisect_right(vals, -vals[start], start, key=operator.neg)
-        v = vals[start]
-        if v:
-            runs.append((v, end - start))
-        start = end
-    return runs
+    are in decreasing order, so equal entries are adjacent."""
+    return [(v, sum(1 for _ in run)) for v, run in groupby(vals) if v]
 
 
 def _h_stream(runs: Sequence[tuple[float, int]]) -> tuple[int, Iterator[float]]:
@@ -145,16 +146,20 @@ def _h_stream(runs: Sequence[tuple[float, int]]) -> tuple[int, Iterator[float]]:
 
 
 def complete_h(m: int, x: Sequence[float]) -> float:
-    """Complete homogeneous sum h_m(x); h_0 = 1, h_m(()) = 0 for m >= 1."""
+    """Complete homogeneous sum h_m(x); h_0 = 1, h_m(()) = 0 for m >= 1.
+    RangeError where one of h_0..h_m leaves double range."""
     m = _integer(m, "m", 0)
-    return complete_h_table(x, m)[m]
+    return _finite_h(x, m, "complete_h")[m]
 
 
 def newton_h_from_p(p: Sequence[float]) -> list[float]:
     """Recover [h_0..h_M] from power sums [p_1..p_M] via Newton's identities.
 
-    m * h_m = sum_{i=1..m} p_i * h_{m-i}.
+    m * h_m = sum_{i=1..m} p_i * h_{m-i}.  DomainError on a non-finite
+    power sum, RangeError where an h_m leaves double range.
     """
+    if not all(map(math.isfinite, p)):
+        raise DomainError("newton_h_from_p: power sums must be finite")
     M = len(p)
     h = [0.0] * (M + 1)
     h[0] = 1.0
@@ -163,6 +168,8 @@ def newton_h_from_p(p: Sequence[float]) -> list[float]:
         for i in range(1, m + 1):
             acc += p[i - 1] * h[m - i]
         h[m] = acc / m
+        if not math.isfinite(h[m]):
+            raise RangeError(f"newton_h_from_p: h_{m} exceeds double range")
     return h
 
 
@@ -256,8 +263,7 @@ def schur(m: Partition | Sequence[int], x: Sequence[float]) -> float:
     if part.length == 0:
         return 1.0
     max_index = part.parts[0] + part.length - 1
-    h = complete_h_table(vals, max_index)
-    value = _jacobi_trudi_det(part.parts, h)
+    value = _jacobi_trudi_det(part.parts, _h_table(vals, max_index))
     if not math.isfinite(value):
         raise RangeError(f"Schur polynomial s_{part.parts} exceeds double range")
     return value
@@ -331,16 +337,18 @@ def cauchy_lhs(x: Sequence[float], y: Sequence[float], max_weight: int) -> float
     """sum over partitions of weight <= max_weight of s_m(x) s_m(y).
 
     Truncation of the Cauchy identity; partitions longer than either variable
-    list contribute 0 and are skipped.
+    list contribute 0 and are skipped.  RangeError where a Schur value or
+    the sum leaves double range.
     """
     max_weight = _integer(max_weight, "max_weight", 0)
     xs = _as_sorted_vars(x)
     ys = _as_sorted_vars(y)
     max_len = min(len(xs), len(ys))
     top = max_weight + max_len
-    hx = complete_h_table(xs, top)
-    hy = complete_h_table(ys, top)
+    hx, hy = _h_table(xs, top), _h_table(ys, top)
     acc = 0.0
     for parts in _partition_tuples(max_weight, max_len):
         acc += _jacobi_trudi_det(parts, hx) * _jacobi_trudi_det(parts, hy)
+    if not math.isfinite(acc):
+        raise RangeError("cauchy_lhs: s_m(x) s_m(y) or their sum exceeds double range")
     return acc

@@ -302,7 +302,9 @@ def test_rank_core_singular_values_match_the_full_translate(m, n):
     v1 = montecarlo._haar_isometry_batch(stream, 300, n, m)
     v2 = montecarlo._haar_isometry_batch(stream, 300, n, m)
     full = np.linalg.svd(_translate(v1, v2, x, y), compute_uv=False)
-    core = np.linalg.svd(montecarlo._rank_core(v1, v2, x, y), compute_uv=False)
+    s = montecarlo._Scratch()
+    k = montecarlo._core(montecarlo._core_factor(v1, m, s), montecarlo._core_factor(v2, m, s), x, y)
+    core = np.linalg.svd(k, compute_uv=False)
     assert core.shape == (300, 2 * m)
     assert np.all(np.abs(core - full[:, : 2 * m]) <= 1e-12 * full[:, : 2 * m])
     # the n - 2m singular values left out are zero (none when n = 2m)
@@ -385,7 +387,8 @@ def test_orthonormaliser_keeps_nearly_equal_columns_orthonormal(slab):
     count, n, m, seed = slab
     z = _ginibre(seed, count, n, m)
     z[:, :, 1] = z[:, :, 0] * (1.0 + 1e-8 * _ginibre(seed + 1, count, n, 1)[:, :, 0])
-    q = montecarlo._orthonormalise(np.ascontiguousarray(z.T)).T
+    work = np.empty((n + m - 1) * count, dtype=complex)
+    q = montecarlo._orthonormalise(np.ascontiguousarray(z.T), work).T
     assert np.all(_gram_defect(q) <= 1e-14)
 
 
@@ -538,6 +541,29 @@ def test_rank_one_argument_draws_one_column_and_matches_the_series(x, xi, monkey
     series = spherical_series(x, xi).value
     assert abs(est.mean - series) <= 4.0 * est.std_error
     assert abs(est.imag_mean) <= 4.0 * est.imag_std_error
+
+
+_LAM_8 = (0.9, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
+_THETA_8 = (1.2,) + (0.0,) * 7
+
+
+@pytest.mark.parametrize("lam, theta", [(_LAM_8, _THETA_8), (_THETA_8, _LAM_8)])
+def test_rank_one_orbital_argument_draws_one_column_and_matches_the_integral(
+    lam, theta, monkeypatch
+):
+    # the orbital estimator pairs theta on the columns and lam on the rows:
+    # with theta rank one it keeps them, with lam rank one it swaps them
+    shapes = []
+    batch = montecarlo._haar_isometry_batch
+
+    def recording(stream, count, n, m, scratch=None):
+        shapes.append((n, m))
+        return batch(stream, count, n, m, scratch)
+
+    monkeypatch.setattr(montecarlo, "_haar_isometry_batch", recording)
+    est = mc_orbital_exp(lam, theta, 20_000, seed=0)
+    assert set(shapes) == {(8, 1)}
+    assert abs(est.mean - orbital_integral(lam, theta).value) <= 4.0 * est.std_error
 
 
 # Prints a digest of sampler and estimator output; run under two BLAS

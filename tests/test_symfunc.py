@@ -307,3 +307,36 @@ def test_runs_are_the_groups_of_nonzero_entries(x):
     assert _runs(vals) == runs
     if vals and vals[-1] >= 0.0:
         assert _scaled_squares(_runs(vals), 3.0) == [((v / 3.0) * (v / 3.0), m) for v, m in runs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 4.0]), max_size=30))
+def test_runs_expand_back_to_the_nonzero_entries_in_decreasing_order(x):
+    vals = sorted(x, reverse=True)
+    runs = _runs(vals)
+    assert [v for v, m in runs for _ in range(m)] == [v for v in vals if v]
+    assert all(m >= 1 for _, m in runs)
+    assert all(a > b for (a, _), (b, _) in zip(runs, runs[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        (lambda: complete_h(2, (1e200,)), RangeError, "complete_h: h_2"),
+        (lambda: complete_h_table((1e200,), 3), RangeError, "complete_h_table: h_2"),
+        (lambda: newton_h_from_p([1e200, 1e300]), RangeError, "newton_h_from_p: h_2"),
+        (lambda: cauchy_lhs((1e200,), (1e200,), 2), RangeError, "cauchy_lhs"),
+        (lambda: power_p(400, (10.0,)), RangeError, "power sum p_400"),
+        (lambda: schur((300, 200), (10.0, 9.0)), RangeError, "Schur polynomial"),
+        (lambda: newton_h_from_p([1.0, math.nan]), DomainError, "newton_h_from_p"),
+        (lambda: newton_h_from_p([math.inf]), DomainError, "newton_h_from_p"),
+        (lambda: newton_h_from_p([1.0, -math.inf]), DomainError, "newton_h_from_p"),
+    ],
+    ids=["complete_h", "complete_h_table", "newton_h_from_p", "cauchy_lhs", "power_p", "schur",
+         "newton_h_from_p-nan", "newton_h_from_p-inf", "newton_h_from_p-minus-inf"],
+)
+def test_values_past_double_range_raise_naming_the_entry(call, error, name):
+    # complete_h, complete_h_table, newton_h_from_p and cauchy_lhs returned
+    # inf; power_p and schur keep their messages
+    with pytest.raises(error, match=name):
+        call()
