@@ -55,7 +55,7 @@ import numpy as np
 
 from ._record import record
 from .errors import RangeError, _integer
-from .polya import OmegaParam, _phi_omega_rows
+from .polya import OmegaParam
 from .spherical import _point_pair
 
 _BLOCK = 8192
@@ -261,9 +261,8 @@ def mc_orbital_exp(lam, theta, n_samples: int, seed: int = 0) -> McEstimate:
 
 
 def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
-    # s: (batch, n) singular values; returns prod_j Pi(omega, s_j) per row.
-    # The reference of the tests' full-SVD estimator (mc_biinvariant_avg takes
-    # no singular values); perfbench's tracer patches this name
+    # s: (batch, n) singular values; prod_j Pi(omega, s_j) per row: the
+    # tests' full-SVD reference, and a name perfbench's tracer patches
     q = 0.25 * s * s
     vals = np.exp(-omega.gamma * np.sum(q, axis=1))
     for a in omega.alpha:
@@ -271,26 +270,11 @@ def _phi_omega_singvals(omega: OmegaParam, s: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _core_factor(v: np.ndarray, m: int, scratch: _Scratch) -> np.ndarray:
-    # W (batch, 2m, m) of one (batch, n, m) isometry slab V, for _core:
-    # the top m rows of V on R = Q* S, with Q the bottom n - m rows S
-    # orthonormalised in a copy that lives in scratch
-    batch, n, _ = v.shape
-    s = v[:, m:].T  # batch-last (m, n - m, batch)
-    work = scratch(s.size + (n - 1) * batch)
-    q = work[: s.size].reshape(s.shape)
-    np.copyto(q, s)
-    _orthonormalise(q, work[s.size :])
-    r = np.einsum("ilb,jlb->bij", np.conjugate(q, out=q), s)
-    return np.concatenate([v[:, :m], r], axis=1)
-
-
-def _core(w1: np.ndarray, w2: np.ndarray, x, y) -> np.ndarray:
-    # X + V1 Y V2* = B1 K B2*, K = X + W1 Y W2* the 2m x 2m core of the slabs'
-    # factors, B_k = blockdiag(I_m, Q_k) with orthonormal columns; conjugates w2 in place
-    m = len(x)
-    np.conjugate(w2, out=w2)
-    return np.einsum("bim,m,bjm->bij", w1, y, w2) + np.pad(np.diag(x), (0, m))
+def _gram(v: np.ndarray, m: int) -> np.ndarray:
+    # A*A (batch, 2m, 2m) for A = [E, V], E the first m columns of I_n:
+    # [[I, T], [T*, I]] with T the top m x m block of the isometry slab V
+    t, eye = v[:, :m], np.broadcast_to(np.eye(m), (len(v), m, m))
+    return np.block([[eye, t], [np.conjugate(t).transpose(0, 2, 1), eye]])
 
 
 def mc_biinvariant_avg(
@@ -303,24 +287,29 @@ def mc_biinvariant_avg(
     where X, Y embed the m-vectors x, y as the leading diagonal block of an
     n x n matrix (n >= 2m).  Only the first m columns of each Haar unitary
     matter, so the samplers draw n x m isometries: V1 slab then V2 slab.
-    The translate has rank <= 2m, so each sample (the same draws as for the
-    n x n form) reduces to an exact 2m x 2m core K, in O(n m^2) (_core,
-    with each slab's factor taken as soon as it is drawn);
-    the n - 2m zero singular values left out each contribute Pi(omega, 0) = 1.
-    phi_omega(K) = exp(-gamma |K|_F^2/4) / prod_a det(I + (a/4) K*K) is then
-    taken without an SVD, by polya's Givens routine on arrays of samples.
+    The translate is M = A1 D A2*, with A_k = [E, V_k], E the first m columns
+    of I_n and D = diag(x, y), so by Sylvester's determinant identity each
+    sample (the same draws as for the n x n form) needs only the 2m x 2m
+    P = D G1 D G2, G_k = A_k* A_k = [[I, T_k], [T_k*, I]] with T_k the top
+    m x m block of V_k: |M|_F^2 = tr P and det(I + c M*M) = det(I + c P), so
+    phi_omega(M) = exp(-gamma |M|_F^2/4) / prod_a det(I + (a/4) M*M) takes
+    one stacked determinant per atom and no SVD.
     """
     xs, ys = _point_pair(x, y)
     m = xs.dimension
     n = _integer(n, "n", 2 * m)
+    d = np.array(xs.values + ys.values)
     scratch = _Scratch()
 
     def sample(stream, take):
-        # V1's factor is taken before V2 is drawn, so one slab is held at a time
-        w1 = _core_factor(_haar_isometry_batch(stream, take, n, m, scratch), m, scratch)
-        w2 = _core_factor(_haar_isometry_batch(stream, take, n, m, scratch), m, scratch)
-        k = _core(w1, w2, xs.values, ys.values)
-        rows = [list(row) for row in k.transpose(1, 2, 0)]
-        return (_phi_omega_rows(omega, rows, np.exp),)
+        # G1 is taken before V2 is drawn, so one slab is held at a time
+        g1, g2 = (_gram(_haar_isometry_batch(stream, take, n, m, scratch), m) for _ in range(2))
+        p = np.einsum("i,bij,j,bjk->bik", d, g1, d, g2)
+        fro = np.trace(p, axis1=1, axis2=2).real
+        # at gamma = 0, exp(-0 * inf) would be nan where fro overflows
+        acc = np.exp(-0.25 * omega.gamma * fro) if omega.gamma else np.ones(take)
+        for a in omega.alpha:
+            acc = acc / np.linalg.det(np.eye(2 * m) + 0.25 * a * p).real
+        return (acc,)
 
     return _estimate(n_samples, seed, sample)

@@ -226,9 +226,7 @@ def _det_i_plus_gram(rows, c):
     complex Givens rotations that fold in one row of sqrt(c) X at a time, so
     X*X, whose rounding would square the condition number, is never formed.
     Its diagonal stays real and >= 1, and each rotation adds |b|^2 to one
-    r_kk^2, so the squares are kept as sums of positive terms.  Only
-    arithmetic operators touch the entries, so they may be Python numbers or
-    numpy arrays over a sample axis.
+    r_kk^2, so the squares are kept as sums of positive terms.
     """
     n = len(rows)
     t = c**0.5
@@ -247,23 +245,6 @@ def _det_i_plus_gram(rows, c):
     return math.prod(d2)
 
 
-def _phi_omega_rows(omega: OmegaParam, rows, exp=math.exp):
-    """prod_j Pi(omega, s_j(X)) for the square matrix X with these rows, from
-
-        exp(-gamma |X|_F^2 / 4) / prod_a det(I + (a/4) X*X),
-
-    without singular values.  Entries as for _det_i_plus_gram; exp must
-    accept what the arithmetic on them returns.
-    """
-    fro = sum(v.real * v.real + v.imag * v.imag for row in rows for v in row)
-    # at gamma = 0, fro ** 0.0 is 1.0 in fro's shape, also where fro
-    # overflows and exp(-0 * inf) would be nan
-    acc = exp(-0.25 * omega.gamma * fro) if omega.gamma else fro**0.0
-    for a in omega.alpha:
-        acc = acc / _det_i_plus_gram(rows, 0.25 * a)
-    return acc
-
-
 def phi_omega_matrix(omega: OmegaParam, x) -> float:
     """phi_omega at a full square complex matrix (a numpy array or nested
     rows): prod_j Pi(omega, s_j(x)), which depends on x only through x*x."""
@@ -276,7 +257,11 @@ def phi_omega_matrix(omega: OmegaParam, x) -> float:
         raise ShapeError("expected a square matrix of numbers")
     if not all(cmath.isfinite(v) for row in rows for v in row):
         raise DomainError("matrix entries must be finite")
-    value = _phi_omega_rows(omega, rows)
+    # at gamma = 0, exp(-0 * inf) would be nan where fro overflows
+    fro = sum(v.real * v.real + v.imag * v.imag for row in rows for v in row)
+    value = math.exp(-0.25 * omega.gamma * fro) if omega.gamma else 1.0
+    for a in omega.alpha:
+        value /= _det_i_plus_gram(rows, 0.25 * a)
     # nan only where an r_kk^2 of _det_i_plus_gram overflowed and a later
     # Givens step divided inf by inf: that determinant then exceeds 1e308,
     # so the value, at most its inverse, is 0 to double precision

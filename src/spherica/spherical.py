@@ -754,7 +754,7 @@ def spherical_series(x, xi, rel_tol: float = _REL_TOL) -> EvalResult:
     costs what one entry does.  Where x or xi has one nonzero entry (a
     rank-one sweep point: xi = (u, 0, ..., 0), x from lambda_sequence_for)
     the series has one row and costs O(k + 1) per term, k the entries
-    outside the longest run, after input validation and a bisection for the
+    outside the longest run, after input validation and one groupby for the
     runs, whatever the dimension n; validating and sorting the two size-n
     arguments is O(n log n), which spherical_convergence skips by building
     the runs from omega.  At any number of rows the series is

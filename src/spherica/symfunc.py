@@ -337,12 +337,17 @@ def cauchy_lhs(x: Sequence[float], y: Sequence[float], max_weight: int) -> float
     """sum over partitions of weight <= max_weight of s_m(x) s_m(y).
 
     Truncation of the Cauchy identity; partitions longer than either variable
-    list contribute 0 and are skipped.  RangeError where a Schur value or
-    the sum leaves double range.
+    list contribute 0 and are skipped.  The pair is first balanced by a power
+    of two, (x, y) -> (c x, y / c), which leaves each term unchanged.
+    RangeError where a Schur value or the sum leaves double range.
     """
     max_weight = _integer(max_weight, "max_weight", 0)
-    xs = _as_sorted_vars(x)
-    ys = _as_sorted_vars(y)
+    xs, ys = _as_sorted_vars(x), _as_sorted_vars(y)
+    ax, ay = max(map(abs, xs), default=0.0), max(map(abs, ys), default=0.0)
+    if not (ax and ay):  # only the empty partition is left
+        return 1.0
+    e = int((math.frexp(ay)[1] - math.frexp(ax)[1]) / 2)
+    xs, ys = [math.ldexp(v, e) for v in xs], [math.ldexp(v, -e) for v in ys]
     max_len = min(len(xs), len(ys))
     top = max_weight + max_len
     hx, hy = _h_table(xs, top), _h_table(ys, top)

@@ -32,6 +32,8 @@ def test_partition_trims_trailing_zeros():
     assert Partition(()).parts == ()
     assert Partition((2, 2, 1)).weight == 5
     assert Partition((2, 2, 1)).length == 3
+    assert list(Partition((3, 1, 0))) == [3, 1]
+    assert len(Partition((2, 2, 1))) == 3
 
 
 def test_partition_rejects_bad_shapes():
@@ -273,6 +275,24 @@ def test_cauchy_sum_matches_product():
 def test_cauchy_empty_arguments():
     assert cauchy_lhs((), (0.4,), 10) == 1.0
     assert cauchy_rhs((), (0.4,)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "x, y, max_weight, want",
+    [
+        ((0.3, 0.1), (0.2, 0.4), 40, 1.2849675653627022),
+        # the same products, so the same bits once balanced by a power of two
+        ((0.3 * 2.0**600, 0.1 * 2.0**600), (0.2 * 2.0**-600, 0.4 * 2.0**-600), 40,
+         1.2849675653627022),
+        # each x_i y_j is 1 or 0, though s_2(x) alone is 1e400
+        ((1e200, 0.0), (1e-200, 0.0), 2, 3.0),
+        # a side of zeros leaves the empty partition only
+        ((1e200,), (0.0,), 2, 1.0),
+        ((0.0, 0.0), (1e300, 2.0), 5, 1.0),
+    ],
+)
+def test_cauchy_sum_depends_only_on_the_products(x, y, max_weight, want):
+    assert cauchy_lhs(x, y, max_weight) == want
 
 
 def test_cauchy_sum_rejects_a_negative_weight():
