@@ -3,7 +3,7 @@ infinite-dimensional limits, and the oracles that keep both honest.
 
 Layout:
 
-* series    — entire-kernel power series and the derived radial kernels
+* series    — J0 and I0 by one trapezoidal sum, and F(z) = sum z^k/(k!)^2
 * symfunc   — partitions, power sums, complete homogeneous and Schur bases
 * spherical — finite-n evaluators (determinant, Newton and series routes), orbital
               integral, heat kernel, radial and flat Laplacians, angular densities

@@ -71,10 +71,14 @@ def _print_error(kind: str, message) -> None:
     print(line, file=sys.stderr)
 
 
-def _floats(value, flag: str) -> tuple[float, ...]:
+def _require(value, flag: str):
     if value is None:
         raise _UsageError(f"missing required value for {flag}")
-    items = [p for p in value.split(",") if p.strip() != ""]
+    return value
+
+
+def _floats(value, flag: str) -> tuple[float, ...]:
+    items = [p for p in _require(value, flag).split(",") if p.strip() != ""]
     try:
         out = tuple(float(v) for v in items)
     except ValueError:
@@ -91,18 +95,10 @@ def _ints(vals: tuple[float, ...] | list[float], flag: str) -> tuple[int, ...]:
 
 
 def _float(value, flag: str) -> float:
-    if value is None:
-        raise _UsageError(f"missing required value for {flag}")
     try:
-        return float(value)
+        return float(_require(value, flag))
     except ValueError:
         raise _UsageError(f"{flag} expects a number")
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise _UsageError(f"missing required value for {flag}")
-    return value
 
 
 def _cell(value) -> str:

@@ -199,6 +199,7 @@ def _estimate(n_samples: int, seed: int, sample: Callable[[RngStream, int], tupl
     and seed checked before any block is drawn.  sample(RngStream(seed, b),
     take) draws block b and returns one array of take values per quantity:
     the first gives mean and std_error, a second imag_mean and imag_std_error.
+    A block whose sum is not finite raises RangeError naming it.
     """
     n_samples = _integer(n_samples, "n_samples", 100)
     seed = _integer(seed, "seed")
@@ -206,7 +207,8 @@ def _estimate(n_samples: int, seed: int, sample: Callable[[RngStream, int], tupl
     for b, take in _blocks(n_samples):
         stats = []
         for v in sample(RngStream(seed, b), take):
-            s = float(np.sum(v))
+            if not math.isfinite(s := float(np.sum(v))):
+                raise RangeError(f"Monte Carlo block {b}: the sum of its samples is {s!r}")
             stats.append((take, s, float(np.sum((v - s / take) ** 2))))
         blocks.append(stats)
     moments = []

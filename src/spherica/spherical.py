@@ -553,12 +553,16 @@ def _schur_fourier_series(
     one that excludes [-1, 1], raises ConvergenceError with the value and
     the bound.
 
-    The error returned is the tail bound plus a rounding term: 4 eps times
-    the absolute sum of the terms, plus each layer's absolute sum times the
-    relative error a term of that weight can take from its log coefficient
-    (which grows like log n per unit of weight) and from the complete-h
-    entries it reads.  At rows >= 2 the latter counts the entries' errors,
-    not the cancellation of the Jacobi-Trudi determinant.
+    Each layer is summed by math.fsum, correctly rounded (Shewchuk 1997) and
+    so within u sum|t|, u = eps/2, of its exact sum in any order of its
+    terms, and enters the total by one compensated step, which adds at most
+    2u sum|layer| + O(W u^2) over W weights (Higham, 2nd ed., 4.3): the bits
+    depend on the weight order alone.  The error returned is the tail bound
+    plus 4 eps times the absolute sum of the terms, which covers both, plus
+    each layer's absolute sum times the relative error a term of that weight
+    can take from its log coefficient (which grows like log n per unit of
+    weight) and from the complete-h entries it reads, at rows >= 2 their
+    errors, not the Jacobi-Trudi determinant's cancellation.
     """
     if not (x_runs and xi_runs):
         return EvalResult(1.0, 0.0, 1, "series")
@@ -665,27 +669,18 @@ def _schur_fourier_series(
                 partial=total,
                 abs_error=tail,
             )
-        negate = alternating and w & 1
         if rows == 1:
-            # the layer is its one term
-            term = -e * h if negate else e * h
-            layer_abs = abs(term)
+            # the layer is its one term, e and h nonnegative
+            layer = layer_abs = e * h
             count += 1
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
         else:
-            layer_abs = 0.0
-            for term in _layer_terms(next(layers)[1], coefs, h_lam, h_xi, w):
-                if negate:
-                    term = -term
-                count += 1
-                layer_abs += abs(term)
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
+            terms = _layer_terms(next(layers)[1], coefs, h_lam, h_xi, w)
+            layer, layer_abs = math.fsum(terms), math.fsum(map(abs, terms))
+            count += len(terms)
+        y = (-layer if alternating and w & 1 else layer) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         abs_sum += layer_abs
         coef_sum += expm1(slack) * layer_abs
         h_prev = h

@@ -274,11 +274,11 @@ def _partition_tuples(max_weight: int, max_length: int) -> Iterator[tuple[int, .
     max_length parts, starting with ().
 
     Order contract: weight ascending, lexicographically descending within a
-    weight.  The series sums its terms in this order with compensated
-    summation, so its bits (and the weight at which a pass may stop) depend
-    on it.  Each step is the lexicographic predecessor: pop trailing parts
-    until one can be decremented with the popped weight still fitting below
-    the new part in the free slots, then refill greedily.
+    weight.  The series sums a weight's terms by math.fsum, so only the
+    weight order reaches its bits; cauchy_lhs's bits depend on both.  Each
+    step is the lexicographic predecessor: pop trailing parts until one can
+    be decremented with the popped weight still fitting below the new part
+    in the free slots, then refill greedily.
     """
     if max_weight < 0:
         return
@@ -309,9 +309,9 @@ def enumerate_partitions(max_weight: int, max_length: int) -> Iterator[Partition
     """Every partition with weight <= max_weight and at most max_length parts.
 
     Deterministic order: weight ascending, then lexicographically descending
-    within each weight, e.g. (2), (1, 1).  The order is a contract: the
-    Schur series route sums in it, and its compensated sum's bits depend on
-    the order of the terms.
+    within each weight, e.g. (2), (1, 1).  The order is a contract of this
+    output, and cauchy_lhs sums in it; the Schur series route rounds each
+    weight's sum once, so only the weight order reaches its bits.
     """
     max_weight = _integer(max_weight, "max_weight", 0)
     max_length = _integer(max_length, "max_length", 0)

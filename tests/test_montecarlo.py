@@ -243,6 +243,17 @@ def test_exponential_estimate_variance_guard():
         mc_orbital_exp((4.0,), (3.0,), 1000, seed=0)
 
 
+def test_a_block_whose_sum_is_not_finite_raises_rather_than_returning_nan():
+    with np.errstate(all="ignore"):
+        # z overflows, and cos(inf) is nan
+        with pytest.raises(RangeError, match="block 0"):
+            mc_spherical((1e300,), (1e10,), 100)
+        # every sample is phi_omega(Y) = 0.0, but the product P overflows to nan
+        assert phi_omega(OmegaParam([1.0]), (1e160,)) == 0.0
+        with pytest.raises(RangeError, match="block 0"):
+            mc_biinvariant_avg(OmegaParam([1.0]), (0.0,), (1e160,), 2, 100)
+
+
 def test_flat_laplacian_of_squared_norm():
     x = np.diag([1.0, 0.5]).astype(complex)
     got = ambient_laplacian_fd(lambda m: float(np.sum((m * m.conj()).real)), x)

@@ -1,6 +1,7 @@
 """Finite-dimension spherical functions, orbital integrals, heat kernel."""
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -622,6 +623,20 @@ def test_series_route_bits_are_pinned(evaluate, x, xi, value, abs_error, terms_u
     # the pinned bits are themselves within their bound of the oracle
     kind = "orbital" if evaluate is orbital_integral else "spherical"
     assert abs(value - _oracle(kind, x, xi)) <= abs_error
+
+
+def test_series_bits_do_not_depend_on_the_order_within_a_weight(monkeypatch):
+    # each weight's terms are summed correctly rounded, so only the weight
+    # order reaches the result
+    points = [((3, 2.5, 2), (2, 1.8, 1.1)), ((1.474, 1.712, 1.474), (1.992, 1.992, 1.992))]
+    want = [spherical_series(x, xi) for x, xi in points]
+
+    def reversed_within_weight(max_weight, max_length):
+        for _, layer in itertools.groupby(_partition_tuples(max_weight, max_length), sum):
+            yield from reversed(list(layer))
+
+    monkeypatch.setattr(spherical_module, "_partition_tuples", reversed_within_weight)
+    assert [spherical_series(x, xi) for x, xi in points] == want
 
 
 def _newton(evaluate, x, xi):

@@ -218,8 +218,8 @@ def _all_partitions(max_weight):
 
 
 def test_partition_order_matches_sorted_reference():
-    # the series sums in this order, so its bits depend on it: weight
-    # ascending, lexicographically descending within a weight
+    # cauchy_lhs sums in this order, and the series in its weight order:
+    # weight ascending, lexicographically descending within a weight
     reference = sorted(_all_partitions(24), key=lambda p: (sum(p), [-v for v in p]))
     for max_weight in range(25):
         for max_length in range(7):
