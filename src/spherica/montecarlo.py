@@ -21,29 +21,34 @@ Reproducibility contract
   small against the mean is not lost to cancellation.  The estimate depends
   only on (master_seed, n_samples), not on any parallel execution plan.
 
-Haar isometries: the first m columns of an n x n Haar unitary are the Q of
-an n x m complex Ginibre slab whose R has a positive real diagonal (without
-that phase condition Q is not Haar distributed).  Blocks orthonormalise the
-slab by classical Gram-Schmidt run twice per column, vectorised over the
-sample axis in a batch-last (m, n, count) layout: two passes are orthonormal
-to working precision, and the R they imply has a positive diagonal, so the
-phase is fixed without a separate step.  mc_spherical and mc_orbital_exp are
-one pairing estimator (_pairing_estimate) of z = Re tr(diag(b) U diag(a) V*),
-which draws the U slab, then the V slab; the first r rows of a Haar unitary
-have the law of the transpose of an n x r Haar isometry, so both are
-n x min(rank) slabs.  A single matrix (haar_unitary) has no batch to vectorise
-over and takes LAPACK QR plus the phase fix instead.
+Haar isometries come from the subgroup algorithm (Stewart, SIAM J. Numer.
+Anal. 17 (1980) 403; Diaconis & Shahshahani, Probab. Eng. Inform. Sci. 1
+(1987) 15), vectorised over samples in a batch-last (m, n, count) layout.
+Column k = 0..m-1 of an n x m slab draws n - k complex normals into rows k..
+(real parts, then imaginary parts; rows above k are zero): m (2n - m + 1)
+normals per sample.  For k = m-1 down to 0, column k is normalised to w
+(square the real part, add the squared imaginary part, sum, sqrt, divide)
+and H_k = -ph (I - v v*/(1 + |w_0|)), ph = w_0/|w_0|, v = w + ph e_0, maps
+rows k.. of every later column; column k stays w = H_k e_0.  |w_0| > 0, as
+no uniform (j + 1/2) 2^-53 is 1/2 and ndtri never returns 0, and
+|v|^2 = 2 (1 + |w_0|) >= 2, so nothing cancels.  The slab is Haar: w is
+uniform on the unit sphere of C^(n-k) and the stabiliser of e_0 is
+diag(1, U(n-k-1)), so U = H_0 diag(1, U') with U' Haar and independent of
+H_0 is Haar.  mc_spherical and mc_orbital_exp are one pairing estimator
+(_pairing_estimate) of z = Re tr(diag(b) U diag(a) V*), which draws the U
+slab, then the V slab; the first r rows of a Haar unitary have the law of the
+transpose of an n x r Haar isometry, so both are n x min(rank) slabs.
 
-A slab's draw is fused with its layout: the uniforms of its real parts, in
-draw order (count, n, m), fill one flat scratch plane, and ndtri writes them
-straight into the real plane of the batch-last slab; then the same for the
-imaginary parts.  That plane, and every Gram-Schmidt temporary (written
-through out=), live in a _Scratch that an estimator creates per call and
-reuses across its blocks and slabs, so a slab allocates only the array it
-returns, and nothing returned is a view of the scratch.  Each complex product
-keeps the operand order of its defining formula: numpy may evaluate
-Re(a b) as fma(a_r, b_r, -a_i b_i) where the CPU has FMA, so a * b and b * a
-can differ in the last bit.
+A column's draw is fused with its layout: the uniforms of its real parts, in
+draw order (count, n - k), fill one flat scratch plane, and ndtri writes them
+straight into rows k.. of the column's real plane in the batch-last slab;
+then the same for the imaginary parts.  That plane, and every temporary of
+the normalisation and the reflections (written through out=), live in a
+_Scratch that an estimator creates per call and reuses across its blocks and
+slabs, so a slab allocates only the array it returns, and nothing returned
+is a view of the scratch.  Each complex product keeps the operand order of
+its defining formula: numpy may evaluate Re(a b) as fma(a_r, b_r, -a_i b_i)
+where the CPU has FMA, so a * b and b * a can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -121,15 +126,9 @@ class McEstimate:
 
 
 def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
-    """One n x n Haar-distributed unitary (Ginibre + QR + phase fix).
-
-    Draws the same variates as _haar_isometry_batch(stream, 1, n, n).
-    """
+    """One n x n Haar-distributed unitary: the sampler's batch of one."""
     n = _integer(n, "n", 1)
-    z = stream.normals((2, n, n))
-    q, r = np.linalg.qr((z[0] + 1j * z[1]) / math.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_isometry_batch(stream, 1, n, n)[0]
 
 
 class _Scratch:
@@ -148,45 +147,49 @@ class _Scratch:
         return self._buf[:size]
 
 
-def _orthonormalise(q: np.ndarray, work: np.ndarray) -> np.ndarray:
-    # in place on a batch-last (m, n, count) complex slab, column k = q[k]:
-    # classical Gram-Schmidt, two passes per column, so Q R = slab with R
-    # upper-triangular and its diagonal (the final norms) positive.  work is
-    # flat complex scratch of (n + m - 1) count entries: the product t, whose
-    # memory later holds the squared parts, and the coefficients c
-    m, n, count = q.shape
-    if not m:  # the empty slab of a zero argument
-        return q
-    t = work[: n * count].reshape(n, count)
-    c = work[n * count : (n + m - 1) * count].reshape(m - 1, count)
-    re2, im2 = work[: n * count].view(np.float64).reshape(2, n, count)
-    norm = im2[0]
-    for k in range(m):
-        v = q[k]
-        for _ in range(2 if k else 0):
-            for i in range(k):
-                np.sum(np.multiply(np.conjugate(q[i], out=t), v, out=t), axis=0, out=c[i])
-            for i in range(k):
-                v -= np.multiply(q[i], c[i], out=t)
-        np.square(v.real, out=re2)
-        re2 += np.square(v.imag, out=im2)
-        v /= np.sqrt(np.sum(re2, axis=0, out=norm), out=norm)
-    return q
+def _reflect(w: np.ndarray, y: np.ndarray, work: np.ndarray) -> None:
+    # col <- H col in place for each later column col of y, batch-last, with
+    # H = -ph (I - v v*/(1 + |w_0|)) of the unit (L, count) column w.  Row 0
+    # of each col is zero, so with s = v* col = sum_{i>0} conj(w_i) col_i, row
+    # 0 of H col is s (-ph) (-ph) and row i > 0 is (col_i - w_i s/(1 + |w_0|))
+    # (-ph).  work holds 4 count entries: -ph, s, the product t and 1 + |w_0|
+    rows, count = w.shape
+    mph, s, t = work[:count], work[count : 2 * count], work[2 * count : 3 * count]
+    a = work[3 * count : 4 * count].view(np.float64)[:count]
+    np.negative(np.divide(w[0], np.abs(w[0], out=a), out=mph), out=mph)
+    a += 1.0
+    for col in y:
+        np.multiply(np.conjugate(w[1], out=t), col[1], out=s)
+        for i in range(2, rows):
+            s += np.multiply(np.conjugate(w[i], out=t), col[i], out=t)
+        np.multiply(s, mph, out=col[0])
+        s /= a
+        for i in range(1, rows):
+            col[i] -= np.multiply(w[i], s, out=t)
+        col *= mph
 
 
 def _haar_isometry_batch(
     stream: RngStream, count: int, n: int, m: int, scratch: _Scratch | None = None
 ) -> np.ndarray:
-    # (count, n, m): first m columns of count Haar unitaries, the Q of an
-    # n x m Ginibre slab (real parts, then imaginary parts) with positive R;
-    # the array returned is the slab's own, the rest lives in scratch
-    q = np.empty((m, n, count), dtype=complex)
-    size = count * n * m
-    work = (scratch or _Scratch())(max((size + 1) // 2, (n + m - 1) * count))
-    plane = work.view(np.float64)[:size].reshape(count, n, m)
-    for part in (q.real, q.imag):
-        ndtri(stream.uniforms(plane.shape, out=plane).T, out=part)
-    return _orthonormalise(q, work).T
+    # (count, n, m): first m columns of count Haar unitaries by the subgroup
+    # algorithm (module docstring); the array returned is the slab's own, the
+    # rest lives in scratch
+    q = np.zeros((m, n, count), dtype=complex)
+    work = (scratch or _Scratch())(max(n, 4 if m > 1 else 0) * count)
+    for k in range(m):
+        plane = work.view(np.float64)[: count * (n - k)].reshape(count, n - k)
+        for part in (q[k, k:].real, q[k, k:].imag):
+            ndtri(stream.uniforms(plane.shape, out=plane).T, out=part)
+    for k in reversed(range(m)):
+        w = q[k, k:]
+        re2, im2 = work[: w.size].view(np.float64).reshape(2, *w.shape)
+        np.square(w.real, out=re2)
+        re2 += np.square(w.imag, out=im2)
+        w /= np.sqrt(np.sum(re2, axis=0, out=im2[0]), out=im2[0])
+        if k < m - 1:
+            _reflect(w, q[k + 1 :, k:], work)
+    return q.T
 
 
 def _blocks(n_samples: int):
@@ -288,7 +291,8 @@ def mc_biinvariant_avg(
 
     where X, Y embed the m-vectors x, y as the leading diagonal block of an
     n x n matrix (n >= 2m).  Only the first m columns of each Haar unitary
-    matter, so the samplers draw n x m isometries: V1 slab then V2 slab.
+    matter, and the subgroup algorithm draws them alone (n x m isometries of
+    m (2n - m + 1) normals each): V1 slab then V2 slab.
     The translate is M = A1 D A2*, with A_k = [E, V_k], E the first m columns
     of I_n and D = diag(x, y), so by Sylvester's determinant identity each
     sample (the same draws as for the n x n form) needs only the 2m x 2m

@@ -323,17 +323,13 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
         )
     )
 
-    stream = montecarlo.RngStream(seed + 11, 0)
-    us = montecarlo._haar_isometry_batch(stream, 512, 3, 3)
-    m11 = np.abs(us[:, 0, 0]) ** 2
-    se = float(np.std(m11, ddof=1)) / math.sqrt(len(m11))
-    out.append(
-        CheckResult(
-            "mc.haar_entry_moment",
-            abs(float(np.mean(m11)) - 1.0 / 3.0) <= 6.0 * se,
-            f"mean={float(np.mean(m11)):.9e} expected={1/3:.9e} se={se:.9e}",
-        )
-    )
+    # E|U_11|^2 = E|U_33|^2 = 1/3; column 3 passes through every reflection
+    us = montecarlo._haar_isometry_batch(montecarlo.RngStream(seed + 11, 0), 512, 3, 3)
+    for name, m2 in (("mc.haar_entry_moment", np.abs(us[:, 0, 0]) ** 2),
+                     ("mc.haar_last_entry_moment", np.abs(us[:, 2, 2]) ** 2)):
+        mean, se = float(np.mean(m2)), float(np.std(m2, ddof=1)) / math.sqrt(len(m2))
+        out.append(CheckResult(name, abs(mean - 1.0 / 3.0) <= 6.0 * se,
+                               f"mean={mean:.9e} expected={1/3:.9e} se={se:.9e}"))
 
     orb = montecarlo.mc_orbital_exp((0.5,), (0.5,), samples, seed=seed + 5)
     tgt = series.bessel_i0(0.25)

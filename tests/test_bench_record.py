@@ -41,7 +41,9 @@ def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
         "parent": {"eval-coincident": [(1, 1, _stdout(1, 9.0)), (2, 0, _stdout(2, 8.0, 2))]},
     }
     lines = {"change": {"spherical.py": 3, "total": 3}, "parent": {"spherical.py": 4, "total": 4}}
-    record = bench_record.assemble(41, 6.0, runs, lines)
+    tier1 = {"change": bench_record.parse_tier1(30.5, 0, "...\n891 passed in 29.05s\n"),
+             "parent": bench_record.parse_tier1(31.0, 1, "..F.\n1 failed, 890 passed in 30s\n")}
+    record = bench_record.assemble(41, 6.0, runs, lines, tier1)
     assert record["pr"] == 41
     assert record["command"].endswith("--seconds 6 --trace 0")
     change = record["sides"]["change"]
@@ -54,12 +56,21 @@ def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
         1, True, True, 0)
     assert first["meta"]["cpu_model"] == "test cpu"
     assert set(first["metrics"]) == set(_UNITS)
+    assert change["tier1"] == tier1["change"]
     parent = record["sides"]["parent"]["workloads"]["eval-coincident"]
     assert [(r["ran_first"], r["correct"], r["failed"]) for r in parent["runs"]] == [
         (False, True, 0), (True, False, 2)]
     assert parent["metrics"]["ops_per_s"]["median"] == 8.5
     assert parent["metrics"]["setup_s"] == {
         "unit": "s", "median": 1.0, "q1": 1.0, "q3": 1.0, "values": [1.0, 1.0]}
+
+
+def test_tier1_record_keeps_wall_time_exit_code_and_summary_counts():
+    out = "..F..\n=== 15 failed, 876 passed, 5 warnings in 31.20s ===\n"
+    assert bench_record.parse_tier1(33.5, 1, out) == {
+        "wall_s": 33.5, "returncode": 1, "summary": "15 failed, 876 passed, 5 warnings in 31.20s",
+        "counts": {"failed": 15, "passed": 876, "warnings": 5}}
+    assert bench_record.parse_tier1(0.5, 4, "")["counts"] == {}
 
 
 def test_a_run_without_a_meta_line_is_refused():

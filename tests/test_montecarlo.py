@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherica import montecarlo
@@ -349,12 +349,6 @@ def _slabs(draw):
     return draw(st.sampled_from([1, 7])), n, draw(st.integers(1, n)), draw(st.integers(0, 999))
 
 
-def _ginibre(seed, count, n, m):
-    # the slab _haar_isometry_batch(RngStream(seed, 0), count, n, m) orthonormalises
-    z = RngStream(seed, 0).normals((2, count, n, m))
-    return z[0] + 1j * z[1]
-
-
 def _gram_defect(q):
     m = q.shape[-1]
     return np.linalg.norm(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(m), axis=(-2, -1))
@@ -369,42 +363,70 @@ def test_isometry_batch_is_orthonormal(slab):
     assert np.all(_gram_defect(q) <= 1e-14)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_slabs())
-def test_isometry_batch_r_factor_is_triangular_with_positive_diagonal(slab):
-    count, n, m, seed = slab
-    z = _ginibre(seed, count, n, m)
-    q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m)
-    r = np.conj(np.swapaxes(q, 1, 2)) @ z
-    scale = np.max(np.abs(z))
-    assert np.all(np.abs(np.tril(r, -1)) <= 1e-13 * scale)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    assert np.all(d.real > 0.0)
-    assert np.all(np.abs(d.imag) <= 1e-13 * scale)
+def _subgroup_reference(seed, count, n, m):
+    # the documented draws of _haar_isometry_batch(RngStream(seed, 0), count,
+    # n, m), multiplied out sample by sample as explicit n x n reflections
+    stream = RngStream(seed, 0)
+    cols = []
+    for k in range(m):
+        re = stream.normals((count, n - k))
+        cols.append(re + 1j * stream.normals((count, n - k)))
+    out = np.empty((count, n, m), dtype=complex)
+    for b in range(count):
+        u = np.eye(n, dtype=complex)
+        for k, col in enumerate(cols):
+            w = col[b] / np.linalg.norm(col[b])
+            ph = w[0] / abs(w[0])
+            v = w + ph * np.eye(n - k)[0]
+            h = np.eye(n, dtype=complex)
+            h[k:, k:] = -ph * (np.eye(n - k) - np.outer(v, v.conj()) / (1.0 + abs(w[0])))
+            u = u @ h
+        out[b] = u[:, :m]
+    return out
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_slabs())
-def test_isometry_batch_is_lapack_qr_with_the_phase_fix(slab):
+@example((1, 1, 1, 0))  # count = 1, and a pure phase column
+@example((7, 5, 5, 3))  # m = n: the last column is a pure phase
+@example((7, 6, 2, 4))  # m < n
+def test_isometry_batch_is_the_product_of_its_reflections(slab):
     count, n, m, seed = slab
-    q_ref, r = np.linalg.qr(_ginibre(seed, count, n, m))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q_ref = q_ref * (d / np.abs(d))[:, None, :]
     q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m)
-    assert np.max(np.abs(q - q_ref)) <= 1e-12
+    assert np.max(np.abs(q - _subgroup_reference(seed, count, n, m))) <= 1e-13
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_slabs().filter(lambda slab: slab[2] >= 2))
-def test_orthonormaliser_keeps_nearly_equal_columns_orthonormal(slab):
-    # one Gram-Schmidt pass loses orthogonality in proportion to the
-    # condition number (here ~1e8); the second pass restores it
-    count, n, m, seed = slab
-    z = _ginibre(seed, count, n, m)
-    z[:, :, 1] = z[:, :, 0] * (1.0 + 1e-8 * _ginibre(seed + 1, count, n, 1)[:, :, 0])
-    work = np.empty((n + m - 1) * count, dtype=complex)
-    q = montecarlo._orthonormalise(np.ascontiguousarray(z.T), work).T
-    assert np.all(_gram_defect(q) <= 1e-14)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_isometry_batch_has_the_weingarten_moments(n):
+    # E|U_11|^2 = 1/n, E|U_11|^4 = E|U_nn|^4 = 2/(n(n+1)), E|U_11 U_22|^2 =
+    # 1/(n^2-1) and E U_11 U_22 conj(U_12 U_21) = -1/(n(n^2-1)), each real
+    # and imaginary part within 5 standard errors over 32 fixed blocks
+    u = np.concatenate(
+        [montecarlo._haar_isometry_batch(RngStream(17, b), 8192, n, n) for b in range(32)]
+    )
+    a, d = np.abs(u[:, 0, 0]) ** 2, np.abs(u[:, 1, 1]) ** 2
+    cross = u[:, 0, 0] * u[:, 1, 1] * np.conj(u[:, 0, 1] * u[:, 1, 0])
+    for v, want in [
+        (a, 1 / n), (a * a, 2 / (n * (n + 1))), (np.abs(u[:, -1, -1]) ** 4, 2 / (n * (n + 1))),
+        (a * d, 1 / (n * n - 1)), (cross.real, -1 / (n * (n * n - 1))), (cross.imag, 0.0),
+    ]:
+        se = float(np.std(v)) / math.sqrt(len(v))
+        assert abs(float(np.mean(v)) - want) <= 5.0 * se
+
+
+@pytest.mark.parametrize("count, n, m", [(5, 4, 4), (3, 6, 2), (2, 5, 1), (1, 3, 3)])
+def test_column_k_draws_n_minus_k_complex_normals(count, n, m, monkeypatch):
+    shapes = []
+    uniforms = RngStream.uniforms
+
+    def recording(self, shape, out=None):
+        shapes.append(tuple(shape))
+        return uniforms(self, shape, out)
+
+    monkeypatch.setattr(RngStream, "uniforms", recording)
+    montecarlo._haar_isometry_batch(RngStream(0), count, n, m)
+    assert shapes == [(count, n - k) for k in range(m) for _ in "re"]
+    assert sum(math.prod(shape) for shape in shapes) == count * m * (2 * n - m + 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -416,16 +438,16 @@ def test_haar_unitary_is_the_batch_of_one(n, seed, block):
 
 
 # full-rank estimates at seed 0 and 20000 samples (two full blocks and a
-# partial one), as computed with LAPACK QR and the phase fix: the
-# Gram-Schmidt sampler moves them only by rounding
+# partial one), as drawn by the subgroup sampler; each is within 4 standard
+# errors of the closed form
 _FULL_RANK = {
-    2: ((1.0, 2.0), (0.5, 1.5), (0.4290369821287487, 0.003912884147050905),
-        (2.060930884239772, 0.019841975172662042)),
-    3: ((1.2, 0.8, 0.3), (0.9, 0.6, 0.2), (0.930013108469132, 0.0006337843982050795),
-        (1.0759115941543553, 0.0029702963235025775)),
+    2: ((1.0, 2.0), (0.5, 1.5), (0.42391749254286887, 0.00389664739699042),
+        (2.033564191301158, 0.019605308822632485)),
+    3: ((1.2, 0.8, 0.3), (0.9, 0.6, 0.2), (0.9292800791403253, 0.000637437456338733),
+        (1.080619029418039, 0.002980295528151334)),
     4: ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1),
-        (0.9417132340136468, 0.0005428406653019337),
-        (1.0591369975260088, 0.002641363804300792)),
+        (0.9415387485248068, 0.0005398633691829102),
+        (1.0638938268321187, 0.0026587949988836697)),
 }
 
 
@@ -434,8 +456,10 @@ def test_full_rank_estimates_keep_their_values(n):
     x, xi, sph, orb = _FULL_RANK[n]
     est = mc_spherical(x, xi, 20_000, seed=0)
     assert (est.mean, est.std_error) == pytest.approx(sph, rel=1e-12, abs=0.0)
+    assert abs(est.mean - spherical_det(x, xi).value) <= 4.0 * est.std_error
     est = mc_orbital_exp(x, xi, 20_000, seed=0)
     assert (est.mean, est.std_error) == pytest.approx(orb, rel=1e-12, abs=0.0)
+    assert abs(est.mean - orbital_integral(x, xi).value) <= 4.0 * est.std_error
 
 
 _OM = OmegaParam([2.0, 0.5], 0.3)
@@ -446,28 +470,28 @@ _OM = OmegaParam([2.0, 0.5], 0.3)
 # 16384 samples (two full blocks) and n = 40, m = 1 at 2000 samples
 _PINNED = [
     (mc_spherical, ((1.0, 0.5), (0.8, 0.3), 1000, 3),
-     "McEstimate(mean=0.9431185268506932, std_error=0.0020809539470937138, n_samples=1000, "
-     "master_seed=3, imag_mean=0.004045706893944098, imag_std_error=0.010309768616949965)"),
+     "McEstimate(mean=0.9441266649737313, std_error=0.0020591062461208618, n_samples=1000, "
+     "master_seed=3, imag_mean=-0.005081508830452947, imag_std_error=0.010220949464078755)"),
     (mc_spherical, ((1.2, 0.7, 0.2), (0.9, 0.4, 0.1), 9000, 11),
-     "McEstimate(mean=0.9469124556063762, std_error=0.0007145051446442952, n_samples=9000, "
-     "master_seed=11, imag_mean=0.0034916409200990467, imag_std_error=0.0033126262735866507)"),
+     "McEstimate(mean=0.94890503727785, std_error=0.0006870345630993431, n_samples=9000, "
+     "master_seed=11, imag_mean=0.00027912101686777786, imag_std_error=0.003254775457042717)"),
     (mc_orbital_exp, ((1.0, 0.5), (0.8, 0.3), 1000, 3),
-     "McEstimate(mean=1.0614961674579464, std_error=0.0115777170313057, n_samples=1000, "
+     "McEstimate(mean=1.0565934154210928, std_error=0.011423112216483433, n_samples=1000, "
      "master_seed=3, imag_mean=None, imag_std_error=None)"),
     (mc_orbital_exp, ((0.6, 0.4, 0.2), (0.5, 0.3, 0.1), 9000, 11),
-     "McEstimate(mean=1.0066724765166644, std_error=0.00111513448219134, n_samples=9000, "
+     "McEstimate(mean=1.0057327922561714, std_error=0.0010902053579745783, n_samples=9000, "
      "master_seed=11, imag_mean=None, imag_std_error=None)"),
     (mc_biinvariant_avg, (_OM, (0.7,), (1.1,), 3, 1000, 3),
      "McEstimate(mean=0.3855659192948615, std_error=0.0020759017887318656, n_samples=1000, "
      "master_seed=3, imag_mean=None, imag_std_error=None)"),
     (mc_biinvariant_avg, (_OM, (0.7, 0.4), (1.1, 0.5), 5, 9000, 11),
-     "McEstimate(mean=0.2921719889875019, std_error=0.0004210646734512784, n_samples=9000, "
+     "McEstimate(mean=0.29165940216806396, std_error=0.0004204703839206256, n_samples=9000, "
      "master_seed=11, imag_mean=None, imag_std_error=None)"),
     (mc_spherical, ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1), 16384, 2),
-     "McEstimate(mean=0.941662872574864, std_error=0.0005997444758807859, n_samples=16384, "
-     "master_seed=2, imag_mean=-0.007017366445713606, imag_std_error=0.0025595386453304402)"),
+     "McEstimate(mean=0.9416050571849404, std_error=0.000604636990654025, n_samples=16384, "
+     "master_seed=2, imag_mean=0.0008936166964481197, imag_std_error=0.002560263398902274)"),
     (mc_orbital_exp, ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1), 16384, 2),
-     "McEstimate(mean=1.0535124410350727, std_error=0.0029180277805183753, n_samples=16384, "
+     "McEstimate(mean=1.0624377919038597, std_error=0.0029495545667690367, n_samples=16384, "
      "master_seed=2, imag_mean=None, imag_std_error=None)"),
     (mc_biinvariant_avg, (_OM, (1.2,), (0.9,), 40, 2000, 2),
      "McEstimate(mean=0.27095706436407174, std_error=9.543956036949e-05, n_samples=2000, "
@@ -483,8 +507,8 @@ def test_estimates_keep_their_bits(fn, args, want):
 # sha256 of the bytes of _haar_isometry_batch(RngStream(5, 2), count, n, m)
 _BATCH_SHA256 = {
     (1, 1, 1): "3fe7ef2f23da956d7f0c42a8a4a6f906dd0a9e9a2c6ac7e1594de04074b9e644",
-    (7, 6, 3): "60a853f5c62d86c3a343184c7e19a9a6d52a1a6a5a0f73e623f182c541b415a9",
-    (8192, 4, 4): "94fc49d9143c180d3f3aa599278a0dc1aae62c886477b84991685c6d50c3f637",
+    (7, 6, 3): "74f209d0ebd245d4cbdf802acd59602fb70c6edd50d21ed807a9bb604e7db845",
+    (8192, 4, 4): "b6c9448f61aab5b2bd1f93511c4351bf0a31faecb476f56ddf3171e99b051377",
     (2000, 40, 1): "c458203a0a257f6d25f3969ed49006e8dbc3700bc8209fb5c1ef1d20f02c77be",
 }
 
@@ -527,11 +551,11 @@ def test_estimator_memory_peak_stays_at_most_the_per_slab_samplers(call, limit):
 def test_haar_unitary_keeps_its_bits():
     got = haar_unitary(3, RngStream(1, 0)).ravel().tolist()
     assert repr(got) == (
-        "[(-0.21705562060055492-0.4045463317130162j), (0.5382545824471952-0.6592913318914392j), "
-        "(0.04385898696646505+0.2508434900349882j), (-0.7872168903341009+0.2675033334013653j), "
-        "(0.247704835942472+0.2110621052053685j), (-0.42377276920539686-0.15245745724249174j), "
-        "(0.2782444272918633-0.1433202565450497j), (-0.22013446260248934-0.34821382014376157j), "
-        "(-0.8041787856006993-0.2926154086343877j)]"
+        "[(-0.16168291476737293-0.5863912716526976j), (-0.3739063950951099+0.5523755021503759j), "
+        "(-0.009960983353803866-0.4300930163855062j), (0.3241769705248975+0.40347403704297924j), "
+        "(0.33105214100613406+0.20779382847906766j), (0.2993070440236136-0.6998281870521175j), "
+        "(-0.31774952176578775-0.5110353669101699j), (0.46545407467797434-0.43087587711316205j), "
+        "(0.46078165369160634-0.152501953080817j)]"
     )
 
 

@@ -17,7 +17,12 @@ keeps the `meta {json}` line and the last line, the result object
 and workload, the median, quartiles and per-seed values of the six
 end-to-end metrics, `correct` and `failed` per run, each run's meta block,
 and the line count of each src/spherica/*.py of the side; it is written at
-the root of the change checkout.  Numbers from different machines are not
+the root of the change checkout.  Before the benchmark runs, each side runs
+the Tier-1 suite once,
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+
+and the file keeps its wall time, exit code and pytest's summary counts.  Numbers from different machines are not
 comparable; the meta blocks name the machine.
 """
 
@@ -26,14 +31,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 END_TO_END = (
     "setup_s", "ops_per_s", "latency_p50_ms", "latency_tail_ms", "pass_frac", "peak_rss_mb",
 )
+TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -67,10 +75,19 @@ def src_lines(root: str) -> dict[str, int]:
     return counts
 
 
-def assemble(pr: int, seconds: float, runs: dict, lines: dict) -> dict:
+def parse_tier1(wall_s: float, returncode: int, stdout: str) -> dict:
+    """The Tier-1 record of one side: wall time, exit code, and the counts
+    of pytest's closing summary line ("15 failed, 876 passed in 31.20s")."""
+    lines = stdout.strip().splitlines()
+    summary = lines[-1].strip("= ") if lines else ""
+    counts = {word: int(k) for k, word in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
+    return {"wall_s": wall_s, "returncode": returncode, "summary": summary, "counts": counts}
+
+
+def assemble(pr: int, seconds: float, runs: dict, lines: dict, tier1: dict) -> dict:
     """The BENCH record from runs[side][workload], a list of (seed, order,
-    stdout) per run, order 0 where the side ran first, and lines[side] from
-    src_lines."""
+    stdout) per run, order 0 where the side ran first, lines[side] from
+    src_lines and tier1[side] from parse_tier1."""
     sides = {}
     for side, by_workload in runs.items():
         workloads = {}
@@ -94,7 +111,7 @@ def assemble(pr: int, seconds: float, runs: dict, lines: dict) -> dict:
                 },
                 "runs": records,
             }
-        sides[side] = {"src_lines": lines[side], "workloads": workloads}
+        sides[side] = {"src_lines": lines[side], "tier1": tier1[side], "workloads": workloads}
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
     return {"pr": pr, "command": command, "sides": sides}
 
@@ -106,6 +123,14 @@ def _run(root: str, workload: str, seed: int, seconds: float) -> str:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
+
+
+def _tier1(root: str) -> dict:
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    return parse_tier1(time.perf_counter() - t0, proc.returncode, proc.stdout)
 
 
 def _workload(spec: str) -> tuple[str, int]:
@@ -124,6 +149,10 @@ def main(argv=None) -> int:
     roots = {"change": ROOT}
     if args.parent:
         roots["parent"] = os.path.abspath(args.parent)
+    tier1 = {}
+    for side, root in roots.items():
+        print(f"{side} tier-1", file=sys.stderr, flush=True)
+        tier1[side] = _tier1(root)
     runs = {side: {} for side in roots}
     for workload, count in args.workload:
         for seed in range(1, count + 1):
@@ -134,7 +163,7 @@ def main(argv=None) -> int:
                 stdout = _run(roots[side], workload, seed, args.seconds)
                 runs[side].setdefault(workload, []).append((seed, position, stdout))
     lines = {side: src_lines(root) for side, root in roots.items()}
-    record = assemble(args.pr, args.seconds, runs, lines)
+    record = assemble(args.pr, args.seconds, runs, lines, tier1)
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
