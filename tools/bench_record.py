@@ -22,8 +22,9 @@ the Tier-1 suite once,
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
-and the file keeps its wall time, exit code and pytest's summary counts.  Numbers from different machines are not
-comparable; the meta blocks name the machine.
+and the file keeps its wall time, exit code and pytest's summary counts.
+Numbers from different machines are not comparable; the meta blocks name
+the machine.
 """
 
 from __future__ import annotations
