@@ -43,7 +43,9 @@ def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
     lines = {"change": {"spherical.py": 3, "total": 3}, "parent": {"spherical.py": 4, "total": 4}}
     tier1 = {"change": bench_record.parse_tier1(30.5, 0, "...\n891 passed in 29.05s\n"),
              "parent": bench_record.parse_tier1(31.0, 1, "..F.\n1 failed, 890 passed in 30s\n")}
-    record = bench_record.assemble(41, 6.0, runs, lines, tier1)
+    cold = {side: bench_record.cold_start_table({"python -c pass": [(0.02, 0.03, 0)]})
+            for side in runs}
+    record = bench_record.assemble(41, 6.0, runs, lines, tier1, cold)
     assert record["pr"] == 41
     assert record["command"].endswith("--seconds 6 --trace 0")
     change = record["sides"]["change"]
@@ -57,6 +59,7 @@ def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
     assert first["meta"]["cpu_model"] == "test cpu"
     assert set(first["metrics"]) == set(_UNITS)
     assert change["tier1"] == tier1["change"]
+    assert change["cold_start"] == cold["change"]
     parent = record["sides"]["parent"]["workloads"]["eval-coincident"]
     assert [(r["ran_first"], r["correct"], r["failed"]) for r in parent["runs"]] == [
         (False, True, 0), (True, False, 2)]
@@ -83,3 +86,24 @@ def test_src_lines_counts_each_module():
     counts = bench_record.src_lines(root)
     assert counts["spherical.py"] > 0
     assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
+
+
+def test_cold_start_table_keeps_the_median_cpu_and_wall_time_and_the_exit_codes():
+    table = bench_record.cold_start_table({
+        "python -c pass": [(0.030, 0.034, 0), (0.020, 0.041, 0), (0.025, 0.036, 0)],
+        "python -m spherica.cli validate --suite polya": [
+            (0.050, 0.070, 0), (0.060, 0.058, 2)],
+    })
+    assert table["python -c pass"] == {
+        "cpu_ms": pytest.approx(25.0), "wall_ms": pytest.approx(36.0), "spawns": 3,
+        "exit_codes": [0]}
+    assert table["python -m spherica.cli validate --suite polya"] == {
+        "cpu_ms": pytest.approx(55.0), "wall_ms": pytest.approx(64.0), "spawns": 2,
+        "exit_codes": [0, 2]}
+
+
+def test_a_spawn_reports_child_cpu_wall_time_and_exit_code():
+    root = os.path.dirname(os.path.dirname(__file__))
+    cpu, wall, code = bench_record.spawn(root, ["-c", "import sys; sys.exit(3)"])
+    assert code == 3
+    assert 0.0 < cpu and 0.0 < wall

@@ -23,8 +23,13 @@ the Tier-1 suite once,
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
 and the file keeps its wall time, exit code and pytest's summary counts.
-Numbers from different machines are not comparable; the meta blocks name
-the machine.
+Then each side spawns each cold-start command SPAWNS = 11 times,
+`python -c pass`, `python -c 'import spherica.cli'` and four cheap
+`python -m spherica.cli` subcommands, the side that spawns first
+alternating from spawn to spawn; the file keeps, per side and command, the
+median child CPU time (user + system, from wait4) and wall time of the
+spawns and their exit codes.  Numbers from different machines are not
+comparable; the meta blocks name the machine.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -43,6 +49,15 @@ END_TO_END = (
     "setup_s", "ops_per_s", "latency_p50_ms", "latency_tail_ms", "pass_frac", "peak_rss_mb",
 )
 TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
+SPAWNS = 11
+COLD_START = (
+    ["-c", "pass"],
+    ["-c", "import spherica.cli"],
+    ["-m", "spherica.cli", "eval-spherical", "--x", "1,2", "--xi", "0.5,1.5"],
+    ["-m", "spherica.cli", "orbital", "--lam", "1,1", "--theta", "0.5,1.5"],
+    ["-m", "spherica.cli", "sweep", "--kind", "weyl", "--m", "2", "--n-list", "4,8"],
+    ["-m", "spherica.cli", "validate", "--suite", "polya"],
+)
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -85,10 +100,28 @@ def parse_tier1(wall_s: float, returncode: int, stdout: str) -> dict:
     return {"wall_s": wall_s, "returncode": returncode, "summary": summary, "counts": counts}
 
 
-def assemble(pr: int, seconds: float, runs: dict, lines: dict, tier1: dict) -> dict:
+def cold_start_table(spawns: dict) -> dict:
+    """Per command, the median child CPU and wall time in ms and the exit
+    codes of its spawns, from spawns[command], a list of (cpu_s, wall_s,
+    exit code) per spawn."""
+    return {
+        command: {
+            "cpu_ms": statistics.median(cpu for cpu, _, _ in runs) * 1e3,
+            "wall_ms": statistics.median(wall for _, wall, _ in runs) * 1e3,
+            "spawns": len(runs),
+            "exit_codes": sorted({code for _, _, code in runs}),
+        }
+        for command, runs in spawns.items()
+    }
+
+
+def assemble(
+    pr: int, seconds: float, runs: dict, lines: dict, tier1: dict, cold: dict
+) -> dict:
     """The BENCH record from runs[side][workload], a list of (seed, order,
     stdout) per run, order 0 where the side ran first, lines[side] from
-    src_lines and tier1[side] from parse_tier1."""
+    src_lines, tier1[side] from parse_tier1 and cold[side] from
+    cold_start_table."""
     sides = {}
     for side, by_workload in runs.items():
         workloads = {}
@@ -112,7 +145,8 @@ def assemble(pr: int, seconds: float, runs: dict, lines: dict, tier1: dict) -> d
                 },
                 "runs": records,
             }
-        sides[side] = {"src_lines": lines[side], "tier1": tier1[side], "workloads": workloads}
+        sides[side] = {"src_lines": lines[side], "tier1": tier1[side],
+                       "cold_start": cold[side], "workloads": workloads}
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
     return {"pr": pr, "command": command, "sides": sides}
 
@@ -126,12 +160,27 @@ def _run(root: str, workload: str, seed: int, seconds: float) -> str:
     return proc.stdout
 
 
-def _tier1(root: str) -> dict:
+def _src_env() -> dict:
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _tier1(root: str) -> dict:
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=root, env=_src_env(), capture_output=True, text=True)
     return parse_tier1(time.perf_counter() - t0, proc.returncode, proc.stdout)
+
+
+def spawn(root: str, argv: list[str]) -> tuple[float, float, int]:
+    """(child CPU s, wall s, exit code) of one `python argv` run from root
+    with src on PYTHONPATH, its output discarded."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=root, env=_src_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return usage.ru_utime + usage.ru_stime, wall, proc.returncode
 
 
 def _workload(spec: str) -> tuple[str, int]:
@@ -154,6 +203,13 @@ def main(argv=None) -> int:
     for side, root in roots.items():
         print(f"{side} tier-1", file=sys.stderr, flush=True)
         tier1[side] = _tier1(root)
+    spawns = {side: {} for side in roots}
+    for argv in COLD_START:
+        command = shlex.join(["python", *argv])
+        print(f"cold start {command}", file=sys.stderr, flush=True)
+        for i in range(SPAWNS):
+            for side in list(roots) if i % 2 == 0 else list(reversed(roots)):
+                spawns[side].setdefault(command, []).append(spawn(roots[side], argv))
     runs = {side: {} for side in roots}
     for workload, count in args.workload:
         for seed in range(1, count + 1):
@@ -164,7 +220,8 @@ def main(argv=None) -> int:
                 stdout = _run(roots[side], workload, seed, args.seconds)
                 runs[side].setdefault(workload, []).append((seed, position, stdout))
     lines = {side: src_lines(root) for side, root in roots.items()}
-    record = assemble(args.pr, args.seconds, runs, lines, tier1)
+    cold = {side: cold_start_table(by_command) for side, by_command in spawns.items()}
+    record = assemble(args.pr, args.seconds, runs, lines, tier1, cold)
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
