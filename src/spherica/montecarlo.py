@@ -39,37 +39,36 @@ H_0 is Haar.  mc_spherical and mc_orbital_exp are one pairing estimator
 slab, then the V slab; the first r rows of a Haar unitary have the law of the
 transpose of an n x r Haar isometry, so both are n x min(rank) slabs.
 
-mc_biinvariant_avg reads only the top m x m block T of each n x m isometry
-(n >= 2m), and _top_block_batch draws that block alone.  Write the Ginibre
-matrix as Z = [Z1; Z2], Z1 its top m x m block.  Z2 enters the positive-R QR
-of Z = QR only through R* R = Z1* Z1 + Z2* Z2, and Z2* Z2 has the law of B* B
-for the complex Bartlett factor B (Goodman, Ann. Math. Statist. 34 (1963)
-152): upper triangular, |B_kk|^2 = 2 Gamma(n - m - k) and complex normals
-above the diagonal (real and imaginary parts N(0, 1), as in Z).  So
-T = Z1 R^-1, with R the positive-diagonal Cholesky factor of
-Z1* Z1 + B* B, is the top block of Q and has the truncated-Haar law
-(Zyczkowski & Sommers, J. Phys. A 33 (2000) 2045).  The draws per batch:
-the real parts of Z1 (column by column) and of B above its diagonal (column
-by column, rows ascending), as one (count, m (3m - 1)/2) plane through ndtri;
-then their imaginary parts; then, for k = 0..m-1, a (count, n - m - k) plane
-of uniforms u with Gamma_k = -sum log u (inverse transform again: no
-rejection, fixed consumption; n >= 2m makes every shape at least 1, so B is
-invertible).  That is 3m^2 - m normals and m (n - m) - m (m - 1)/2
-uniforms through log per sample, where the slab takes m (2n - m + 1)
-normals: 2 and 39 at m = 1, n = 40, against 80.  The Cholesky step and the
-triangular solve are elementwise recurrences over the batch, with no LAPACK
-call; at m = 1, T = z / sqrt(|z|^2 + b^2).
+A caller that reads only the top rows of the slab, with n - rows >= m,
+draws a packed stack of rows + m rows instead.  The n - rows rows below the
+top, Z2, enter the normalisations and reflections only through inner
+products, so the algorithm runs unchanged on any B with B* B = Z2* Z2, and
+its top rows have the law of the full slab's.  B is the complex Bartlett
+factor (Goodman, Ann. Math. Statist. 34 (1963) 152): upper triangular,
+|B_kk|^2 = 2 Gamma(n - rows - k) and complex normals above the diagonal
+(real and imaginary parts N(0, 1), as in Z2).  Column k draws rows real
+parts straight into stack rows k..rows+k-1 (its top rows, then B's entries
+above the diagonal), then their imaginary parts, then a (count,
+n - rows - k) plane of uniforms u with B_kk = sqrt(-2 sum log u) (inverse
+transform again: no rejection, fixed consumption).  H_k acts on stack rows
+k..rows+k only, as no later reflection reads the rows below.  That is
+2 rows normals and n - rows - k uniforms through log per column and sample:
+2 normals and 39 uniforms for the top entry at m = 1, n = 40, against 80
+normals for the slab.  mc_biinvariant_avg reads the top m x m block; the
+pairing estimator reads rows j < rank b, and packs them wherever
+n - rank b >= r.
 
 A column's draw is fused with its layout: the uniforms of its real parts, in
-draw order (count, n - k), fill one flat scratch plane, and ndtri writes them
-straight into rows k.. of the column's real plane in the batch-last slab;
-then the same for the imaginary parts.  That plane, and every temporary of
-the normalisation and the reflections (written through out=), live in a
-_Scratch that an estimator creates per call and reuses across its blocks and
-slabs, so a slab allocates only the array it returns, and nothing returned
-is a view of the scratch.  Each complex product keeps the operand order of
-its defining formula: numpy may evaluate Re(a b) as fma(a_r, b_r, -a_i b_i)
-where the CPU has FMA, so a * b and b * a can differ in the last bit.
+draw order (count, n - k) (or (count, rows) packed), fill one flat scratch
+plane, and ndtri writes them straight into rows k.. of the column's real
+plane in the batch-last slab; then the same for the imaginary parts.  That
+plane, the Gamma plane, and every temporary of the normalisation and the
+reflections (written through out=), live in a _Scratch that an estimator
+creates per call and reuses across its blocks and slabs, so a slab
+allocates only the array it returns, and nothing returned is a view of the
+scratch.  Each complex product keeps the operand order of its defining
+formula: numpy may evaluate Re(a b) as fma(a_r, b_r, -a_i b_i) where the
+CPU has FMA, so a * b and b * a can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -191,63 +190,38 @@ def _reflect(w: np.ndarray, y: np.ndarray, work: np.ndarray) -> None:
 
 
 def _haar_isometry_batch(
-    stream: RngStream, count: int, n: int, m: int, scratch: _Scratch | None = None
+    stream: RngStream, count: int, n: int, m: int, scratch: _Scratch | None = None,
+    rows: int | None = None,
 ) -> np.ndarray:
-    # (count, n, m): first m columns of count Haar unitaries by the subgroup
-    # algorithm (module docstring); the array returned is the slab's own, the
-    # rest lives in scratch
-    q = np.zeros((m, n, count), dtype=complex)
-    work = (scratch or _Scratch())(max(n, 4 if m > 1 else 0) * count)
+    # (count, rows, m): the top rows (default all n; else n - rows >= m) of
+    # count n x m Haar isometries by the subgroup algorithm, packed where
+    # rows < n (module docstring); the array returned is a view of the
+    # stack's own, the rest lives in scratch
+    rows = n if rows is None else rows
+    depth = rows + m if rows < n else n
+    q = np.zeros((m, depth, count), dtype=complex)
+    size = max(min(rows + 1, n), 4 if m > 1 else 0) * count
+    work = (scratch or _Scratch())(max(size, ((n - rows) * count + 1) // 2))
+    flat = work.view(np.float64)
     for k in range(m):
-        plane = work.view(np.float64)[: count * (n - k)].reshape(count, n - k)
-        for part in (q[k, k:].real, q[k, k:].imag):
+        top = min(rows + k, n)
+        plane = flat[: count * (top - k)].reshape(count, top - k)
+        for part in (q[k, k:top].real, q[k, k:top].imag):
             ndtri(stream.uniforms(plane.shape, out=plane).T, out=part)
+        if top < depth:
+            # B_kk = sqrt(2 Gamma(n - rows - k)), Gamma = -sum log u
+            plane = flat[: count * (n - top)].reshape(count, n - top)
+            g = np.sum(np.log(stream.uniforms(plane.shape, out=plane), out=plane), axis=1)
+            np.sqrt(np.multiply(g, -2.0, out=g), out=q[k, top].real)
     for k in reversed(range(m)):
-        w = q[k, k:]
+        w = q[k, k : k + rows + 1]
         re2, im2 = work[: w.size].view(np.float64).reshape(2, *w.shape)
         np.square(w.real, out=re2)
         re2 += np.square(w.imag, out=im2)
         w /= np.sqrt(np.sum(re2, axis=0, out=im2[0]), out=im2[0])
         if k < m - 1:
-            _reflect(w, q[k + 1 :, k:], work)
-    return q.T
-
-
-def _top_block_batch(
-    stream: RngStream, count: int, n: int, m: int, scratch: _Scratch | None = None
-) -> np.ndarray:
-    # (count, m, m): the top blocks T = Z1 R^-1 of count n x m Haar isometries,
-    # n >= 2m, from the compressed draws of the module docstring; the array
-    # returned is the batch's own, the uniform planes live in scratch
-    c = m * (3 * m - 1) // 2
-    work = (scratch or _Scratch())((max(c, n - m) * count + 1) // 2).view(np.float64)
-    z = np.empty((c, count), dtype=complex)
-    plane = work[: count * c].reshape(count, c)
-    for part in (z.real, z.imag):
-        ndtri(stream.uniforms(plane.shape, out=plane).T, out=part)
-    # w[j] is column j of [Z1; B], so R* R = Z1* Z1 + B* B is its Gram matrix
-    w = np.zeros((m, 2 * m, count), dtype=complex)
-    w[:, :m] = z[: m * m].reshape(m, m, count)
-    for k in range(m):
-        # column k of B: k normals above its diagonal, then sqrt(2 Gamma_k)
-        w[k, m : m + k] = z[m * m + k * (k - 1) // 2 :][:k]
-        plane = work[: count * (n - m - k)].reshape(count, n - m - k)
-        g = np.sum(np.log(stream.uniforms(plane.shape, out=plane), out=plane), axis=1)
-        w[k, m + k].real = np.sqrt(np.multiply(g, -2.0, out=g), out=g)
-    # r[j, i] = R_ij by the Cholesky recurrence, then t[j] = column j of T by
-    # forward substitution in T R = Z1
-    r = np.zeros((m, m, count), dtype=complex)
-    t = np.empty((m, m, count), dtype=complex)
-    for j in range(m):
-        for i in range(j + 1):
-            s = np.sum(np.conjugate(w[i]) * w[j], axis=0)
-            s -= np.sum(np.conjugate(r[i, :i]) * r[j, :i], axis=0)
-            r[j, i] = s / r[i, i].real if i < j else np.sqrt(s.real)
-        t[j] = w[j, :m]
-        for k in range(j):
-            t[j] -= t[k] * r[j, k]
-        t[j] /= r[j, j].real
-    return t.T
+            _reflect(w, q[k + 1 :, k : k + rows + 1], work)
+    return q[:, :rows].T
 
 
 def _blocks(n_samples: int):
@@ -287,14 +261,16 @@ def _pairing_estimate(a, b, n_samples: int, seed: int, values: Callable) -> McEs
     a, b = np.array(a.values), np.array(b.values)
     if np.count_nonzero(b) < np.count_nonzero(a):
         a, b = b, a
-    n, r = len(a), np.count_nonzero(a)
+    n, r, rows = len(a), np.count_nonzero(a), np.count_nonzero(b)
+    if n - rows < r:
+        rows = n
     scratch = _Scratch()
 
     def sample(stream, take):
-        u = _haar_isometry_batch(stream, take, n, r, scratch)
-        v = _haar_isometry_batch(stream, take, n, r, scratch)
+        u = _haar_isometry_batch(stream, take, n, r, scratch, rows)
+        v = _haar_isometry_batch(stream, take, n, r, scratch, rows)
         np.conjugate(v, out=v)
-        return values(np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v).real @ b)
+        return values(np.einsum("bja,a,bja->bj", u, a[:r].astype(complex), v).real @ b[:rows])
 
     return _estimate(n_samples, seed, sample)
 
@@ -356,9 +332,10 @@ def mc_biinvariant_avg(
     V_k: |M|_F^2 = tr P and det(I + c M*M) = det(I + c P), so
     phi_omega(M) = exp(-gamma |M|_F^2/4) / prod_a det(I + (a/4) M*M) takes
     one stacked determinant per atom and no SVD.  Per block the draw order
-    is: T1, then T2, each drawn alone by _top_block_batch from 3m^2 - m
-    normals and m (n - m) - m (m - 1)/2 uniforms through log per sample,
-    with the truncated-Haar law of a top block (module docstring).
+    is: T1, then T2, each the top block of a packed stack (module
+    docstring): the subgroup algorithm on its m rows and the m rows of the
+    Bartlett factor of the n - m rows below, from 2m^2 normals and
+    m (n - m) - m (m - 1)/2 uniforms through log per sample.
     """
     xs, ys = _point_pair(x, y)
     m = xs.dimension
@@ -367,7 +344,7 @@ def mc_biinvariant_avg(
     scratch = _Scratch()
 
     def sample(stream, take):
-        g1, g2 = (_gram(_top_block_batch(stream, take, n, m, scratch)) for _ in range(2))
+        g1, g2 = (_gram(_haar_isometry_batch(stream, take, n, m, scratch, m)) for _ in range(2))
         p = np.einsum("i,bij,j,bjk->bik", d, g1, d, g2)
         fro = np.trace(p, axis1=1, axis2=2).real
         # at gamma = 0, exp(-0 * inf) would be nan where fro overflows

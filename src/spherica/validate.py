@@ -323,13 +323,16 @@ def _mc_checks(samples: int, seed: int) -> list[CheckResult]:
         )
     )
 
-    # E|U_11|^2 = E|U_33|^2 = 1/3; column 3 passes through every reflection
+    # E|U_11|^2 = E|U_33|^2 = 1/3; column 3 passes through every reflection.
+    # E|T_11|^2 = 1/6 for the top rows of 6 x 2 isometries, drawn packed
     us = montecarlo._haar_isometry_batch(montecarlo.RngStream(seed + 11, 0), 512, 3, 3)
-    for name, m2 in (("mc.haar_entry_moment", np.abs(us[:, 0, 0]) ** 2),
-                     ("mc.haar_last_entry_moment", np.abs(us[:, 2, 2]) ** 2)):
+    ts = montecarlo._haar_isometry_batch(montecarlo.RngStream(seed + 13, 0), 512, 6, 2, rows=2)
+    for name, m2, want in (("mc.haar_entry_moment", np.abs(us[:, 0, 0]) ** 2, 1 / 3),
+                           ("mc.haar_last_entry_moment", np.abs(us[:, 2, 2]) ** 2, 1 / 3),
+                           ("mc.top_rows_moment", np.abs(ts[:, 0, 0]) ** 2, 1 / 6)):
         mean, se = float(np.mean(m2)), float(np.std(m2, ddof=1)) / math.sqrt(len(m2))
-        out.append(CheckResult(name, abs(mean - 1.0 / 3.0) <= 6.0 * se,
-                               f"mean={mean:.9e} expected={1/3:.9e} se={se:.9e}"))
+        out.append(CheckResult(name, abs(mean - want) <= 6.0 * se,
+                               f"mean={mean:.9e} expected={want:.9e} se={se:.9e}"))
 
     orb = montecarlo.mc_orbital_exp((0.5,), (0.5,), samples, seed=seed + 5)
     tgt = series.bessel_i0(0.25)

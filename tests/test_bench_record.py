@@ -15,23 +15,37 @@ _UNITS = {
 }
 
 
-def _stdout(seed, ops_per_s, failed=0):
+# a few of the per-layer metrics a --trace 1 run prints
+_LAYER_UNITS = {"montecarlo.phase_ms": "ms/op", "montecarlo.reduce_ms": "ms/op",
+                "trace.overhead_frac": "ratio"}
+
+
+def _stdout(seed, ops_per_s, failed=0, trace=0):
     # the runner's lines: header, meta, check, gate, info, metrics, result
     meta = {"workload": "eval-coincident", "seed": seed, "cpu_model": "test cpu"}
-    values = dict.fromkeys(_UNITS, 1.0) | {"ops_per_s": ops_per_s}
+    units = _LAYER_UNITS if trace else _UNITS
+    values = dict.fromkeys(units, 1.0) | {"ops_per_s": ops_per_s}
     result = {
         "correct": failed == 0, "attempted": 100, "failed": failed,
-        "metrics": {k: {"value": values[k], "unit": u} for k, u in _UNITS.items()},
+        "metrics": {k: {"value": values[k], "unit": u} for k, u in units.items()},
     }
     return "\n".join([
-        f"workload eval-coincident seed {seed} seconds 6 trace 0",
+        f"workload eval-coincident seed {seed} seconds 6 trace {trace}",
         "meta " + json.dumps(meta),
         "check: correct=True attempted=100 failed=0 (...)",
         "gate: pass_frac=1.000000 fail_frac=0.000000",
         'info {"oracle_s": 1.0}',
-        *(f"metric {k} = {values[k]!r} {u}" for k, u in _UNITS.items()),
+        *(f"metric {k} = {values[k]!r} {u}" for k, u in units.items()),
         json.dumps(result),
     ]) + "\n"
+
+
+def _assemble(runs, traced=None):
+    lines = {side: {"spherical.py": 3, "total": 3} for side in runs}
+    tier1 = {side: bench_record.parse_tier1(30.5, 0, "891 passed in 29.05s\n") for side in runs}
+    cold = {side: {} for side in runs}
+    return bench_record.assemble(44, 6.0, runs, lines, tier1, cold, traced or {
+        side: {} for side in runs})
 
 
 def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
@@ -45,7 +59,7 @@ def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
              "parent": bench_record.parse_tier1(31.0, 1, "..F.\n1 failed, 890 passed in 30s\n")}
     cold = {side: bench_record.cold_start_table({"python -c pass": [(0.02, 0.03, 0)]})
             for side in runs}
-    record = bench_record.assemble(41, 6.0, runs, lines, tier1, cold)
+    record = bench_record.assemble(41, 6.0, runs, lines, tier1, cold, {side: {} for side in runs})
     assert record["pr"] == 41
     assert record["command"].endswith("--seconds 6 --trace 0")
     change = record["sides"]["change"]
@@ -66,6 +80,24 @@ def test_assembly_keeps_per_seed_values_their_quartiles_and_each_run_verdict():
     assert parent["metrics"]["ops_per_s"]["median"] == 8.5
     assert parent["metrics"]["setup_s"] == {
         "unit": "s", "median": 1.0, "q1": 1.0, "q3": 1.0, "values": [1.0, 1.0]}
+
+
+def test_traced_runs_keep_their_layers_and_the_known_blind_spots():
+    runs = {side: {"mc-haar": [(1, 0, _stdout(1, 10.0))]} for side in ("change", "parent")}
+    traced = {"change": {"mc-haar": _stdout(1, 0.0, trace=1)},
+              "parent": {"mc-haar": _stdout(1, 0.0, failed=3, trace=1)}}
+    record = _assemble(runs, traced)
+    assert record["layers"]["command"] == (
+        "python3 perfbench/run.py --workload W --seed 1 --seconds 6 --trace 1")
+    assert record["layers"]["blind_spots"] == bench_record.BLIND_SPOTS
+    assert "montecarlo.svd_ms" in record["layers"]["blind_spots"]
+    change = record["sides"]["change"]["layers"]["mc-haar"]
+    assert (change["seed"], change["correct"], change["failed"]) == (1, True, 0)
+    assert change["metrics"] == {k: {"value": 1.0, "unit": u} for k, u in _LAYER_UNITS.items()}
+    parent = record["sides"]["parent"]["layers"]["mc-haar"]
+    assert (parent["correct"], parent["failed"]) == (False, 3)
+    # the end-to-end part is the same as without traced runs
+    assert record["sides"]["change"]["workloads"] == _assemble(runs)["sides"]["change"]["workloads"]
 
 
 def test_tier1_record_keeps_wall_time_exit_code_and_summary_counts():

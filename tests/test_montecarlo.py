@@ -326,45 +326,18 @@ def test_top_block_grams_give_the_full_translate_determinant_and_norm(m, n):
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
-def _top_block_reference(stream, count, n, m):
-    # the documented draws of _top_block_batch(stream, count, n, m), stacked
-    # as the 2m x m [Z1; B] (Z1 and B's upper triangle column by column, B's
-    # diagonal sqrt(2 Gamma)), orthonormalised by LAPACK QR with R's diagonal
-    # made positive and padded with zero rows to an n x m isometry: its top
-    # block is T, and its Gram with E is that of every isometry with top T
-    c = m * (3 * m - 1) // 2
-    z = stream.normals((count, c)) + 1j * stream.normals((count, c))
-    w = np.zeros((count, 2 * m, m), dtype=complex)
-    w[:, :m] = z[:, : m * m].reshape(count, m, m).transpose(0, 2, 1)
-    cols, rows = np.tril_indices(m, -1)
-    w[:, m + rows, cols] = z[:, m * m :]
-    for k in range(m):
-        gamma = -np.sum(np.log(stream.uniforms((count, n - m - k))), axis=1)
-        w[:, m + k, k] = np.sqrt(2.0 * gamma)
-    q, r = np.linalg.qr(w)
-    ph = np.diagonal(r, axis1=1, axis2=2)
-    return np.pad(q * (ph / np.abs(ph))[:, None, :], ((0, 0), (0, n - 2 * m), (0, 0)))
-
-
-@pytest.mark.parametrize("m, n", _SIZES + [(3, 6), (3, 7)])
-def test_top_block_is_the_top_of_the_qr_of_its_draws(m, n):
-    t = montecarlo._top_block_batch(RngStream(11, 0), 300, n, m)
-    v = _top_block_reference(RngStream(11, 0), 300, n, m)
-    assert t.shape == (300, m, m)
-    assert np.all(_gram_defect(v) <= 1e-14)
-    assert np.max(np.abs(t - v[:, :m])) <= 1e-13
-
-
 @pytest.mark.parametrize("m, n, n_samples", [(m, n, 1000) for m, n in _SIZES] + [(2, 5, 9000)])
 def test_biinvariant_average_matches_a_full_svd_estimator(m, n, n_samples):
-    # the reference takes the estimator's draws to full n x m isometries and
-    # their translates to singular values
+    # the reference multiplies out the estimator's packed 2m x m stacks and
+    # pads them with zero rows to n x m isometries with the same top blocks,
+    # hence the same Grams with E and translates with the same singular values
     om = OmegaParam([2.0, 0.5], 0.3)
     x, y = _X[:m], _Y[:m]
 
     def sample(stream, take):
-        v1 = _top_block_reference(stream, take, n, m)
-        v2 = _top_block_reference(stream, take, n, m)
+        pad = ((0, 0), (0, n - 2 * m), (0, 0))
+        v1 = np.pad(_subgroup_reference(stream, take, n, m, m), pad)
+        v2 = np.pad(_subgroup_reference(stream, take, n, m, m), pad)
         s = np.linalg.svd(_translate(v1, v2, x, y), compute_uv=False)
         return (montecarlo._phi_omega_singvals(om, s),)
 
@@ -394,37 +367,65 @@ def test_isometry_batch_is_orthonormal(slab):
     assert np.all(_gram_defect(q) <= 1e-14)
 
 
-def _subgroup_reference(seed, count, n, m):
-    # the documented draws of _haar_isometry_batch(RngStream(seed, 0), count,
-    # n, m), multiplied out sample by sample as explicit n x n reflections
-    stream = RngStream(seed, 0)
-    cols = []
+def _subgroup_reference(stream, count, n, m, rows):
+    # the documented draws of _haar_isometry_batch(stream, count, n, m,
+    # rows=rows) laid out as the whole stack (n rows, or rows + m where
+    # rows < n, the last m the Bartlett factor's), multiplied out sample by
+    # sample as explicit reflections of stack rows k..rows+k
+    depth = rows + m if rows < n else n
+    z = np.zeros((count, depth, m), dtype=complex)
     for k in range(m):
-        re = stream.normals((count, n - k))
-        cols.append(re + 1j * stream.normals((count, n - k)))
-    out = np.empty((count, n, m), dtype=complex)
+        top = min(rows + k, n)
+        re = stream.normals((count, top - k))
+        z[:, k:top, k] = re + 1j * stream.normals((count, top - k))
+        if top < depth:
+            gamma = -np.sum(np.log(stream.uniforms((count, n - top))), axis=1)
+            z[:, top, k] = np.sqrt(2.0 * gamma)
+    out = np.empty_like(z)
     for b in range(count):
-        u = np.eye(n, dtype=complex)
-        for k, col in enumerate(cols):
-            w = col[b] / np.linalg.norm(col[b])
+        u = np.eye(depth, dtype=complex)
+        for k in range(m):
+            end = min(k + rows + 1, depth)
+            w = z[b, k:end, k] / np.linalg.norm(z[b, k:end, k])
             ph = w[0] / abs(w[0])
-            v = w + ph * np.eye(n - k)[0]
-            h = np.eye(n, dtype=complex)
-            h[k:, k:] = -ph * (np.eye(n - k) - np.outer(v, v.conj()) / (1.0 + abs(w[0])))
+            v = w + ph * np.eye(end - k)[0]
+            h = np.eye(depth, dtype=complex)
+            h[k:end, k:end] = -ph * (np.eye(end - k) - np.outer(v, v.conj()) / (1.0 + abs(w[0])))
             u = u @ h
         out[b] = u[:, :m]
     return out
 
 
+@st.composite
+def _stacks(draw):
+    # a slab and the rows read from it: all n, or a packed top of m..n - m
+    count, n, m, seed = draw(_slabs())
+    return count, n, m, draw(st.sampled_from([n, *range(m, n - m + 1)])), seed
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_slabs())
-@example((1, 1, 1, 0))  # count = 1, and a pure phase column
-@example((7, 5, 5, 3))  # m = n: the last column is a pure phase
-@example((7, 6, 2, 4))  # m < n
-def test_isometry_batch_is_the_product_of_its_reflections(slab):
-    count, n, m, seed = slab
-    q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m)
-    assert np.max(np.abs(q - _subgroup_reference(seed, count, n, m))) <= 1e-13
+@given(_stacks())
+@example((1, 1, 1, 1, 0))  # count = 1, and a pure phase column
+@example((7, 5, 5, 5, 3))  # m = n: the last column is a pure phase
+@example((7, 6, 2, 6, 4))  # m < n
+@example((7, 6, 2, 2, 4))  # packed: 2 top rows over the Bartlett factor of 4
+@example((7, 6, 3, 3, 5))  # packed at n = 2m
+def test_isometry_batch_is_the_product_of_its_reflections(stack):
+    count, n, m, rows, seed = stack
+    q = montecarlo._haar_isometry_batch(RngStream(seed, 0), count, n, m, rows=rows)
+    ref = _subgroup_reference(RngStream(seed, 0), count, n, m, rows)
+    assert q.shape == (count, rows, m)
+    assert np.all(_gram_defect(ref) <= 1e-14)
+    assert np.max(np.abs(q - ref[:, :rows])) <= 1e-13
+
+
+@pytest.mark.parametrize("m, n", _SIZES + [(3, 6), (3, 7)])
+def test_top_block_is_the_top_of_the_product_of_its_reflections(m, n):
+    t = montecarlo._haar_isometry_batch(RngStream(11, 0), 300, n, m, rows=m)
+    v = _subgroup_reference(RngStream(11, 0), 300, n, m, m)
+    assert t.shape == (300, m, m)
+    assert np.all(_gram_defect(v) <= 1e-14)
+    assert np.max(np.abs(t - v[:, :m])) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -460,31 +461,39 @@ def test_column_k_draws_n_minus_k_complex_normals(count, n, m, monkeypatch):
     assert sum(math.prod(shape) for shape in shapes) == count * m * (2 * n - m + 1)
 
 
-@pytest.mark.parametrize("n, m", [(2, 1), (40, 1), (4, 2), (5, 2), (6, 3)])
+@pytest.mark.parametrize(
+    "n, m", [(2, 1), (40, 1), (4, 2), (5, 2), (6, 3), (6, 2), (8, 1), (7, 3)])
 def test_top_block_has_the_weingarten_moments(n, m):
-    # the top block of an n x m Haar isometry has the moments of the n x n
-    # Haar unitary's: E|T_11|^2 = 1/n, E|T_11|^4 = E|T_mm|^4 = 2/(n(n+1)),
-    # and at m >= 2 E|T_11 T_22|^2 = 1/(n^2-1) and E T_11 T_22 conj(T_12
-    # T_21) = -1/(n(n^2-1)), each real and imaginary part within 5 standard
-    # errors over 32 fixed blocks
-    t = np.concatenate(
-        [montecarlo._top_block_batch(RngStream(17, b), 8192, n, m) for b in range(32)]
-    )
-    a = np.abs(t[:, 0, 0]) ** 2
-    moments = [(a, 1 / n), (a * a, 2 / (n * (n + 1))), (np.abs(t[:, -1, -1]) ** 4, 2 / (n * (n + 1)))]
-    if m >= 2:
-        cross = t[:, 0, 0] * t[:, 1, 1] * np.conj(t[:, 0, 1] * t[:, 1, 0])
-        moments += [
-            (a * np.abs(t[:, 1, 1]) ** 2, 1 / (n * n - 1)),
-            (cross.real, -1 / (n * (n * n - 1))), (cross.imag, 0.0),
-        ]
-    for v, want in moments:
-        se = float(np.std(v)) / math.sqrt(len(v))
-        assert abs(float(np.mean(v)) - want) <= 5.0 * se
+    # the top rows of an n x m Haar isometry, packed at rows = m and at
+    # rows = n - m, have the moments of the n x n Haar unitary's:
+    # E|T_11|^2 = 1/n, E|T_11|^4 = E|T_rm|^4 = 2/(n(n+1)), and at m >= 2
+    # E|T_11 T_22|^2 = 1/(n^2-1) and E T_11 T_22 conj(T_12 T_21) =
+    # -1/(n(n^2-1)), each real and imaginary part within 5 standard errors
+    # over 32 fixed blocks
+    for rows in sorted({m, n - m}):
+        t = np.concatenate([
+            montecarlo._haar_isometry_batch(RngStream(17, b), 8192, n, m, rows=rows)
+            for b in range(32)
+        ])
+        a = np.abs(t[:, 0, 0]) ** 2
+        moments = [(a, 1 / n), (a * a, 2 / (n * (n + 1))),
+                   (np.abs(t[:, -1, -1]) ** 4, 2 / (n * (n + 1)))]
+        if m >= 2:
+            cross = t[:, 0, 0] * t[:, 1, 1] * np.conj(t[:, 0, 1] * t[:, 1, 0])
+            moments += [
+                (a * np.abs(t[:, 1, 1]) ** 2, 1 / (n * n - 1)),
+                (cross.real, -1 / (n * (n * n - 1))), (cross.imag, 0.0),
+            ]
+        for v, want in moments:
+            se = float(np.std(v)) / math.sqrt(len(v))
+            assert abs(float(np.mean(v)) - want) <= 5.0 * se, (rows, want)
 
 
 @pytest.mark.parametrize("count, n, m", [(5, 2, 1), (3, 40, 1), (2, 5, 2), (1, 6, 3), (4, 9, 3)])
 def test_top_block_draws_its_normals_then_one_gamma_plane_per_column(count, n, m, monkeypatch):
+    # per column k of a packed stack: rows real parts, rows imaginary parts,
+    # then n - rows - k uniforms for the Gamma variate, at every rows the
+    # packing allows
     shapes = []
     uniforms = RngStream.uniforms
 
@@ -493,12 +502,13 @@ def test_top_block_draws_its_normals_then_one_gamma_plane_per_column(count, n, m
         return uniforms(self, shape, out)
 
     monkeypatch.setattr(RngStream, "uniforms", recording)
-    montecarlo._top_block_batch(RngStream(0), count, n, m)
-    c = m * (3 * m - 1) // 2
-    assert shapes == [(count, c)] * 2 + [(count, n - m - k) for k in range(m)]
-    assert 2 * c == 3 * m * m - m
-    assert sum(math.prod(shape) for shape in shapes[2:]) == count * (
-        m * (n - m) - m * (m - 1) // 2)
+    for rows in range(m, n - m + 1):
+        shapes.clear()
+        montecarlo._haar_isometry_batch(RngStream(0), count, n, m, rows=rows)
+        assert shapes == [
+            shape for k in range(m) for shape in [(count, rows)] * 2 + [(count, n - rows - k)]]
+        assert sum(math.prod(shape) for shape in shapes[2::3]) == count * (
+            m * (n - rows) - m * (m - 1) // 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -557,7 +567,7 @@ _PINNED = [
      "McEstimate(mean=0.3850290558942464, std_error=0.002146136476638053, n_samples=1000, "
      "master_seed=3, imag_mean=None, imag_std_error=None)"),
     (mc_biinvariant_avg, (_OM, (0.7, 0.4), (1.1, 0.5), 5, 9000, 11),
-     "McEstimate(mean=0.2921429160541939, std_error=0.00042795389171973653, n_samples=9000, "
+     "McEstimate(mean=0.29221825171988464, std_error=0.0004138341276512081, n_samples=9000, "
      "master_seed=11, imag_mean=None, imag_std_error=None)"),
     (mc_spherical, ((1.1, 0.9, 0.5, 0.2), (1.0, 0.7, 0.4, 0.1), 16384, 2),
      "McEstimate(mean=0.9416050571849404, std_error=0.000604636990654025, n_samples=16384, "
@@ -631,6 +641,19 @@ def test_haar_unitary_keeps_its_bits():
     )
 
 
+def _record_batches(monkeypatch):
+    # the (n, m, rows) of every _haar_isometry_batch call, in call order
+    calls = []
+    batch = montecarlo._haar_isometry_batch
+
+    def recording(stream, count, n, m, scratch=None, rows=None):
+        calls.append((n, m, rows))
+        return batch(stream, count, n, m, scratch, rows)
+
+    monkeypatch.setattr(montecarlo, "_haar_isometry_batch", recording)
+    return calls
+
+
 _FULL_8 = (2.0, 1.7, 1.5, 1.2, 1.0, 0.7, 0.5, 0.2)
 _RANK1_8 = (1.0,) + (0.0,) * 7
 
@@ -638,18 +661,25 @@ _RANK1_8 = (1.0,) + (0.0,) * 7
 @pytest.mark.parametrize("x, xi", [(_FULL_8, _RANK1_8), (_RANK1_8, _FULL_8)])
 def test_rank_one_argument_draws_one_column_and_matches_the_series(x, xi, monkeypatch):
     # x full rank: the pairing swaps the roles of x and xi; x rank one: it
-    # does not.  Either way each slab is 8 x 1.
-    shapes = []
-    batch = montecarlo._haar_isometry_batch
-
-    def recording(stream, count, n, m, scratch=None):
-        shapes.append((n, m))
-        return batch(stream, count, n, m, scratch)
-
-    monkeypatch.setattr(montecarlo, "_haar_isometry_batch", recording)
+    # does not.  Either way each slab is 8 x 1, read in full.
+    shapes = _record_batches(monkeypatch)
     est = mc_spherical(x, xi, 20_000, seed=0)
-    assert set(shapes) == {(8, 1)}
+    assert set(shapes) == {(8, 1, 8)}
     series = spherical_series(x, xi).value
+    assert abs(est.mean - series) <= 4.0 * est.std_error
+    assert abs(est.imag_mean) <= 4.0 * est.imag_std_error
+
+
+_RANK2_6, _RANK1_6 = (1.0, 0.5, 0.0, 0.0, 0.0, 0.0), (1.3, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_rank_deficient_pairing_draws_only_the_rows_it_reads(monkeypatch):
+    # xi has rank one and x rank two: z reads rows j < 2 of 6 x 1 slabs, and
+    # 6 - 2 >= 1 leaves room for the packed stack
+    shapes = _record_batches(monkeypatch)
+    est = mc_spherical(_RANK2_6, _RANK1_6, 20_000, seed=0)
+    assert set(shapes) == {(6, 1, 2)}
+    series = spherical_series(_RANK2_6, _RANK1_6).value
     assert abs(est.mean - series) <= 4.0 * est.std_error
     assert abs(est.imag_mean) <= 4.0 * est.imag_std_error
 
@@ -664,16 +694,9 @@ def test_rank_one_orbital_argument_draws_one_column_and_matches_the_integral(
 ):
     # the orbital estimator pairs theta on the columns and lam on the rows:
     # with theta rank one it keeps them, with lam rank one it swaps them
-    shapes = []
-    batch = montecarlo._haar_isometry_batch
-
-    def recording(stream, count, n, m, scratch=None):
-        shapes.append((n, m))
-        return batch(stream, count, n, m, scratch)
-
-    monkeypatch.setattr(montecarlo, "_haar_isometry_batch", recording)
+    shapes = _record_batches(monkeypatch)
     est = mc_orbital_exp(lam, theta, 20_000, seed=0)
-    assert set(shapes) == {(8, 1)}
+    assert set(shapes) == {(8, 1, 8)}
     assert abs(est.mean - orbital_integral(lam, theta).value) <= 4.0 * est.std_error
 
 
@@ -696,6 +719,7 @@ e = mc_biinvariant_avg(OmegaParam([2.0], 0.3), [1.0], [0.8], 40, 2000, seed=4)
 h.update(json.dumps([e.mean, e.std_error]).encode())
 e = mc_biinvariant_avg(OmegaParam([2.0, 0.5], 0.3), (0.7, 0.4), (1.1, 0.5), 5, 9000, seed=11)
 h.update(repr(e).encode())
+h.update(repr(mc_spherical((1, .5, 0, 0, 0, 0), (1.3, 0, 0, 0, 0, 0), 20000)).encode())
 print(h.hexdigest())
 """
 

@@ -28,8 +28,12 @@ Then each side spawns each cold-start command SPAWNS = 11 times,
 `python -m spherica.cli` subcommands, the side that spawns first
 alternating from spawn to spawn; the file keeps, per side and command, the
 median child CPU time (user + system, from wait4) and wall time of the
-spawns and their exit codes.  Numbers from different machines are not
-comparable; the meta blocks name the machine.
+spawns and their exit codes.  Last, each side runs each workload once more
+at seed 1 with --trace 1, the side that runs first alternating from
+workload to workload, and the file keeps those runs' per-layer metrics
+under "layers", with the tracer's known blind spots (BLIND_SPOTS: metrics
+that read 0 or time something other than their name says).  Numbers from
+different machines are not comparable; the meta blocks name the machine.
 """
 
 from __future__ import annotations
@@ -50,6 +54,17 @@ END_TO_END = (
 )
 TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SPAWNS = 11
+TRACE_SEED = 1
+# per-layer metrics of the --trace 1 runs that do not measure what they name
+BLIND_SPOTS = {
+    "series.*": "read 0 on every workload; kernel-matrix assembly has no span",
+    "symfunc.*": "read 0 on every workload",
+    "montecarlo.qr_ms": "reads 0: the Haar sampler has no QR stage",
+    "montecarlo.svd_ms": "reads 0: no estimator takes an SVD",
+    "spherical.ratio_ms": "counts the Newton pivot product",
+    "spherical.tail_bound_*": "time and count only the tail bound's set-up",
+    "trace.overhead_frac": "reads about 1.5 on cli-cold, whose traced run times no module loading",
+}
 COLD_START = (
     ["-c", "pass"],
     ["-c", "import spherica.cli"],
@@ -115,13 +130,21 @@ def cold_start_table(spawns: dict) -> dict:
     }
 
 
+def layer_record(stdout: str) -> dict:
+    """The per-layer record of one --trace 1 run: its verdict and metrics."""
+    meta, result = parse_run(stdout)
+    return {"seed": meta["seed"], "correct": result["correct"], "failed": result["failed"],
+            "metrics": result["metrics"]}
+
+
 def assemble(
-    pr: int, seconds: float, runs: dict, lines: dict, tier1: dict, cold: dict
+    pr: int, seconds: float, runs: dict, lines: dict, tier1: dict, cold: dict, traced: dict
 ) -> dict:
     """The BENCH record from runs[side][workload], a list of (seed, order,
     stdout) per run, order 0 where the side ran first, lines[side] from
-    src_lines, tier1[side] from parse_tier1 and cold[side] from
-    cold_start_table."""
+    src_lines, tier1[side] from parse_tier1, cold[side] from
+    cold_start_table and traced[side][workload], the stdout of the side's
+    --trace 1 run."""
     sides = {}
     for side, by_workload in runs.items():
         workloads = {}
@@ -145,15 +168,20 @@ def assemble(
                 },
                 "runs": records,
             }
+        layers = {workload: layer_record(out) for workload, out in traced[side].items()}
         sides[side] = {"src_lines": lines[side], "tier1": tier1[side],
-                       "cold_start": cold[side], "workloads": workloads}
-    command = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
-    return {"pr": pr, "command": command, "sides": sides}
+                       "cold_start": cold[side], "workloads": workloads, "layers": layers}
+    command = "python3 perfbench/run.py --workload W --seed {} --seconds {:g} --trace {}"
+    return {
+        "pr": pr, "command": command.format("S", seconds, 0), "sides": sides,
+        "layers": {"command": command.format(TRACE_SEED, seconds, 1),
+                   "blind_spots": BLIND_SPOTS},
+    }
 
 
-def _run(root: str, workload: str, seed: int, seconds: float) -> str:
+def _run(root: str, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -219,9 +247,14 @@ def main(argv=None) -> int:
                 print(f"{side} {workload} seed {seed}", file=sys.stderr, flush=True)
                 stdout = _run(roots[side], workload, seed, args.seconds)
                 runs[side].setdefault(workload, []).append((seed, position, stdout))
+    traced = {side: {} for side in roots}
+    for i, (workload, _) in enumerate(args.workload):
+        for side in list(roots) if i % 2 == 0 else list(reversed(roots)):
+            print(f"{side} {workload} traced", file=sys.stderr, flush=True)
+            traced[side][workload] = _run(roots[side], workload, TRACE_SEED, args.seconds, 1)
     lines = {side: src_lines(root) for side, root in roots.items()}
     cold = {side: cold_start_table(by_command) for side, by_command in spawns.items()}
-    record = assemble(args.pr, args.seconds, runs, lines, tier1, cold)
+    record = assemble(args.pr, args.seconds, runs, lines, tier1, cold, traced)
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
